@@ -20,7 +20,7 @@ def main():
           f"spinwave_scale = {art['spinwave_scale']:.6f}")
 
     grid = sweeps.fig_spectrum_grid(p)
-    spec = sweeps.sweep_omega(p, grid, sweeps.SweepConfig(threads=4))
+    spec = sweeps.sweep_omega(p, grid)
     window = (p.delta1 - 300.0, p.delta1 + 300.0)
 
     print(f"{'pair':10s} {'min V':>10s} {'at omega':>10s} "

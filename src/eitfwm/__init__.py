@@ -9,6 +9,9 @@ mode pair, as functions of analysis frequency, ground-state decoherence
 and drive strength.
 """
 
+# defined before the submodule imports so that any of them can import it
+__version__ = "0.1.0"
+
 from .params import (C, PhysicalParams, DerivedParams, ValidationError,
                      derive, reference_params)
 from .steady_state import (DensityMatrix3, DegenerateSteadyStateError,
@@ -21,5 +24,3 @@ from .propagation import (FieldMode, DriftMatrix, TransferSolution,
                           second_moment_transfer, single_pair_modes,
                           two_pair_modes, output_field_covariance,
                           output_commutators)
-
-__version__ = "0.1.0"

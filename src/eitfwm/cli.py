@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from . import __version__
 from .params import PhysicalParams, ValidationError, derive, reference_params
 from .steady_state import steady_state
 from . import langevin
@@ -63,15 +64,14 @@ class RunConfig:
     omega_max: float = 1000.0
     n_points: int = 2001
 
-    def sweep_config(self, threads: int = 1,
-                     two_pair: bool | None = None) -> sweeps.SweepConfig:
+    def sweep_config(self, two_pair: bool | None = None
+                     ) -> sweeps.SweepConfig:
         return sweeps.SweepConfig(
             coupling=self.coupling,
             sideband=self.sideband,
             spinwave=entanglement.SpinWaveMode(
                 definition=self.spinwave_definition),
-            two_pair=self.two_pair if two_pair is None else two_pair,
-            threads=threads)
+            two_pair=self.two_pair if two_pair is None else two_pair)
 
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(PhysicalParams))
@@ -137,25 +137,17 @@ def parse_config(text: str) -> RunConfig:
 
 # --- output plumbing -------------------------------------------------------
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _tag(pair) -> str:
-    return f"{pair[0]}_{pair[1]}"
-
-
 def config_echo(rc: RunConfig) -> dict:
     """The effective configuration as deterministic key/value strings."""
     echo = {}
     for name in _PARAM_KEYS:
-        echo[name] = _fmt(getattr(rc.params, name))
+        echo[name] = sweeps.fmt_float(getattr(rc.params, name))
     echo["coupling"] = rc.coupling
     echo["sideband"] = rc.sideband
     echo["spinwave_definition"] = rc.spinwave_definition
     echo["two_pair"] = "true" if rc.two_pair else "false"
-    echo["omega_min"] = _fmt(rc.omega_min)
-    echo["omega_max"] = _fmt(rc.omega_max)
+    echo["omega_min"] = sweeps.fmt_float(rc.omega_min)
+    echo["omega_max"] = sweeps.fmt_float(rc.omega_max)
     echo["n_points"] = str(rc.n_points)
     return echo
 
@@ -202,7 +194,7 @@ def _emit_spectrum(spec, rc, dips, out, fmt, analysis=None,
 def _run_steady(rc, out) -> int:
     ss = steady_state(rc.params)
     payload = {
-        "version": sweeps.__version__,
+        "version": __version__,
         "params": dataclasses.asdict(rc.params),
         "config": _switches(rc),
         "rho_re": ss.matrix.real.tolist(),
@@ -217,7 +209,7 @@ def _run_noise(rc, out) -> int:
     ss = steady_state(rc.params)
     two_d = langevin.diffusion_matrix(rc.params, ss)
     payload = {
-        "version": sweeps.__version__,
+        "version": __version__,
         "params": dataclasses.asdict(rc.params),
         "config": _switches(rc),
         "channels": [list(ch) for ch in langevin.CHANNELS],
@@ -228,64 +220,40 @@ def _run_noise(rc, out) -> int:
     return 0
 
 
-def _dips_for(spec, windows) -> list:
-    reports = []
-    for pair in spec.pairs:
-        for window in windows:
-            reports.append(sweeps.find_dip(spec, pair, window))
-    return reports
-
-
-def _run_spectrum(rc, out, fmt, threads) -> int:
+def _spectrum_grid(rc) -> np.ndarray:
     p = rc.params
     if not rc.omega_min < rc.omega_max:
         raise ValidationError("omega_min must be below omega_max")
     centers = (p.delta1, p.delta2) if rc.two_pair else (p.delta1,)
-    grid = sweeps.omega_grid(rc.omega_min, rc.omega_max, rc.n_points,
+    return sweeps.omega_grid(rc.omega_min, rc.omega_max, rc.n_points,
                              refine_centers=centers, p=p)
-    spec = sweeps.sweep_omega(p, grid, rc.sweep_config(threads))
-    dips = _dips_for(spec, [(rc.omega_min, rc.omega_max)])
+
+
+def _run_omega_sweep(rc, out, fmt, grid, two_pair, resonances=()) -> int:
+    """Shared body of spectrum, fig2 and fig3: sweep the grid, then report
+    each pair's dip in the window around every resonance and over the
+    full grid, in that order."""
+    spec = sweeps.sweep_omega(rc.params, grid,
+                              rc.sweep_config(two_pair=two_pair))
+    windows = [(c - RESONANCE_HALFWIDTH, c + RESONANCE_HALFWIDTH)
+               for c in resonances]
+    windows.append((float(grid[0]), float(grid[-1])))
+    dips = [sweeps.find_dip(spec, pair, window)
+            for pair in spec.pairs for window in windows]
     _emit_spectrum(spec, rc, dips, out, fmt)
     return 0
 
 
-def _run_fig2(rc, out, fmt, threads) -> int:
-    p = rc.params
-    grid = sweeps.fig_spectrum_grid(p)
-    spec = sweeps.sweep_omega(p, grid, rc.sweep_config(threads,
-                                                       two_pair=False))
-    lo, hi = float(grid[0]), float(grid[-1])
-    windows = [(p.delta1 - RESONANCE_HALFWIDTH, p.delta1 + RESONANCE_HALFWIDTH),
-               (lo, hi)]
-    dips = _dips_for(spec, windows)
-    _emit_spectrum(spec, rc, dips, out, fmt)
-    return 0
-
-
-def _run_fig3(rc, out, fmt, threads) -> int:
-    p = rc.params
-    grid = sweeps.fig_two_pair_grid(p)
-    spec = sweeps.sweep_omega(p, grid, rc.sweep_config(threads,
-                                                       two_pair=True))
-    lo, hi = float(grid[0]), float(grid[-1])
-    windows = [(p.delta1 - RESONANCE_HALFWIDTH, p.delta1 + RESONANCE_HALFWIDTH),
-               (p.delta2 - RESONANCE_HALFWIDTH, p.delta2 + RESONANCE_HALFWIDTH),
-               (lo, hi)]
-    dips = _dips_for(spec, windows)
-    _emit_spectrum(spec, rc, dips, out, fmt)
-    return 0
-
-
-def _run_fig4(rc, out, fmt, threads) -> int:
+def _run_fig4(rc, out, fmt) -> int:
     spec = sweeps.sweep_gamma0(rc.params, sweeps.fig_gamma0_grid(),
-                               omega=0.0, config=rc.sweep_config(threads))
+                               omega=0.0, config=rc.sweep_config())
     monotone = {}
     endpoints = {}
     for pair in spec.pairs:
         v = spec.values[pair]
         slack = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-        monotone[_tag(pair)] = bool(np.all(np.diff(v) >= -slack))
-        endpoints[_tag(pair)] = [float(v[0]), float(v[-1])]
+        monotone[sweeps.pair_tag(pair)] = bool(np.all(np.diff(v) >= -slack))
+        endpoints[sweeps.pair_tag(pair)] = [float(v[0]), float(v[-1])]
     analysis = {"monotone_nondecreasing": monotone,
                 "endpoint_values": endpoints}
     extra = {f"monotone_{k}": str(m).lower() for k, m in monotone.items()}
@@ -293,18 +261,19 @@ def _run_fig4(rc, out, fmt, threads) -> int:
     return 0
 
 
-def _run_fig5(rc, out, fmt, threads) -> int:
+def _run_fig5(rc, out, fmt) -> int:
     p = rc.params
     spec = sweeps.sweep_alpha(p, sweeps.fig_alpha_grid(),
                               omega=float(p.delta1),
-                              config=rc.sweep_config(threads))
+                              config=rc.sweep_config())
     spread = {}
     for pair in spec.pairs:
         v = spec.values[pair]
         ref = max(abs(float(np.median(v))), 1e-300)
-        spread[_tag(pair)] = float((np.max(v) - np.min(v)) / ref)
+        spread[sweeps.pair_tag(pair)] = float((np.max(v) - np.min(v)) / ref)
     analysis = {"relative_spread": spread}
-    extra = {f"relative_spread_{k}": _fmt(s) for k, s in spread.items()}
+    extra = {f"relative_spread_{k}": sweeps.fmt_float(s)
+             for k, s in spread.items()}
     _emit_spectrum(spec, rc, [], out, fmt, analysis=analysis, extra_meta=extra)
     return 0
 
@@ -387,16 +356,16 @@ def calibrate(rc: RunConfig) -> dict:
 
     pf = pc.with_(spinwave_scale=kappa)
     spec = sweeps.sweep_omega(pf, np.array([0.0]), cfg)
-    achieved = {f"V_{_tag(pair)}": float(spec.values[pair][0])
+    achieved = {f"V_{sweeps.pair_tag(pair)}": float(spec.values[pair][0])
                 for pair in spec.pairs}
-    signs = {_tag(pair): [int(s) for s in spec.signs[pair][0]]
+    signs = {sweeps.pair_tag(pair): [int(s) for s in spec.signs[pair][0]]
              for pair in spec.pairs}
     target_met = {
         name: bool(abs(achieved[name] - t) <= CALIBRATION_BAND * t)
         for name, t in CALIBRATION_TARGETS.items()
     }
     return {
-        "version": sweeps.__version__,
+        "version": __version__,
         "reference": dataclasses.asdict(p),
         "config": _switches(rc),
         "coupling_scale": eta,
@@ -424,24 +393,27 @@ def _run_verify(rc, out) -> int:
     return verification.verify_exit_code(reports)
 
 
-def run(rc: RunConfig, experiment: str, out=None, fmt="csv",
-        threads: int = 1) -> int:
+def run(rc: RunConfig, experiment: str, out=None, fmt="csv") -> int:
     """Dispatch one experiment; returns the process exit code."""
     rc.params.validate()
+    p = rc.params
     if experiment == "steady":
         return _run_steady(rc, out)
     if experiment == "noise":
         return _run_noise(rc, out)
     if experiment == "spectrum":
-        return _run_spectrum(rc, out, fmt, threads)
+        return _run_omega_sweep(rc, out, fmt, _spectrum_grid(rc),
+                                rc.two_pair)
     if experiment == "fig2":
-        return _run_fig2(rc, out, fmt, threads)
+        return _run_omega_sweep(rc, out, fmt, sweeps.fig_spectrum_grid(p),
+                                False, (p.delta1,))
     if experiment == "fig3":
-        return _run_fig3(rc, out, fmt, threads)
+        return _run_omega_sweep(rc, out, fmt, sweeps.fig_two_pair_grid(p),
+                                True, (p.delta1, p.delta2))
     if experiment == "fig4":
-        return _run_fig4(rc, out, fmt, threads)
+        return _run_fig4(rc, out, fmt)
     if experiment == "fig5":
-        return _run_fig5(rc, out, fmt, threads)
+        return _run_fig5(rc, out, fmt)
     if experiment == "calibrate":
         return _run_calibrate(rc, out)
     if experiment == "verify":
@@ -471,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="table format for spectrum/fig experiments; "
                          "steady, noise and calibrate always emit JSON")
     ap.add_argument("--threads", type=int, default=1,
-                    help="concurrent grid evaluations")
+                    help="accepted for compatibility and ignored: "
+                         "evaluation is serial (must be at least 1)")
     return ap
 
 
@@ -489,8 +462,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}") from None
         rc = parse_config(text)
-        return run(rc, ns.experiment, out=ns.out, fmt=ns.fmt,
-                   threads=ns.threads)
+        return run(rc, ns.experiment, out=ns.out, fmt=ns.fmt)
     except (ConfigError, ValidationError) as exc:
         print(f"eitfwm: error: {exc}", file=sys.stderr)
         return 1

@@ -91,11 +91,6 @@ class DerivedParams:
     g2sq_n: float          # g2^2 * N, MHz^2
     gamma13: float         # optical coherence decay (gamma1+gamma2)/2
     gamma23: float
-    # carrier bookkeeping, offsets from the 2-3 transition frequency
-    omega_m1: float
-    omega_1: float
-    omega_m2: float
-    omega_2: float
 
 
 def derive(p: PhysicalParams) -> DerivedParams:
@@ -111,10 +106,6 @@ def derive(p: PhysicalParams) -> DerivedParams:
         g2sq_n=prefac * p.gamma2,
         gamma13=g13,
         gamma23=g13,
-        omega_m1=p.delta1,
-        omega_1=p.delta1 - p.omega12,
-        omega_m2=-p.omega12 + p.delta2,
-        omega_2=p.delta2,
     )
 
 

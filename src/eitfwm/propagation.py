@@ -68,21 +68,20 @@ class FieldMode:
     name: str
     transition: str      # "13" or "23"
     detuning: float      # MHz, shared within a pair
-    input_state: str     # "vacuum" or "coherent"
     pair: int            # 1 or 2
 
 
 def single_pair_modes(p: PhysicalParams) -> list[FieldMode]:
     return [
-        FieldMode("a1", "13", p.delta1, "vacuum", 1),
-        FieldMode("b1", "23", p.delta1, "coherent", 1),
+        FieldMode("a1", "13", p.delta1, 1),
+        FieldMode("b1", "23", p.delta1, 1),
     ]
 
 
 def two_pair_modes(p: PhysicalParams) -> list[FieldMode]:
     return single_pair_modes(p) + [
-        FieldMode("b2", "13", p.delta2, "coherent", 2),
-        FieldMode("a2", "23", p.delta2, "vacuum", 2),
+        FieldMode("b2", "13", p.delta2, 2),
+        FieldMode("a2", "23", p.delta2, 2),
     ]
 
 
@@ -266,7 +265,6 @@ class TransferSolution:
     modes: list
     t: np.ndarray           # 2n x 2n transfer matrix
     c_noise: np.ndarray     # symmetrised accumulated noise moment
-    c_comm: np.ndarray      # commutator-pairing accumulated moment
     drift: DriftMatrix
 
 
@@ -280,13 +278,10 @@ def transfer(omega: float, p: PhysicalParams, ss: DensityMatrix3,
     dm = drift_matrix(omega, p, ss, modes=modes, coupling=coupling, dp=dp,
                       sideband=sideband)
     s_sym = langevin.sym_noise_matrix(two_d, dm.channels)
-    s_comm = langevin.comm_noise_matrix(two_d, dm.channels)
     g_sym = dm.q @ s_sym @ dm.q.conj().T
-    g_comm = dm.q @ s_comm @ dm.q.conj().T
     t, c_sym = second_moment_transfer(dm.m, g_sym, p.length)
-    _, c_comm = second_moment_transfer(dm.m, g_comm, p.length)
     return TransferSolution(omega=omega, modes=dm.modes, t=t,
-                            c_noise=c_sym, c_comm=c_comm, drift=dm)
+                            c_noise=c_sym, drift=dm)
 
 
 def vacuum_covariance(n_modes: int) -> np.ndarray:
@@ -307,8 +302,18 @@ def output_field_covariance(sol: TransferSolution) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def output_commutators(sol: TransferSolution) -> np.ndarray:
-    """Output commutator matrix; direct diagonal must stay at +1."""
+def output_commutators(sol: TransferSolution, two_d: np.ndarray,
+                       length: float) -> np.ndarray:
+    """Output commutator matrix; direct diagonal must stay at +1.
+
+    The noise moment of the commutator pairing <[F, F^+]> of the
+    diffusion table ``two_d`` is accumulated here, by one more transfer
+    over ``sol.drift``, so only the commutator audit pays for it.
+    """
+    dm = sol.drift
+    s_comm = langevin.comm_noise_matrix(two_d, dm.channels)
+    g_comm = dm.q @ s_comm @ dm.q.conj().T
+    _, c_comm = second_moment_transfer(dm.m, g_comm, length)
     n = len(sol.modes)
     j_in = np.diag([1.0] * n + [-1.0] * n).astype(complex)
-    return sol.t @ j_in @ sol.t.conj().T + sol.c_comm
+    return sol.t @ j_in @ sol.t.conj().T + c_comm

@@ -2,10 +2,10 @@
 
 Per-point work is delegated to the covariance assembly; this module owns
 grid construction (with automatic refinement near the pair detunings),
-ordered concurrent evaluation, dip/plateau summaries, and the CSV/JSON
-writers.  Everything here is deterministic: rerunning a sweep with the
-same configuration reproduces the output byte for byte, and concurrent
-evaluation returns results in grid order regardless of thread count.
+one serial sweep engine shared by every sweep axis, dip/plateau
+summaries, and the CSV/JSON writers.  Everything here is deterministic:
+points are evaluated one after another in grid order, so rerunning a
+sweep with the same configuration reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -13,18 +13,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .params import PhysicalParams, derive
 from .steady_state import steady_state
 from . import langevin
 from . import propagation
 from . import entanglement
-
-__version__ = "0.1.0"
 
 #: pairs reported for the single-pair and two-pair configurations
 SINGLE_PAIRS = (("a1", "b1"), ("a1", "S"), ("S", "b1"))
@@ -42,7 +40,6 @@ class SweepConfig:
     sideband: str = "mirrored"
     spinwave: entanglement.SpinWaveMode = entanglement.SpinWaveMode()
     two_pair: bool = False
-    threads: int = 1
 
     def modes(self, p: PhysicalParams):
         if self.two_pair:
@@ -125,25 +122,11 @@ def omega_grid(start: float, stop: float, n: int,
     return np.unique(np.concatenate(patches))
 
 
-def _evaluate_point(args):
-    (om, p, ss, two_d, modes, config, dp) = args
-    try:
-        ext = entanglement.covariance_with_spinwave(
-            om, p, ss, two_d, modes=modes, coupling=config.coupling,
-            sideband=config.sideband, spinwave=config.spinwave, dp=dp)
-    except propagation.NumericalOverflowError as exc:
-        raise propagation.NumericalOverflowError(
-            f"{exc} at omega = {om:g} MHz") from exc
-    out = {}
-    for pair in config.pairs():
-        w = ext.duan(*pair)
-        out[pair] = (w.value, w.signs)
-    return out
-
-
-def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None
-                ) -> CorrelationSpectrum:
-    """Evaluate every configured pair witness across the frequency grid.
+def _sweep(p: PhysicalParams, axis: str, values, points,
+           config: SweepConfig | None) -> CorrelationSpectrum:
+    """Evaluate every configured pair witness over an ordered stream of
+    ``(omega, params, steady state, diffusion table, derived)`` points,
+    one per entry of ``values``, the sweep variable named ``axis``.
 
     A numerical overflow in the propagation is re-raised with the
     offending frequency attached; partial results are discarded so a
@@ -151,77 +134,72 @@ def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None
     """
     if config is None:
         config = SweepConfig()
+    pairs = config.pairs()
+    witnesses = {pair: [] for pair in pairs}
+    for om, q, ss, two_d, dp in points:
+        try:
+            ext = entanglement.covariance_with_spinwave(
+                om, q, ss, two_d, modes=config.modes(q),
+                coupling=config.coupling, sideband=config.sideband,
+                spinwave=config.spinwave, dp=dp)
+        except propagation.NumericalOverflowError as exc:
+            raise propagation.NumericalOverflowError(
+                f"{exc} at omega = {om:g} MHz") from exc
+        for pair in pairs:
+            witnesses[pair].append(ext.duan(*pair))
+    return CorrelationSpectrum(
+        omegas=np.asarray(values, dtype=float), pairs=pairs,
+        values={pair: np.array([w.value for w in ws])
+                for pair, ws in witnesses.items()},
+        signs={pair: [w.signs for w in ws] for pair, ws in witnesses.items()},
+        params=p, config=config, axis=axis)
+
+
+def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None
+                ) -> CorrelationSpectrum:
+    """Evaluate every configured pair witness across the frequency grid;
+    steady state, diffusion table and derived quantities are shared by
+    all points."""
     omegas = np.asarray(omegas, dtype=float)
     ss = steady_state(p)
     two_d = langevin.diffusion_matrix(p, ss)
     dp = derive(p)
-    modes = config.modes(p)
-    jobs = [(om, p, ss, two_d, modes, config, dp) for om in omegas]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(_evaluate_point, jobs))
-    else:
-        rows = [_evaluate_point(j) for j in jobs]
-    pairs = config.pairs()
-    values = {pair: np.array([r[pair][0] for r in rows]) for pair in pairs}
-    signs = {pair: [r[pair][1] for r in rows] for pair in pairs}
-    return CorrelationSpectrum(omegas=omegas, pairs=pairs, values=values,
-                               signs=signs, params=p, config=config)
+    return _sweep(p, "omega", omegas,
+                  ((om, p, ss, two_d, dp) for om in omegas), config)
+
+
+def _sweep_param(p: PhysicalParams, axis: str, field: str, values,
+                 omega: float, config: SweepConfig | None
+                 ) -> CorrelationSpectrum:
+    """Witnesses at fixed frequency while the parameter ``field`` takes
+    each of ``values``; steady state, diffusion table and derived
+    quantities are recomputed at every point."""
+
+    def points():
+        for x in values:
+            q = p.with_(**{field: float(x)})
+            ss = steady_state(q)
+            yield omega, q, ss, langevin.diffusion_matrix(q, ss), derive(q)
+
+    return _sweep(p, axis, values, points(), config)
 
 
 def sweep_gamma0(p: PhysicalParams, gamma0s, omega: float = 0.0,
                  config: SweepConfig | None = None) -> CorrelationSpectrum:
     """Witnesses at fixed frequency while the ground-coherence dephasing
-    varies; steady state, diffusion table, and the coherence response
-    denominator are all recomputed at every point."""
-    if config is None:
-        config = SweepConfig()
-    gamma0s = np.asarray(gamma0s, dtype=float)
-    pairs = config.pairs()
-    values = {pair: [] for pair in pairs}
-    signs = {pair: [] for pair in pairs}
-    for g0 in gamma0s:
-        pg = p.with_(gamma0=float(g0))
-        ss = steady_state(pg)
-        two_d = langevin.diffusion_matrix(pg, ss)
-        row = _evaluate_point((omega, pg, ss, two_d, config.modes(pg),
-                               config, derive(pg)))
-        for pair in pairs:
-            values[pair].append(row[pair][0])
-            signs[pair].append(row[pair][1])
-    return CorrelationSpectrum(
-        omegas=gamma0s, pairs=pairs,
-        values={k: np.array(v) for k, v in values.items()},
-        signs=signs, params=p, config=config, axis="gamma0")
+    varies; the coherence response denominator changes with it."""
+    return _sweep_param(p, "gamma0", "gamma0", gamma0s, omega, config)
 
 
 def sweep_alpha(p: PhysicalParams, alphas, omega: float,
                 config: SweepConfig | None = None) -> CorrelationSpectrum:
-    """Witnesses versus the coherent input amplitude.
+    """Witnesses versus the coherent input amplitude ``alpha1``.
 
     The fluctuation dynamics never sees the displacement, so the values
     are constant in exact arithmetic; the sweep exists to demonstrate
     that, not to explore anything.
     """
-    if config is None:
-        config = SweepConfig()
-    alphas = np.asarray(alphas, dtype=float)
-    pairs = config.pairs()
-    values = {pair: [] for pair in pairs}
-    signs = {pair: [] for pair in pairs}
-    for a in alphas:
-        pa = p.with_(alpha1=float(a))
-        ss = steady_state(pa)
-        two_d = langevin.diffusion_matrix(pa, ss)
-        row = _evaluate_point((omega, pa, ss, two_d, config.modes(pa),
-                               config, derive(pa)))
-        for pair in pairs:
-            values[pair].append(row[pair][0])
-            signs[pair].append(row[pair][1])
-    return CorrelationSpectrum(
-        omegas=alphas, pairs=pairs,
-        values={k: np.array(v) for k, v in values.items()},
-        signs=signs, params=p, config=config, axis="alpha")
+    return _sweep_param(p, "alpha", "alpha1", alphas, omega, config)
 
 
 def plateau_median(spec: CorrelationSpectrum, pair, band=PLATEAU_BAND,
@@ -314,11 +292,13 @@ def fig_alpha_grid(n: int = 101) -> np.ndarray:
 
 # --- emission -------------------------------------------------------------
 
-def _pair_tag(pair) -> str:
+def pair_tag(pair) -> str:
+    """Column and key tag of a pair, e.g. ``a1_b1``."""
     return f"{pair[0]}_{pair[1]}"
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x) -> str:
+    """17 significant digits: every double reads back exactly."""
     return format(float(x), ".17g")
 
 
@@ -332,22 +312,23 @@ def csv_lines(spec: CorrelationSpectrum, extra_meta: dict | None = None):
         "coupling": spec.config.coupling,
         "sideband": spec.config.sideband,
         "spinwave_definition": spec.config.spinwave.definition,
-        "coupling_scale": _fmt(p.coupling_scale),
-        "spinwave_scale": _fmt(spec.config.spinwave.resolve_scale(p)),
+        "coupling_scale": fmt_float(p.coupling_scale),
+        "spinwave_scale": fmt_float(spec.config.spinwave.resolve_scale(p)),
     }
     if extra_meta:
         meta.update(extra_meta)
     lines = [f"# {k} = {v}" for k, v in meta.items()]
     cols = [spec.axis]
     for pair in spec.pairs:
-        t = _pair_tag(pair)
+        t = pair_tag(pair)
         cols += [f"V_{t}", f"su_{t}", f"sv_{t}"]
     lines.append(",".join(cols))
     for i, x in enumerate(spec.omegas):
-        row = [_fmt(x)]
+        row = [fmt_float(x)]
         for pair in spec.pairs:
             su, sv = spec.signs[pair][i]
-            row += [_fmt(spec.values[pair][i]), str(int(su)), str(int(sv))]
+            row += [fmt_float(spec.values[pair][i]),
+                    str(int(su)), str(int(sv))]
         lines.append(",".join(row))
     return lines
 
@@ -377,14 +358,14 @@ def summary_payload(spec: CorrelationSpectrum, dips=(),
         },
         "axis": spec.axis,
         "dips": [dataclasses.asdict(d) for d in dips],
-        "signs": {_pair_tag(pair): spec.signs[pair][0]
+        "signs": {pair_tag(pair): spec.signs[pair][0]
                   for pair in spec.pairs},
         "calibration": calibration or {},
     }
     if include_curves:
         payload["curves"] = {
             spec.axis: [float(x) for x in spec.omegas],
-            **{_pair_tag(pair): [float(v) for v in spec.values[pair]]
+            **{pair_tag(pair): [float(v) for v in spec.values[pair]]
                for pair in spec.pairs},
         }
     return payload

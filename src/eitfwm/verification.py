@@ -77,7 +77,7 @@ def _worst_commutator_dev(p, ss, two_d, omegas, coupling) -> float:
         n = len(sol.modes)
         j0 = np.diag([1.0] * n + [-1.0] * n)
         worst = max(worst, float(np.max(np.abs(
-            propagation.output_commutators(sol) - j0))))
+            propagation.output_commutators(sol, two_d, p.length) - j0))))
     return worst
 
 

@@ -26,8 +26,6 @@ from eitfwm import entanglement as en
 from eitfwm import sweeps
 from eitfwm import verification as vf
 
-THREADS = 4
-
 #: dip search window half-width around each pair detuning, MHz
 WINDOW = 300.0
 
@@ -65,23 +63,22 @@ def calibrated(ref):
 @pytest.fixture(scope="module")
 def fig2(calibrated):
     p, _ = calibrated
-    cfg = sweeps.SweepConfig(threads=THREADS)
     t0 = time.perf_counter()
-    spec = sweeps.sweep_omega(p, sweeps.fig_spectrum_grid(p), cfg)
+    spec = sweeps.sweep_omega(p, sweeps.fig_spectrum_grid(p))
     return spec, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def fig3(calibrated):
     p, _ = calibrated
-    cfg = sweeps.SweepConfig(two_pair=True, threads=THREADS)
+    cfg = sweeps.SweepConfig(two_pair=True)
     return sweeps.sweep_omega(p, sweeps.fig_two_pair_grid(p), cfg)
 
 
 @pytest.fixture(scope="module")
 def fig2_grid_two_pair(calibrated):
     p, _ = calibrated
-    cfg = sweeps.SweepConfig(two_pair=True, threads=THREADS)
+    cfg = sweeps.SweepConfig(two_pair=True)
     return sweeps.sweep_omega(p, sweeps.fig_spectrum_grid(p), cfg)
 
 

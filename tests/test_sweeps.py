@@ -65,12 +65,17 @@ def test_sweep_deterministic(ref, spec_small):
         assert spec_small.signs[pair] == again.signs[pair]
 
 
-def test_threaded_sweep_matches_serial(ref, spec_small):
-    cfg = sweeps.SweepConfig(threads=4)
-    threaded = sweeps.sweep_omega(ref, SMALL_GRID, cfg)
-    for pair in spec_small.pairs:
-        assert np.array_equal(spec_small.values[pair],
-                              threaded.values[pair])
+def test_sweep_runs_one_transfer_per_point(ref, monkeypatch):
+    calls = []
+    real = pr.second_moment_transfer
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "second_moment_transfer", counted)
+    sweeps.sweep_omega(ref, np.array([-1500.0, -1000.0, 0.0]))
+    assert len(calls) == 3
 
 
 def test_two_pair_sweep_reports_cross_pairs(ref):
@@ -81,11 +86,15 @@ def test_two_pair_sweep_reports_cross_pairs(ref):
     assert np.all(np.isfinite(spec.values[("b1", "b2")]))
 
 
-def test_sweep_overflow_names_the_frequency(ref):
+@pytest.mark.parametrize("sweep", [
+    lambda p, cfg: sweeps.sweep_omega(p, np.array([-2000.0]), cfg),
+    lambda p, cfg: sweeps.sweep_gamma0(p, [0.1], omega=-2000.0, config=cfg),
+], ids=["omega", "gamma0"])
+def test_sweep_overflow_names_the_frequency(ref, sweep):
     cfg = sweeps.SweepConfig(sideband="same")
     with pytest.raises(pr.NumericalOverflowError,
                        match=r"omega = -2000"):
-        sweeps.sweep_omega(ref, np.array([-2000.0]), cfg)
+        sweep(ref, cfg)
 
 
 def test_find_dip_interior_minimum(ref):
