@@ -1,18 +1,19 @@
 """Command-line front end: config ingestion, experiments, calibration.
 
 Configs are flat text, one ``key = value`` per line with ``#`` comments.
-Keys are the physical parameter fields plus the model switches
-(coupling, sideband, spinwave_definition, two_pair) and, for the
-free-form spectrum experiment, the grid bounds (omega_min, omega_max,
-n_points).  Unknown keys and unparseable values are rejected with the
-line number; an empty or missing config runs the reference parameter
-set unchanged.
+Keys are the physical parameter fields, the model switches declared by
+``sweeps.SweepConfig`` (coupling, sideband, spinwave_definition,
+two_pair) and, for the free-form spectrum experiment, the grid bounds
+(omega_min, omega_max, n_points).  Unknown keys and unparseable values
+are rejected with the line number; an empty or missing config runs the
+reference parameter set unchanged.
 
-Exit codes: 0 success, 1 config or parameter validation error,
-2 numerical failure (exponential gain overflow, reported with the
-offending frequency), 3 verification suite reporting a surprising
-outcome.  Every output file embeds the effective configuration so a
-result can always be traced back to its inputs.
+Exit codes: 0 success, 1 config or parameter validation error
+(including non-finite values), 2 numerical failure (exponential gain or
+overflow in the propagation, reported with the offending frequency, or
+drives that leave no unique steady state), 3 verification suite
+reporting a surprising outcome.  Every output file embeds the effective
+configuration so a result can always be traced back to its inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from scipy import optimize
 
 from . import __version__
 from .params import PhysicalParams, ValidationError, derive, reference_params
-from .steady_state import steady_state
+from .steady_state import DegenerateSteadyStateError, steady_state
 from . import langevin
 from . import propagation
 from . import entanglement
@@ -53,25 +54,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Effective settings of one invocation: parameters plus switches."""
+    """Effective settings of one invocation: parameters, model switches
+    and the grid of the free-form spectrum."""
 
     params: PhysicalParams
-    coupling: str = "parametric"
-    sideband: str = "mirrored"
-    spinwave_definition: str = "endpoint"
-    two_pair: bool = False
+    model: sweeps.SweepConfig = sweeps.SweepConfig()
     omega_min: float = -3000.0
     omega_max: float = 1000.0
     n_points: int = 2001
-
-    def sweep_config(self, two_pair: bool | None = None
-                     ) -> sweeps.SweepConfig:
-        return sweeps.SweepConfig(
-            coupling=self.coupling,
-            sideband=self.sideband,
-            spinwave=entanglement.SpinWaveMode(
-                definition=self.spinwave_definition),
-            two_pair=self.two_pair if two_pair is None else two_pair)
 
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(PhysicalParams))
@@ -87,6 +77,7 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a RunConfig merged over the reference set."""
     overrides = {}
+    model_kv = {}
     run_kv = {}
 
     def fail(lineno, msg):
@@ -111,11 +102,11 @@ def parse_config(text: str) -> RunConfig:
             if value not in allowed:
                 fail(lineno, f"{key} must be one of {', '.join(allowed)}, "
                              f"got {value!r}")
-            run_kv[key] = value
+            model_kv[key] = value
         elif key == "two_pair":
             if value.lower() not in _BOOL_WORDS:
                 fail(lineno, f"two_pair expects true/false, got {value!r}")
-            run_kv[key] = _BOOL_WORDS[value.lower()]
+            model_kv[key] = _BOOL_WORDS[value.lower()]
         elif key in ("omega_min", "omega_max"):
             try:
                 run_kv[key] = float(value)
@@ -132,7 +123,8 @@ def parse_config(text: str) -> RunConfig:
             fail(lineno, f"unknown key {key!r}")
 
     params = reference_params().with_(**overrides)
-    return RunConfig(params=params, **run_kv)
+    return RunConfig(params=params, model=sweeps.SweepConfig(**model_kv),
+                     **run_kv)
 
 
 # --- output plumbing -------------------------------------------------------
@@ -142,20 +134,12 @@ def config_echo(rc: RunConfig) -> dict:
     echo = {}
     for name in _PARAM_KEYS:
         echo[name] = sweeps.fmt_float(getattr(rc.params, name))
-    echo["coupling"] = rc.coupling
-    echo["sideband"] = rc.sideband
-    echo["spinwave_definition"] = rc.spinwave_definition
-    echo["two_pair"] = "true" if rc.two_pair else "false"
+    for name, value in dataclasses.asdict(rc.model).items():
+        echo[name] = str(value).lower() if isinstance(value, bool) else value
     echo["omega_min"] = sweeps.fmt_float(rc.omega_min)
     echo["omega_max"] = sweeps.fmt_float(rc.omega_max)
     echo["n_points"] = str(rc.n_points)
     return echo
-
-
-def _switches(rc: RunConfig) -> dict:
-    return {"coupling": rc.coupling, "sideband": rc.sideband,
-            "spinwave_definition": rc.spinwave_definition,
-            "two_pair": rc.two_pair}
 
 
 def _write_text(lines, out) -> None:
@@ -196,7 +180,7 @@ def _run_steady(rc, out) -> int:
     payload = {
         "version": __version__,
         "params": dataclasses.asdict(rc.params),
-        "config": _switches(rc),
+        "config": dataclasses.asdict(rc.model),
         "rho_re": ss.matrix.real.tolist(),
         "rho_im": ss.matrix.imag.tolist(),
         "populations": [float(x) for x in ss.populations],
@@ -211,7 +195,7 @@ def _run_noise(rc, out) -> int:
     payload = {
         "version": __version__,
         "params": dataclasses.asdict(rc.params),
-        "config": _switches(rc),
+        "config": dataclasses.asdict(rc.model),
         "channels": [list(ch) for ch in langevin.CHANNELS],
         "matrix_re": two_d.real.tolist(),
         "matrix_im": two_d.imag.tolist(),
@@ -224,17 +208,16 @@ def _spectrum_grid(rc) -> np.ndarray:
     p = rc.params
     if not rc.omega_min < rc.omega_max:
         raise ValidationError("omega_min must be below omega_max")
-    centers = (p.delta1, p.delta2) if rc.two_pair else (p.delta1,)
+    centers = (p.delta1, p.delta2) if rc.model.two_pair else (p.delta1,)
     return sweeps.omega_grid(rc.omega_min, rc.omega_max, rc.n_points,
                              refine_centers=centers, p=p)
 
 
-def _run_omega_sweep(rc, out, fmt, grid, two_pair, resonances=()) -> int:
+def _run_omega_sweep(rc, out, fmt, grid, model, resonances=()) -> int:
     """Shared body of spectrum, fig2 and fig3: sweep the grid, then report
     each pair's dip in the window around every resonance and over the
     full grid, in that order."""
-    spec = sweeps.sweep_omega(rc.params, grid,
-                              rc.sweep_config(two_pair=two_pair))
+    spec = sweeps.sweep_omega(rc.params, grid, model)
     windows = [(c - RESONANCE_HALFWIDTH, c + RESONANCE_HALFWIDTH)
                for c in resonances]
     windows.append((float(grid[0]), float(grid[-1])))
@@ -246,7 +229,7 @@ def _run_omega_sweep(rc, out, fmt, grid, two_pair, resonances=()) -> int:
 
 def _run_fig4(rc, out, fmt) -> int:
     spec = sweeps.sweep_gamma0(rc.params, sweeps.fig_gamma0_grid(),
-                               omega=0.0, config=rc.sweep_config())
+                               omega=0.0, config=rc.model)
     monotone = {}
     endpoints = {}
     for pair in spec.pairs:
@@ -264,8 +247,7 @@ def _run_fig4(rc, out, fmt) -> int:
 def _run_fig5(rc, out, fmt) -> int:
     p = rc.params
     spec = sweeps.sweep_alpha(p, sweeps.fig_alpha_grid(),
-                              omega=float(p.delta1),
-                              config=rc.sweep_config())
+                              omega=float(p.delta1), config=rc.model)
     spread = {}
     for pair in spec.pairs:
         v = spec.values[pair]
@@ -280,13 +262,12 @@ def _run_fig5(rc, out, fmt) -> int:
 
 # --- calibration -----------------------------------------------------------
 
-def _fit_coupling(p, cfg, target) -> float:
+def _fit_coupling(p, point, target) -> float:
     """Bounded scalar fit of the coupling scale at zero Fourier frequency."""
 
     def objective(x):
         q = p.with_(coupling_scale=math.exp(x))
-        spec = sweeps.sweep_omega(q, np.array([0.0]), cfg)
-        return abs(float(spec.values[("a1", "b1")][0]) - target)
+        return abs(point(q, derive(q)).duan("a1", "b1").value - target)
 
     res = optimize.minimize_scalar(objective,
                                    bounds=(math.log(0.2), math.log(8.0)),
@@ -295,7 +276,7 @@ def _fit_coupling(p, cfg, target) -> float:
     return float(math.exp(res.x))
 
 
-def _fit_spinwave(pc, rc, cfg, pair) -> dict:
+def _fit_spinwave(pc, point, pair) -> dict:
     """Closed-form optimum of a witness over the spin-wave normalization.
 
     For fixed signs the witness is exactly quadratic in the scale, so
@@ -303,20 +284,15 @@ def _fit_spinwave(pc, rc, cfg, pair) -> dict:
     scale -> -scale with both signs flipped folds a negative vertex back
     to a positive normalization.
     """
-    ss = steady_state(pc)
-    two_d = langevin.diffusion_matrix(pc, ss)
+    # the scale does not enter the derived quantities; computing them once
+    # from pc also keeps the sample s = 0, which validate() rightly rejects
+    # as a run setting, away from validation
     dp = derive(pc)
-    modes = cfg.modes(pc)
 
     def samples(su, sv):
         vs = []
         for s in (0.0, 1.0, 2.0):
-            ext = entanglement.covariance_with_spinwave(
-                0.0, pc, ss, two_d, modes=modes, coupling=cfg.coupling,
-                sideband=cfg.sideband,
-                spinwave=entanglement.SpinWaveMode(
-                    definition=rc.spinwave_definition, scale=float(s)),
-                dp=dp)
+            ext = point(pc.with_(spinwave_scale=s), dp)
             i, j = ext.index(pair[0]), ext.index(pair[1])
             vs.append(entanglement.duan_value(ext.quad, i, j, su, sv))
         return vs
@@ -346,20 +322,30 @@ def calibrate(rc: RunConfig) -> dict:
     committed record that makes every figure-level run reproducible.
     """
     p = rc.params
-    cfg = rc.sweep_config(two_pair=False)
-    eta = _fit_coupling(p, cfg, CALIBRATION_TARGETS["V_a1_b1"])
+    cfg = dataclasses.replace(rc.model, two_pair=False)
+    # neither the steady state nor the diffusion table depends on the two
+    # fitted scales, so every witness point shares one set-up
+    ss = steady_state(p)
+    two_d = langevin.diffusion_matrix(p, ss)
+
+    def point(q, dp):
+        return entanglement.covariance_with_spinwave(
+            0.0, q, ss, two_d, modes=cfg.modes(q), coupling=cfg.coupling,
+            sideband=cfg.sideband, spinwave=cfg.spinwave_definition, dp=dp)
+
+    eta = _fit_coupling(p, point, CALIBRATION_TARGETS["V_a1_b1"])
     pc = p.with_(coupling_scale=eta)
 
-    primary = _fit_spinwave(pc, rc, cfg, ("a1", "S"))
-    alternate = _fit_spinwave(pc, rc, cfg, ("S", "b1"))
+    primary = _fit_spinwave(pc, point, ("a1", "S"))
+    alternate = _fit_spinwave(pc, point, ("S", "b1"))
     kappa = primary["scale"]
 
     pf = pc.with_(spinwave_scale=kappa)
-    spec = sweeps.sweep_omega(pf, np.array([0.0]), cfg)
-    achieved = {f"V_{sweeps.pair_tag(pair)}": float(spec.values[pair][0])
-                for pair in spec.pairs}
-    signs = {sweeps.pair_tag(pair): [int(s) for s in spec.signs[pair][0]]
-             for pair in spec.pairs}
+    ext = point(pf, derive(pf))
+    witnesses = {sweeps.pair_tag(pair): ext.duan(*pair)
+                 for pair in cfg.pairs()}
+    achieved = {f"V_{tag}": w.value for tag, w in witnesses.items()}
+    signs = {tag: [int(s) for s in w.signs] for tag, w in witnesses.items()}
     target_met = {
         name: bool(abs(achieved[name] - t) <= CALIBRATION_BAND * t)
         for name, t in CALIBRATION_TARGETS.items()
@@ -367,7 +353,7 @@ def calibrate(rc: RunConfig) -> dict:
     return {
         "version": __version__,
         "reference": dataclasses.asdict(p),
-        "config": _switches(rc),
+        "config": dataclasses.asdict(rc.model),
         "coupling_scale": eta,
         "spinwave_scale": kappa,
         "targets": CALIBRATION_TARGETS,
@@ -402,14 +388,15 @@ def run(rc: RunConfig, experiment: str, out=None, fmt="csv") -> int:
     if experiment == "noise":
         return _run_noise(rc, out)
     if experiment == "spectrum":
-        return _run_omega_sweep(rc, out, fmt, _spectrum_grid(rc),
-                                rc.two_pair)
+        return _run_omega_sweep(rc, out, fmt, _spectrum_grid(rc), rc.model)
     if experiment == "fig2":
         return _run_omega_sweep(rc, out, fmt, sweeps.fig_spectrum_grid(p),
-                                False, (p.delta1,))
+                                dataclasses.replace(rc.model, two_pair=False),
+                                (p.delta1,))
     if experiment == "fig3":
         return _run_omega_sweep(rc, out, fmt, sweeps.fig_two_pair_grid(p),
-                                True, (p.delta1, p.delta2))
+                                dataclasses.replace(rc.model, two_pair=True),
+                                (p.delta1, p.delta2))
     if experiment == "fig4":
         return _run_fig4(rc, out, fmt)
     if experiment == "fig5":
@@ -466,7 +453,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"eitfwm: error: {exc}", file=sys.stderr)
         return 1
-    except propagation.NumericalOverflowError as exc:
+    except (propagation.NumericalOverflowError,
+            DegenerateSteadyStateError) as exc:
         print(f"eitfwm: numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -49,21 +49,6 @@ PREFERRED_SIGNS = {
 
 
 @dataclass(frozen=True)
-class SpinWaveMode:
-    """Readout definition of the collective coherence mode.
-
-    ``scale`` is the dimensionless part of the normalization (the full
-    factor is scale * sqrt(N)); None defers to params.spinwave_scale.
-    """
-
-    definition: str = "endpoint"
-    scale: float | None = None
-
-    def resolve_scale(self, p: PhysicalParams) -> float:
-        return p.spinwave_scale if self.scale is None else self.scale
-
-
-@dataclass(frozen=True)
 class DuanWitness:
     pair: tuple
     signs: tuple           # (sign in u, sign in v)
@@ -93,9 +78,7 @@ def quadrature_covariance(doubled: np.ndarray) -> np.ndarray:
 
 
 def spinwave_rows(omega: float, p: PhysicalParams, ss: DensityMatrix3,
-                  modes: list, dp: DerivedParams | None = None,
-                  scale: float | None = None,
-                  sideband: str = "mirrored"):
+                  modes: list, dp: DerivedParams, sideband: str = "mirrored"):
     """Coefficient rows of S and S^+ over the doubled field basis.
 
     Returns (row_s, row_sdag, lump_s, lump_sdag, channels): the field
@@ -106,11 +89,9 @@ def spinwave_rows(omega: float, p: PhysicalParams, ss: DensityMatrix3,
     mode S^+ carries the same response denominator under the mirrored
     sideband convention (conjugation composed with omega -> -omega) and
     the conjugate denominator under the literal same-frequency one.
+    The normalization is p.spinwave_scale * sqrt(N).
     """
-    if dp is None:
-        dp = derive(p)
-    if scale is None:
-        scale = p.spinwave_scale
+    scale = p.spinwave_scale
     n = len(modes)
     s13 = ss.sigma(1, 3)
     s23 = ss.sigma(2, 3)
@@ -140,9 +121,7 @@ def spinwave_rows(omega: float, p: PhysicalParams, ss: DensityMatrix3,
 class ExtendedCovariance:
     """Quadrature covariance over the fields plus the coherence mode."""
 
-    omega: float
     labels: list
-    doubled: np.ndarray
     quad: np.ndarray
 
     def index(self, name: str) -> int:
@@ -160,11 +139,11 @@ class ExtendedCovariance:
                            value=w.value, entangled=w.entangled)
 
 
-def _endpoint_extension(sol, p, ss, two_d, dp, scale, sideband):
+def _endpoint_extension(sol, p, ss, two_d, dp, sideband):
     n = len(sol.modes)
     c_out = propagation.output_field_covariance(sol)
     row_s, row_sdag, lump_s, lump_sdag, spin_ch = spinwave_rows(
-        sol.omega, p, ss, sol.modes, dp=dp, scale=scale, sideband=sideband)
+        sol.omega, p, ss, sol.modes, dp=dp, sideband=sideband)
 
     # rows of the extended doubled vector (fields..., S, fields^+..., S^+)
     # over the output fields; the collective lump is bookkept separately
@@ -183,7 +162,7 @@ def _endpoint_extension(sol, p, ss, two_d, dp, scale, sideband):
     return 0.5 * (ext + ext.conj().T)
 
 
-def _z_averaged_extension(omega, p, ss, two_d, modes, coupling, dp, scale,
+def _z_averaged_extension(omega, p, ss, two_d, modes, coupling, dp,
                           sideband):
     """Extended covariance with S built from fields averaged along z.
 
@@ -219,7 +198,7 @@ def _z_averaged_extension(omega, p, ss, two_d, modes, coupling, dp, scale,
     c_full = t_aug @ c_in @ t_aug.conj().T + c_aug
 
     row_s, row_sdag, lump_s, lump_sdag, spin_ch = spinwave_rows(
-        omega, p, ss, modes, dp=dp, scale=scale, sideband=sideband)
+        omega, p, ss, modes, dp=dp, sideband=sideband)
     r = np.zeros((2 * n + 2, dim), dtype=complex)
     r[:n, :n] = np.eye(n)
     r[n + 1:2 * n + 1, n:2 * n] = np.eye(n)
@@ -238,31 +217,27 @@ def covariance_with_spinwave(omega: float, p: PhysicalParams,
                              modes: list | None = None,
                              coupling: str = "parametric",
                              sideband: str = "mirrored",
-                             spinwave: SpinWaveMode | None = None,
+                             spinwave: str = "endpoint",
                              dp: DerivedParams | None = None
                              ) -> ExtendedCovariance:
-    """Quadrature covariance of the output fields plus the S mode."""
-    if spinwave is None:
-        spinwave = SpinWaveMode()
-    if spinwave.definition not in SPINWAVE_DEFINITIONS:
-        raise ValueError(f"unknown spin-wave definition "
-                         f"{spinwave.definition!r}")
+    """Quadrature covariance of the output fields plus the S mode, read
+    out by the spin-wave definition ``spinwave``."""
+    if spinwave not in SPINWAVE_DEFINITIONS:
+        raise ValueError(f"unknown spin-wave definition {spinwave!r}")
     if modes is None:
         modes = propagation.single_pair_modes(p)
     if dp is None:
         dp = derive(p)
-    scale = spinwave.resolve_scale(p)
-    if spinwave.definition == "endpoint":
+    if spinwave == "endpoint":
         sol = propagation.transfer(omega, p, ss, two_d, modes=modes,
                                    coupling=coupling, dp=dp,
                                    sideband=sideband)
-        ext = _endpoint_extension(sol, p, ss, two_d, dp, scale, sideband)
+        ext = _endpoint_extension(sol, p, ss, two_d, dp, sideband)
     else:
         ext = _z_averaged_extension(omega, p, ss, two_d, modes, coupling,
-                                    dp, scale, sideband)
+                                    dp, sideband)
     labels = [m.name for m in modes] + ["S"]
-    return ExtendedCovariance(omega=omega, labels=labels, doubled=ext,
-                              quad=quadrature_covariance(ext))
+    return ExtendedCovariance(labels=labels, quad=quadrature_covariance(ext))
 
 
 def duan_value(quad: np.ndarray, i: int, j: int, sign_u: int,

@@ -95,8 +95,6 @@ def sym_noise_matrix(two_d: np.ndarray, channels) -> np.ndarray:
         for j, chj in enumerate(channels):
             mu = CHANNEL_INDEX[chi]
             nubar = CHANNEL_INDEX[conjugate_channel(chj)]
-            nu = CHANNEL_INDEX[chj]
-            mubar = CHANNEL_INDEX[conjugate_channel(chi)]
             s[i, j] = 0.5 * (two_d[mu, nubar] + two_d[nubar, mu])
     return s
 

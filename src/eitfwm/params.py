@@ -18,7 +18,7 @@ single knob used for calibration of the field sector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 # speed of light in m * (angular MHz)
 C = 299.792458
@@ -74,6 +74,9 @@ class PhysicalParams:
                      "coupling_scale"):
             if getattr(self, name) < 0:
                 bad.append(name)
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)) and f.name not in bad:
+                bad.append(f.name)
         if bad:
             raise ValidationError("non-physical parameter(s): " + ", ".join(bad))
 

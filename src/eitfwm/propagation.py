@@ -89,7 +89,6 @@ def two_pair_modes(p: PhysicalParams) -> list[FieldMode]:
 class DriftMatrix:
     """Drift M, noise rows Q and channel list at one frequency."""
 
-    omega: float
     modes: list
     m: np.ndarray          # 2n x 2n
     q: np.ndarray          # 2n x n_channels, includes the sqrt(c/N) scale
@@ -179,7 +178,7 @@ def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
     for ch in channels:
         cc = langevin.conjugate_channel(ch)
         q[n:, col[cc]] = np.conj(q_m[:, col[ch]])
-    return DriftMatrix(omega=omega, modes=list(modes), m=m, q=q,
+    return DriftMatrix(modes=list(modes), m=m, q=q,
                        channels=channels)
 
 
@@ -197,6 +196,8 @@ def second_moment_transfer(m: np.ndarray, g: np.ndarray, length: float,
     raises NumericalOverflowError when genuine gain exceeds GAIN_CEILING.
     """
     norm = np.linalg.norm(m, 1) * length
+    if not np.isfinite(norm):
+        raise NumericalOverflowError("drift matrix is not finite")
     k = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / _theta))))
     h = length / (2 ** k)
     mh = m * h

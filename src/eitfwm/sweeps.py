@@ -32,13 +32,13 @@ TWO_PAIR_PAIRS = (("a1", "a2"), ("b1", "b2"), ("a1", "S"), ("S", "b1"))
 PLATEAU_BAND = (-2600.0, 600.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     """Model-level switches shared by every sweep experiment."""
 
     coupling: str = "parametric"
     sideband: str = "mirrored"
-    spinwave: entanglement.SpinWaveMode = entanglement.SpinWaveMode()
+    spinwave_definition: str = "endpoint"
     two_pair: bool = False
 
     def modes(self, p: PhysicalParams):
@@ -89,12 +89,9 @@ class DipReport:
 
 
 def params_hash(p: PhysicalParams, config: SweepConfig) -> str:
-    payload = dataclasses.asdict(p)
-    payload["coupling"] = config.coupling
-    payload["sideband"] = config.sideband
-    payload["spinwave_definition"] = config.spinwave.definition
-    payload["spinwave_scale_override"] = config.spinwave.scale
-    payload["two_pair"] = config.two_pair
+    # the key "spinwave_scale_override" keeps recorded hashes valid
+    payload = {**dataclasses.asdict(p), **dataclasses.asdict(config),
+               "spinwave_scale_override": None}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -141,7 +138,7 @@ def _sweep(p: PhysicalParams, axis: str, values, points,
             ext = entanglement.covariance_with_spinwave(
                 om, q, ss, two_d, modes=config.modes(q),
                 coupling=config.coupling, sideband=config.sideband,
-                spinwave=config.spinwave, dp=dp)
+                spinwave=config.spinwave_definition, dp=dp)
         except propagation.NumericalOverflowError as exc:
             raise propagation.NumericalOverflowError(
                 f"{exc} at omega = {om:g} MHz") from exc
@@ -311,9 +308,9 @@ def csv_lines(spec: CorrelationSpectrum, extra_meta: dict | None = None):
         "axis": spec.axis,
         "coupling": spec.config.coupling,
         "sideband": spec.config.sideband,
-        "spinwave_definition": spec.config.spinwave.definition,
+        "spinwave_definition": spec.config.spinwave_definition,
         "coupling_scale": fmt_float(p.coupling_scale),
-        "spinwave_scale": fmt_float(spec.config.spinwave.resolve_scale(p)),
+        "spinwave_scale": fmt_float(p.spinwave_scale),
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -349,11 +346,8 @@ def summary_payload(spec: CorrelationSpectrum, dips=(),
         "params": dataclasses.asdict(p),
         "derived": dataclasses.asdict(dp),
         "config": {
-            "coupling": spec.config.coupling,
-            "sideband": spec.config.sideband,
-            "spinwave_definition": spec.config.spinwave.definition,
-            "spinwave_scale": spec.config.spinwave.resolve_scale(p),
-            "two_pair": spec.config.two_pair,
+            **dataclasses.asdict(spec.config),
+            "spinwave_scale": p.spinwave_scale,
             "params_hash": spec.params_hash,
         },
         "axis": spec.axis,

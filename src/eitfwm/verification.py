@@ -4,10 +4,10 @@ Every check measures one residual against one tolerance and also
 declares the outcome it is *expected* to produce at the reference
 working point.  Some expectations are deliberately FAIL: the executed
 model is known to break commutator preservation and symplectic
-positivity once the anomalous ground-coherence coupling and dephasing
-are both switched on (see the project notes for the full account), and
-the verification suite asserts that this documented state of affairs
-still holds.  A check whose outcome differs from its expectation is a
+positivity once either the anomalous ground-coherence coupling or the
+ground-state dephasing is switched on, each being enough on its own
+(see the project notes for the full account), and the verification
+suite asserts that this documented state of affairs still holds.  A check whose outcome differs from its expectation is a
 genuine verification failure either way: an expected-FAIL check that
 suddenly passes means the model changed underneath us.
 

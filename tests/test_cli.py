@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eitfwm import cli
+from eitfwm import cli, langevin, sweeps
 from eitfwm.params import reference_params
 
 
@@ -13,10 +14,10 @@ from eitfwm.params import reference_params
 def test_empty_config_is_reference_point():
     rc = cli.parse_config("")
     assert rc.params == reference_params()
-    assert rc.coupling == "parametric"
-    assert rc.sideband == "mirrored"
-    assert rc.spinwave_definition == "endpoint"
-    assert rc.two_pair is False
+    assert rc.model.coupling == "parametric"
+    assert rc.model.sideband == "mirrored"
+    assert rc.model.spinwave_definition == "endpoint"
+    assert rc.model.two_pair is False
     assert (rc.omega_min, rc.omega_max, rc.n_points) == (-3000.0, 1000.0,
                                                          2001)
 
@@ -33,8 +34,8 @@ def test_config_overrides_and_comments():
     rc = cli.parse_config(text)
     assert rc.params.gamma0 == 0.5
     assert rc.params.delta1 == -800.0
-    assert rc.sideband == "same"
-    assert rc.two_pair is True
+    assert rc.model.sideband == "same"
+    assert rc.model.two_pair is True
     assert rc.n_points == 11
     # untouched fields keep the reference values
     assert rc.params.omega_p == reference_params().omega_p
@@ -75,9 +76,11 @@ def test_noise_dump(tmp_path):
     assert len(payload["matrix_re"][0]) == 6
 
 
-def test_bad_config_line_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["gamma0 = -1", "delta1 = nan"],
+                         ids=["negative_gamma0", "nan_delta1"])
+def test_bad_config_line_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("gamma0 = -1\n")
+    cfg.write_text(line + "\n")
     code = cli.main(["--experiment", "steady", "--config", str(cfg)])
     assert code == 1
     assert "error" in capsys.readouterr().err
@@ -102,9 +105,11 @@ def test_threads_must_be_positive(capsys):
     assert code == 1
 
 
-def test_overflow_exits_2_and_names_frequency(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["sideband = same", "coupling_scale = 1e300"],
+                         ids=["gain", "infinite_coupling"])
+def test_overflow_exits_2_and_names_frequency(tmp_path, capsys, line):
     cfg = tmp_path / "overflow.cfg"
-    cfg.write_text("sideband = same\n"
+    cfg.write_text(line + "\n"
                    "omega_min = -2150\n"
                    "omega_max = -2050\n"
                    "n_points = 3\n")
@@ -113,6 +118,34 @@ def test_overflow_exits_2_and_names_frequency(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "omega" in err
+
+
+def test_degenerate_drives_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("omega_p = 0\nomega_c = 0\n")
+    assert cli.main(["--experiment", "steady", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eitfwm: numerical failure:")
+    assert err.count("\n") == 1
+
+
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300"]),
+    st.floats(-1e6, 1e6).map(repr))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.sampled_from(cli._PARAM_KEYS), _FUZZ_VALUES,
+                       min_size=1, max_size=3))
+def test_any_numeric_config_ends_in_an_exit_code(tmp_path_factory, config):
+    # noise runs the steady state and the diffusion table; the sweep
+    # experiments are left out because tiny gamma1 and gamma2 make the
+    # refinement patches of omega_grid unbounded
+    cfg = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    code = cli.main(["--experiment", "noise", "--config", str(cfg),
+                     "--out", str(cfg.with_suffix(".json"))])
+    assert code in (0, 1, 2)
 
 
 def test_inverted_window_rejected(tmp_path, capsys):
@@ -210,3 +243,22 @@ def test_calibrate_artifact(tmp_path):
                                                   rel=1e-6)
     assert art["spinwave_scale"] > 0.0
     assert set(art["spinwave_fit"]) == {"primary", "alternate"}
+
+
+def test_calibrate_solves_the_set_up_once(monkeypatch):
+    calls = {"steady_state": 0, "diffusion_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    steady = counted("steady_state", cli.steady_state)
+    monkeypatch.setattr(cli, "steady_state", steady)
+    monkeypatch.setattr(sweeps, "steady_state", steady)
+    monkeypatch.setattr(langevin, "diffusion_matrix",
+                        counted("diffusion_matrix",
+                                langevin.diffusion_matrix))
+    cli.calibrate(cli.RunConfig(params=reference_params()))
+    assert calls == {"steady_state": 1, "diffusion_matrix": 1}

@@ -171,9 +171,8 @@ def test_as_printed_coupling_never_entangles(ref, ss_ref, two_d_ref):
 
 
 def test_z_averaged_definition_smoke(ref, ss_ref, two_d_ref):
-    sw = en.SpinWaveMode(definition="z-averaged")
     ext = en.covariance_with_spinwave(0.0, ref, ss_ref, two_d_ref,
-                                      spinwave=sw)
+                                      spinwave="z-averaged")
     for pair in (("a1", "b1"), ("a1", "S"), ("S", "b1")):
         v = ext.duan(*pair).value
         assert np.isfinite(v) and v > 0.0
@@ -181,20 +180,16 @@ def test_z_averaged_definition_smoke(ref, ss_ref, two_d_ref):
 
 def test_unknown_spinwave_definition_rejected(ref, ss_ref, two_d_ref):
     with pytest.raises(ValueError, match="definition"):
-        en.covariance_with_spinwave(
-            0.0, ref, ss_ref, two_d_ref,
-            spinwave=en.SpinWaveMode(definition="midpoint"))
+        en.covariance_with_spinwave(0.0, ref, ss_ref, two_d_ref,
+                                    spinwave="midpoint")
 
 
 def test_spinwave_scale_override(ref, ss_ref, two_d_ref):
-    base = en.SpinWaveMode()
-    assert base.resolve_scale(ref) == ref.spinwave_scale
-    assert en.SpinWaveMode(scale=0.25).resolve_scale(ref) == 0.25
     # doubling the scale multiplies the S-S covariance block by four
-    e1 = en.covariance_with_spinwave(0.0, ref, ss_ref, two_d_ref,
-                                     spinwave=en.SpinWaveMode(scale=1.0))
-    e2 = en.covariance_with_spinwave(0.0, ref, ss_ref, two_d_ref,
-                                     spinwave=en.SpinWaveMode(scale=2.0))
+    e1 = en.covariance_with_spinwave(0.0, ref.with_(spinwave_scale=1.0),
+                                     ss_ref, two_d_ref)
+    e2 = en.covariance_with_spinwave(0.0, ref.with_(spinwave_scale=2.0),
+                                     ss_ref, two_d_ref)
     i_s = e1.index("S")
     assert e2.quad[i_s, i_s] == pytest.approx(4.0 * e1.quad[i_s, i_s],
                                               rel=1e-12)

@@ -34,6 +34,10 @@ def test_speed_of_light_in_working_units():
     ("omega12", -1.0),
     ("coupling_scale", -0.5),
     ("spinwave_scale", 0.0),
+    ("delta1", math.nan),
+    ("gamma0", math.nan),
+    ("coupling_scale", math.inf),
+    ("alpha1", -math.inf),
 ])
 def test_validate_rejects_nonphysical(field, value):
     p = reference_params().with_(**{field: value})

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from eitfwm import verification as vf
+from eitfwm import langevin, verification as vf
+from eitfwm.steady_state import steady_state
 
 
 def _report(residual, tolerance, expected_pass=True, name="demo"):
@@ -63,6 +64,20 @@ def test_commutator_controls(ref):
     assert not working.passed and not working.expected_pass
     assert working.residual > 1.0
     assert not any(r.surprising for r in reports.values())
+
+
+@pytest.mark.parametrize("coupling,gamma0", [
+    ("as_printed", 0.1),     # dephasing alone (64-point grid: 6.5e3)
+    ("parametric", 0.0),     # anomalous coupling alone (32.6)
+])
+def test_each_condition_alone_breaks_commutators(ref, coupling, gamma0):
+    # the two controls check_commutators leaves out: commutators balance
+    # only with the direct coupling and no dephasing together
+    p = ref.with_(gamma0=gamma0)
+    ss = steady_state(p)
+    two_d = langevin.diffusion_matrix(p, ss)
+    assert vf._worst_commutator_dev(p, ss, two_d, vf.COMMUTATOR_GRID,
+                                    coupling) > 1.0
 
 
 def test_limit_checks(ref):
