@@ -9,9 +9,11 @@ are rejected with the line number; an empty or missing config runs the
 reference parameter set unchanged.
 
 Exit codes: 0 success, 1 config or parameter validation error
-(including non-finite values), 2 numerical failure (exponential gain or
-overflow in the propagation, reported with the offending frequency, or
-drives that leave no unique steady state), 3 verification suite
+(including non-finite values and frequency grids beyond
+``sweeps.MAX_GRID_POINTS``), 2 numerical failure (exponential gain or
+overflow in the propagation, reported with the offending frequency and,
+in a parameter sweep, the swept value, or drives that leave no unique
+steady state), 3 verification suite
 reporting a surprising outcome.  Every output file embeds the effective
 configuration so a result can always be traced back to its inputs.
 """

@@ -13,6 +13,12 @@ the vacuum benchmark being exactly 4.  Both sign pairings are always
 evaluated and the achieving one is recorded, so the witness does not
 depend on the unobservable global phase of the ground-state coherence.
 
+Each point is assembled on its own (``readout``); from the transfer to
+the witness, blocks of points are evaluated as stacked arrays
+(``extended_quadratures``, ``duan_min_stack``).  The one-point
+functions ``covariance_with_spinwave`` and ``duan_min`` are calls of
+the same code with a block of one.
+
 The coherence mode S is not bosonic: [S, S^+] is proportional to the
 ground-state population difference, which vanishes at the symmetric
 working point, so its normalization is a free scale (``spinwave_scale``)
@@ -61,9 +67,10 @@ def quadrature_covariance(doubled: np.ndarray) -> np.ndarray:
 
     Input ordering is (modes..., daggered modes...); output ordering is
     (x of every mode..., p of every mode...).  The result is real for
-    any Hermitian input.
+    any Hermitian input.  A stack of matrices is transformed matrix by
+    matrix.
     """
-    dim = doubled.shape[0]
+    dim = doubled.shape[-1]
     if dim % 2:
         raise ValueError("doubled-basis matrix must have even dimension")
     n = dim // 2
@@ -73,7 +80,7 @@ def quadrature_covariance(doubled: np.ndarray) -> np.ndarray:
         lam[k, n + k] = 1.0
         lam[n + k, k] = -1j
         lam[n + k, n + k] = 1j
-    out = lam @ doubled @ lam.conj().T
+    out = lam @ doubled @ propagation.dagger(lam)
     return out.real
 
 
@@ -89,7 +96,10 @@ def spinwave_rows(omega: float, p: PhysicalParams, ss: DensityMatrix3,
     mode S^+ carries the same response denominator under the mirrored
     sideband convention (conjugation composed with omega -> -omega) and
     the conjugate denominator under the literal same-frequency one.
-    The normalization is p.spinwave_scale * sqrt(N).
+    The normalization is p.spinwave_scale * sqrt(N).  Like the drift
+    assembly, this runs at one frequency: ``scale / den`` is a CPython
+    complex quotient, which numpy's array division would not reproduce
+    bit for bit.
     """
     scale = p.spinwave_scale
     n = len(modes)
@@ -119,7 +129,11 @@ def spinwave_rows(omega: float, p: PhysicalParams, ss: DensityMatrix3,
 
 @dataclass
 class ExtendedCovariance:
-    """Quadrature covariance over the fields plus the coherence mode."""
+    """Quadrature covariance over the fields plus the coherence mode.
+
+    ``quad`` is one matrix, or a stack of them along a leading axis for
+    ``duan_stack``.
+    """
 
     labels: list
     quad: np.ndarray
@@ -130,24 +144,51 @@ class ExtendedCovariance:
         except ValueError:
             raise UnknownModeError(name) from None
 
-    def duan(self, name_i: str, name_j: str) -> DuanWitness:
-        i, j = self.index(name_i), self.index(name_j)
+    def _pair(self, name_i: str, name_j: str):
         prefer = PREFERRED_SIGNS.get((name_i, name_j)) \
             or PREFERRED_SIGNS.get((name_j, name_i))
-        w = duan_min(self.quad, i, j, prefer=prefer)
+        return self.index(name_i), self.index(name_j), prefer
+
+    def duan(self, name_i: str, name_j: str) -> DuanWitness:
+        w = duan_min(self.quad, *self._pair(name_i, name_j))
         return DuanWitness(pair=(name_i, name_j), signs=w.signs,
                            value=w.value, entangled=w.entangled)
 
+    def duan_stack(self, name_i: str, name_j: str):
+        """(values, signs) of the pair witness at every matrix of a stack."""
+        return duan_min_stack(self.quad, *self._pair(name_i, name_j))
 
-def _endpoint_extension(sol, p, ss, two_d, dp, sideband):
-    n = len(sol.modes)
-    c_out = propagation.output_field_covariance(sol)
+
+@dataclass
+class Readout:
+    """One witness point, assembled and ready for stacked evaluation.
+
+    The propagated state obeys the drift ``m`` with noise rows ``q`` over
+    the Langevin ``channels`` of the diffusion table ``two_d``.  ``r``
+    reads the extended doubled vector (fields..., S, fields^+..., S^+)
+    off the output state.  The endpoint readout adds the collective
+    noise of S, rows ``lump`` over ``lump_channels``, taken uncorrelated
+    with the optical noises; the z-averaged readout carries that noise
+    in the propagated state and has ``lump`` None.
+    """
+
+    m: np.ndarray
+    q: np.ndarray
+    channels: list
+    r: np.ndarray
+    two_d: np.ndarray
+    lump: np.ndarray | None = None
+    lump_channels: list | None = None
+
+
+def _endpoint_readout(omega, p, ss, two_d, modes, coupling, dp, sideband):
+    dm = propagation.drift_matrix(omega, p, ss, modes=modes,
+                                  coupling=coupling, dp=dp,
+                                  sideband=sideband)
+    n = len(modes)
     row_s, row_sdag, lump_s, lump_sdag, spin_ch = spinwave_rows(
-        sol.omega, p, ss, sol.modes, dp=dp, sideband=sideband)
+        omega, p, ss, modes, dp=dp, sideband=sideband)
 
-    # rows of the extended doubled vector (fields..., S, fields^+..., S^+)
-    # over the output fields; the collective lump is bookkept separately
-    # and taken uncorrelated with the optical noises (endpoint reading).
     r = np.zeros((2 * n + 2, 2 * n), dtype=complex)
     r[:n, :n] = np.eye(n)
     r[n + 1:2 * n + 1, n:] = np.eye(n)
@@ -157,14 +198,12 @@ def _endpoint_extension(sol, p, ss, two_d, dp, sideband):
     lump = np.zeros((2 * n + 2, len(spin_ch)), dtype=complex)
     lump[n, :] = lump_s
     lump[2 * n + 1, :] = lump_sdag
-    s_spin = langevin.sym_noise_matrix(two_d, spin_ch)
-    ext = r @ c_out @ r.conj().T + lump @ s_spin @ lump.conj().T
-    return 0.5 * (ext + ext.conj().T)
+    return Readout(m=dm.m, q=dm.q, channels=dm.channels, r=r, two_d=two_d,
+                   lump=lump, lump_channels=spin_ch)
 
 
-def _z_averaged_extension(omega, p, ss, two_d, modes, coupling, dp,
-                          sideband):
-    """Extended covariance with S built from fields averaged along z.
+def _z_averaged_readout(omega, p, ss, two_d, modes, coupling, dp, sideband):
+    """S built from fields averaged along z.
 
     The z-integrals of the fields and of the ground-coherence forces are
     carried as extra state rows of the propagation (an exact quadrature,
@@ -190,13 +229,6 @@ def _z_averaged_extension(omega, p, ss, two_d, modes, coupling, dp,
     q_aug[4 * n, all_ch.index((1, 2))] = root_cn
     q_aug[4 * n + 1, all_ch.index((2, 1))] = root_cn
 
-    s_all = langevin.sym_noise_matrix(two_d, all_ch)
-    g_aug = q_aug @ s_all @ q_aug.conj().T
-    t_aug, c_aug = propagation.second_moment_transfer(m_aug, g_aug, p.length)
-    c_in = np.zeros((dim, dim), dtype=complex)
-    c_in[:2 * n, :2 * n] = propagation.vacuum_covariance(n)
-    c_full = t_aug @ c_in @ t_aug.conj().T + c_aug
-
     row_s, row_sdag, lump_s, lump_sdag, spin_ch = spinwave_rows(
         omega, p, ss, modes, dp=dp, sideband=sideband)
     r = np.zeros((2 * n + 2, dim), dtype=complex)
@@ -208,8 +240,52 @@ def _z_averaged_extension(omega, p, ss, two_d, modes, coupling, dp,
     r[n, 4 * n] = lump_s[spin_ch.index((1, 2))] * root_n / p.length
     r[2 * n + 1, 4 * n + 1] = \
         lump_sdag[spin_ch.index((2, 1))] * root_n / p.length
-    ext = r @ c_full @ r.conj().T
-    return 0.5 * (ext + ext.conj().T)
+    return Readout(m=m_aug, q=q_aug, channels=all_ch, r=r, two_d=two_d)
+
+
+def readout(omega: float, p: PhysicalParams, ss: DensityMatrix3,
+            two_d: np.ndarray, modes: list, coupling: str,
+            sideband: str, spinwave: str, dp: DerivedParams) -> Readout:
+    """Assemble one witness point for the spin-wave definition
+    ``spinwave``; every division runs at this one frequency."""
+    if spinwave not in SPINWAVE_DEFINITIONS:
+        raise ValueError(f"unknown spin-wave definition {spinwave!r}")
+    assemble = (_endpoint_readout if spinwave == "endpoint"
+                else _z_averaged_readout)
+    return assemble(omega, p, ss, two_d, modes, coupling, dp, sideband)
+
+
+def extended_quadratures(points: list, length: float) -> np.ndarray:
+    """Quadrature covariances of a block of readouts, shape (N, 2m, 2m).
+
+    The points share one spin-wave definition, one mode set and the
+    cell ``length``.  Every step runs on the whole block as stacked
+    arrays: the interval doubling, the output covariance T c_in T^+ + C,
+    the extension R C R^+ and the quadrature transform.
+    """
+    def stack(field):
+        return np.stack([getattr(pt, field) for pt in points])
+
+    first = points[0]
+    two_d = stack("two_d")
+    s = langevin.sym_noise_matrix(two_d, first.channels)
+    t, c = propagation.second_moment_transfer_stack(
+        stack("m"), propagation.noise_drive(stack("q"), s), length)
+    # the fields start in vacuum, any augmented rows at zero
+    n = first.r.shape[0] // 2 - 1
+    c_in = np.zeros(t.shape[-2:], dtype=complex)
+    c_in[:2 * n, :2 * n] = propagation.vacuum_covariance(n)
+    out = propagation.output_covariance(t, c, c_in)
+    endpoint = first.lump is not None
+    if endpoint:
+        out = propagation.hermitian_part(out)
+    r = stack("r")
+    ext = r @ out @ propagation.dagger(r)
+    if endpoint:
+        ext = ext + propagation.noise_drive(
+            stack("lump"), langevin.sym_noise_matrix(two_d,
+                                                     first.lump_channels))
+    return quadrature_covariance(propagation.hermitian_part(ext))
 
 
 def covariance_with_spinwave(omega: float, p: PhysicalParams,
@@ -221,51 +297,58 @@ def covariance_with_spinwave(omega: float, p: PhysicalParams,
                              dp: DerivedParams | None = None
                              ) -> ExtendedCovariance:
     """Quadrature covariance of the output fields plus the S mode, read
-    out by the spin-wave definition ``spinwave``."""
-    if spinwave not in SPINWAVE_DEFINITIONS:
-        raise ValueError(f"unknown spin-wave definition {spinwave!r}")
+    out by the spin-wave definition ``spinwave``: a block of one point."""
     if modes is None:
         modes = propagation.single_pair_modes(p)
     if dp is None:
         dp = derive(p)
-    if spinwave == "endpoint":
-        sol = propagation.transfer(omega, p, ss, two_d, modes=modes,
-                                   coupling=coupling, dp=dp,
-                                   sideband=sideband)
-        ext = _endpoint_extension(sol, p, ss, two_d, dp, sideband)
-    else:
-        ext = _z_averaged_extension(omega, p, ss, two_d, modes, coupling,
-                                    dp, sideband)
+    point = readout(omega, p, ss, two_d, modes, coupling, sideband,
+                    spinwave, dp)
     labels = [m.name for m in modes] + ["S"]
-    return ExtendedCovariance(labels=labels, quad=quadrature_covariance(ext))
+    return ExtendedCovariance(
+        labels=labels, quad=extended_quadratures([point], p.length)[0])
+
+
+def duan_values(quad: np.ndarray, i: int, j: int, sign_u: int,
+                sign_v: int) -> np.ndarray:
+    """V = Var(x_i + su*x_j) + Var(p_i + sv*p_j) from a quadrature cov,
+    for one matrix or every matrix of a stack."""
+    m = quad.shape[-1] // 2
+    if not (0 <= i < m and 0 <= j < m):
+        raise UnknownModeError(f"mode index out of range: {(i, j)}")
+    u = quad[..., i, i] + quad[..., j, j] + 2.0 * sign_u * quad[..., i, j]
+    v = quad[..., m + i, m + i] + quad[..., m + j, m + j] \
+        + 2.0 * sign_v * quad[..., m + i, m + j]
+    return u + v
 
 
 def duan_value(quad: np.ndarray, i: int, j: int, sign_u: int,
                sign_v: int) -> float:
-    """V = Var(x_i + su*x_j) + Var(p_i + sv*p_j) from a quadrature cov."""
-    m = quad.shape[0] // 2
-    if not (0 <= i < m and 0 <= j < m):
-        raise UnknownModeError(f"mode index out of range: {(i, j)}")
-    u = quad[i, i] + quad[j, j] + 2.0 * sign_u * quad[i, j]
-    v = quad[m + i, m + i] + quad[m + j, m + j] \
-        + 2.0 * sign_v * quad[m + i, m + j]
-    return float(u + v)
+    """duan_values of one quadrature covariance."""
+    return float(duan_values(quad, i, j, sign_u, sign_v))
+
+
+def duan_min_stack(quad: np.ndarray, i: int, j: int,
+                   prefer: tuple | None = None):
+    """(values, signs): the smaller of the two sign pairings at every
+    matrix of a stack; ties and nan keep the preferred pairing."""
+    first, second = (1, -1), (-1, 1)
+    if prefer is not None and tuple(prefer) == second:
+        first, second = second, first
+    v_first = duan_values(quad, i, j, *first)
+    v_second = duan_values(quad, i, j, *second)
+    take = v_second < v_first
+    return (np.where(take, v_second, v_first),
+            [second if tk else first for tk in take])
 
 
 def duan_min(quad: np.ndarray, i: int, j: int,
              prefer: tuple | None = None) -> DuanWitness:
     """Smaller of the two sign pairings; ties keep the preferred one."""
-    candidates = [(1, -1), (-1, 1)]
-    if prefer is not None:
-        candidates = [tuple(prefer)] + \
-            [c for c in candidates if tuple(c) != tuple(prefer)]
-    best = None
-    for su, sv in candidates:
-        val = duan_value(quad, i, j, su, sv)
-        if best is None or val < best.value:
-            best = DuanWitness(pair=(i, j), signs=(su, sv), value=val,
-                               entangled=val < 4.0)
-    return best
+    values, signs = duan_min_stack(quad[None], i, j, prefer=prefer)
+    value = float(values[0])
+    return DuanWitness(pair=(i, j), signs=signs[0], value=value,
+                       entangled=value < 4.0)
 
 
 def duan_min_over_phases(quad: np.ndarray, i: int, j: int,

@@ -82,33 +82,30 @@ def check_positive(two_d: np.ndarray, tol: float = 1e-10) -> float:
     return low
 
 
+def _pairing(channels):
+    """Index arrays (mu as a column, conj(nu) as a row) of the channel
+    pairs (mu, nu) of ``channels`` in the diffusion table."""
+    mu = np.array([CHANNEL_INDEX[ch] for ch in channels])
+    nubar = np.array([CHANNEL_INDEX[conjugate_channel(ch)]
+                      for ch in channels])
+    return mu[:, None], nubar[None, :]
+
+
 def sym_noise_matrix(two_d: np.ndarray, channels) -> np.ndarray:
     """Symmetrised per-channel covariance 0.5*(<F F^+> + <F^+ F>).
 
     Restricted to the given channel subset (list of (a, b) tuples); the
     c/N spatial scale is *not* included here, the caller folds it into
-    the noise coupling rows.
+    the noise coupling rows.  A stack of tables gives a stack.
     """
-    k = len(channels)
-    s = np.zeros((k, k), dtype=complex)
-    for i, chi in enumerate(channels):
-        for j, chj in enumerate(channels):
-            mu = CHANNEL_INDEX[chi]
-            nubar = CHANNEL_INDEX[conjugate_channel(chj)]
-            s[i, j] = 0.5 * (two_d[mu, nubar] + two_d[nubar, mu])
-    return s
+    mu, nubar = _pairing(channels)
+    return 0.5 * (two_d[..., mu, nubar] + two_d[..., nubar, mu])
 
 
 def comm_noise_matrix(two_d: np.ndarray, channels) -> np.ndarray:
     """Commutator pairing <[F, F^+]> used by the commutator audit."""
-    k = len(channels)
-    s = np.zeros((k, k), dtype=complex)
-    for i, chi in enumerate(channels):
-        for j, chj in enumerate(channels):
-            mu = CHANNEL_INDEX[chi]
-            nubar = CHANNEL_INDEX[conjugate_channel(chj)]
-            s[i, j] = two_d[mu, nubar] - two_d[nubar, mu]
-    return s
+    mu, nubar = _pairing(channels)
+    return two_d[..., mu, nubar] - two_d[..., nubar, mu]
 
 
 def field_noise_channels() -> list[tuple[int, int]]:

@@ -30,8 +30,13 @@ The transfer matrix T = exp(M L) and the accumulated noise second moment
 
 are computed together by repeated interval doubling, which stays
 accurate for optical depths of 1e5 and for marginally stable drift
-matrices alike (both occur here).  A fixed-step RK4 integrator of the
-same quantities is provided as an independent cross-check.
+matrices alike (both occur here).  The doubling kernel works on stacks
+of (d, d) matrices, so a sweep evaluates many frequencies per call;
+the one-matrix function is a call of it with a stack of one.  It checks
+for finite values once, after the last doubling stage: an inf or nan in
+T persists through every further squaring, so the end check catches
+every overflow.  A fixed-step RK4 integrator of the same quantities,
+also stack-aware, is provided as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -46,7 +51,14 @@ from . import langevin
 
 
 class NumericalOverflowError(RuntimeError):
-    """Transfer gain exceeded the trust ceiling of the linearised model."""
+    """Transfer gain exceeded the trust ceiling of the linearised model.
+
+    ``index`` is the position of the failing matrix in a stacked call.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 GAIN_CEILING = 1e6
@@ -95,33 +107,45 @@ class DriftMatrix:
     channels: list
 
 
-def _direct_blocks(omega: float, ss: DensityMatrix3, modes: list[FieldMode],
-                   coupling: str, dp: DerivedParams, channels: list,
-                   partner: dict):
-    """Direct-sector rows at one frequency: (to-direct, to-daggered, Q)."""
-    n = len(modes)
+def _row_terms(ss: DensityMatrix3, modes: list[FieldMode],
+               dp: DerivedParams, channels: list) -> list:
+    """Frequency-independent coefficients of every direct row: (optical
+    linewidth, detuning, own term, coherence term, noise amplitude,
+    noise column)."""
     col = {ch: k for k, ch in enumerate(channels)}
     s11, s22, s33 = (ss.sigma(1, 1).real, ss.sigma(2, 2).real,
                      ss.sigma(3, 3).real)
     s12 = ss.sigma(1, 2)
     g1g2_n = np.sqrt(dp.g1sq_n * dp.g2sq_n)
+    terms = []
+    for mode in modes:
+        if mode.transition == "13":
+            terms.append((dp.gamma13, mode.detuning, dp.g1sq_n * (s11 - s33),
+                          g1g2_n * s12, np.sqrt(dp.g1sq_n / C), col[(1, 3)]))
+        else:
+            terms.append((dp.gamma23, mode.detuning, dp.g2sq_n * (s22 - s33),
+                          g1g2_n * np.conj(s12), np.sqrt(dp.g2sq_n / C),
+                          col[(2, 3)]))
+    return terms
 
+
+def _direct_blocks(omega: float, terms: list, coupling: str,
+                   partner: dict, n_channels: int):
+    """Direct-sector rows at one frequency: (to-direct, to-daggered, Q).
+
+    The divisions stay scalar, one frequency at a time: ``1j * omega``
+    is a Python complex, so ``den`` is one and several quotients here
+    run in CPython's complex arithmetic, which differs from numpy's
+    array division in the last bit at a large share of frequencies.
+    Evaluating them over a frequency array would change the recorded
+    outputs.
+    """
+    n = len(terms)
     a = np.zeros((n, n), dtype=complex)
     b = np.zeros((n, n), dtype=complex)
-    qd = np.zeros((n, len(channels)), dtype=complex)
-    for k, mode in enumerate(modes):
-        if mode.transition == "13":
-            den = dp.gamma13 + 1j * (omega - mode.detuning)
-            own = dp.g1sq_n * (s11 - s33)
-            coh = g1g2_n * s12
-            own_g = dp.g1sq_n
-            noise_ch = (1, 3)
-        else:
-            den = dp.gamma23 + 1j * (omega - mode.detuning)
-            own = dp.g2sq_n * (s22 - s33)
-            coh = g1g2_n * np.conj(s12)
-            own_g = dp.g2sq_n
-            noise_ch = (2, 3)
+    qd = np.zeros((n, n_channels), dtype=complex)
+    for k, (gamma, detuning, own, coh, root_g, col) in enumerate(terms):
+        den = gamma + 1j * (omega - detuning)
         a[k, k] = -1j * omega / C - own / (C * den)
         j = partner[k]
         if coupling == "as_printed":
@@ -130,7 +154,7 @@ def _direct_blocks(omega: float, ss: DensityMatrix3, modes: list[FieldMode],
             b[k, j] = -coh / (C * den)
         # i * g * N / (c * den) with the sqrt(c/N) correlator scale folded
         # in, so the raw diffusion table can be used as-is downstream
-        qd[k, col[noise_ch]] = 1j * np.sqrt(own_g / C) / den
+        qd[k, col] = 1j * root_g / den
     return a, b, qd
 
 
@@ -150,7 +174,6 @@ def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
         dp = derive(p)
     n = len(modes)
     channels = langevin.field_noise_channels()
-    col = {ch: k for k, ch in enumerate(channels)}
 
     partner = {}
     for i, mi in enumerate(modes):
@@ -158,11 +181,15 @@ def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
             if i != j and mi.pair == mj.pair:
                 partner[i] = j
 
-    a_p, b_p, q_p = _direct_blocks(omega, ss, modes, coupling, dp,
-                                   channels, partner)
     omega_dag = -omega if sideband == "mirrored" else omega
-    a_m, b_m, q_m = _direct_blocks(omega_dag, ss, modes, coupling, dp,
-                                   channels, partner)
+    # a drift that is not finite (couplings beyond float range) is
+    # reported by the transfer, which checks for it explicitly
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _row_terms(ss, modes, dp, channels)
+        a_p, b_p, q_p = _direct_blocks(omega, terms, coupling, partner,
+                                       len(channels))
+        a_m, b_m, q_m = _direct_blocks(omega_dag, terms, coupling, partner,
+                                       len(channels))
     m = np.zeros((2 * n, 2 * n), dtype=complex)
     q = np.zeros((2 * n, len(channels)), dtype=complex)
     m[:n, :n] = a_p
@@ -175,87 +202,142 @@ def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
     m[n:, n:] = np.conj(a_m)
     m[n:, :n] = np.conj(b_m)
     q[:n, :] = q_p
-    for ch in channels:
-        cc = langevin.conjugate_channel(ch)
-        q[n:, col[cc]] = np.conj(q_m[:, col[ch]])
+    # the daggered row of channel ch is driven by its conjugate channel
+    q[n:, [channels.index(langevin.conjugate_channel(ch))
+           for ch in channels]] = np.conj(q_m)
     return DriftMatrix(modes=list(modes), m=m, q=q,
                        channels=channels)
 
 
-def second_moment_transfer(m: np.ndarray, g: np.ndarray, length: float,
-                           _theta: float = 2.0 ** -10):
-    """T = exp(m*length) and int_0^length exp(m s) g exp(m^+ s) ds.
+def dagger(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix of a stack."""
+    return np.swapaxes(x.conj(), -1, -2)
+
+
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """0.5 * (x + x^+), matrix by matrix."""
+    return 0.5 * (x + dagger(x))
+
+
+def noise_drive(q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """q s q^+: a channel covariance ``s`` seen through the rows ``q``."""
+    return q @ s @ dagger(q)
+
+
+def _doubling(m: np.ndarray, g: np.ndarray, length: float, k: int):
+    """Taylor start step plus ``k`` doublings over a stack sharing ``k``."""
+    h = length / (2 ** k)
+    mh = m * h
+    mh2 = mh @ mh
+    t = np.eye(m.shape[-1], dtype=complex) + mh + mh2 / 2.0 \
+        + mh2 @ mh / 6.0 + mh2 @ mh2 / 24.0
+    gh = np.asarray(g, dtype=complex)
+    md = dagger(m)
+    mg = m @ gh
+    mg_h = mg + dagger(mg)
+    m2g = m @ mg
+    m3g = m @ m2g
+    m2g_md = m2g @ md
+    c = h * (gh + (h / 2.0) * mg_h
+             + (h * h / 6.0) * (m2g + dagger(m2g) + 2.0 * (mg @ md))
+             + (h ** 3 / 24.0) * (m3g + dagger(m3g)
+                                  + 3.0 * (m2g_md + dagger(m2g_md))))
+    for _ in range(k):
+        c = t @ c @ dagger(t) + c
+        t = t @ t
+    return t, c
+
+
+def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray,
+                                 length: float, _theta: float = 2.0 ** -10):
+    """T = exp(m*length) and int_0^length exp(m s) g exp(m^+ s) ds for
+    every matrix of the stacks ``m`` and ``g``, shape (N, d, d).
 
     Interval-doubling: start from a Taylor step with truncation error
     well below the target accuracy, then double the interval, composing
     the moment integral with the short-interval transfer at every stage.
     The threshold balances truncation (pushes h down) against roundoff
     amplification over the squaring chain (pushes the stage count down);
-    2^-10 keeps both near 1e-12 for the matrices met here.  Stable for
-    strongly decaying m (entries of T underflow to zero honestly) and
-    raises NumericalOverflowError when genuine gain exceeds GAIN_CEILING.
+    2^-10 keeps both near 1e-12 for the matrices met here.  Matrices
+    sharing a stage count are doubled together; the result of each one
+    is bit for bit that of doubling it alone.  Stable for strongly
+    decaying m (entries of T underflow to zero honestly).
+
+    Finiteness is checked once, after the last stage: an inf or nan in
+    T survives every further squaring, so the end check sees every
+    overflow without a reduction per stage.  Overflow is detected and
+    reported explicitly, so floating-point warnings are silenced inside
+    the kernel.  NumericalOverflowError is raised for the first matrix
+    of the stack, in stack order, whose drift is not finite, whose T
+    overflowed or whose gain exceeds GAIN_CEILING; its ``index``
+    attribute is that matrix's position.
     """
-    norm = np.linalg.norm(m, 1) * length
-    if not np.isfinite(norm):
-        raise NumericalOverflowError("drift matrix is not finite")
-    k = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / _theta))))
-    h = length / (2 ** k)
-    mh = m * h
-    mh2 = mh @ mh
-    t = np.eye(m.shape[0], dtype=complex) + mh + mh2 / 2.0 \
-        + mh2 @ mh / 6.0 + mh2 @ mh2 / 24.0
-    gh = np.asarray(g, dtype=complex)
-    mg = m @ gh
-    mg_h = mg + mg.conj().T
-    m2g = m @ mg
-    m3g = m @ m2g
-    m2g_md = m2g @ m.conj().T
-    c = h * (gh + (h / 2.0) * mg_h
-             + (h * h / 6.0) * (m2g + m2g.conj().T + 2.0 * (mg @ m.conj().T))
-             + (h ** 3 / 24.0) * (m3g + m3g.conj().T
-                                  + 3.0 * (m2g_md + m2g_md.conj().T)))
-    for _ in range(k):
-        c = t @ c @ t.conj().T + c
-        t = t @ t
-        if not np.all(np.isfinite(t)):
-            raise NumericalOverflowError("transfer matrix overflowed")
-    gain = np.max(np.abs(t))
-    if not np.isfinite(gain) or gain > GAIN_CEILING:
-        raise NumericalOverflowError(
-            f"transfer gain {gain:.3e} exceeds ceiling {GAIN_CEILING:.0e}")
-    c = 0.5 * (c + c.conj().T)
-    return t, c
+    m = np.asarray(m)
+    t = np.full(m.shape, np.nan, dtype=complex)
+    c = np.full(m.shape, np.nan, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(m, 1, axis=(-2, -1)) * length
+        finite_m = np.isfinite(norms)
+        stages = np.full(len(m), -1)
+        stages[finite_m] = np.maximum(0, np.ceil(np.log2(
+            np.maximum(norms[finite_m], 1e-300) / _theta)))
+        for k in np.unique(stages[finite_m]):
+            sel = stages == k
+            t[sel], c[sel] = _doubling(m[sel], g[sel], length, int(k))
+        gain = np.max(np.abs(t), axis=(-2, -1))
+    finite_t = np.all(np.isfinite(t), axis=(-2, -1))
+    bad = ~finite_m | ~finite_t | ~(gain <= GAIN_CEILING)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if not finite_m[i]:
+            message = "drift matrix is not finite"
+        elif not finite_t[i]:
+            message = "transfer matrix overflowed"
+        else:
+            message = (f"transfer gain {gain[i]:.3e} exceeds ceiling "
+                       f"{GAIN_CEILING:.0e}")
+        raise NumericalOverflowError(message, index=i)
+    return t, hermitian_part(c)
+
+
+def second_moment_transfer(m: np.ndarray, g: np.ndarray, length: float,
+                           _theta: float = 2.0 ** -10):
+    """One-matrix call of second_moment_transfer_stack."""
+    t, c = second_moment_transfer_stack(m[None], np.asarray(g)[None],
+                                        length, _theta)
+    return t[0], c[0]
 
 
 def transfer_step_oracle(m: np.ndarray, g: np.ndarray, length: float,
                          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 integration of dT/dz = m T, dC/dz = m C + C m^+ + g.
+    """Fixed-step RK4 integration of dT/dz = m T, dC/dz = m C + C m^+ + g,
+    for one matrix or for a stack of them.
 
     Deliberately naive; exists to cross-check second_moment_transfer.
     """
-    dim = m.shape[0]
-    t = np.eye(dim, dtype=complex)
-    c = np.zeros((dim, dim), dtype=complex)
+    c = np.zeros(np.shape(m), dtype=complex)
+    t = c + np.eye(c.shape[-1])
     h = length / n_steps
     mh = m  # alias for readability in the stage expressions
+    md = dagger(m)
     for _ in range(n_steps):
         k1t = mh @ t
-        k1c = mh @ c + c @ mh.conj().T + g
+        k1c = mh @ c + c @ md + g
         t2 = t + 0.5 * h * k1t
         c2 = c + 0.5 * h * k1c
         k2t = mh @ t2
-        k2c = mh @ c2 + c2 @ mh.conj().T + g
+        k2c = mh @ c2 + c2 @ md + g
         t3 = t + 0.5 * h * k2t
         c3 = c + 0.5 * h * k2c
         k3t = mh @ t3
-        k3c = mh @ c3 + c3 @ mh.conj().T + g
+        k3c = mh @ c3 + c3 @ md + g
         t4 = t + h * k3t
         c4 = c + h * k3c
         k4t = mh @ t4
-        k4c = mh @ c4 + c4 @ mh.conj().T + g
+        k4c = mh @ c4 + c4 @ md + g
         t = t + (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
         c = c + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-    return t, 0.5 * (c + c.conj().T)
+    return t, hermitian_part(c)
 
 
 @dataclass
@@ -278,8 +360,7 @@ def transfer(omega: float, p: PhysicalParams, ss: DensityMatrix3,
     """Full per-frequency transfer: drift assembly plus moment integrals."""
     dm = drift_matrix(omega, p, ss, modes=modes, coupling=coupling, dp=dp,
                       sideband=sideband)
-    s_sym = langevin.sym_noise_matrix(two_d, dm.channels)
-    g_sym = dm.q @ s_sym @ dm.q.conj().T
+    g_sym = noise_drive(dm.q, langevin.sym_noise_matrix(two_d, dm.channels))
     t, c_sym = second_moment_transfer(dm.m, g_sym, p.length)
     return TransferSolution(omega=omega, modes=dm.modes, t=t,
                             c_noise=c_sym, drift=dm)
@@ -290,6 +371,13 @@ def vacuum_covariance(n_modes: int) -> np.ndarray:
     return 0.5 * np.eye(2 * n_modes, dtype=complex)
 
 
+def output_covariance(t: np.ndarray, c_noise: np.ndarray,
+                      c_in: np.ndarray) -> np.ndarray:
+    """T c_in T^+ + C: input moment ``c_in`` carried through the transfer
+    ``t`` plus the accumulated noise moment, matrix by matrix."""
+    return t @ c_in @ dagger(t) + c_noise
+
+
 def output_field_covariance(sol: TransferSolution) -> np.ndarray:
     """Symmetrised doubled-basis covariance of the output fields.
 
@@ -297,10 +385,8 @@ def output_field_covariance(sol: TransferSolution) -> np.ndarray:
     covariance of a coherent state is the vacuum one, which is why every
     downstream witness is exactly independent of the input amplitudes.
     """
-    n = len(sol.modes)
-    c_in = vacuum_covariance(n)
-    out = sol.t @ c_in @ sol.t.conj().T + sol.c_noise
-    return 0.5 * (out + out.conj().T)
+    return hermitian_part(output_covariance(
+        sol.t, sol.c_noise, vacuum_covariance(len(sol.modes))))
 
 
 def output_commutators(sol: TransferSolution, two_d: np.ndarray,
@@ -313,8 +399,8 @@ def output_commutators(sol: TransferSolution, two_d: np.ndarray,
     """
     dm = sol.drift
     s_comm = langevin.comm_noise_matrix(two_d, dm.channels)
-    g_comm = dm.q @ s_comm @ dm.q.conj().T
-    _, c_comm = second_moment_transfer(dm.m, g_comm, length)
+    _, c_comm = second_moment_transfer(dm.m, noise_drive(dm.q, s_comm),
+                                       length)
     n = len(sol.modes)
     j_in = np.diag([1.0] * n + [-1.0] * n).astype(complex)
-    return sol.t @ j_in @ sol.t.conj().T + c_comm
+    return output_covariance(sol.t, c_comm, j_in)

@@ -1,11 +1,15 @@
 """Parameter sweeps, dip reports, and deterministic result emission.
 
-Per-point work is delegated to the covariance assembly; this module owns
-grid construction (with automatic refinement near the pair detunings),
-one serial sweep engine shared by every sweep axis, dip/plateau
-summaries, and the CSV/JSON writers.  Everything here is deterministic:
-points are evaluated one after another in grid order, so rerunning a
-sweep with the same configuration reproduces the output byte for byte.
+This module owns grid construction (with automatic refinement near the
+pair detunings and a cap on the point count), one block sweep engine
+shared by every sweep axis, dip/plateau summaries, and the CSV/JSON
+writers.  The engine assembles each point on its own, in grid order,
+with the scalar helpers of the covariance assembly, then evaluates
+blocks of consecutive points as stacked arrays: interval doubling,
+output covariance, coherence-mode extension, quadrature transform and
+both witness sign branches.  A block gives every point bit for bit the
+result of a one-point evaluation, so rerunning a sweep with the same
+configuration reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .params import PhysicalParams, derive
+from .params import PhysicalParams, ValidationError, derive
 from .steady_state import steady_state
 from . import langevin
 from . import propagation
@@ -30,6 +34,17 @@ TWO_PAIR_PAIRS = (("a1", "a2"), ("b1", "b2"), ("a1", "S"), ("S", "b1"))
 
 #: plateau statistics are taken over this band unless overridden
 PLATEAU_BAND = (-2600.0, 600.0)
+
+#: most points a frequency grid may hold, refinement patches included:
+#: 50 times the default figure grids.  A sweep keeps its whole result
+#: and output text in memory; a single-pair spectrum of 1e5 points took
+#: 13 s and 45 MB of peak memory on a 2-core machine.
+MAX_GRID_POINTS = 100_000
+
+#: entries of propagated matrices (points x d x d) evaluated per block:
+#: 256 points of 4x4, 12 of 18x18.  Bounds the working memory of the
+#: stacked evaluation whatever the grid size.
+BLOCK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -103,20 +118,60 @@ def omega_grid(start: float, stop: float, n: int,
     """Uniform grid with dense patches inserted around given centers.
 
     The refinement step defaults to a third of the optical linewidth, so
-    features of that scale cannot fall between grid points.
+    features of that scale cannot fall between grid points.  The point
+    count is checked against MAX_GRID_POINTS before anything is
+    allocated; a grid beyond it raises ValidationError naming
+    ``n_points`` or the refinement patch that crosses the cap.
     """
-    base = np.linspace(start, stop, n)
+    if n > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"n_points = {n} exceeds the grid cap of {MAX_GRID_POINTS} "
+            "points")
     if refine_step is None:
         dp = derive(p if p is not None else PhysicalParams())
         refine_step = dp.gamma13 / 3.0
-    patches = [base]
+    spans = []
+    total = n
     for c in refine_centers:
         lo = max(start, c - refine_halfwidth)
         hi = min(stop, c + refine_halfwidth)
         if hi > lo:
-            count = int(np.ceil((hi - lo) / refine_step)) + 1
-            patches.append(np.linspace(lo, hi, count))
+            count = np.ceil((hi - lo) / refine_step) + 1
+            total += count
+            if total > MAX_GRID_POINTS:
+                raise ValidationError(
+                    f"refinement patch around {c:g} MHz needs {count:.3g} "
+                    f"points at a step of {refine_step:.3g} MHz, past the "
+                    f"grid cap of {MAX_GRID_POINTS} points")
+            spans.append((lo, hi, int(count)))
+    patches = [np.linspace(start, stop, n)]
+    patches += [np.linspace(lo, hi, count) for lo, hi, count in spans]
     return np.unique(np.concatenate(patches))
+
+
+def _blocks(items):
+    """Consecutive lists of ``(x, omega, readout)`` items, each holding
+    about BLOCK_ENTRIES entries of propagated matrices.
+
+    An error raised while an item is assembled surfaces only after the
+    items before it have been handed out, so a failing sweep always
+    reports its first failing point in stream order.
+    """
+    block, size = [], None
+    try:
+        for item in items:
+            if size is None:
+                size = max(1, BLOCK_ENTRIES // item[2].m.shape[-1] ** 2)
+            block.append(item)
+            if len(block) == size:
+                yield block
+                block = []
+    except Exception:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
 
 
 def _sweep(p: PhysicalParams, axis: str, values, points,
@@ -125,31 +180,50 @@ def _sweep(p: PhysicalParams, axis: str, values, points,
     ``(omega, params, steady state, diffusion table, derived)`` points,
     one per entry of ``values``, the sweep variable named ``axis``.
 
-    A numerical overflow in the propagation is re-raised with the
-    offending frequency attached; partial results are discarded so a
+    Each point is assembled on its own (drift, noise and readout rows
+    at one frequency); blocks of consecutive points are then evaluated
+    as stacked arrays, from the interval doubling to both sign branches
+    of every witness.  Every point shares the cell length of ``p``.
+
+    A numerical overflow in the propagation is re-raised with the first
+    offending frequency, in stream order, attached (and the swept value
+    when ``axis`` is a parameter); partial results are discarded so a
     failed sweep can never emit a truncated file.
     """
     if config is None:
         config = SweepConfig()
     pairs = config.pairs()
-    witnesses = {pair: [] for pair in pairs}
-    for om, q, ss, two_d, dp in points:
+    labels = [m.name for m in config.modes(p)] + ["S"]
+    witness_values = {pair: [] for pair in pairs}
+    witness_signs = {pair: [] for pair in pairs}
+
+    def items():
+        for x, (om, q, ss, two_d, dp) in zip(values, points):
+            yield x, om, entanglement.readout(
+                om, q, ss, two_d, config.modes(q), config.coupling,
+                config.sideband, config.spinwave_definition, dp)
+
+    for block in _blocks(items()):
         try:
-            ext = entanglement.covariance_with_spinwave(
-                om, q, ss, two_d, modes=config.modes(q),
-                coupling=config.coupling, sideband=config.sideband,
-                spinwave=config.spinwave_definition, dp=dp)
+            quad = entanglement.extended_quadratures(
+                [pt for _, _, pt in block], p.length)
         except propagation.NumericalOverflowError as exc:
+            x, om, _ = block[exc.index]
+            where = f"omega = {om:g} MHz"
+            if axis != "omega":
+                where += f", {axis} = {float(x):g}"
             raise propagation.NumericalOverflowError(
-                f"{exc} at omega = {om:g} MHz") from exc
+                f"{exc} at {where}") from exc
+        ext = entanglement.ExtendedCovariance(labels=labels, quad=quad)
         for pair in pairs:
-            witnesses[pair].append(ext.duan(*pair))
+            v, signs = ext.duan_stack(*pair)
+            witness_values[pair].extend(v.tolist())
+            witness_signs[pair].extend(signs)
     return CorrelationSpectrum(
         omegas=np.asarray(values, dtype=float), pairs=pairs,
-        values={pair: np.array([w.value for w in ws])
-                for pair, ws in witnesses.items()},
-        signs={pair: [w.signs for w in ws] for pair, ws in witnesses.items()},
-        params=p, config=config, axis=axis)
+        values={pair: np.array(vs, dtype=float)
+                for pair, vs in witness_values.items()},
+        signs=witness_signs, params=p, config=config, axis=axis)
 
 
 def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None

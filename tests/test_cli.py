@@ -1,6 +1,7 @@
 """Command-line driver: config parsing, exit codes, output stability."""
 
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,19 +106,52 @@ def test_threads_must_be_positive(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("line", ["sideband = same", "coupling_scale = 1e300"],
-                         ids=["gain", "infinite_coupling"])
-def test_overflow_exits_2_and_names_frequency(tmp_path, capsys, line):
+@pytest.mark.parametrize("lines,failure", [
+    ("sideband = same", "transfer gain 2.487e+07 exceeds ceiling 1e+06"),
+    ("coupling_scale = 1e300", "drift matrix is not finite"),
+    ("sideband = same\ncoupling_scale = 300\nlength = 1",
+     "transfer matrix overflowed"),
+], ids=["gain", "infinite_coupling", "overflow"])
+def test_overflow_exits_2_and_names_frequency(tmp_path, capsys, lines,
+                                              failure):
     cfg = tmp_path / "overflow.cfg"
-    cfg.write_text(line + "\n"
+    cfg.write_text(lines + "\n"
                    "omega_min = -2150\n"
                    "omega_max = -2050\n"
                    "n_points = 3\n")
-    code = cli.main(["--experiment", "spectrum", "--config", str(cfg)])
+    # overflow is detected and reported, never left to float warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--experiment", "spectrum", "--config", str(cfg)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "numerical failure" in err
-    assert "omega" in err
+    assert err == ("eitfwm: numerical failure: "
+                   f"{failure} at omega = -2150 MHz\n")
+
+
+@pytest.mark.parametrize("experiment,lines,fragment", [
+    ("spectrum", "n_points = 100000000", "n_points = 100000000"),
+    ("fig2", "gamma1 = 1e-6\ngamma2 = 1e-6",
+     "refinement patch around -1000 MHz needs 1.8e+08 points"),
+    # 72001 points a patch: the second one crosses the cap
+    ("fig3", "gamma1 = 0.0025\ngamma2 = 0.0025",
+     "refinement patch around 1000 MHz needs 7.2e+04 points"),
+], ids=["n_points", "patch", "second_patch"])
+def test_oversized_grid_exits_1_before_allocating(tmp_path, capsys,
+                                                  monkeypatch, experiment,
+                                                  lines, fragment):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(sweeps.np, "linspace", no_grid)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(lines + "\n")
+    assert cli.main(["--experiment", experiment, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eitfwm: error:")
+    assert fragment in err
+    assert f"grid cap of {sweeps.MAX_GRID_POINTS} points" in err
+    assert err.count("\n") == 1
 
 
 def test_degenerate_drives_exit_2(tmp_path, capsys):
@@ -138,9 +172,8 @@ _FUZZ_VALUES = st.one_of(
 @given(st.dictionaries(st.sampled_from(cli._PARAM_KEYS), _FUZZ_VALUES,
                        min_size=1, max_size=3))
 def test_any_numeric_config_ends_in_an_exit_code(tmp_path_factory, config):
-    # noise runs the steady state and the diffusion table; the sweep
-    # experiments are left out because tiny gamma1 and gamma2 make the
-    # refinement patches of omega_grid unbounded
+    # noise runs the steady state and the diffusion table; a sweep
+    # experiment would cost a full grid per example
     cfg = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
     code = cli.main(["--experiment", "noise", "--config", str(cfg),

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitfwm import entanglement as en
+from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import sweeps
+from eitfwm.params import derive
+from eitfwm.steady_state import steady_state
 
 
 def _synthetic(omegas, values, params):
@@ -66,16 +70,18 @@ def test_sweep_deterministic(ref, spec_small):
 
 
 def test_sweep_runs_one_transfer_per_point(ref, monkeypatch):
-    calls = []
-    real = pr.second_moment_transfer
+    # every matrix the doubling kernel sees, one-point calls included:
+    # one per point, none for the commutator moment
+    matrices = []
+    real = pr.second_moment_transfer_stack
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(m, *args, **kwargs):
+        matrices.extend(m)
+        return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(pr, "second_moment_transfer", counted)
+    monkeypatch.setattr(pr, "second_moment_transfer_stack", counted)
     sweeps.sweep_omega(ref, np.array([-1500.0, -1000.0, 0.0]))
-    assert len(calls) == 3
+    assert len(matrices) == 3
 
 
 def test_two_pair_sweep_reports_cross_pairs(ref):
@@ -86,15 +92,105 @@ def test_two_pair_sweep_reports_cross_pairs(ref):
     assert np.all(np.isfinite(spec.values[("b1", "b2")]))
 
 
-@pytest.mark.parametrize("sweep", [
-    lambda p, cfg: sweeps.sweep_omega(p, np.array([-2000.0]), cfg),
-    lambda p, cfg: sweeps.sweep_gamma0(p, [0.1], omega=-2000.0, config=cfg),
+#: 13 points from -1000 MHz up: doubling stage counts 18 to 28, and
+#: stable under every model switch, including sideband "same"
+BLOCK_GRID = np.linspace(-1000.0, 3000.0, 13)
+
+
+def _readout(p, cfg, omega):
+    ss = steady_state(p)
+    return en.readout(omega, p, ss, lv.diffusion_matrix(p, ss),
+                      cfg.modes(p), cfg.coupling, cfg.sideband,
+                      cfg.spinwave_definition, derive(p))
+
+
+def _small_blocks(monkeypatch, cfg, p):
+    """Shrink the sweep blocks to 4 points of this configuration."""
+    dim = _readout(p, cfg, 0.0).m.shape[-1]
+    monkeypatch.setattr(sweeps, "BLOCK_ENTRIES", 4 * dim * dim)
+
+
+def _stage_count(m, length):
+    """Doubling stage count of a drift, as the kernel chooses it."""
+    norm = np.linalg.norm(m, 1) * length
+    return max(0, int(np.ceil(np.log2(norm / 2.0 ** -10))))
+
+
+@pytest.mark.parametrize("cfg", [
+    sweeps.SweepConfig(),
+    sweeps.SweepConfig(two_pair=True),
+    sweeps.SweepConfig(spinwave_definition="z-averaged"),
+    sweeps.SweepConfig(spinwave_definition="z-averaged", two_pair=True),
+    sweeps.SweepConfig(sideband="same"),
+    sweeps.SweepConfig(coupling="as_printed"),
+], ids=["endpoint", "two_pair", "z_averaged", "z_averaged_two_pair",
+        "same_sideband", "as_printed"])
+def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
+    _small_blocks(monkeypatch, cfg, ref)
+    spec = sweeps.sweep_omega(ref, BLOCK_GRID, cfg)
+    ss = steady_state(ref)
+    two_d = lv.diffusion_matrix(ref, ss)
+    stages = set()
+    for i, om in enumerate(BLOCK_GRID):
+        stages.add(_stage_count(_readout(ref, cfg, om).m, ref.length))
+        ext = en.covariance_with_spinwave(
+            om, ref, ss, two_d, modes=cfg.modes(ref), coupling=cfg.coupling,
+            sideband=cfg.sideband, spinwave=cfg.spinwave_definition)
+        for pair in spec.pairs:
+            w = ext.duan(*pair)
+            assert spec.values[pair][i] == w.value, (om, pair)
+            assert spec.signs[pair][i] == w.signs, (om, pair)
+    # blocks of 4, 4, 4 and 1 points, mixing stage counts
+    assert len(stages) >= 3
+
+
+def test_block_param_sweep_equals_one_point_calls(ref, monkeypatch):
+    _small_blocks(monkeypatch, sweeps.SweepConfig(), ref)
+    gamma0s = np.logspace(-2.0, 3.0, 9)
+    spec = sweeps.sweep_gamma0(ref, gamma0s, omega=0.0)
+    for i, g0 in enumerate(gamma0s):
+        q = ref.with_(gamma0=float(g0))
+        ss = steady_state(q)
+        ext = en.covariance_with_spinwave(0.0, q, ss,
+                                          lv.diffusion_matrix(q, ss))
+        for pair in spec.pairs:
+            w = ext.duan(*pair)
+            assert spec.values[pair][i] == w.value, (g0, pair)
+            assert spec.signs[pair][i] == w.signs, (g0, pair)
+
+
+@pytest.mark.parametrize("sweep,where", [
+    (lambda p, cfg: sweeps.sweep_omega(p, np.array([-2000.0]), cfg),
+     r"at omega = -2000 MHz$"),
+    (lambda p, cfg: sweeps.sweep_gamma0(p, [0.1], omega=-2000.0, config=cfg),
+     r"at omega = -2000 MHz, gamma0 = 0\.1$"),
 ], ids=["omega", "gamma0"])
-def test_sweep_overflow_names_the_frequency(ref, sweep):
+def test_sweep_overflow_names_the_frequency(ref, sweep, where):
     cfg = sweeps.SweepConfig(sideband="same")
-    with pytest.raises(pr.NumericalOverflowError,
-                       match=r"omega = -2000"):
+    with pytest.raises(pr.NumericalOverflowError, match=where):
         sweep(ref, cfg)
+
+
+def test_overflow_in_a_later_block_names_the_first_failing_frequency(
+        ref, monkeypatch):
+    # blocks of 4: the second block holds two failing points, and the
+    # later one (-3000 MHz, 19 stages) is doubled before the earlier one
+    # (-1250 MHz, 22 stages); the grid order decides which is named
+    cfg = sweeps.SweepConfig(sideband="same")
+    _small_blocks(monkeypatch, cfg, ref)
+    grid = np.array([0.0, 250.0, 500.0, 750.0,
+                     1000.0, -1250.0, -3000.0, 1250.0])
+    with pytest.raises(pr.NumericalOverflowError,
+                       match=r"at omega = -1250 MHz$"):
+        sweeps.sweep_omega(ref, grid, cfg)
+
+
+def test_overflow_precedes_a_later_set_up_failure(ref):
+    # gamma0 = -1 fails validation while its set-up is built, after the
+    # point before it has already overflowed
+    cfg = sweeps.SweepConfig(sideband="same")
+    with pytest.raises(pr.NumericalOverflowError, match=r"gamma0 = 0\.1$"):
+        sweeps.sweep_gamma0(ref, [0.1, -1.0], omega=-2000.0, config=cfg)
 
 
 def test_find_dip_interior_minimum(ref):
