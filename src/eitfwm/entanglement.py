@@ -181,10 +181,9 @@ class Readout:
     lump_channels: list | None = None
 
 
-def _endpoint_readout(omega, p, ss, two_d, modes, coupling, dp, sideband):
-    dm = propagation.drift_matrix(omega, p, ss, modes=modes,
-                                  coupling=coupling, dp=dp,
-                                  sideband=sideband)
+def _endpoint_readout(omega, p, ss, two_d, rows, coupling, dp, sideband):
+    dm = rows.at(omega, coupling, sideband)
+    modes = rows.modes
     n = len(modes)
     row_s, row_sdag, lump_s, lump_sdag, spin_ch = spinwave_rows(
         omega, p, ss, modes, dp=dp, sideband=sideband)
@@ -202,7 +201,7 @@ def _endpoint_readout(omega, p, ss, two_d, modes, coupling, dp, sideband):
                    lump=lump, lump_channels=spin_ch)
 
 
-def _z_averaged_readout(omega, p, ss, two_d, modes, coupling, dp, sideband):
+def _z_averaged_readout(omega, p, ss, two_d, rows, coupling, dp, sideband):
     """S built from fields averaged along z.
 
     The z-integrals of the fields and of the ground-coherence forces are
@@ -210,9 +209,8 @@ def _z_averaged_readout(omega, p, ss, two_d, modes, coupling, dp, sideband):
     no stored z-grids), so every cross-correlation between the averaged
     coherence and the output fields is kept.
     """
-    dm = propagation.drift_matrix(omega, p, ss, modes=modes,
-                                  coupling=coupling, dp=dp,
-                                  sideband=sideband)
+    dm = rows.at(omega, coupling, sideband)
+    modes = rows.modes
     n = len(modes)
     all_ch = list(langevin.CHANNELS)
     dim = 4 * n + 2
@@ -244,15 +242,17 @@ def _z_averaged_readout(omega, p, ss, two_d, modes, coupling, dp, sideband):
 
 
 def readout(omega: float, p: PhysicalParams, ss: DensityMatrix3,
-            two_d: np.ndarray, modes: list, coupling: str,
+            two_d: np.ndarray, rows: propagation.DriftRows, coupling: str,
             sideband: str, spinwave: str, dp: DerivedParams) -> Readout:
     """Assemble one witness point for the spin-wave definition
-    ``spinwave``; every division runs at this one frequency."""
+    ``spinwave`` from the drift set-up ``rows`` of the point's steady
+    state, modes and derived parameters; every division runs at this one
+    frequency."""
     if spinwave not in SPINWAVE_DEFINITIONS:
         raise ValueError(f"unknown spin-wave definition {spinwave!r}")
     assemble = (_endpoint_readout if spinwave == "endpoint"
                 else _z_averaged_readout)
-    return assemble(omega, p, ss, two_d, modes, coupling, dp, sideband)
+    return assemble(omega, p, ss, two_d, rows, coupling, dp, sideband)
 
 
 def extended_quadratures(points: list, length: float) -> np.ndarray:
@@ -302,8 +302,9 @@ def covariance_with_spinwave(omega: float, p: PhysicalParams,
         modes = propagation.single_pair_modes(p)
     if dp is None:
         dp = derive(p)
-    point = readout(omega, p, ss, two_d, modes, coupling, sideband,
-                    spinwave, dp)
+    point = readout(omega, p, ss, two_d,
+                    propagation.drift_rows(ss, modes, dp), coupling,
+                    sideband, spinwave, dp)
     labels = [m.name for m in modes] + ["S"]
     return ExtendedCovariance(
         labels=labels, quad=extended_quadratures([point], p.length)[0])

@@ -8,7 +8,8 @@ the second moments follow from the single-atom dynamics alone:
 
 evaluated in the zeroth-order steady state, with L the same adjoint
 generator that produces the Bloch drift (drive terms cancel identically
-in this combination, so only the dissipators contribute).
+in this combination, so only the dissipators contribute).  L acts on
+stacks of operators, so the whole table is evaluated in one pass.
 
 Spatial normalisation: the correlator used by the propagation module is
 
@@ -37,24 +38,25 @@ def conjugate_channel(ch: tuple[int, int]) -> tuple[int, int]:
     return (b, a)
 
 
-def _expval(op: np.ndarray, ss: DensityMatrix3) -> complex:
-    # <sum_ab op[a,b] sigma_ab> with S[a,b] = <sigma_ab>
-    return complex(np.sum(op * ss.matrix))
-
-
 def diffusion_matrix(p: PhysicalParams, ss: DensityMatrix3) -> np.ndarray:
-    """6x6 matrix of 2*D_{mu,nu} over CHANNELS, in MHz."""
-    ops = [_unit(a, b) for (a, b) in CHANNELS]
-    drifts = [apply_generator(p, op) for op in ops]
-    d = np.zeros((6, 6), dtype=complex)
-    for i, (op_i, dr_i) in enumerate(zip(ops, drifts)):
-        for j, (op_j, dr_j) in enumerate(zip(ops, drifts)):
-            prod = op_i @ op_j
-            val = _expval(apply_generator(p, prod), ss)
-            val -= _expval(dr_i @ op_j, ss)
-            val -= _expval(op_i @ dr_j, ss)
-            d[i, j] = val
-    return d
+    """6x6 matrix of 2*D_{mu,nu} over CHANNELS, in MHz.
+
+    The three terms of all 36 pairs are stacked; each expectation
+    <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b] S[a,b] sums the last two axes.
+    """
+    ops = np.stack([_unit(a, b) for (a, b) in CHANNELS])
+    drifts = apply_generator(p, ops)
+    left, right = ops[:, None], ops[None, :]
+    terms = np.stack([apply_generator(p, left @ right),
+                      drifts[:, None] @ right,
+                      left @ drifts[None, :]])
+    val = np.sum(terms * ss.matrix, axis=(-2, -1))
+    return val[0] - val[1] - val[2]
+
+
+#: index in CHANNELS of the conjugate of every channel
+CONJUGATE_INDEX = np.array([CHANNEL_INDEX[conjugate_channel(ch)]
+                            for ch in CHANNELS])
 
 
 def gram_matrix(two_d: np.ndarray) -> np.ndarray:
@@ -63,11 +65,7 @@ def gram_matrix(two_d: np.ndarray) -> np.ndarray:
     G[mu, nu] = 2 D_{mu, conj(nu)}; this is the matrix that must be
     positive semidefinite for the noise model to admit a state.
     """
-    g = np.zeros_like(two_d)
-    for j, ch in enumerate(CHANNELS):
-        jbar = CHANNEL_INDEX[conjugate_channel(ch)]
-        g[:, j] = two_d[:, jbar]
-    return g
+    return two_d[:, CONJUGATE_INDEX]
 
 
 def check_positive(two_d: np.ndarray, tol: float = 1e-10) -> float:
@@ -86,8 +84,7 @@ def _pairing(channels):
     """Index arrays (mu as a column, conj(nu) as a row) of the channel
     pairs (mu, nu) of ``channels`` in the diffusion table."""
     mu = np.array([CHANNEL_INDEX[ch] for ch in channels])
-    nubar = np.array([CHANNEL_INDEX[conjugate_channel(ch)]
-                      for ch in channels])
+    nubar = CONJUGATE_INDEX[mu]
     return mu[:, None], nubar[None, :]
 
 

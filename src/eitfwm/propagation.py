@@ -158,55 +158,82 @@ def _direct_blocks(omega: float, terms: list, coupling: str,
     return a, b, qd
 
 
-def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
-                 modes: list[FieldMode] | None = None,
-                 coupling: str = "parametric",
-                 dp: DerivedParams | None = None,
-                 sideband: str = "mirrored") -> DriftMatrix:
-    """Assemble the doubled-basis drift and noise coupling at ``omega``."""
-    if coupling not in COUPLINGS:
-        raise ValueError(f"unknown coupling {coupling!r}")
-    if sideband not in SIDEBANDS:
-        raise ValueError(f"unknown sideband convention {sideband!r}")
-    if modes is None:
-        modes = single_pair_modes(p)
-    if dp is None:
-        dp = derive(p)
-    n = len(modes)
-    channels = langevin.field_noise_channels()
+@dataclass(frozen=True)
+class DriftRows:
+    """The frequency-independent part of the drift assembly for one
+    steady state, mode set and derived parameter set; ``at`` assembles
+    the drift at one frequency from it."""
 
+    modes: list
+    channels: list
+    terms: list              # per direct row, see _row_terms
+    partner: dict            # direct row -> row of its pair partner
+    conjugate_columns: list  # noise column driving each daggered row
+
+    def at(self, omega: float, coupling: str = "parametric",
+           sideband: str = "mirrored") -> DriftMatrix:
+        """Doubled-basis drift and noise coupling at ``omega``."""
+        if coupling not in COUPLINGS:
+            raise ValueError(f"unknown coupling {coupling!r}")
+        if sideband not in SIDEBANDS:
+            raise ValueError(f"unknown sideband convention {sideband!r}")
+        n = len(self.modes)
+        n_channels = len(self.channels)
+        omega_dag = -omega if sideband == "mirrored" else omega
+        # a drift that is not finite (couplings beyond float range) is
+        # reported by the transfer, which checks for it explicitly
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_p, b_p, q_p = _direct_blocks(omega, self.terms, coupling,
+                                           self.partner, n_channels)
+            a_m, b_m, q_m = _direct_blocks(omega_dag, self.terms, coupling,
+                                           self.partner, n_channels)
+        m = np.zeros((2 * n, 2 * n), dtype=complex)
+        q = np.zeros((2 * n, n_channels), dtype=complex)
+        m[:n, :n] = a_p
+        m[:n, n:] = b_p
+        # daggered rows: conjugate of the direct rows at omega_dag.  Under
+        # "mirrored", conj(-i*(-omega)/C) = -i*omega/C, so the kinetic
+        # phase is common to the whole doubled vector; under "same" the
+        # daggered sector carries the opposite kinetic phase +i*omega/C,
+        # which is the literal elementwise-conjugation treatment.
+        m[n:, n:] = np.conj(a_m)
+        m[n:, :n] = np.conj(b_m)
+        q[:n, :] = q_p
+        # the daggered row of channel ch is driven by its conjugate channel
+        q[n:, self.conjugate_columns] = np.conj(q_m)
+        return DriftMatrix(modes=self.modes, m=m, q=q,
+                           channels=self.channels)
+
+
+def drift_rows(ss: DensityMatrix3, modes: list[FieldMode],
+               dp: DerivedParams) -> DriftRows:
+    """Set up the drift assembly of ``modes`` once for every frequency."""
+    channels = langevin.field_noise_channels()
     partner = {}
     for i, mi in enumerate(modes):
         for j, mj in enumerate(modes):
             if i != j and mi.pair == mj.pair:
                 partner[i] = j
-
-    omega_dag = -omega if sideband == "mirrored" else omega
-    # a drift that is not finite (couplings beyond float range) is
-    # reported by the transfer, which checks for it explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _row_terms(ss, modes, dp, channels)
-        a_p, b_p, q_p = _direct_blocks(omega, terms, coupling, partner,
-                                       len(channels))
-        a_m, b_m, q_m = _direct_blocks(omega_dag, terms, coupling, partner,
-                                       len(channels))
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    q = np.zeros((2 * n, len(channels)), dtype=complex)
-    m[:n, :n] = a_p
-    m[:n, n:] = b_p
-    # daggered rows: conjugate of the direct rows at omega_dag.  Under
-    # "mirrored", conj(-i*(-omega)/C) = -i*omega/C, so the kinetic phase
-    # is common to the whole doubled vector; under "same" the daggered
-    # sector carries the opposite kinetic phase +i*omega/C, which is the
-    # literal elementwise-conjugation treatment.
-    m[n:, n:] = np.conj(a_m)
-    m[n:, :n] = np.conj(b_m)
-    q[:n, :] = q_p
-    # the daggered row of channel ch is driven by its conjugate channel
-    q[n:, [channels.index(langevin.conjugate_channel(ch))
-           for ch in channels]] = np.conj(q_m)
-    return DriftMatrix(modes=list(modes), m=m, q=q,
-                       channels=channels)
+    return DriftRows(
+        modes=list(modes), channels=channels, terms=terms, partner=partner,
+        conjugate_columns=[channels.index(langevin.conjugate_channel(ch))
+                           for ch in channels])
+
+
+def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
+                 modes: list[FieldMode] | None = None,
+                 coupling: str = "parametric",
+                 dp: DerivedParams | None = None,
+                 sideband: str = "mirrored") -> DriftMatrix:
+    """Assemble the doubled-basis drift and noise coupling at ``omega``:
+    a one-frequency call of drift_rows(...).at(...)."""
+    if modes is None:
+        modes = single_pair_modes(p)
+    if dp is None:
+        dp = derive(p)
+    return drift_rows(ss, modes, dp).at(omega, coupling, sideband)
 
 
 def dagger(x: np.ndarray) -> np.ndarray:

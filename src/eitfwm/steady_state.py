@@ -14,8 +14,8 @@ in the matrix-unit basis; products of coefficient arrays are then plain
 matrix products.
 
 The single-atom adjoint generator implemented by :func:`apply_generator`
-is shared with the Langevin diffusion module, which evaluates Einstein
-relations with the same dissipators.
+acts on stacks of operators.  It is shared with the Langevin diffusion
+module, which evaluates Einstein relations with the same dissipators.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .params import PhysicalParams
 
 # fixed ordering of the nine matrix units |a><b|, row-major in (a, b)
 BASIS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
-INDEX = {ab: k for k, ab in enumerate(BASIS)}
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -87,39 +86,40 @@ def hamiltonian(p: PhysicalParams) -> np.ndarray:
 
 
 def apply_generator(p: PhysicalParams, op: np.ndarray) -> np.ndarray:
-    """Adjoint (Heisenberg-picture) generator applied to one operator.
+    """Adjoint (Heisenberg-picture) generator applied to a stack of operators.
 
-    ``op`` is the coefficient array of an operator in the matrix-unit
-    basis.  Returns the coefficient array of d(op)/dt: the commutator
+    ``op`` holds coefficient arrays in the matrix-unit basis, shape
+    (..., 3, 3): one operator or any stack of them.  Returns the
+    coefficient arrays of d(op)/dt, operator by operator: the commutator
     with the drive Hamiltonian, the two radiative dissipators, and the
     pure-dephasing damping of the 1-2 coherence components.
     """
     h = hamiltonian(p)
     out = 1j * (h @ op - op @ h)
     # adjoint dissipator for decay channel L: L+ op L - (L+ L op + op L+ L)/2
+    ldag_l = _unit(3, 3)
     for rate, lower in ((p.gamma1, 1), (p.gamma2, 2)):
         l_op = _unit(lower, 3)
-        ldag_l = _unit(3, 3)
         out += rate * (l_op.conj().T @ op @ l_op
                        - 0.5 * (ldag_l @ op + op @ ldag_l))
     # phenomenological pure dephasing: damps only the 1-2 coherences, so
     # the optical coherences keep their purely radiative width
-    deph = np.zeros((3, 3), dtype=complex)
-    deph[0, 1] = op[0, 1]
-    deph[1, 0] = op[1, 0]
+    deph = np.zeros(np.shape(op), dtype=complex)
+    deph[..., 0, 1] = op[..., 0, 1]
+    deph[..., 1, 0] = op[..., 1, 0]
     out -= p.gamma0 * deph
     return out
 
 
 def bloch_drift(p: PhysicalParams) -> np.ndarray:
-    """9x9 drift matrix A with d<sigma>/dt = A <sigma> over BASIS order."""
-    a = np.zeros((9, 9), dtype=complex)
-    for row, (c, d) in enumerate(BASIS):
-        img = apply_generator(p, _unit(c, d))
-        # d<sigma_cd>/dt = <L(E_cd)> = sum_ab img[a, b] <sigma_ab>, so row
-        # (c, d) of A carries img reshaped in BASIS (row-major) order
-        a[row, :] = img.reshape(-1)
-    return a
+    """9x9 drift matrix A with d<sigma>/dt = A <sigma> over BASIS order.
+
+    One generator call on the stack of the nine matrix units E_cd:
+    d<sigma_cd>/dt = <L(E_cd)>, so row (c, d) of A is L(E_cd) reshaped
+    in BASIS (row-major) order.
+    """
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    return apply_generator(p, units).reshape(9, 9)
 
 
 def steady_state(p: PhysicalParams, rcond: float = 1e-10) -> DensityMatrix3:

@@ -174,11 +174,21 @@ def _blocks(items):
         yield block
 
 
+def _set_up(p: PhysicalParams, config: SweepConfig):
+    """Everything a witness point needs that no frequency changes: the
+    steady state, the diffusion table, the derived parameters and the
+    drift set-up of the configured modes."""
+    ss = steady_state(p)
+    two_d = langevin.diffusion_matrix(p, ss)
+    dp = derive(p)
+    return p, ss, two_d, dp, propagation.drift_rows(ss, config.modes(p), dp)
+
+
 def _sweep(p: PhysicalParams, axis: str, values, points,
-           config: SweepConfig | None) -> CorrelationSpectrum:
+           config: SweepConfig) -> CorrelationSpectrum:
     """Evaluate every configured pair witness over an ordered stream of
-    ``(omega, params, steady state, diffusion table, derived)`` points,
-    one per entry of ``values``, the sweep variable named ``axis``.
+    ``(omega, set-up)`` points, one per entry of ``values``, the sweep
+    variable named ``axis``; a set-up is a ``_set_up`` tuple.
 
     Each point is assembled on its own (drift, noise and readout rows
     at one frequency); blocks of consecutive points are then evaluated
@@ -190,18 +200,16 @@ def _sweep(p: PhysicalParams, axis: str, values, points,
     when ``axis`` is a parameter); partial results are discarded so a
     failed sweep can never emit a truncated file.
     """
-    if config is None:
-        config = SweepConfig()
     pairs = config.pairs()
     labels = [m.name for m in config.modes(p)] + ["S"]
     witness_values = {pair: [] for pair in pairs}
     witness_signs = {pair: [] for pair in pairs}
 
     def items():
-        for x, (om, q, ss, two_d, dp) in zip(values, points):
+        for x, (om, (q, ss, two_d, dp, rows)) in zip(values, points):
             yield x, om, entanglement.readout(
-                om, q, ss, two_d, config.modes(q), config.coupling,
-                config.sideband, config.spinwave_definition, dp)
+                om, q, ss, two_d, rows, config.coupling, config.sideband,
+                config.spinwave_definition, dp)
 
     for block in _blocks(items()):
         try:
@@ -229,30 +237,23 @@ def _sweep(p: PhysicalParams, axis: str, values, points,
 def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None
                 ) -> CorrelationSpectrum:
     """Evaluate every configured pair witness across the frequency grid;
-    steady state, diffusion table and derived quantities are shared by
-    all points."""
+    every point shares one ``_set_up``."""
     omegas = np.asarray(omegas, dtype=float)
-    ss = steady_state(p)
-    two_d = langevin.diffusion_matrix(p, ss)
-    dp = derive(p)
-    return _sweep(p, "omega", omegas,
-                  ((om, p, ss, two_d, dp) for om in omegas), config)
+    config = config or SweepConfig()
+    set_up = _set_up(p, config)
+    return _sweep(p, "omega", omegas, ((om, set_up) for om in omegas),
+                  config)
 
 
 def _sweep_param(p: PhysicalParams, axis: str, field: str, values,
                  omega: float, config: SweepConfig | None
                  ) -> CorrelationSpectrum:
     """Witnesses at fixed frequency while the parameter ``field`` takes
-    each of ``values``; steady state, diffusion table and derived
-    quantities are recomputed at every point."""
-
-    def points():
-        for x in values:
-            q = p.with_(**{field: float(x)})
-            ss = steady_state(q)
-            yield omega, q, ss, langevin.diffusion_matrix(q, ss), derive(q)
-
-    return _sweep(p, axis, values, points(), config)
+    each of ``values``; every point has its own ``_set_up``."""
+    config = config or SweepConfig()
+    points = ((omega, _set_up(p.with_(**{field: float(x)}), config))
+              for x in values)
+    return _sweep(p, axis, values, points, config)
 
 
 def sweep_gamma0(p: PhysicalParams, gamma0s, omega: float = 0.0,

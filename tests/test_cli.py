@@ -1,5 +1,7 @@
 """Command-line driver: config parsing, exit codes, output stability."""
 
+import contextlib
+import io
 import json
 import warnings
 
@@ -172,13 +174,29 @@ _FUZZ_VALUES = st.one_of(
 @given(st.dictionaries(st.sampled_from(cli._PARAM_KEYS), _FUZZ_VALUES,
                        min_size=1, max_size=3))
 def test_any_numeric_config_ends_in_an_exit_code(tmp_path_factory, config):
-    # noise runs the steady state and the diffusion table; a sweep
-    # experiment would cost a full grid per example
+    # noise runs the steady state and the diffusion table only
     cfg = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
     code = cli.main(["--experiment", "noise", "--config", str(cfg),
                      "--out", str(cfg.with_suffix(".json"))])
     assert code in (0, 1, 2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.dictionaries(st.sampled_from(cli._PARAM_KEYS), _FUZZ_VALUES,
+                       min_size=1, max_size=3))
+def test_any_numeric_config_ends_a_parameter_sweep_in_an_exit_code(
+        tmp_path_factory, config):
+    # fig4 solves the steady state and the diffusion table at each of
+    # its 101 dephasing rates, then propagates every point
+    cfg = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["--experiment", "fig4", "--config", str(cfg),
+                         "--out", str(cfg.with_suffix(".csv"))])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_inverted_window_rejected(tmp_path, capsys):

@@ -84,6 +84,21 @@ def test_sweep_runs_one_transfer_per_point(ref, monkeypatch):
     assert len(matrices) == 3
 
 
+def test_sweeps_set_up_the_drift_once_per_parameter_point(ref, monkeypatch):
+    calls = []
+    real = pr.drift_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "drift_rows", counted)
+    sweeps.sweep_omega(ref, np.array([-1500.0, -1000.0, 0.0]))
+    assert len(calls) == 1
+    sweeps.sweep_gamma0(ref, np.array([0.01, 0.1]), omega=0.0)
+    assert len(calls) == 3
+
+
 def test_two_pair_sweep_reports_cross_pairs(ref):
     cfg = sweeps.SweepConfig(two_pair=True)
     spec = sweeps.sweep_omega(ref, np.array([-1000.0, 0.0, 1000.0]), cfg)
@@ -99,9 +114,10 @@ BLOCK_GRID = np.linspace(-1000.0, 3000.0, 13)
 
 def _readout(p, cfg, omega):
     ss = steady_state(p)
+    dp = derive(p)
     return en.readout(omega, p, ss, lv.diffusion_matrix(p, ss),
-                      cfg.modes(p), cfg.coupling, cfg.sideband,
-                      cfg.spinwave_definition, derive(p))
+                      pr.drift_rows(ss, cfg.modes(p), dp), cfg.coupling,
+                      cfg.sideband, cfg.spinwave_definition, dp)
 
 
 def _small_blocks(monkeypatch, cfg, p):
