@@ -18,9 +18,7 @@ from .steady_state import (DensityMatrix3, DegenerateSteadyStateError,
                            bloch_drift, steady_state, steady_state_ode_oracle,
                            dark_state_sigma)
 from .langevin import diffusion_matrix, check_positive
-from .propagation import (FieldMode, DriftMatrix, TransferSolution,
-                          NumericalOverflowError, GAIN_CEILING,
-                          drift_matrix, transfer, transfer_step_oracle,
+from .propagation import (FieldMode, DriftMatrix, NumericalOverflowError,
+                          GAIN_CEILING, drift_matrix, transfer_step_oracle,
                           second_moment_transfer, single_pair_modes,
-                          two_pair_modes, output_field_covariance,
-                          output_commutators)
+                          two_pair_modes)

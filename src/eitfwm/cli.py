@@ -264,12 +264,13 @@ def _run_fig5(rc, out, fmt) -> int:
 
 # --- calibration -----------------------------------------------------------
 
-def _fit_coupling(p, point, target) -> float:
+def _fit_coupling(p, witness, target) -> float:
     """Bounded scalar fit of the coupling scale at zero Fourier frequency."""
 
     def objective(x):
         q = p.with_(coupling_scale=math.exp(x))
-        return abs(point(q, derive(q)).duan("a1", "b1").value - target)
+        (ext,) = witness(q, [q.spinwave_scale])
+        return abs(ext.duan("a1", "b1").value - target)
 
     res = optimize.minimize_scalar(objective,
                                    bounds=(math.log(0.2), math.log(8.0)),
@@ -278,30 +279,19 @@ def _fit_coupling(p, point, target) -> float:
     return float(math.exp(res.x))
 
 
-def _fit_spinwave(pc, point, pair) -> dict:
+def _fit_spinwave(samples, pair) -> dict:
     """Closed-form optimum of a witness over the spin-wave normalization.
 
     For fixed signs the witness is exactly quadratic in the scale, so
-    three samples pin the parabola per sign branch; the mirror symmetry
-    scale -> -scale with both signs flipped folds a negative vertex back
-    to a positive normalization.
+    the ``samples`` at the scales 0, 1 and 2 pin the parabola per sign
+    branch; the mirror symmetry scale -> -scale with both signs flipped
+    folds a negative vertex back to a positive normalization.
     """
-    # the scale does not enter the derived quantities; computing them once
-    # from pc also keeps the sample s = 0, which validate() rightly rejects
-    # as a run setting, away from validation
-    dp = derive(pc)
-
-    def samples(su, sv):
-        vs = []
-        for s in (0.0, 1.0, 2.0):
-            ext = point(pc.with_(spinwave_scale=s), dp)
-            i, j = ext.index(pair[0]), ext.index(pair[1])
-            vs.append(entanglement.duan_value(ext.quad, i, j, su, sv))
-        return vs
-
     best = None
     for su, sv in ((1, -1), (-1, 1)):
-        v0, v1, v2 = samples(su, sv)
+        v0, v1, v2 = (entanglement.duan_value(
+            ext.quad, ext.index(pair[0]), ext.index(pair[1]), su, sv)
+            for ext in samples)
         a = (v2 - 2.0 * v1 + v0) / 2.0
         b = v1 - v0 - a
         s_star = -b / (2.0 * a)
@@ -329,21 +319,43 @@ def calibrate(rc: RunConfig) -> dict:
     # fitted scales, so every witness point shares one set-up
     ss = steady_state(p)
     two_d = langevin.diffusion_matrix(p, ss)
+    # (coupling scale, spin-wave scale) -> quadrature covariance
+    evaluated = {}
 
-    def point(q, dp):
-        return entanglement.covariance_with_spinwave(
-            0.0, q, ss, two_d, modes=cfg.modes(q), coupling=cfg.coupling,
-            sideband=cfg.sideband, spinwave=cfg.spinwave_definition, dp=dp)
+    def witness(q, scales):
+        """Zero-frequency extended covariances at the coupling of ``q``,
+        one per spin-wave scale of ``scales``; the points not evaluated
+        before run as one block."""
+        # the scale does not enter the derived quantities; computing them
+        # from q also keeps the sample s = 0, which validate() rightly
+        # rejects as a run setting, away from validation
+        dp = derive(q)
+        modes = cfg.modes(q)
+        new = [s for s in scales if (q.coupling_scale, s) not in evaluated]
+        if new:
+            rows = propagation.drift_rows(ss, modes, dp)
+            points = [entanglement.readout(
+                0.0, q.with_(spinwave_scale=s), ss, two_d, rows,
+                cfg.coupling, cfg.sideband, cfg.spinwave_definition, dp)
+                for s in new]
+            block = entanglement.extended_quadratures(points, q.length)
+            evaluated.update(((q.coupling_scale, s), quad)
+                             for s, quad in zip(new, block))
+        labels = [m.name for m in modes] + ["S"]
+        return [entanglement.ExtendedCovariance(
+            labels=labels, quad=evaluated[q.coupling_scale, s])
+            for s in scales]
 
-    eta = _fit_coupling(p, point, CALIBRATION_TARGETS["V_a1_b1"])
+    eta = _fit_coupling(p, witness, CALIBRATION_TARGETS["V_a1_b1"])
     pc = p.with_(coupling_scale=eta)
 
-    primary = _fit_spinwave(pc, point, ("a1", "S"))
-    alternate = _fit_spinwave(pc, point, ("S", "b1"))
+    samples = witness(pc, (0.0, 1.0, 2.0))
+    primary = _fit_spinwave(samples, ("a1", "S"))
+    alternate = _fit_spinwave(samples, ("S", "b1"))
     kappa = primary["scale"]
 
     pf = pc.with_(spinwave_scale=kappa)
-    ext = point(pf, derive(pf))
+    (ext,) = witness(pf, [kappa])
     witnesses = {sweeps.pair_tag(pair): ext.duan(*pair)
                  for pair in cfg.pairs()}
     achieved = {f"V_{tag}": w.value for tag, w in witnesses.items()}

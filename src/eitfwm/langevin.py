@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import PhysicalParams, C, derive
+from .params import PhysicalParams
 from .steady_state import DensityMatrix3, apply_generator, _unit
 
 # channel ordering shared with the propagation module
@@ -117,8 +117,3 @@ def field_noise_channels() -> list[tuple[int, int]]:
 
 def spinwave_noise_channels() -> list[tuple[int, int]]:
     return [(1, 2), (2, 1)]
-
-
-def noise_scale(p: PhysicalParams) -> float:
-    """c/N prefactor of the collective correlator, in m*MHz."""
-    return C / derive(p).atom_number

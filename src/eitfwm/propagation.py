@@ -31,12 +31,13 @@ The transfer matrix T = exp(M L) and the accumulated noise second moment
 are computed together by repeated interval doubling, which stays
 accurate for optical depths of 1e5 and for marginally stable drift
 matrices alike (both occur here).  The doubling kernel works on stacks
-of (d, d) matrices, so a sweep evaluates many frequencies per call;
-the one-matrix function is a call of it with a stack of one.  It checks
-for finite values once, after the last doubling stage: an inf or nan in
-T persists through every further squaring, so the end check catches
-every overflow.  A fixed-step RK4 integrator of the same quantities,
-also stack-aware, is provided as an independent cross-check.
+of (d, d) matrices, so the sweeps and the built-in checks evaluate many
+frequencies per call; ``second_moment_transfer`` is a call of it with a
+stack of one.  It checks for finite values once, after the last
+doubling stage: an inf or nan in T persists through every further
+squaring, so the end check catches every overflow.  A fixed-step RK4
+integrator of the same quantities, also stack-aware, is provided as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -367,32 +368,6 @@ def transfer_step_oracle(m: np.ndarray, g: np.ndarray, length: float,
     return t, hermitian_part(c)
 
 
-@dataclass
-class TransferSolution:
-    """Propagated second moments of the field sector at one frequency."""
-
-    omega: float
-    modes: list
-    t: np.ndarray           # 2n x 2n transfer matrix
-    c_noise: np.ndarray     # symmetrised accumulated noise moment
-    drift: DriftMatrix
-
-
-def transfer(omega: float, p: PhysicalParams, ss: DensityMatrix3,
-             two_d: np.ndarray,
-             modes: list[FieldMode] | None = None,
-             coupling: str = "parametric",
-             dp: DerivedParams | None = None,
-             sideband: str = "mirrored") -> TransferSolution:
-    """Full per-frequency transfer: drift assembly plus moment integrals."""
-    dm = drift_matrix(omega, p, ss, modes=modes, coupling=coupling, dp=dp,
-                      sideband=sideband)
-    g_sym = noise_drive(dm.q, langevin.sym_noise_matrix(two_d, dm.channels))
-    t, c_sym = second_moment_transfer(dm.m, g_sym, p.length)
-    return TransferSolution(omega=omega, modes=dm.modes, t=t,
-                            c_noise=c_sym, drift=dm)
-
-
 def vacuum_covariance(n_modes: int) -> np.ndarray:
     """Symmetrised doubled-basis covariance of uncorrelated vacuum."""
     return 0.5 * np.eye(2 * n_modes, dtype=complex)
@@ -403,31 +378,3 @@ def output_covariance(t: np.ndarray, c_noise: np.ndarray,
     """T c_in T^+ + C: input moment ``c_in`` carried through the transfer
     ``t`` plus the accumulated noise moment, matrix by matrix."""
     return t @ c_in @ dagger(t) + c_noise
-
-
-def output_field_covariance(sol: TransferSolution) -> np.ndarray:
-    """Symmetrised doubled-basis covariance of the output fields.
-
-    Coherent displacements of the inputs do not appear: the fluctuation
-    covariance of a coherent state is the vacuum one, which is why every
-    downstream witness is exactly independent of the input amplitudes.
-    """
-    return hermitian_part(output_covariance(
-        sol.t, sol.c_noise, vacuum_covariance(len(sol.modes))))
-
-
-def output_commutators(sol: TransferSolution, two_d: np.ndarray,
-                       length: float) -> np.ndarray:
-    """Output commutator matrix; direct diagonal must stay at +1.
-
-    The noise moment of the commutator pairing <[F, F^+]> of the
-    diffusion table ``two_d`` is accumulated here, by one more transfer
-    over ``sol.drift``, so only the commutator audit pays for it.
-    """
-    dm = sol.drift
-    s_comm = langevin.comm_noise_matrix(two_d, dm.channels)
-    _, c_comm = second_moment_transfer(dm.m, noise_drive(dm.q, s_comm),
-                                       length)
-    n = len(sol.modes)
-    j_in = np.diag([1.0] * n + [-1.0] * n).astype(complex)
-    return output_covariance(sol.t, c_comm, j_in)

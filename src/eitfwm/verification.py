@@ -6,10 +6,11 @@ working point.  Some expectations are deliberately FAIL: the executed
 model is known to break commutator preservation and symplectic
 positivity once either the anomalous ground-coherence coupling or the
 ground-state dephasing is switched on, each being enough on its own
-(see the project notes for the full account), and the verification
-suite asserts that this documented state of affairs still holds.  A check whose outcome differs from its expectation is a
-genuine verification failure either way: an expected-FAIL check that
-suddenly passes means the model changed underneath us.
+(VALIDATION.md gives the full account), and the verification suite
+asserts that this documented state of affairs still holds.  A check
+whose outcome differs from its expectation is a genuine verification
+failure either way: an expected-FAIL check that suddenly passes means
+the model changed underneath us.
 
 The checks isolate the mechanism with controls:
 
@@ -21,6 +22,10 @@ The checks isolate the mechanism with controls:
   injection);
 * at the reference point with the anomalous coupling, the imbalance is
   amplified by the phase-matched gain around zero frequency.
+
+Like the sweeps, the checks run on stacks: every frequency set of a
+check is assembled from one drift set-up and propagated by one call of
+the stacked doubling kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, reference_params
+from .params import PhysicalParams, derive, reference_params
 from .steady_state import steady_state, dark_state_sigma
 from . import langevin
 from . import propagation
@@ -70,15 +75,45 @@ ORACLE_POINTS = tuple(np.concatenate([np.linspace(-3000.0, -1700.0, 8),
 COMMUTATOR_GRID = tuple(np.linspace(-3000.0, 1000.0, 64))
 
 
+def _drift_stack(rows, omegas, two_d, pairing, coupling="parametric",
+                 sideband="mirrored"):
+    """(m, g): the drift and noise-drive stacks of the drift set-up
+    ``rows`` at every frequency of ``omegas``, the channel covariance
+    taken from ``two_d`` by ``pairing`` (langevin.sym_noise_matrix or
+    langevin.comm_noise_matrix)."""
+    drifts = [rows.at(om, coupling, sideband) for om in omegas]
+    m = np.stack([dm.m for dm in drifts])
+    q = np.stack([dm.q for dm in drifts])
+    return m, propagation.noise_drive(q, pairing(two_d, rows.channels))
+
+
+def _field_quadratures(m, g, length) -> np.ndarray:
+    """Quadrature covariances of the output fields for vacuum inputs, one
+    per matrix of the drift stack ``m``."""
+    t, c = propagation.second_moment_transfer_stack(m, g, length)
+    out = propagation.output_covariance(
+        t, c, propagation.vacuum_covariance(t.shape[-1] // 2))
+    return entanglement.quadrature_covariance(
+        propagation.hermitian_part(out))
+
+
+def _rows(p, ss):
+    """Drift set-up of the single field pair at the steady state ``ss``."""
+    return propagation.drift_rows(ss, propagation.single_pair_modes(p),
+                                  derive(p))
+
+
 def _worst_commutator_dev(p, ss, two_d, omegas, coupling) -> float:
-    worst = 0.0
-    for om in omegas:
-        sol = propagation.transfer(om, p, ss, two_d, coupling=coupling)
-        n = len(sol.modes)
-        j0 = np.diag([1.0] * n + [-1.0] * n)
-        worst = max(worst, float(np.max(np.abs(
-            propagation.output_commutators(sol, two_d, p.length) - j0))))
-    return worst
+    """Worst |[a_out, a_out^+] - J| over ``omegas``: the input commutators
+    J carried through the transfer plus the commutator moment of the
+    noise."""
+    m, g = _drift_stack(_rows(p, ss), omegas, two_d,
+                        langevin.comm_noise_matrix, coupling)
+    t, c = propagation.second_moment_transfer_stack(m, g, p.length)
+    n = m.shape[-1] // 2
+    j0 = np.diag([1.0] * n + [-1.0] * n)
+    out = propagation.output_covariance(t, c, j0.astype(complex))
+    return float(np.max(np.abs(out - j0)))
 
 
 def check_commutators(p: PhysicalParams | None = None) -> list[CheckReport]:
@@ -136,11 +171,8 @@ def check_oracle_equivalence(p: PhysicalParams | None = None,
         p = reference_params()
     ss = steady_state(p)
     two_d = langevin.diffusion_matrix(p, ss)
-    drifts = [propagation.drift_matrix(om, p, ss) for om in ORACLE_POINTS]
-    m = np.stack([dm.m for dm in drifts])
-    g = np.stack([propagation.noise_drive(
-        dm.q, langevin.sym_noise_matrix(two_d, dm.channels))
-        for dm in drifts])
+    m, g = _drift_stack(_rows(p, ss), ORACLE_POINTS, two_d,
+                        langevin.sym_noise_matrix)
     # both integrators run once over the stack of all frequencies
     t1, c1 = propagation.second_moment_transfer_stack(m, g, p.length)
     t2, c2 = propagation.transfer_step_oracle(m, g, p.length, n_steps)
@@ -197,17 +229,14 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
         residual=float((max(vals) - min(vals)) / abs(vals[0])),
         tolerance=1e-9))
 
-    worst = np.inf
-    for om in COMMUTATOR_GRID:
-        sol = propagation.transfer(om, p, ss, two_d)
-        quad = entanglement.quadrature_covariance(
-            propagation.output_field_covariance(sol))
-        m = quad.shape[0] // 2
-        form = np.zeros((2 * m, 2 * m))
-        form[:m, m:] = 2.0 * np.eye(m)
-        form[m:, :m] = -2.0 * np.eye(m)
-        ev = np.linalg.eigvals(quad + 1j * form)
-        worst = min(worst, float(ev.real.min()))
+    quad = _field_quadratures(*_drift_stack(
+        _rows(p, ss), COMMUTATOR_GRID, two_d, langevin.sym_noise_matrix),
+        p.length)
+    m = quad.shape[-1] // 2
+    form = np.zeros((2 * m, 2 * m))
+    form[:m, m:] = 2.0 * np.eye(m)
+    form[m:, :m] = -2.0 * np.eye(m)
+    worst = float(np.linalg.eigvals(quad + 1j * form).real.min())
     reports.append(CheckReport(
         name="symplectic_positivity",
         scope="field quadrature covariance, 64-point grid",
@@ -243,19 +272,19 @@ def convention_comparison(p: PhysicalParams | None = None) -> dict:
         p = reference_params()
     ss = steady_state(p)
     two_d = langevin.diffusion_matrix(p, ss)
+    rows = _rows(p, ss)
     table = {}
     for coupling in propagation.COUPLINGS:
         for sideband in propagation.SIDEBANDS:
             key = f"{coupling}/{sideband}"
             row = {}
             for om in (-2000.0, -1000.0, 0.0):
+                # a stack of one, so that each cell overflows on its own
                 try:
-                    sol = propagation.transfer(om, p, ss, two_d,
-                                               coupling=coupling,
-                                               sideband=sideband)
-                    quad = entanglement.quadrature_covariance(
-                        propagation.output_field_covariance(sol))
-                    row[om] = entanglement.duan_min(quad, 0, 1).value
+                    quad = _field_quadratures(*_drift_stack(
+                        rows, [om], two_d, langevin.sym_noise_matrix,
+                        coupling, sideband), p.length)
+                    row[om] = entanglement.duan_min(quad[0], 0, 1).value
                 except propagation.NumericalOverflowError:
                     row[om] = "overflow"
             table[key] = row

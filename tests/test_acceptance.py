@@ -97,14 +97,19 @@ def fig5(calibrated):
 # --- property criteria: no calibration --------------------------------------
 
 def test_criterion_01_commutator_preservation(ref):
-    t0 = time.perf_counter()
     reports = {r.name: r for r in vf.check_commutators(ref)}
-    elapsed = time.perf_counter() - t0
     residual = reports["commutators_reference"].residual
-    passed = residual < 1e-6 and elapsed < 5.0
-    _criterion(1, "commutator_preservation", passed, False,
+    _criterion(1, "commutator_preservation", residual < 1e-6, False,
                f"worst |[a,a+]-1| = {residual:.6e} over the 64-point "
-               f"grid (tol 1e-6), {elapsed:.2f}s")
+               "grid (tol 1e-6)")
+
+
+def test_commutator_audit_time_limit(ref):
+    # criterion 1's time limit, kept apart from its expected-FAIL
+    # residual so that a slowdown fails the suite
+    t0 = time.perf_counter()
+    vf.check_commutators(ref)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_criterion_02_symplectic_positivity(limit_reports):
@@ -162,10 +167,10 @@ def test_criterion_07_squeezed_pair_witness():
 
 def test_criterion_08_dip_location(calibrated, fig2):
     p, _ = calibrated
-    spec, elapsed = fig2
+    spec, _ = fig2
     window = (p.delta1 - WINDOW, p.delta1 + WINDOW)
     bits = []
-    ok = elapsed < 10.0
+    ok = True
     for pair in sweeps.SINGLE_PAIRS:
         rep = sweeps.find_dip(spec, pair, window)
         here = rep.degenerate is None and abs(rep.omega_star
@@ -174,8 +179,14 @@ def test_criterion_08_dip_location(calibrated, fig2):
         tag = rep.degenerate or "interior"
         bits.append(f"{pair[0]}-{pair[1]}: {tag} min at "
                     f"{rep.omega_star:g}")
-    _criterion(8, "dip_location", ok, False,
-               "; ".join(bits) + f"; sweep {elapsed:.2f}s (limit 10s)")
+    _criterion(8, "dip_location", ok, False, "; ".join(bits))
+
+
+def test_fig2_sweep_time_limit(fig2):
+    # criterion 8's time limit, kept apart from its expected-FAIL dip
+    # shape so that a slowdown fails the suite
+    _, elapsed = fig2
+    assert elapsed < 10.0
 
 
 def test_criterion_09_dip_depths(calibrated, fig2):

@@ -1,6 +1,7 @@
 """Command-line driver: config parsing, exit codes, output stability."""
 
 import contextlib
+import functools
 import io
 import json
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eitfwm import cli, langevin, sweeps
+from eitfwm import cli, entanglement, langevin, sweeps, verification
 from eitfwm.params import reference_params
 
 
@@ -313,3 +314,39 @@ def test_calibrate_solves_the_set_up_once(monkeypatch):
                                 langevin.diffusion_matrix))
     cli.calibrate(cli.RunConfig(params=reference_params()))
     assert calls == {"steady_state": 1, "diffusion_matrix": 1}
+
+
+def test_calibrate_evaluates_each_witness_point_once(monkeypatch):
+    seen = []
+    real = entanglement.readout
+
+    def recorded(omega, p, *args, **kwargs):
+        seen.append((p.coupling_scale, p.spinwave_scale))
+        return real(omega, p, *args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "readout", recorded)
+    cli.calibrate(cli.RunConfig(params=reference_params()))
+    assert len(seen) == len(set(seen))
+
+
+# --- verification ---------------------------------------------------------
+
+def test_verify_reports_nine_checks_and_exits_3_on_a_surprise(
+        tmp_path, capsys, monkeypatch):
+    # 2000 oracle steps leave the integrator cross-check far above its
+    # tolerance: the one surprising outcome of the run
+    monkeypatch.setattr(verification, "check_oracle_equivalence",
+                        functools.partial(
+                            verification.check_oracle_equivalence,
+                            n_steps=2000))
+    out = tmp_path / "verify.txt"
+    assert cli.main(["--experiment", "verify", "--out", str(out)]) == 3
+    streamed = capsys.readouterr().out
+    assert streamed == out.read_text()
+    lines = streamed.splitlines()
+    assert len(lines) == 9
+    assert all(line.startswith("CHECK ") for line in lines)
+    unexpected = [line for line in lines if " UNEXPECTED" in line]
+    assert len(unexpected) == 1
+    assert unexpected[0].startswith(
+        "CHECK oracle_equivalence residual=3.747293e-03 ")

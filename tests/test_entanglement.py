@@ -98,8 +98,11 @@ def test_extended_covariance_labels_and_lookup(ext_ref):
 
 def test_field_block_matches_plain_field_covariance(ref, ss_ref, two_d_ref,
                                                     ext_ref):
-    sol = pr.transfer(-300.0, ref, ss_ref, two_d_ref)
-    quad_fields = en.quadrature_covariance(pr.output_field_covariance(sol))
+    dm = pr.drift_matrix(-300.0, ref, ss_ref)
+    g = pr.noise_drive(dm.q, lv.sym_noise_matrix(two_d_ref, dm.channels))
+    t, c = pr.second_moment_transfer_stack(dm.m[None], g[None], ref.length)
+    quad_fields = en.quadrature_covariance(pr.hermitian_part(
+        pr.output_covariance(t[0], c[0], pr.vacuum_covariance(2))))
     sel = np.ix_([0, 1, 3, 4], [0, 1, 3, 4])
     assert np.max(np.abs(ext_ref.quad[sel] - quad_fields)) < 1e-13
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eitfwm import langevin as lv
-from eitfwm.params import C, derive, reference_params
 from eitfwm.steady_state import steady_state
 
 
@@ -78,11 +77,6 @@ def test_comm_noise_matrix_signs(two_d_ref):
     # direct channels commute to +gamma_i3, daggered ones to the negative
     assert np.allclose(np.diag(cm).real, [3.0, 3.0, -3.0, -3.0], atol=1e-12)
     assert np.max(np.abs(cm - cm.conj().T)) < 1e-12
-
-
-def test_noise_scale_is_c_over_atom_number(ref):
-    assert lv.noise_scale(ref) == pytest.approx(
-        C / derive(ref).atom_number, rel=1e-15)
 
 
 def test_diffusion_scales_with_decay(ref):

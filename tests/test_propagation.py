@@ -1,4 +1,4 @@
-"""Per-frequency transfer solve: drift assembly and moment integrals."""
+"""Drift assembly and the stacked moment integrals."""
 
 import numpy as np
 import pytest
@@ -115,35 +115,51 @@ def test_second_moment_transfer_random_stable_systems(seed, length):
         1.0, np.linalg.norm(c_ref)) < 1e-6
 
 
+def _field_moments(p, ss, two_d, omegas, pairing=lv.sym_noise_matrix,
+                   **switches):
+    """(t, c) of the stacked transfer over ``omegas``, noise taken from
+    ``two_d`` by ``pairing``."""
+    drifts = [pr.drift_matrix(om, p, ss, **switches) for om in omegas]
+    m = np.stack([dm.m for dm in drifts])
+    g = np.stack([pr.noise_drive(dm.q, pairing(two_d, dm.channels))
+                  for dm in drifts])
+    return pr.second_moment_transfer_stack(m, g, p.length)
+
+
+def _field_covariance(t, c):
+    return pr.hermitian_part(pr.output_covariance(
+        t, c, pr.vacuum_covariance(t.shape[-1] // 2)))
+
+
 def test_free_propagation_preserves_commutators(ref):
     p0 = ref.with_(coupling_scale=0.0)
     ss0 = steady_state(p0)
     two_d0 = lv.diffusion_matrix(p0, ss0)
+    omegas = (-2000.0, -1000.0, 0.0, 400.0, 900.0)
     j = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    for omega in (-2000.0, -1000.0, 0.0, 400.0, 900.0):
-        sol = pr.transfer(omega, p0, ss0, two_d0)
-        assert np.max(np.abs(pr.output_commutators(sol, two_d0, p0.length)
-                             - j)) < 1e-13
-        # and the output state stays exactly vacuum
-        cov = pr.output_field_covariance(sol)
-        assert np.max(np.abs(cov - 0.5 * np.eye(4))) < 1e-13
+    t, c_comm = _field_moments(p0, ss0, two_d0, omegas,
+                               pairing=lv.comm_noise_matrix)
+    assert np.max(np.abs(pr.output_covariance(t, c_comm, j) - j)) < 1e-13
+    # and the output state stays exactly vacuum
+    cov = _field_covariance(*_field_moments(p0, ss0, two_d0, omegas))
+    assert np.max(np.abs(cov - 0.5 * np.eye(4))) < 1e-13
 
 
 def test_output_covariance_hermitian(ref, ss_ref, two_d_ref):
-    sol = pr.transfer(-700.0, ref, ss_ref, two_d_ref)
-    cov = pr.output_field_covariance(sol)
+    cov = _field_covariance(*_field_moments(ref, ss_ref, two_d_ref,
+                                            [-700.0]))[0]
     assert np.max(np.abs(cov - cov.conj().T)) == 0.0
 
 
 def test_gain_ceiling_raises(ref, ss_ref, two_d_ref):
     with pytest.raises(pr.NumericalOverflowError, match="ceiling"):
-        pr.transfer(-2000.0, ref, ss_ref, two_d_ref,
-                    sideband="same", coupling="parametric")
+        _field_moments(ref, ss_ref, two_d_ref, [-2000.0],
+                       sideband="same", coupling="parametric")
 
 
 def test_same_sideband_stable_on_resonance(ref, ss_ref, two_d_ref):
     # the runaway gain of the same-frequency bookkeeping is an
     # off-resonance effect; at the pump detuning it stays finite
-    sol = pr.transfer(ref.delta1, ref, ss_ref, two_d_ref,
-                      sideband="same", coupling="parametric")
-    assert np.all(np.isfinite(sol.t))
+    t, _ = _field_moments(ref, ss_ref, two_d_ref, [ref.delta1],
+                          sideband="same", coupling="parametric")
+    assert np.all(np.isfinite(t))

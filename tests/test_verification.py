@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eitfwm import langevin, verification as vf
+from eitfwm import langevin, propagation as pr, verification as vf
 from eitfwm.steady_state import steady_state
 
 
@@ -78,6 +78,24 @@ def test_each_condition_alone_breaks_commutators(ref, coupling, gamma0):
     two_d = langevin.diffusion_matrix(p, ss)
     assert vf._worst_commutator_dev(p, ss, two_d, vf.COMMUTATOR_GRID,
                                     coupling) > 1.0
+
+
+def test_checks_propagate_each_frequency_set_as_one_stack(ref, monkeypatch):
+    sizes = []
+    real = pr.second_moment_transfer_stack
+
+    def counted(m, *args, **kwargs):
+        sizes.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(pr, "second_moment_transfer_stack", counted)
+    vf.check_commutators(ref)
+    # one stack per control, the commutator moment only
+    assert sizes == [5, 5, 3, 64]
+    sizes.clear()
+    vf.check_limits(ref)
+    # six one-point witnesses of the limits, then the symplectic grid
+    assert sizes == [1] * 6 + [len(vf.COMMUTATOR_GRID)]
 
 
 def test_limit_checks(ref):
