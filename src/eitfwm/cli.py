@@ -333,12 +333,12 @@ def calibrate(rc: RunConfig) -> dict:
         modes = cfg.modes(q)
         new = [s for s in scales if (q.coupling_scale, s) not in evaluated]
         if new:
-            rows = propagation.drift_rows(ss, modes, dp)
-            points = [entanglement.readout(
-                0.0, q.with_(spinwave_scale=s), ss, two_d, rows,
-                cfg.coupling, cfg.sideband, cfg.spinwave_definition, dp)
-                for s in new]
-            block = entanglement.extended_quadratures(points, q.length)
+            set_up = propagation.stack_set_ups([entanglement.witness_set_up(
+                q.with_(spinwave_scale=s), ss, two_d, modes, dp)
+                for s in new])
+            block = entanglement.extended_quadratures(
+                set_up, np.zeros(len(new)), q.length, cfg.coupling,
+                cfg.sideband, cfg.spinwave_definition)
             evaluated.update(((q.coupling_scale, s), quad)
                              for s, quad in zip(new, block))
         labels = [m.name for m in modes] + ["S"]

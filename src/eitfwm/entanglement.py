@@ -13,11 +13,11 @@ the vacuum benchmark being exactly 4.  Both sign pairings are always
 evaluated and the achieving one is recorded, so the witness does not
 depend on the unobservable global phase of the ground-state coherence.
 
-Each point is assembled on its own (``readout``); from the transfer to
-the witness, blocks of points are evaluated as stacked arrays
-(``extended_quadratures``, ``duan_min_stack``).  The one-point
-functions ``covariance_with_spinwave`` and ``duan_min`` are calls of
-the same code with a block of one.
+Blocks of points are evaluated as stacked arrays, from the assembly of
+the drift, noise and readout rows (``assemble``) to the witness
+(``extended_quadratures``, ``duan_min_stack``).  The one-point functions
+``covariance_with_spinwave`` and ``duan_min`` are calls of the same code
+with a block of one.
 
 The coherence mode S is not bosonic: [S, S^+] is proportional to the
 ground-state population difference, which vanishes at the symmetric
@@ -84,47 +84,55 @@ def quadrature_covariance(doubled: np.ndarray) -> np.ndarray:
     return out.real
 
 
-def spinwave_rows(omega: float, p: PhysicalParams, ss: DensityMatrix3,
-                  modes: list, dp: DerivedParams, sideband: str = "mirrored"):
-    """Coefficient rows of S and S^+ over the doubled field basis.
+@dataclass(frozen=True)
+class WitnessSetUp(propagation.DriftRows):
+    """Everything a witness point needs that no frequency changes: the
+    drift set-up plus the spin-wave and noise parts, arrays with the
+    same leading axis over set-ups.
 
-    Returns (row_s, row_sdag, lump_s, lump_sdag, channels): the field
-    rows have length 2n, the lump rows run over the ground-coherence
-    noise channels.  Fields on the 1-3 transition enter S directly, the
-    2-3 ones enter daggered; coefficients are steady-state quantities
-    divided by the coherence response gamma0 + i*omega.  The daggered
-    mode S^+ carries the same response denominator under the mirrored
-    sideband convention (conjugation composed with omega -> -omega) and
-    the conjugate denominator under the literal same-frequency one.
-    The normalization is p.spinwave_scale * sqrt(N).  Like the drift
-    assembly, this runs at one frequency: ``scale / den`` is a CPython
-    complex quotient, which numpy's array division would not reproduce
-    bit for bit.
+    S and S^+ are rows over the doubled field basis: fields on the 1-3
+    transition enter S directly, the 2-3 ones daggered, with steady-state
+    coefficients ``num`` (``num_dag``) divided by the coherence response
+    gamma0 + i*omega, which S^+ shares under the mirrored sideband
+    convention and conjugates under the same-frequency one.  The
+    normalization is spinwave_scale * sqrt(N).
     """
+
+    two_d: np.ndarray           # (k, 6, 6) diffusion tables
+    gamma0: np.ndarray          # (k,) ground-coherence dephasing
+    scale: np.ndarray           # (k,) spin-wave normalization
+    num: np.ndarray             # (k, 2n)
+    num_dag: np.ndarray         # (k, 2n)
+    atom_number: np.ndarray     # (k,)
+
+
+def witness_set_up(p: PhysicalParams, ss: DensityMatrix3,
+                   two_d: np.ndarray, modes: list,
+                   dp: DerivedParams) -> WitnessSetUp:
+    """The set-up of the witness points of ``p`` from its steady state,
+    diffusion table, field modes and derived parameters."""
     scale = p.spinwave_scale
     n = len(modes)
-    s13 = ss.sigma(1, 3)
-    s23 = ss.sigma(2, 3)
-    den = p.gamma0 + 1j * omega
-    den_dag = den if sideband == "mirrored" else np.conj(den)
-
+    s13, s23 = ss.sigma(1, 3), ss.sigma(2, 3)
     num = np.zeros(2 * n, dtype=complex)
     for k, mode in enumerate(modes):
         if mode.transition == "13":
             num[k] = -1j * scale * np.sqrt(dp.g1sq_n) * np.conj(s23)
         else:
             num[n + k] = 1j * scale * np.sqrt(dp.g2sq_n) * s13
-    row_s = num / den
     # daggered row: conjugate numerator with direct/daggered blocks swapped
     num_dag = np.concatenate([np.conj(num[n:]), np.conj(num[:n])])
-    row_sdag = num_dag / den_dag
+    return WitnessSetUp(
+        **vars(propagation.drift_rows(ss, modes, dp)), two_d=two_d[None],
+        gamma0=np.array([p.gamma0]), scale=np.array([scale]),
+        num=num[None], num_dag=num_dag[None],
+        atom_number=np.array([dp.atom_number]))
 
-    channels = langevin.spinwave_noise_channels()
-    lump_s = np.zeros(len(channels), dtype=complex)
-    lump_sdag = np.zeros(len(channels), dtype=complex)
-    lump_s[channels.index((1, 2))] = scale / den
-    lump_sdag[channels.index((2, 1))] = scale / den_dag
-    return row_s, row_sdag, lump_s, lump_sdag, channels
+
+def state_dim(n_modes: int, spinwave: str) -> int:
+    """Dimension of the propagated state: the doubled fields, plus their
+    z-integrals and those of two coherence forces when z-averaged."""
+    return 2 * n_modes if spinwave == "endpoint" else 4 * n_modes + 2
 
 
 @dataclass
@@ -159,132 +167,120 @@ class ExtendedCovariance:
         return duan_min_stack(self.quad, *self._pair(name_i, name_j))
 
 
-@dataclass
-class Readout:
-    """One witness point, assembled and ready for stacked evaluation.
+def assemble(set_up: WitnessSetUp, omegas, length: float,
+             coupling: str = "parametric", sideband: str = "mirrored",
+             spinwave: str = "endpoint"):
+    """(m, q, channels, r, lump) of the witness points at ``omegas``,
+    each with a leading axis over the points.
 
-    The propagated state obeys the drift ``m`` with noise rows ``q`` over
-    the Langevin ``channels`` of the diffusion table ``two_d``.  ``r``
-    reads the extended doubled vector (fields..., S, fields^+..., S^+)
-    off the output state.  The endpoint readout adds the collective
-    noise of S, rows ``lump`` over ``lump_channels``, taken uncorrelated
-    with the optical noises; the z-averaged readout carries that noise
-    in the propagated state and has ``lump`` None.
+    The state obeys the drifts ``m`` with noise rows ``q`` over the
+    Langevin ``channels``; ``r`` reads the extended doubled vector
+    (fields..., S, fields^+..., S^+) off the output state.  The endpoint
+    readout adds the collective noise of S, rows ``lump`` over the
+    ground-coherence channels, uncorrelated with the optical noises.
+    The z-averaged one builds S from the fields averaged along the cell
+    of ``length``: the z-integrals of the fields and of the coherence
+    forces are extra state rows (an exact quadrature), so every
+    cross-correlation is kept, and ``lump`` is None.  Each entry is bit
+    for bit that of a one-point assembly: ``scale / response`` runs as
+    CPython's quotient, the other divisions as numpy's.
     """
-
-    m: np.ndarray
-    q: np.ndarray
-    channels: list
-    r: np.ndarray
-    two_d: np.ndarray
-    lump: np.ndarray | None = None
-    lump_channels: list | None = None
-
-
-def _endpoint_readout(omega, p, ss, two_d, rows, coupling, dp, sideband):
-    dm = rows.at(omega, coupling, sideband)
-    modes = rows.modes
-    n = len(modes)
-    row_s, row_sdag, lump_s, lump_sdag, spin_ch = spinwave_rows(
-        omega, p, ss, modes, dp=dp, sideband=sideband)
-
-    r = np.zeros((2 * n + 2, 2 * n), dtype=complex)
-    r[:n, :n] = np.eye(n)
-    r[n + 1:2 * n + 1, n:] = np.eye(n)
-    r[n, :] = row_s
-    r[2 * n + 1, :] = row_sdag
-
-    lump = np.zeros((2 * n + 2, len(spin_ch)), dtype=complex)
-    lump[n, :] = lump_s
-    lump[2 * n + 1, :] = lump_sdag
-    return Readout(m=dm.m, q=dm.q, channels=dm.channels, r=r, two_d=two_d,
-                   lump=lump, lump_channels=spin_ch)
-
-
-def _z_averaged_readout(omega, p, ss, two_d, rows, coupling, dp, sideband):
-    """S built from fields averaged along z.
-
-    The z-integrals of the fields and of the ground-coherence forces are
-    carried as extra state rows of the propagation (an exact quadrature,
-    no stored z-grids), so every cross-correlation between the averaged
-    coherence and the output fields is kept.
-    """
-    dm = rows.at(omega, coupling, sideband)
-    modes = rows.modes
-    n = len(modes)
-    all_ch = list(langevin.CHANNELS)
-    dim = 4 * n + 2
-    m_aug = np.zeros((dim, dim), dtype=complex)
-    m_aug[:2 * n, :2 * n] = dm.m
-    m_aug[2 * n:4 * n, :2 * n] = np.eye(2 * n)
-    q_aug = np.zeros((dim, len(all_ch)), dtype=complex)
-    for k, ch in enumerate(dm.channels):
-        q_aug[:2 * n, all_ch.index(ch)] = dm.q[:, k]
-    # z-integrals of the coherence forces; sqrt(c/N) puts them on the
-    # same raw-diffusion-table footing as the optical rows, the N
-    # reappears in the readout normalization below and cancels.
-    root_cn = np.sqrt(C / dp.atom_number)
-    q_aug[4 * n, all_ch.index((1, 2))] = root_cn
-    q_aug[4 * n + 1, all_ch.index((2, 1))] = root_cn
-
-    row_s, row_sdag, lump_s, lump_sdag, spin_ch = spinwave_rows(
-        omega, p, ss, modes, dp=dp, sideband=sideband)
-    r = np.zeros((2 * n + 2, dim), dtype=complex)
-    r[:n, :n] = np.eye(n)
-    r[n + 1:2 * n + 1, n:2 * n] = np.eye(n)
-    r[n, 2 * n:4 * n] = row_s / p.length
-    r[2 * n + 1, 2 * n:4 * n] = row_sdag / p.length
-    root_n = np.sqrt(dp.atom_number)
-    r[n, 4 * n] = lump_s[spin_ch.index((1, 2))] * root_n / p.length
-    r[2 * n + 1, 4 * n + 1] = \
-        lump_sdag[spin_ch.index((2, 1))] * root_n / p.length
-    return Readout(m=m_aug, q=q_aug, channels=all_ch, r=r, two_d=two_d)
-
-
-def readout(omega: float, p: PhysicalParams, ss: DensityMatrix3,
-            two_d: np.ndarray, rows: propagation.DriftRows, coupling: str,
-            sideband: str, spinwave: str, dp: DerivedParams) -> Readout:
-    """Assemble one witness point for the spin-wave definition
-    ``spinwave`` from the drift set-up ``rows`` of the point's steady
-    state, modes and derived parameters; every division runs at this one
-    frequency."""
     if spinwave not in SPINWAVE_DEFINITIONS:
         raise ValueError(f"unknown spin-wave definition {spinwave!r}")
-    assemble = (_endpoint_readout if spinwave == "endpoint"
-                else _z_averaged_readout)
-    return assemble(omega, p, ss, two_d, rows, coupling, dp, sideband)
+    omegas = np.asarray(omegas, dtype=float)
+    m, q = propagation.drift_block(set_up, omegas, coupling, sideband)
+    with np.errstate(all="ignore"):
+        den = set_up.gamma0 + 1j * omegas
+        den_dag = den if sideband == "mirrored" else np.conj(den)
+        row_s = set_up.num / den[:, None]
+        row_sdag = set_up.num_dag / den_dag[:, None]
+        lump_s = propagation.complex_quotient(set_up.scale, den)
+        lump_sdag = (lump_s if sideband == "mirrored"
+                     else set_up.scale / den_dag)
+        if spinwave != "endpoint":
+            # S from the fields averaged along the cell; the N of the
+            # force rows' sqrt(c/N) footing cancels against sqrt(N)
+            row_s, row_sdag = row_s / length, row_sdag / length
+            root_n = np.sqrt(set_up.atom_number)
+            lump_s = lump_s * root_n / length
+            lump_sdag = lump_sdag * root_n / length
+    n = len(set_up.modes)
+    size = len(omegas)
+    dim = state_dim(n, spinwave)
+    r = np.zeros((size, 2 * n + 2, dim), dtype=complex)
+    r[:, :n, :n] = np.eye(n)
+    r[:, n + 1:2 * n + 1, n:2 * n] = np.eye(n)
+    s = slice(0, 2 * n) if spinwave == "endpoint" else slice(2 * n, 4 * n)
+    r[:, n, s] = row_s
+    r[:, 2 * n + 1, s] = row_sdag
+    if spinwave == "endpoint":
+        lump = np.zeros((size, 2 * n + 2, 2), dtype=complex)
+        lump[:, n, 0] = lump_s
+        lump[:, 2 * n + 1, 1] = lump_sdag
+        return m, q, set_up.channels, r, lump
+    channels = list(langevin.CHANNELS)
+    m_aug = np.zeros((size, dim, dim), dtype=complex)
+    m_aug[:, :2 * n, :2 * n] = m
+    m_aug[:, 2 * n:4 * n, :2 * n] = np.eye(2 * n)
+    q_aug = np.zeros((size, dim, len(channels)), dtype=complex)
+    q_aug[:, :2 * n, [channels.index(ch) for ch in set_up.channels]] = q
+    # z-integrals of the coherence forces, on the same raw-diffusion-table
+    # footing as the optical rows
+    root_cn = np.sqrt(C / set_up.atom_number)
+    q_aug[:, 4 * n, channels.index((1, 2))] = root_cn
+    q_aug[:, 4 * n + 1, channels.index((2, 1))] = root_cn
+    r[:, n, 4 * n] = lump_s
+    r[:, 2 * n + 1, 4 * n + 1] = lump_sdag
+    return m_aug, q_aug, channels, r, None
 
 
-def extended_quadratures(points: list, length: float) -> np.ndarray:
-    """Quadrature covariances of a block of readouts, shape (N, 2m, 2m).
+def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
+                         coupling: str = "parametric",
+                         sideband: str = "mirrored",
+                         spinwave: str = "endpoint") -> np.ndarray:
+    """Quadrature covariances of the witness points at ``omegas``, shape
+    (N, 2m, 2m).
 
     The points share one spin-wave definition, one mode set and the
-    cell ``length``.  Every step runs on the whole block as stacked
-    arrays: the interval doubling, the output covariance T c_in T^+ + C,
-    the extension R C R^+ and the quadrature transform.
-    """
-    def stack(field):
-        return np.stack([getattr(pt, field) for pt in points])
+    cell ``length``; ``set_up`` is shared by them or stacked over them.
+    Every step runs on the whole block: the assembly, the doubling, the
+    output covariance, the extension R C R^+ and the quadratures.
 
-    first = points[0]
-    two_d = stack("two_d")
-    s = langevin.sym_noise_matrix(two_d, first.channels)
-    t, c = propagation.second_moment_transfer_stack(
-        stack("m"), propagation.noise_drive(stack("q"), s), length)
+    NumericalOverflowError names the first failing point by its
+    frequency and its ``index``: a failed transfer, or a coherence
+    response gamma0 + i*omega that vanishes (no dephasing at omega = 0),
+    where S has no finite row.
+    """
+    m, q, channels, r, lump = assemble(set_up, omegas, length, coupling,
+                                       sideband, spinwave)
+    g = propagation.noise_drive(
+        q, langevin.sym_noise_matrix(set_up.two_d, channels))
+    omegas = np.asarray(omegas, dtype=float)
+    (vanishing,) = np.nonzero((set_up.gamma0 == 0) & (omegas == 0))
+    stop = int(vanishing[0]) if vanishing.size else len(omegas)
+    try:
+        # the points before a vanishing response are propagated first,
+        # so that the first failing point is the one reported
+        t, c = propagation.second_moment_transfer_stack(
+            m[:stop], g[:stop], length)
+        if stop < len(omegas):
+            raise propagation.NumericalOverflowError(
+                "coherence response gamma0 + i*omega vanishes", index=stop)
+    except propagation.NumericalOverflowError as exc:
+        raise propagation.NumericalOverflowError(
+            f"{exc} at omega = {omegas[exc.index]:g} MHz",
+            index=exc.index) from exc
     # the fields start in vacuum, any augmented rows at zero
-    n = first.r.shape[0] // 2 - 1
+    n = r.shape[-2] // 2 - 1
     c_in = np.zeros(t.shape[-2:], dtype=complex)
     c_in[:2 * n, :2 * n] = propagation.vacuum_covariance(n)
     out = propagation.output_covariance(t, c, c_in)
-    endpoint = first.lump is not None
-    if endpoint:
+    if lump is not None:
         out = propagation.hermitian_part(out)
-    r = stack("r")
     ext = r @ out @ propagation.dagger(r)
-    if endpoint:
-        ext = ext + propagation.noise_drive(
-            stack("lump"), langevin.sym_noise_matrix(two_d,
-                                                     first.lump_channels))
+    if lump is not None:
+        ext = ext + propagation.noise_drive(lump, langevin.sym_noise_matrix(
+            set_up.two_d, langevin.spinwave_noise_channels()))
     return quadrature_covariance(propagation.hermitian_part(ext))
 
 
@@ -298,16 +294,11 @@ def covariance_with_spinwave(omega: float, p: PhysicalParams,
                              ) -> ExtendedCovariance:
     """Quadrature covariance of the output fields plus the S mode, read
     out by the spin-wave definition ``spinwave``: a block of one point."""
-    if modes is None:
-        modes = propagation.single_pair_modes(p)
-    if dp is None:
-        dp = derive(p)
-    point = readout(omega, p, ss, two_d,
-                    propagation.drift_rows(ss, modes, dp), coupling,
-                    sideband, spinwave, dp)
+    modes = modes or propagation.single_pair_modes(p)
+    set_up = witness_set_up(p, ss, two_d, modes, dp or derive(p))
     labels = [m.name for m in modes] + ["S"]
-    return ExtendedCovariance(
-        labels=labels, quad=extended_quadratures([point], p.length)[0])
+    return ExtendedCovariance(labels=labels, quad=extended_quadratures(
+        set_up, [omega], p.length, coupling, sideband, spinwave)[0])
 
 
 def duan_values(quad: np.ndarray, i: int, j: int, sign_u: int,

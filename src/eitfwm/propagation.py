@@ -35,13 +35,16 @@ of (d, d) matrices, so the sweeps and the built-in checks evaluate many
 frequencies per call; ``second_moment_transfer`` is a call of it with a
 stack of one.  It checks for finite values once, after the last
 doubling stage: an inf or nan in T persists through every further
-squaring, so the end check catches every overflow.  A fixed-step RK4
+squaring, so the end check catches every overflow.  The drift is
+assembled for a block of frequencies at once (``drift_block``), bit for
+bit as one frequency at a time.  A fixed-step RK4
 integrator of the same quantities, also stack-aware, is provided as an
 independent cross-check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +55,9 @@ from . import langevin
 
 
 class NumericalOverflowError(RuntimeError):
-    """Transfer gain exceeded the trust ceiling of the linearised model.
-
-    ``index`` is the position of the failing matrix in a stacked call.
-    """
+    """Numerical failure at the point ``index`` of a stacked call: the
+    transfer overflowed or exceeded the trust ceiling of the linearised
+    model, or the readout has no finite row there."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -108,119 +110,145 @@ class DriftMatrix:
     channels: list
 
 
-def _row_terms(ss: DensityMatrix3, modes: list[FieldMode],
-               dp: DerivedParams, channels: list) -> list:
-    """Frequency-independent coefficients of every direct row: (optical
-    linewidth, detuning, own term, coherence term, noise amplitude,
-    noise column)."""
-    col = {ch: k for k, ch in enumerate(channels)}
-    s11, s22, s33 = (ss.sigma(1, 1).real, ss.sigma(2, 2).real,
-                     ss.sigma(3, 3).real)
-    s12 = ss.sigma(1, 2)
-    g1g2_n = np.sqrt(dp.g1sq_n * dp.g2sq_n)
-    terms = []
-    for mode in modes:
-        if mode.transition == "13":
-            terms.append((dp.gamma13, mode.detuning, dp.g1sq_n * (s11 - s33),
-                          g1g2_n * s12, np.sqrt(dp.g1sq_n / C), col[(1, 3)]))
-        else:
-            terms.append((dp.gamma23, mode.detuning, dp.g2sq_n * (s22 - s33),
-                          g1g2_n * np.conj(s12), np.sqrt(dp.g2sq_n / C),
-                          col[(2, 3)]))
-    return terms
-
-
-def _direct_blocks(omega: float, terms: list, coupling: str,
-                   partner: dict, n_channels: int):
-    """Direct-sector rows at one frequency: (to-direct, to-daggered, Q).
-
-    The divisions stay scalar, one frequency at a time: ``1j * omega``
-    is a Python complex, so ``den`` is one and several quotients here
-    run in CPython's complex arithmetic, which differs from numpy's
-    array division in the last bit at a large share of frequencies.
-    Evaluating them over a frequency array would change the recorded
-    outputs.
-    """
-    n = len(terms)
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros((n, n), dtype=complex)
-    qd = np.zeros((n, n_channels), dtype=complex)
-    for k, (gamma, detuning, own, coh, root_g, col) in enumerate(terms):
-        den = gamma + 1j * (omega - detuning)
-        a[k, k] = -1j * omega / C - own / (C * den)
-        j = partner[k]
-        if coupling == "as_printed":
-            a[k, j] = -coh / (C * den)
-        else:
-            b[k, j] = -coh / (C * den)
-        # i * g * N / (c * den) with the sqrt(c/N) correlator scale folded
-        # in, so the raw diffusion table can be used as-is downstream
-        qd[k, col] = 1j * root_g / den
-    return a, b, qd
+def complex_quotient(a, b) -> np.ndarray:
+    """a / b elementwise, bit for bit as CPython's complex division:
+    Smith's method (CACM 5 (1962) 435), which divides where numpy's
+    complex division multiplies by a reciprocal.  Warnings are silenced;
+    a zero divisor gives nan."""
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(all="ignore"):
+        # scale by the larger part x of b; y is its other part, and u, v
+        # are the parts of a in the same order
+        by_real = np.abs(b.real) >= np.abs(b.imag)
+        x = np.where(by_real, b.real, b.imag)
+        y = np.where(by_real, b.imag, b.real)
+        u = np.where(by_real, a.real, a.imag)
+        v = np.where(by_real, a.imag, a.real)
+        ratio = y / x
+        denom = x + y * ratio
+        t = u * ratio
+        re = (u + v * ratio) / denom
+        im = np.where(by_real, v - t, t - v) / denom
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 @dataclass(frozen=True)
 class DriftRows:
-    """The frequency-independent part of the drift assembly for one
-    steady state, mode set and derived parameter set; ``at`` assembles
-    the drift at one frequency from it."""
+    """The frequency-independent coefficients of the direct drift rows;
+    arrays have a leading axis over set-ups (``stack_set_ups``): one
+    entry per steady state, mode set and derived parameter set."""
 
     modes: list
     channels: list
-    terms: list              # per direct row, see _row_terms
-    partner: dict            # direct row -> row of its pair partner
-    conjugate_columns: list  # noise column driving each daggered row
-
-    def at(self, omega: float, coupling: str = "parametric",
-           sideband: str = "mirrored") -> DriftMatrix:
-        """Doubled-basis drift and noise coupling at ``omega``."""
-        if coupling not in COUPLINGS:
-            raise ValueError(f"unknown coupling {coupling!r}")
-        if sideband not in SIDEBANDS:
-            raise ValueError(f"unknown sideband convention {sideband!r}")
-        n = len(self.modes)
-        n_channels = len(self.channels)
-        omega_dag = -omega if sideband == "mirrored" else omega
-        # a drift that is not finite (couplings beyond float range) is
-        # reported by the transfer, which checks for it explicitly
-        with np.errstate(over="ignore", invalid="ignore"):
-            a_p, b_p, q_p = _direct_blocks(omega, self.terms, coupling,
-                                           self.partner, n_channels)
-            a_m, b_m, q_m = _direct_blocks(omega_dag, self.terms, coupling,
-                                           self.partner, n_channels)
-        m = np.zeros((2 * n, 2 * n), dtype=complex)
-        q = np.zeros((2 * n, n_channels), dtype=complex)
-        m[:n, :n] = a_p
-        m[:n, n:] = b_p
-        # daggered rows: conjugate of the direct rows at omega_dag.  Under
-        # "mirrored", conj(-i*(-omega)/C) = -i*omega/C, so the kinetic
-        # phase is common to the whole doubled vector; under "same" the
-        # daggered sector carries the opposite kinetic phase +i*omega/C,
-        # which is the literal elementwise-conjugation treatment.
-        m[n:, n:] = np.conj(a_m)
-        m[n:, :n] = np.conj(b_m)
-        q[:n, :] = q_p
-        # the daggered row of channel ch is driven by its conjugate channel
-        q[n:, self.conjugate_columns] = np.conj(q_m)
-        return DriftMatrix(modes=self.modes, m=m, q=q,
-                           channels=self.channels)
+    gamma: np.ndarray           # (k, n) optical linewidth of each row
+    detuning: np.ndarray        # (k, n)
+    own: np.ndarray             # (k, n) own term
+    coh: np.ndarray             # (k, n) coherence term, complex
+    root_g: np.ndarray          # (k, n) noise amplitude
+    columns: tuple              # noise column driving each direct row
+    partner: tuple              # row of each row's pair partner
+    conjugate_columns: tuple    # noise column driving each daggered row
 
 
 def drift_rows(ss: DensityMatrix3, modes: list[FieldMode],
                dp: DerivedParams) -> DriftRows:
     """Set up the drift assembly of ``modes`` once for every frequency."""
     channels = langevin.field_noise_channels()
-    partner = {}
-    for i, mi in enumerate(modes):
-        for j, mj in enumerate(modes):
-            if i != j and mi.pair == mj.pair:
-                partner[i] = j
+    s11, s22, s33 = (ss.sigma(k, k).real for k in (1, 2, 3))
+    s12 = ss.sigma(1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _row_terms(ss, modes, dp, channels)
+        g1g2_n = np.sqrt(dp.g1sq_n * dp.g2sq_n)
+        # per transition: linewidth, own term, coherence term, noise
+        # amplitude and noise channel of a row
+        terms = {
+            "13": (dp.gamma13, dp.g1sq_n * (s11 - s33), g1g2_n * s12,
+                   np.sqrt(dp.g1sq_n / C), (1, 3)),
+            "23": (dp.gamma23, dp.g2sq_n * (s22 - s33),
+                   g1g2_n * np.conj(s12), np.sqrt(dp.g2sq_n / C), (2, 3)),
+        }
+    gamma, own, coh, root_g, noise = zip(*(terms[mode.transition]
+                                           for mode in modes))
     return DriftRows(
-        modes=list(modes), channels=channels, terms=terms, partner=partner,
-        conjugate_columns=[channels.index(langevin.conjugate_channel(ch))
-                           for ch in channels])
+        modes=list(modes), channels=channels, gamma=np.array([gamma]),
+        detuning=np.array([[mode.detuning for mode in modes]]),
+        own=np.array([own]), coh=np.array([coh], dtype=complex),
+        root_g=np.array([root_g]),
+        columns=tuple(channels.index(ch) for ch in noise),
+        partner=tuple(j for i, mi in enumerate(modes)
+                      for j, mj in enumerate(modes)
+                      if i != j and mi.pair == mj.pair),
+        conjugate_columns=tuple(
+            channels.index(langevin.conjugate_channel(ch))
+            for ch in channels))
+
+
+def stack_set_ups(set_ups: list):
+    """One set-up for a block of points from the set-ups of its points,
+    array fields concatenated; points sharing one set-up keep it."""
+    first = set_ups[0]
+    if all(s is first for s in set_ups):
+        return first
+    return dataclasses.replace(first, **{
+        f.name: np.concatenate([getattr(s, f.name) for s in set_ups])
+        for f in dataclasses.fields(first)
+        if isinstance(getattr(first, f.name), np.ndarray)})
+
+
+def _direct_sector(rows: DriftRows, omega: np.ndarray, coupling: str):
+    """Direct-sector rows (to-direct, to-daggered, Q) at the frequencies
+    ``omega``, of shape (..., N, 1).  ``den`` was a Python complex in the
+    one-frequency assembly: the quotients of Python numbers run as
+    CPython's, that of the coherence term, a numpy complex, as numpy's.
+    Every product has a real or imaginary factor, so numpy's complex
+    multiply, fused or not, rounds it as CPython does."""
+    den = rows.gamma + 1j * (omega - rows.detuning)
+    c_den = C * den
+    n = len(rows.modes)
+    k = np.arange(n)
+    a = np.zeros(den.shape + (n,), dtype=complex)
+    b = np.zeros_like(a)
+    qd = np.zeros(den.shape + (len(rows.channels),), dtype=complex)
+    a[..., k, k] = (complex_quotient(-1j * omega, C)
+                    - complex_quotient(rows.own, c_den))
+    (a if coupling == "as_printed" else b)[..., k, rows.partner] = \
+        -rows.coh / c_den
+    # i * g * N / (c * den) with the sqrt(c/N) correlator scale folded
+    # in, so the raw diffusion table can be used as-is downstream
+    qd[..., k, rows.columns] = complex_quotient(1j * rows.root_g, den)
+    return a, b, qd
+
+
+def drift_block(rows: DriftRows, omegas, coupling: str = "parametric",
+                sideband: str = "mirrored"):
+    """Doubled-basis drift and noise coupling (m, q) at every frequency
+    of ``omegas``, shapes (N, 2n, 2n) and (N, 2n, n_channels); each
+    matrix bit for bit the one-frequency assembly of the same rows."""
+    if coupling not in COUPLINGS:
+        raise ValueError(f"unknown coupling {coupling!r}")
+    if sideband not in SIDEBANDS:
+        raise ValueError(f"unknown sideband convention {sideband!r}")
+    omega = np.asarray(omegas, dtype=float)[:, None]
+    omega_dag = -omega if sideband == "mirrored" else omega
+    n = len(rows.modes)
+    # a drift that is not finite (couplings beyond float range) is
+    # reported by the transfer, which checks for it explicitly
+    with np.errstate(over="ignore", invalid="ignore"):
+        (a_p, a_m), (b_p, b_m), (q_p, q_m) = _direct_sector(
+            rows, np.stack([omega, omega_dag]), coupling)
+    # daggered rows: conjugate of the direct rows at omega_dag.  Under
+    # "mirrored", conj(-i*(-omega)/C) = -i*omega/C, so the kinetic
+    # phase is common to the whole doubled vector; under "same" the
+    # daggered sector carries the opposite kinetic phase +i*omega/C,
+    # which is the literal elementwise-conjugation treatment.
+    m = np.empty((len(omega), 2 * n, 2 * n), dtype=complex)
+    m[:, :n, :n], m[:, :n, n:] = a_p, b_p
+    m[:, n:, n:], m[:, n:, :n] = np.conj(a_m), np.conj(b_m)
+    # the daggered row of channel ch is driven by its conjugate channel;
+    # conjugation swaps channels in pairs, so the gather is its own inverse
+    q_dag = np.conj(q_m)[..., rows.conjugate_columns]
+    return m, np.concatenate([q_p, q_dag], axis=1)
 
 
 def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
@@ -229,12 +257,10 @@ def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
                  dp: DerivedParams | None = None,
                  sideband: str = "mirrored") -> DriftMatrix:
     """Assemble the doubled-basis drift and noise coupling at ``omega``:
-    a one-frequency call of drift_rows(...).at(...)."""
-    if modes is None:
-        modes = single_pair_modes(p)
-    if dp is None:
-        dp = derive(p)
-    return drift_rows(ss, modes, dp).at(omega, coupling, sideband)
+    a block of one frequency of drift_block."""
+    rows = drift_rows(ss, modes or single_pair_modes(p), dp or derive(p))
+    m, q = drift_block(rows, [omega], coupling, sideband)
+    return DriftMatrix(rows.modes, m[0], q[0], rows.channels)
 
 
 def dagger(x: np.ndarray) -> np.ndarray:

@@ -3,19 +3,20 @@
 This module owns grid construction (with automatic refinement near the
 pair detunings and a cap on the point count), one block sweep engine
 shared by every sweep axis, dip/plateau summaries, and the CSV/JSON
-writers.  The engine assembles each point on its own, in grid order,
-with the scalar helpers of the covariance assembly, then evaluates
-blocks of consecutive points as stacked arrays: interval doubling,
-output covariance, coherence-mode extension, quadrature transform and
-both witness sign branches.  A block gives every point bit for bit the
-result of a one-point evaluation, so rerunning a sweep with the same
-configuration reproduces the output byte for byte.
+writers.  The engine evaluates blocks of consecutive points as stacked
+arrays, from the assembly of drift, noise and readout rows through the
+interval doubling, output covariance, coherence-mode extension and
+quadrature transform to both witness sign branches.  A block gives
+every point bit for bit the result of a one-point evaluation, so
+rerunning a sweep with the same configuration reproduces the output
+byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -149,84 +150,66 @@ def omega_grid(start: float, stop: float, n: int,
     return np.unique(np.concatenate(patches))
 
 
-def _blocks(items):
-    """Consecutive lists of ``(x, omega, readout)`` items, each holding
-    about BLOCK_ENTRIES entries of propagated matrices.
-
-    An error raised while an item is assembled surfaces only after the
-    items before it have been handed out, so a failing sweep always
-    reports its first failing point in stream order.
-    """
-    block, size = [], None
-    try:
-        for item in items:
-            if size is None:
-                size = max(1, BLOCK_ENTRIES // item[2].m.shape[-1] ** 2)
-            block.append(item)
-            if len(block) == size:
-                yield block
-                block = []
-    except Exception:
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
-
-
 def _set_up(p: PhysicalParams, config: SweepConfig):
     """Everything a witness point needs that no frequency changes: the
     steady state, the diffusion table, the derived parameters and the
-    drift set-up of the configured modes."""
+    drift set-up of the configured modes, as one witness set-up."""
     ss = steady_state(p)
     two_d = langevin.diffusion_matrix(p, ss)
     dp = derive(p)
-    return p, ss, two_d, dp, propagation.drift_rows(ss, config.modes(p), dp)
+    return entanglement.witness_set_up(p, ss, two_d, config.modes(p), dp)
 
 
-def _sweep(p: PhysicalParams, axis: str, values, points,
+def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups,
            config: SweepConfig) -> CorrelationSpectrum:
-    """Evaluate every configured pair witness over an ordered stream of
-    ``(omega, set-up)`` points, one per entry of ``values``, the sweep
-    variable named ``axis``; a set-up is a ``_set_up`` tuple.
+    """Evaluate every configured pair witness at the points
+    ``(omegas[i], next(set_ups))``, one per entry of ``values``, the
+    sweep variable named ``axis``; a set-up is a ``_set_up`` result.
 
-    Each point is assembled on its own (drift, noise and readout rows
-    at one frequency); blocks of consecutive points are then evaluated
-    as stacked arrays, from the interval doubling to both sign branches
-    of every witness.  Every point shares the cell length of ``p``.
+    Blocks of consecutive points, each holding about BLOCK_ENTRIES
+    entries of propagated matrices, are evaluated as stacked arrays, from
+    the assembly to both sign branches of every witness.  Every point
+    shares the cell length of ``p``.
 
-    A numerical overflow in the propagation is re-raised with the first
-    offending frequency, in stream order, attached (and the swept value
-    when ``axis`` is a parameter); partial results are discarded so a
-    failed sweep can never emit a truncated file.
+    A failing sweep reports its first failing point: a numerical
+    failure names its frequency, and the swept value when ``axis`` is a
+    parameter; an error raised while a set-up is built surfaces after
+    the points before it have been evaluated.  Partial results are
+    discarded so a failed sweep can never emit a truncated file.
     """
     pairs = config.pairs()
-    labels = [m.name for m in config.modes(p)] + ["S"]
+    modes = config.modes(p)
+    labels = [m.name for m in modes] + ["S"]
     witness_values = {pair: [] for pair in pairs}
     witness_signs = {pair: [] for pair in pairs}
-
-    def items():
-        for x, (om, (q, ss, two_d, dp, rows)) in zip(values, points):
-            yield x, om, entanglement.readout(
-                om, q, ss, two_d, rows, config.coupling, config.sideband,
-                config.spinwave_definition, dp)
-
-    for block in _blocks(items()):
+    size = max(1, BLOCK_ENTRIES // entanglement.state_dim(
+        len(modes), config.spinwave_definition) ** 2)
+    for lo in range(0, len(values), size):
+        block, failure = [], None
         try:
-            quad = entanglement.extended_quadratures(
-                [pt for _, _, pt in block], p.length)
-        except propagation.NumericalOverflowError as exc:
-            x, om, _ = block[exc.index]
-            where = f"omega = {om:g} MHz"
-            if axis != "omega":
-                where += f", {axis} = {float(x):g}"
-            raise propagation.NumericalOverflowError(
-                f"{exc} at {where}") from exc
-        ext = entanglement.ExtendedCovariance(labels=labels, quad=quad)
-        for pair in pairs:
-            v, signs = ext.duan_stack(*pair)
-            witness_values[pair].extend(v.tolist())
-            witness_signs[pair].extend(signs)
+            while len(block) < min(size, len(values) - lo):
+                block.append(next(set_ups))
+        except Exception as exc:
+            failure = exc
+        if block:
+            try:
+                quad = entanglement.extended_quadratures(
+                    propagation.stack_set_ups(block),
+                    omegas[lo:lo + len(block)], p.length, config.coupling,
+                    config.sideband, config.spinwave_definition)
+            except propagation.NumericalOverflowError as exc:
+                if axis == "omega":
+                    raise
+                raise propagation.NumericalOverflowError(
+                    f"{exc}, {axis} = {float(values[lo + exc.index]):g}"
+                ) from exc
+            ext = entanglement.ExtendedCovariance(labels=labels, quad=quad)
+            for pair in pairs:
+                v, signs = ext.duan_stack(*pair)
+                witness_values[pair].extend(v.tolist())
+                witness_signs[pair].extend(signs)
+        if failure is not None:
+            raise failure
     return CorrelationSpectrum(
         omegas=np.asarray(values, dtype=float), pairs=pairs,
         values={pair: np.array(vs, dtype=float)
@@ -240,9 +223,8 @@ def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None
     every point shares one ``_set_up``."""
     omegas = np.asarray(omegas, dtype=float)
     config = config or SweepConfig()
-    set_up = _set_up(p, config)
-    return _sweep(p, "omega", omegas, ((om, set_up) for om in omegas),
-                  config)
+    return _sweep(p, "omega", omegas, omegas,
+                  itertools.repeat(_set_up(p, config)), config)
 
 
 def _sweep_param(p: PhysicalParams, axis: str, field: str, values,
@@ -251,9 +233,10 @@ def _sweep_param(p: PhysicalParams, axis: str, field: str, values,
     """Witnesses at fixed frequency while the parameter ``field`` takes
     each of ``values``; every point has its own ``_set_up``."""
     config = config or SweepConfig()
-    points = ((omega, _set_up(p.with_(**{field: float(x)}), config))
-              for x in values)
-    return _sweep(p, axis, values, points, config)
+    set_ups = (_set_up(p.with_(**{field: float(x)}), config)
+               for x in values)
+    return _sweep(p, axis, values, np.full(len(values), float(omega)),
+                  set_ups, config)
 
 
 def sweep_gamma0(p: PhysicalParams, gamma0s, omega: float = 0.0,

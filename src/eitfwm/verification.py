@@ -81,9 +81,7 @@ def _drift_stack(rows, omegas, two_d, pairing, coupling="parametric",
     ``rows`` at every frequency of ``omegas``, the channel covariance
     taken from ``two_d`` by ``pairing`` (langevin.sym_noise_matrix or
     langevin.comm_noise_matrix)."""
-    drifts = [rows.at(om, coupling, sideband) for om in omegas]
-    m = np.stack([dm.m for dm in drifts])
-    q = np.stack([dm.q for dm in drifts])
+    m, q = propagation.drift_block(rows, omegas, coupling, sideband)
     return m, propagation.noise_drive(q, pairing(two_d, rows.channels))
 
 

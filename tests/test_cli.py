@@ -7,7 +7,7 @@ import json
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eitfwm import cli, entanglement, langevin, sweeps, verification
 from eitfwm.params import reference_params
@@ -166,6 +166,29 @@ def test_degenerate_drives_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("experiment,lines", [
+    ("fig2", ""),
+    ("calibrate", ""),
+    ("spectrum", "omega_min = -1\nomega_max = 1\nn_points = 3\n"),
+    ("spectrum", "omega_min = -1\nomega_max = 1\nn_points = 3\n"
+                 "two_pair = true\nspinwave_definition = z-averaged\n"),
+], ids=["fig2", "calibrate", "spectrum", "two_pair_z_averaged"])
+def test_vanishing_coherence_response_exits_2(tmp_path, capsys, experiment,
+                                              lines):
+    # without dephasing the coherence response gamma0 + i*omega is zero
+    # at omega = 0, a point of every one of these grids
+    cfg = tmp_path / "undephased.cfg"
+    cfg.write_text("gamma0 = 0\n" + lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--experiment", experiment, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "eitfwm: numerical failure: coherence response gamma0 + i*omega "
+        "vanishes at omega = 0 MHz\n")
+
+
 _FUZZ_VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300"]),
     st.floats(-1e6, 1e6).map(repr))
@@ -195,6 +218,25 @@ def test_any_numeric_config_ends_a_parameter_sweep_in_an_exit_code(
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(["--experiment", "fig4", "--config", str(cfg),
+                         "--out", str(cfg.with_suffix(".csv"))])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.dictionaries(st.sampled_from(cli._PARAM_KEYS), _FUZZ_VALUES,
+                       min_size=1, max_size=3))
+@example({"gamma0": "0"})
+def test_any_numeric_config_ends_a_spectrum_through_zero_in_an_exit_code(
+        tmp_path_factory, config):
+    # a 3-point grid through omega = 0, where the coherence response
+    # gamma0 + i*omega vanishes when there is no dephasing
+    cfg = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items())
+                   + "omega_min = -1\nomega_max = 1\nn_points = 3\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["--experiment", "spectrum", "--config", str(cfg),
                          "--out", str(cfg.with_suffix(".csv"))])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
@@ -318,13 +360,13 @@ def test_calibrate_solves_the_set_up_once(monkeypatch):
 
 def test_calibrate_evaluates_each_witness_point_once(monkeypatch):
     seen = []
-    real = entanglement.readout
+    real = entanglement.witness_set_up
 
-    def recorded(omega, p, *args, **kwargs):
+    def recorded(p, *args, **kwargs):
         seen.append((p.coupling_scale, p.spinwave_scale))
-        return real(omega, p, *args, **kwargs)
+        return real(p, *args, **kwargs)
 
-    monkeypatch.setattr(entanglement, "readout", recorded)
+    monkeypatch.setattr(entanglement, "witness_set_up", recorded)
     cli.calibrate(cli.RunConfig(params=reference_params()))
     assert len(seen) == len(set(seen))
 

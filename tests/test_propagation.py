@@ -163,3 +163,42 @@ def test_same_sideband_stable_on_resonance(ref, ss_ref, two_d_ref):
     t, _ = _field_moments(ref, ss_ref, two_d_ref, [ref.delta1],
                           sideband="same", coupling="parametric")
     assert np.all(np.isfinite(t))
+
+
+#: doubles of every kind: finite ones over the whole range, subnormals,
+#: signed zeros, infinities and nan
+_DOUBLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, float("inf"),
+                     float("-inf"), float("nan")]))
+
+
+def _bits(z: np.ndarray) -> bytes:
+    """Bytes of a complex array with every nan part made the same nan.
+
+    Which operand's nan a sum of two nans returns depends on the
+    operand order the compiler chose, so the sign of a nan is not part
+    of the arithmetic; it never reaches an output, which prints "nan".
+    """
+    parts = np.stack([z.real, z.imag])
+    parts[np.isnan(parts)] = np.nan
+    return parts.tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(_DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE),
+                min_size=1, max_size=8))
+def test_array_quotient_is_cpython_complex_division(operands):
+    # every divisor also with its parts swapped, so that both of Smith's
+    # branches, |b.real| >= |b.imag| and <, are taken; a zero divisor is
+    # the assembly's error path, not the quotient's
+    pairs = [(complex(ar, ai), complex(br, bi))
+             for ar, ai, br, bi in operands
+             for br, bi in ((br, bi), (bi, br)) if br or bi]
+    if not pairs:
+        return
+    a = np.array([x for x, _ in pairs])
+    b = np.array([y for _, y in pairs])
+    assert _bits(pr.complex_quotient(a, b)) == \
+        _bits(np.array([x / y for x, y in pairs]))

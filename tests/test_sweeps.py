@@ -9,7 +9,6 @@ from eitfwm import entanglement as en
 from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import sweeps
-from eitfwm.params import derive
 from eitfwm.steady_state import steady_state
 
 
@@ -112,17 +111,16 @@ def test_two_pair_sweep_reports_cross_pairs(ref):
 BLOCK_GRID = np.linspace(-1000.0, 3000.0, 13)
 
 
-def _readout(p, cfg, omega):
-    ss = steady_state(p)
-    dp = derive(p)
-    return en.readout(omega, p, ss, lv.diffusion_matrix(p, ss),
-                      pr.drift_rows(ss, cfg.modes(p), dp), cfg.coupling,
-                      cfg.sideband, cfg.spinwave_definition, dp)
+def _drift(p, cfg, omega):
+    """The propagated drift of one point of a sweep of ``cfg``."""
+    m, *_ = en.assemble(sweeps._set_up(p, cfg), [omega], p.length,
+                        cfg.coupling, cfg.sideband, cfg.spinwave_definition)
+    return m[0]
 
 
 def _small_blocks(monkeypatch, cfg, p):
     """Shrink the sweep blocks to 4 points of this configuration."""
-    dim = _readout(p, cfg, 0.0).m.shape[-1]
+    dim = _drift(p, cfg, 0.0).shape[-1]
     monkeypatch.setattr(sweeps, "BLOCK_ENTRIES", 4 * dim * dim)
 
 
@@ -148,7 +146,7 @@ def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     two_d = lv.diffusion_matrix(ref, ss)
     stages = set()
     for i, om in enumerate(BLOCK_GRID):
-        stages.add(_stage_count(_readout(ref, cfg, om).m, ref.length))
+        stages.add(_stage_count(_drift(ref, cfg, om), ref.length))
         ext = en.covariance_with_spinwave(
             om, ref, ss, two_d, modes=cfg.modes(ref), coupling=cfg.coupling,
             sideband=cfg.sideband, spinwave=cfg.spinwave_definition)
@@ -207,6 +205,27 @@ def test_overflow_precedes_a_later_set_up_failure(ref):
     cfg = sweeps.SweepConfig(sideband="same")
     with pytest.raises(pr.NumericalOverflowError, match=r"gamma0 = 0\.1$"):
         sweeps.sweep_gamma0(ref, [0.1, -1.0], omega=-2000.0, config=cfg)
+
+
+@pytest.mark.parametrize("sweep,where", [
+    (lambda p, cfg: sweeps.sweep_omega(p.with_(gamma0=0.0),
+                                       np.array([-2000.0, 0.0]), cfg),
+     r"^transfer gain .* at omega = -2000 MHz$"),
+    (lambda p, cfg: sweeps.sweep_omega(p.with_(gamma0=0.0),
+                                       np.array([0.0, -2000.0]), cfg),
+     r"^coherence response .* vanishes at omega = 0 MHz$"),
+    (lambda p, cfg: sweeps.sweep_gamma0(p, [0.1, 0.0, -1.0], omega=0.0),
+     r"^coherence response .* vanishes at omega = 0 MHz, gamma0 = 0$"),
+], ids=["overflow_first", "vanishing_first", "gamma0"])
+def test_vanishing_coherence_response_is_reported_in_grid_order(ref, sweep,
+                                                                where):
+    # without dephasing the coherence response gamma0 + i*omega is zero
+    # at omega = 0; an overflow at an earlier point of the same block
+    # ("same" sideband at -2000 MHz) is reported instead, and a set-up
+    # failure at a later point (gamma0 = -1) is never reached
+    cfg = sweeps.SweepConfig(sideband="same")
+    with pytest.raises(pr.NumericalOverflowError, match=where):
+        sweep(ref, cfg)
 
 
 def test_find_dip_interior_minimum(ref):
