@@ -9,12 +9,14 @@ are rejected with the line number; an empty or missing config runs the
 reference parameter set unchanged.
 
 Exit codes: 0 success, 1 config or parameter validation error
-(including non-finite values and frequency grids beyond
+(including non-finite values, a spectrum window whose span
+``omega_max - omega_min`` is not finite and frequency grids beyond
 ``sweeps.MAX_GRID_POINTS``), 2 numerical failure (exponential gain or
-overflow in the propagation, reported with the offending frequency and,
-in a parameter sweep, the swept value, or drives that leave no unique
-steady state), 3 verification suite
-reporting a surprising outcome.  Every output file embeds the effective
+overflow in the propagation, an extended covariance that is not finite
+or a vanishing coherence response, reported with the offending
+frequency and, in a parameter sweep, the swept value, or drives that
+leave no unique steady state), 3 verification suite reporting a
+surprising outcome.  Every output file embeds the effective
 configuration so a result can always be traced back to its inputs.
 """
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -144,22 +145,6 @@ def config_echo(rc: RunConfig) -> dict:
     return echo
 
 
-def _write_text(lines, out) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_payload(payload: dict, out) -> None:
-    if out:
-        sweeps.write_json(payload, out)
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _emit_spectrum(spec, rc, dips, out, fmt, analysis=None,
                    extra_meta=None) -> None:
     if fmt == "json":
@@ -167,12 +152,12 @@ def _emit_spectrum(spec, rc, dips, out, fmt, analysis=None,
         payload["config_echo"] = config_echo(rc)
         if analysis:
             payload["analysis"] = analysis
-        _write_payload(payload, out)
+        sweeps.write_json(payload, out)
         return
     meta = config_echo(rc)
     if extra_meta:
         meta.update(extra_meta)
-    _write_text(sweeps.csv_lines(spec, extra_meta=meta), out)
+    sweeps.write_text(sweeps.csv_lines(spec, extra_meta=meta), out)
 
 
 # --- experiments -----------------------------------------------------------
@@ -187,7 +172,7 @@ def _run_steady(rc, out) -> int:
         "rho_im": ss.matrix.imag.tolist(),
         "populations": [float(x) for x in ss.populations],
     }
-    _write_payload(payload, out)
+    sweeps.write_json(payload, out)
     return 0
 
 
@@ -202,7 +187,7 @@ def _run_noise(rc, out) -> int:
         "matrix_re": two_d.real.tolist(),
         "matrix_im": two_d.imag.tolist(),
     }
-    _write_payload(payload, out)
+    sweeps.write_json(payload, out)
     return 0
 
 
@@ -210,6 +195,10 @@ def _spectrum_grid(rc) -> np.ndarray:
     p = rc.params
     if not rc.omega_min < rc.omega_max:
         raise ValidationError("omega_min must be below omega_max")
+    if not math.isfinite(rc.omega_max - rc.omega_min):
+        raise ValidationError(
+            f"omega_max - omega_min must be finite, got omega_min = "
+            f"{rc.omega_min:g}, omega_max = {rc.omega_max:g}")
     centers = (p.delta1, p.delta2) if rc.model.two_pair else (p.delta1,)
     return sweeps.omega_grid(rc.omega_min, rc.omega_max, rc.n_points,
                              refine_centers=centers, p=p)
@@ -380,16 +369,16 @@ def calibrate(rc: RunConfig) -> dict:
 
 
 def _run_calibrate(rc, out) -> int:
-    _write_payload(calibrate(rc), out)
+    sweeps.write_json(calibrate(rc), out)
     return 0
 
 
 def _run_verify(rc, out) -> int:
     reports = verification.run_all(rc.params)
     lines = verification.format_lines(reports)
-    _write_text(lines, None)
+    sweeps.write_text(lines)
     if out:
-        _write_text(lines, out)
+        sweeps.write_text(lines, out)
     return verification.verify_exit_code(reports)
 
 

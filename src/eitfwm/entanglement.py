@@ -247,41 +247,56 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
     output covariance, the extension R C R^+ and the quadratures.
 
     NumericalOverflowError names the first failing point by its
-    frequency and its ``index``: a failed transfer, or a coherence
-    response gamma0 + i*omega that vanishes (no dephasing at omega = 0),
-    where S has no finite row.
+    frequency and its ``index``: a failed transfer, an extended
+    covariance that is not finite (a coherence response too small for
+    the S rows to stay in float range), or a coherence response
+    gamma0 + i*omega that vanishes (no dephasing at omega = 0), where S
+    has no finite row.
     """
     m, q, channels, r, lump = assemble(set_up, omegas, length, coupling,
                                        sideband, spinwave)
-    g = propagation.noise_drive(
-        q, langevin.sym_noise_matrix(set_up.two_d, channels))
     omegas = np.asarray(omegas, dtype=float)
     (vanishing,) = np.nonzero((set_up.gamma0 == 0) & (omegas == 0))
     stop = int(vanishing[0]) if vanishing.size else len(omegas)
-    try:
-        # the points before a vanishing response are propagated first,
-        # so that the first failing point is the one reported
-        t, c = propagation.second_moment_transfer_stack(
-            m[:stop], g[:stop], length)
-        if stop < len(omegas):
+    # a covariance that is not finite is reported below, not left to
+    # floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = propagation.noise_drive(
+            q, langevin.sym_noise_matrix(set_up.two_d, channels))
+        if lump is not None:
+            lump_noise = propagation.noise_drive(
+                lump, langevin.sym_noise_matrix(
+                    set_up.two_d, langevin.spinwave_noise_channels()))
+        try:
+            # the points before a vanishing response are evaluated
+            # first, so that the first failing point is the one reported
+            t, c = propagation.second_moment_transfer_stack(
+                m[:stop], g[:stop], length)
+            # the fields start in vacuum, any augmented rows at zero
+            n = r.shape[-2] // 2 - 1
+            c_in = np.zeros(t.shape[-2:], dtype=complex)
+            c_in[:2 * n, :2 * n] = propagation.vacuum_covariance(n)
+            out = propagation.output_covariance(t, c, c_in)
+            if lump is not None:
+                out = propagation.hermitian_part(out)
+            ext = r[:stop] @ out @ propagation.dagger(r[:stop])
+            if lump is not None:
+                ext = ext + lump_noise[:stop]
+            quad = quadrature_covariance(propagation.hermitian_part(ext))
+            bad = ~np.all(np.isfinite(quad), axis=(-2, -1))
+            if np.any(bad):
+                raise propagation.NumericalOverflowError(
+                    "extended covariance is not finite",
+                    index=int(np.argmax(bad)))
+            if stop < len(omegas):
+                raise propagation.NumericalOverflowError(
+                    "coherence response gamma0 + i*omega vanishes",
+                    index=stop)
+        except propagation.NumericalOverflowError as exc:
             raise propagation.NumericalOverflowError(
-                "coherence response gamma0 + i*omega vanishes", index=stop)
-    except propagation.NumericalOverflowError as exc:
-        raise propagation.NumericalOverflowError(
-            f"{exc} at omega = {omegas[exc.index]:g} MHz",
-            index=exc.index) from exc
-    # the fields start in vacuum, any augmented rows at zero
-    n = r.shape[-2] // 2 - 1
-    c_in = np.zeros(t.shape[-2:], dtype=complex)
-    c_in[:2 * n, :2 * n] = propagation.vacuum_covariance(n)
-    out = propagation.output_covariance(t, c, c_in)
-    if lump is not None:
-        out = propagation.hermitian_part(out)
-    ext = r @ out @ propagation.dagger(r)
-    if lump is not None:
-        ext = ext + propagation.noise_drive(lump, langevin.sym_noise_matrix(
-            set_up.two_d, langevin.spinwave_noise_channels()))
-    return quadrature_covariance(propagation.hermitian_part(ext))
+                f"{exc} at omega = {omegas[exc.index]:g} MHz",
+                index=exc.index) from exc
+    return quad
 
 
 def covariance_with_spinwave(omega: float, p: PhysicalParams,
@@ -289,13 +304,12 @@ def covariance_with_spinwave(omega: float, p: PhysicalParams,
                              modes: list | None = None,
                              coupling: str = "parametric",
                              sideband: str = "mirrored",
-                             spinwave: str = "endpoint",
-                             dp: DerivedParams | None = None
+                             spinwave: str = "endpoint"
                              ) -> ExtendedCovariance:
     """Quadrature covariance of the output fields plus the S mode, read
     out by the spin-wave definition ``spinwave``: a block of one point."""
     modes = modes or propagation.single_pair_modes(p)
-    set_up = witness_set_up(p, ss, two_d, modes, dp or derive(p))
+    set_up = witness_set_up(p, ss, two_d, modes, derive(p))
     labels = [m.name for m in modes] + ["S"]
     return ExtendedCovariance(labels=labels, quad=extended_quadratures(
         set_up, [omega], p.length, coupling, sideband, spinwave)[0])

@@ -66,6 +66,10 @@ class NumericalOverflowError(RuntimeError):
 
 GAIN_CEILING = 1e6
 
+#: largest ||m||_1 * h of the Taylor start step of the interval
+#: doubling, see second_moment_transfer_stack
+DOUBLING_THETA = 2.0 ** -10
+
 #: couplings of the field-pair drift to the ground coherence: "as_printed"
 #: converts the partner mode directly (a couples to b), "parametric"
 #: couples each mode to the daggered partner (a couples to b^+), the only
@@ -302,20 +306,19 @@ def _doubling(m: np.ndarray, g: np.ndarray, length: float, k: int):
     return t, c
 
 
-def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray,
-                                 length: float, _theta: float = 2.0 ** -10):
+def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     """T = exp(m*length) and int_0^length exp(m s) g exp(m^+ s) ds for
     every matrix of the stacks ``m`` and ``g``, shape (N, d, d).
 
     Interval-doubling: start from a Taylor step with truncation error
     well below the target accuracy, then double the interval, composing
     the moment integral with the short-interval transfer at every stage.
-    The threshold balances truncation (pushes h down) against roundoff
-    amplification over the squaring chain (pushes the stage count down);
-    2^-10 keeps both near 1e-12 for the matrices met here.  Matrices
-    sharing a stage count are doubled together; the result of each one
-    is bit for bit that of doubling it alone.  Stable for strongly
-    decaying m (entries of T underflow to zero honestly).
+    The threshold DOUBLING_THETA balances truncation (pushes h down)
+    against roundoff amplification over the squaring chain (pushes the
+    stage count down); 2^-10 keeps both near 1e-12 for the matrices met
+    here.  Matrices sharing a stage count are doubled together; the
+    result of each one is bit for bit that of doubling it alone.  Stable
+    for strongly decaying m (entries of T underflow to zero honestly).
 
     Finiteness is checked once, after the last stage: an inf or nan in
     T survives every further squaring, so the end check sees every
@@ -334,7 +337,7 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray,
         finite_m = np.isfinite(norms)
         stages = np.full(len(m), -1)
         stages[finite_m] = np.maximum(0, np.ceil(np.log2(
-            np.maximum(norms[finite_m], 1e-300) / _theta)))
+            np.maximum(norms[finite_m], 1e-300) / DOUBLING_THETA)))
         for k in np.unique(stages[finite_m]):
             sel = stages == k
             t[sel], c[sel] = _doubling(m[sel], g[sel], length, int(k))
@@ -354,11 +357,10 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray,
     return t, hermitian_part(c)
 
 
-def second_moment_transfer(m: np.ndarray, g: np.ndarray, length: float,
-                           _theta: float = 2.0 ** -10):
+def second_moment_transfer(m: np.ndarray, g: np.ndarray, length: float):
     """One-matrix call of second_moment_transfer_stack."""
     t, c = second_moment_transfer_stack(m[None], np.asarray(g)[None],
-                                        length, _theta)
+                                        length)
     return t[0], c[0]
 
 

@@ -122,7 +122,7 @@ def bloch_drift(p: PhysicalParams) -> np.ndarray:
     return apply_generator(p, units).reshape(9, 9)
 
 
-def steady_state(p: PhysicalParams, rcond: float = 1e-10) -> DensityMatrix3:
+def steady_state(p: PhysicalParams) -> DensityMatrix3:
     """Unique stationary state of the Bloch generator.
 
     Solves the null space of the drift matrix and normalises the trace.
@@ -131,7 +131,7 @@ def steady_state(p: PhysicalParams, rcond: float = 1e-10) -> DensityMatrix3:
     DegenerateSteadyStateError is raised instead of picking one.
     """
     a = bloch_drift(p)
-    ns = null_space(a, rcond=rcond)
+    ns = null_space(a, rcond=1e-10)
     if ns.shape[1] == 0:
         raise DegenerateSteadyStateError("no stationary state found")
     if ns.shape[1] > 1:
@@ -150,22 +150,21 @@ def steady_state(p: PhysicalParams, rcond: float = 1e-10) -> DensityMatrix3:
 
 
 def steady_state_ode_oracle(p: PhysicalParams,
-                            initial: np.ndarray | None = None,
-                            t_final: float | None = None) -> DensityMatrix3:
+                            initial: np.ndarray | None = None
+                            ) -> DensityMatrix3:
     """Long-time Bloch integration, an independent check of steady_state.
 
     Integrates the 9-component mean equations from ``initial`` (default:
-    an even ground-state mixture) until ``t_final`` (default: many times
-    the slowest relaxation scale) and returns the final state.
+    an even ground-state mixture) for 60 times the slowest relaxation
+    time and returns the final state.
     """
     a = bloch_drift(p)
     if initial is None:
         m0 = np.diag([0.5, 0.5, 0.0]).astype(complex)
     else:
         m0 = np.asarray(initial, dtype=complex).reshape(3, 3)
-    if t_final is None:
-        slow = min(x for x in (p.gamma0, p.gamma1, p.gamma2) if x > 0)
-        t_final = 60.0 / slow
+    slow = min(x for x in (p.gamma0, p.gamma1, p.gamma2) if x > 0)
+    t_final = 60.0 / slow
     y0 = np.concatenate([m0.reshape(-1).real, m0.reshape(-1).imag])
     big_a = np.block([[a.real, -a.imag], [a.imag, a.real]])
 

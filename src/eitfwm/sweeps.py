@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,10 @@ TWO_PAIR_PAIRS = (("a1", "a2"), ("b1", "b2"), ("a1", "S"), ("S", "b1"))
 
 #: plateau statistics are taken over this band unless overridden
 PLATEAU_BAND = (-2600.0, 600.0)
+
+#: half width of the dense patch the frequency grids place around each
+#: pair detuning, MHz
+REFINE_HALFWIDTH = 30.0
 
 #: most points a frequency grid may hold, refinement patches included:
 #: 50 times the default figure grids.  A sweep keeps its whole result
@@ -114,9 +118,9 @@ def params_hash(p: PhysicalParams, config: SweepConfig) -> str:
 
 def omega_grid(start: float, stop: float, n: int,
                refine_centers=(), refine_step: float | None = None,
-               refine_halfwidth: float = 30.0,
                p: PhysicalParams | None = None) -> np.ndarray:
-    """Uniform grid with dense patches inserted around given centers.
+    """Uniform grid with dense patches of half width REFINE_HALFWIDTH
+    inserted around given centers.
 
     The refinement step defaults to a third of the optical linewidth, so
     features of that scale cannot fall between grid points.  The point
@@ -134,8 +138,8 @@ def omega_grid(start: float, stop: float, n: int,
     spans = []
     total = n
     for c in refine_centers:
-        lo = max(start, c - refine_halfwidth)
-        hi = min(stop, c + refine_halfwidth)
+        lo = max(start, c - REFINE_HALFWIDTH)
+        hi = min(stop, c + REFINE_HALFWIDTH)
         if hi > lo:
             count = np.ceil((hi - lo) / refine_step) + 1
             total += count
@@ -160,11 +164,11 @@ def _set_up(p: PhysicalParams, config: SweepConfig):
     return entanglement.witness_set_up(p, ss, two_d, config.modes(p), dp)
 
 
-def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups,
+def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups: list,
            config: SweepConfig) -> CorrelationSpectrum:
     """Evaluate every configured pair witness at the points
-    ``(omegas[i], next(set_ups))``, one per entry of ``values``, the
-    sweep variable named ``axis``; a set-up is a ``_set_up`` result.
+    ``(omegas[i], set_ups[i])``, one per entry of ``values``, the sweep
+    variable named ``axis``; a set-up is a ``_set_up`` result.
 
     Blocks of consecutive points, each holding about BLOCK_ENTRIES
     entries of propagated matrices, are evaluated as stacked arrays, from
@@ -173,9 +177,8 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups,
 
     A failing sweep reports its first failing point: a numerical
     failure names its frequency, and the swept value when ``axis`` is a
-    parameter; an error raised while a set-up is built surfaces after
-    the points before it have been evaluated.  Partial results are
-    discarded so a failed sweep can never emit a truncated file.
+    parameter.  Partial results are discarded so a failed sweep can
+    never emit a truncated file.
     """
     pairs = config.pairs()
     modes = config.modes(p)
@@ -185,31 +188,22 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups,
     size = max(1, BLOCK_ENTRIES // entanglement.state_dim(
         len(modes), config.spinwave_definition) ** 2)
     for lo in range(0, len(values), size):
-        block, failure = [], None
         try:
-            while len(block) < min(size, len(values) - lo):
-                block.append(next(set_ups))
-        except Exception as exc:
-            failure = exc
-        if block:
-            try:
-                quad = entanglement.extended_quadratures(
-                    propagation.stack_set_ups(block),
-                    omegas[lo:lo + len(block)], p.length, config.coupling,
-                    config.sideband, config.spinwave_definition)
-            except propagation.NumericalOverflowError as exc:
-                if axis == "omega":
-                    raise
-                raise propagation.NumericalOverflowError(
-                    f"{exc}, {axis} = {float(values[lo + exc.index]):g}"
-                ) from exc
-            ext = entanglement.ExtendedCovariance(labels=labels, quad=quad)
-            for pair in pairs:
-                v, signs = ext.duan_stack(*pair)
-                witness_values[pair].extend(v.tolist())
-                witness_signs[pair].extend(signs)
-        if failure is not None:
-            raise failure
+            quad = entanglement.extended_quadratures(
+                propagation.stack_set_ups(set_ups[lo:lo + size]),
+                omegas[lo:lo + size], p.length, config.coupling,
+                config.sideband, config.spinwave_definition)
+        except propagation.NumericalOverflowError as exc:
+            if axis == "omega":
+                raise
+            raise propagation.NumericalOverflowError(
+                f"{exc}, {axis} = {float(values[lo + exc.index]):g}"
+            ) from exc
+        ext = entanglement.ExtendedCovariance(labels=labels, quad=quad)
+        for pair in pairs:
+            v, signs = ext.duan_stack(*pair)
+            witness_values[pair].extend(v.tolist())
+            witness_signs[pair].extend(signs)
     return CorrelationSpectrum(
         omegas=np.asarray(values, dtype=float), pairs=pairs,
         values={pair: np.array(vs, dtype=float)
@@ -224,19 +218,27 @@ def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None
     omegas = np.asarray(omegas, dtype=float)
     config = config or SweepConfig()
     return _sweep(p, "omega", omegas, omegas,
-                  itertools.repeat(_set_up(p, config)), config)
+                  [_set_up(p, config)] * len(omegas), config)
 
 
 def _sweep_param(p: PhysicalParams, axis: str, field: str, values,
                  omega: float, config: SweepConfig | None
                  ) -> CorrelationSpectrum:
     """Witnesses at fixed frequency while the parameter ``field`` takes
-    each of ``values``; every point has its own ``_set_up``."""
+    each of ``values``; every point has its own ``_set_up``.  An error
+    raised while a set-up is built surfaces after the points before it
+    have been evaluated, so the first failing point is the one reported."""
     config = config or SweepConfig()
-    set_ups = (_set_up(p.with_(**{field: float(x)}), config)
-               for x in values)
-    return _sweep(p, axis, values, np.full(len(values), float(omega)),
-                  set_ups, config)
+    omegas = np.full(len(values), float(omega))
+    set_ups = []
+    for x in values:
+        try:
+            set_ups.append(_set_up(p.with_(**{field: float(x)}), config))
+        except Exception:
+            k = len(set_ups)
+            _sweep(p, axis, values[:k], omegas[:k], set_ups, config)
+            raise
+    return _sweep(p, axis, values, omegas, set_ups, config)
 
 
 def sweep_gamma0(p: PhysicalParams, gamma0s, omega: float = 0.0,
@@ -268,8 +270,7 @@ def plateau_median(spec: CorrelationSpectrum, pair, band=PLATEAU_BAND,
     return float(np.median(spec.values[pair][mask]))
 
 
-def find_dip(spec: CorrelationSpectrum, pair, window,
-             plateau_band=PLATEAU_BAND) -> DipReport:
+def find_dip(spec: CorrelationSpectrum, pair, window) -> DipReport:
     """Windowed minimum of one pair's witness with shape diagnostics.
 
     The plateau median is refined once: a provisional width taken from
@@ -289,12 +290,12 @@ def find_dip(spec: CorrelationSpectrum, pair, window,
     span = float(np.max(vw) - np.min(vw))
     scale = max(abs(float(np.max(vw))), 1.0)
     if span <= 1e-12 * scale:
-        med = plateau_median(spec, pair, plateau_band)
+        med = plateau_median(spec, pair)
         return DipReport(pair=pair, omega_star=omega_star, v_min=med,
                          plateau_median=med, width=float("nan"),
                          window=tuple(window), degenerate="flat")
     if k == 0 or k == vw.size - 1:
-        med = plateau_median(spec, pair, plateau_band)
+        med = plateau_median(spec, pair)
         return DipReport(pair=pair, omega_star=omega_star, v_min=v_min,
                          plateau_median=med, width=float("nan"),
                          window=tuple(window), degenerate="edge")
@@ -315,10 +316,10 @@ def find_dip(spec: CorrelationSpectrum, pair, window,
                 break
         return right - left
 
-    med = plateau_median(spec, pair, plateau_band)
+    med = plateau_median(spec, pair)
     w = half_width(med)
     if np.isfinite(w):
-        med = plateau_median(spec, pair, plateau_band,
+        med = plateau_median(spec, pair,
                              exclude=[(omega_star - 3 * w, omega_star + 3 * w)])
         w = half_width(med)
     return DipReport(pair=pair, omega_star=omega_star, v_min=v_min,
@@ -328,21 +329,21 @@ def find_dip(spec: CorrelationSpectrum, pair, window,
 
 # --- default experiment grids -------------------------------------------
 
-def fig_spectrum_grid(p: PhysicalParams, n: int = 2001) -> np.ndarray:
-    return omega_grid(-3000.0, 1000.0, n, refine_centers=(p.delta1,), p=p)
+def fig_spectrum_grid(p: PhysicalParams) -> np.ndarray:
+    return omega_grid(-3000.0, 1000.0, 2001, refine_centers=(p.delta1,), p=p)
 
 
-def fig_two_pair_grid(p: PhysicalParams, n: int = 2001) -> np.ndarray:
-    return omega_grid(-3000.0, 3000.0, n,
+def fig_two_pair_grid(p: PhysicalParams) -> np.ndarray:
+    return omega_grid(-3000.0, 3000.0, 2001,
                       refine_centers=(p.delta1, p.delta2), p=p)
 
 
-def fig_gamma0_grid(n: int = 101) -> np.ndarray:
-    return np.logspace(-2.0, 3.0, n)
+def fig_gamma0_grid() -> np.ndarray:
+    return np.logspace(-2.0, 3.0, 101)
 
 
-def fig_alpha_grid(n: int = 101) -> np.ndarray:
-    return np.linspace(0.0, 1000.0, n)
+def fig_alpha_grid() -> np.ndarray:
+    return np.linspace(0.0, 1000.0, 101)
 
 
 # --- emission -------------------------------------------------------------
@@ -388,18 +389,26 @@ def csv_lines(spec: CorrelationSpectrum, extra_meta: dict | None = None):
     return lines
 
 
+def write_text(lines, out: str | None = None) -> None:
+    """Write ``lines``, each ended by a newline, to the file ``out``, or
+    to stdout when ``out`` is None or empty."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def write_csv(spec: CorrelationSpectrum, path: str,
               extra_meta: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(csv_lines(spec, extra_meta)) + "\n")
+    write_text(csv_lines(spec, extra_meta), path)
 
 
-def summary_payload(spec: CorrelationSpectrum, dips=(),
-                    calibration: dict | None = None,
-                    include_curves: bool = True) -> dict:
+def summary_payload(spec: CorrelationSpectrum, dips=()) -> dict:
     p = spec.params
     dp = derive(p)
-    payload = {
+    return {
         "version": __version__,
         "params": dataclasses.asdict(p),
         "derived": dataclasses.asdict(dp),
@@ -412,18 +421,16 @@ def summary_payload(spec: CorrelationSpectrum, dips=(),
         "dips": [dataclasses.asdict(d) for d in dips],
         "signs": {pair_tag(pair): spec.signs[pair][0]
                   for pair in spec.pairs},
-        "calibration": calibration or {},
-    }
-    if include_curves:
-        payload["curves"] = {
+        "calibration": {},
+        "curves": {
             spec.axis: [float(x) for x in spec.omegas],
             **{pair_tag(pair): [float(v) for v in spec.values[pair]]
                for pair in spec.pairs},
-        }
-    return payload
+        },
+    }
 
 
-def write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(payload: dict, out: str | None = None) -> None:
+    """Write ``payload`` as indented JSON with sorted keys to the file
+    ``out``, or to stdout when ``out`` is None or empty."""
+    write_text([json.dumps(payload, indent=2, sort_keys=True)], out)

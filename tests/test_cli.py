@@ -189,6 +189,29 @@ def test_vanishing_coherence_response_exits_2(tmp_path, capsys, experiment,
         "vanishes at omega = 0 MHz\n")
 
 
+@pytest.mark.parametrize("experiment,lines,where", [
+    ("spectrum", "omega_min = -1\nomega_max = 1\nn_points = 3\n",
+     "at omega = 0 MHz"),
+    ("fig5", "delta1 = 0\n", "at omega = 0 MHz, alpha = 0"),
+], ids=["spectrum", "alpha_sweep"])
+def test_non_finite_extended_covariance_exits_2(tmp_path, capsys,
+                                                experiment, lines, where):
+    # a coherence response of 1e-300 at omega = 0 puts the S rows beyond
+    # float range: the run fails there instead of writing nan witnesses
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("gamma0 = 1e-300\n" + lines)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--experiment", experiment, "--config", str(cfg),
+                         "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "eitfwm: numerical failure: extended covariance is not finite "
+        f"{where}\n")
+    assert not out.exists()
+
+
 _FUZZ_VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300"]),
     st.floats(-1e6, 1e6).map(repr))
@@ -242,11 +265,26 @@ def test_any_numeric_config_ends_a_spectrum_through_zero_in_an_exit_code(
     assert "Traceback" not in err.getvalue()
 
 
-def test_inverted_window_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("lines,fragment", [
+    ("omega_min = 10\nomega_max = -10\n",
+     "omega_min must be below omega_max"),
+    ("omega_min = -inf\n", "got omega_min = -inf, omega_max = 1000"),
+    ("omega_max = inf\n", "got omega_min = -3000, omega_max = inf"),
+    # a finite window whose span overflows
+    ("omega_min = -1e308\nomega_max = 1e308\n",
+     "got omega_min = -1e+308, omega_max = 1e+308"),
+], ids=["inverted", "minus_inf", "plus_inf", "span_overflow"])
+def test_inverted_window_rejected(tmp_path, capsys, lines, fragment):
     cfg = tmp_path / "win.cfg"
-    cfg.write_text("omega_min = 10\nomega_max = -10\n")
-    assert cli.main(["--experiment", "spectrum",
-                     "--config", str(cfg)]) == 1
+    cfg.write_text(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--experiment", "spectrum", "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eitfwm: error: ")
+    assert fragment in err
+    assert err.count("\n") == 1
 
 
 # --- spectrum output ------------------------------------------------------
@@ -281,15 +319,20 @@ def test_spectrum_json_echoes_config(tmp_path):
     assert len(payload["dips"]) >= 1
 
 
-def test_spectrum_stdout_matches_file(tmp_path, capsys):
+@pytest.mark.parametrize("args", [
+    ["--experiment", "spectrum"],
+    ["--experiment", "spectrum", "--format", "json"],
+    ["--experiment", "steady"],
+    ["--experiment", "noise"],
+    ["--experiment", "calibrate"],
+], ids=["spectrum_csv", "spectrum_json", "steady", "noise", "calibrate"])
+def test_spectrum_stdout_matches_file(tmp_path, capsys, args):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_SPECTRUM)
-    out = tmp_path / "spec.csv"
-    assert cli.main(["--experiment", "spectrum", "--config", str(cfg),
-                     "--out", str(out)]) == 0
+    out = tmp_path / "out"
+    assert cli.main(args + ["--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert cli.main(["--experiment", "spectrum",
-                     "--config", str(cfg)]) == 0
+    assert cli.main(args + ["--config", str(cfg)]) == 0
     streamed = capsys.readouterr().out
     assert streamed == out.read_text()
 

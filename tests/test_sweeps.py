@@ -216,7 +216,11 @@ def test_overflow_precedes_a_later_set_up_failure(ref):
      r"^coherence response .* vanishes at omega = 0 MHz$"),
     (lambda p, cfg: sweeps.sweep_gamma0(p, [0.1, 0.0, -1.0], omega=0.0),
      r"^coherence response .* vanishes at omega = 0 MHz, gamma0 = 0$"),
-], ids=["overflow_first", "vanishing_first", "gamma0"])
+    # a response of 1e-300 leaves the extended covariance non-finite
+    (lambda p, cfg: sweeps.sweep_gamma0(p, [0.1, 1e-300, 0.0], omega=0.0),
+     r"^extended covariance is not finite at omega = 0 MHz, "
+     r"gamma0 = 1e-300$"),
+], ids=["overflow_first", "vanishing_first", "gamma0", "not_finite_first"])
 def test_vanishing_coherence_response_is_reported_in_grid_order(ref, sweep,
                                                                 where):
     # without dephasing the coherence response gamma0 + i*omega is zero
