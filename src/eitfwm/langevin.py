@@ -9,7 +9,8 @@ the second moments follow from the single-atom dynamics alone:
 evaluated in the zeroth-order steady state, with L the same adjoint
 generator that produces the Bloch drift (drive terms cancel identically
 in this combination, so only the dissipators contribute).  L acts on
-stacks of operators, so the whole table is evaluated in one pass.
+stacks of operators and of parameter points, so the tables of a whole
+block of points are evaluated in one pass.
 
 Spatial normalisation: the correlator used by the propagation module is
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import PhysicalParams
 from .steady_state import DensityMatrix3, apply_generator, _unit
 
 # channel ordering shared with the propagation module
@@ -38,20 +38,27 @@ def conjugate_channel(ch: tuple[int, int]) -> tuple[int, int]:
     return (b, a)
 
 
-def diffusion_matrix(p: PhysicalParams, ss: DensityMatrix3) -> np.ndarray:
+def diffusion_matrix(p, ss) -> np.ndarray:
     """6x6 matrix of 2*D_{mu,nu} over CHANNELS, in MHz.
 
-    The three terms of all 36 pairs are stacked; each expectation
-    <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b] S[a,b] sums the last two axes.
+    ``p`` is one parameter set with its steady state ``ss``, or a list of
+    them with the list of their states, giving a stack of tables of
+    shape (k, 6, 6).  The three terms of all 36 pairs of every point are
+    stacked; each expectation <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b]
+    S[a,b] sums the last two axes.
     """
     ops = np.stack([_unit(a, b) for (a, b) in CHANNELS])
     drifts = apply_generator(p, ops)
     left, right = ops[:, None], ops[None, :]
     terms = np.stack([apply_generator(p, left @ right),
-                      drifts[:, None] @ right,
-                      left @ drifts[None, :]])
-    val = np.sum(terms * ss.matrix, axis=(-2, -1))
-    return val[0] - val[1] - val[2]
+                      drifts[..., :, None, :, :] @ right,
+                      left @ drifts[..., None, :, :, :]], axis=-5)
+    if isinstance(ss, DensityMatrix3):
+        s = ss.matrix
+    else:
+        s = np.stack([x.matrix for x in ss])[:, None, None, None]
+    val = np.sum(terms * s, axis=(-2, -1))
+    return val[..., 0, :, :] - val[..., 1, :, :] - val[..., 2, :, :]
 
 
 #: index in CHANNELS of the conjugate of every channel

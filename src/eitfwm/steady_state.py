@@ -14,8 +14,11 @@ in the matrix-unit basis; products of coefficient arrays are then plain
 matrix products.
 
 The single-atom adjoint generator implemented by :func:`apply_generator`
-acts on stacks of operators.  It is shared with the Langevin diffusion
-module, which evaluates Einstein relations with the same dissipators.
+acts on stacks of operators and of parameter points: one call gives the
+Bloch drifts of a whole block of points.  It is shared with the Langevin
+diffusion module, which evaluates Einstein relations with the same
+dissipators.  Only the null-space solve and the checks of a steady state
+run point by point.
 """
 
 from __future__ import annotations
@@ -68,8 +71,21 @@ def _unit(a: int, b: int) -> np.ndarray:
     return e
 
 
-def hamiltonian(p: PhysicalParams) -> np.ndarray:
+def _fields(p, names, ndim: int) -> list:
+    """The fields ``names`` of one parameter set ``p``, or of a list of
+    them, as arrays with a leading point axis (of length one for one set)
+    followed by ``ndim`` unit axes."""
+    points = [p] if isinstance(p, PhysicalParams) else p
+    shape = (len(points),) + (1,) * ndim
+    return [np.array([getattr(q, name) for q in points],
+                     dtype=float).reshape(shape) for name in names]
+
+
+def hamiltonian(p) -> np.ndarray:
     """Rotating-frame drive Hamiltonian (coefficient array, MHz).
+
+    ``p`` is one parameter set, or a list of them for a stack of
+    Hamiltonians along a leading point axis.
 
     The relative phase of the two drives is a gauge choice (a phase of
     level |2>): it moves the overall phase of the ground coherence around
@@ -80,57 +96,62 @@ def hamiltonian(p: PhysicalParams) -> np.ndarray:
     coherence-b1 witnesses; the dark state for omega_p = omega_c is then
     (|1> + |2>)/sqrt(2).
     """
-    h = -p.omega_c * (_unit(3, 1) + _unit(1, 3)) \
-        + p.omega_p * (_unit(3, 2) + _unit(2, 3))
-    return h
+    omega_c, omega_p = _fields(p, ("omega_c", "omega_p"), 2)
+    h = -omega_c * (_unit(3, 1) + _unit(1, 3)) \
+        + omega_p * (_unit(3, 2) + _unit(2, 3))
+    return h[0] if isinstance(p, PhysicalParams) else h
 
 
-def apply_generator(p: PhysicalParams, op: np.ndarray) -> np.ndarray:
+def apply_generator(p, op: np.ndarray) -> np.ndarray:
     """Adjoint (Heisenberg-picture) generator applied to a stack of operators.
 
     ``op`` holds coefficient arrays in the matrix-unit basis, shape
-    (..., 3, 3): one operator or any stack of them.  Returns the
-    coefficient arrays of d(op)/dt, operator by operator: the commutator
-    with the drive Hamiltonian, the two radiative dissipators, and the
-    pure-dephasing damping of the 1-2 coherence components.
+    (..., 3, 3): one operator or any stack of them.  ``p`` is one
+    parameter set, and the result has the shape of ``op``; or a list of
+    k of them, and the result gains a leading point axis, shape
+    (k, ..., 3, 3).  Returns the coefficient arrays of d(op)/dt,
+    operator by operator: the commutator with the drive Hamiltonian, the
+    two radiative dissipators, and the pure-dephasing damping of the 1-2
+    coherence components.  The coefficients broadcast against the
+    operators, the dissipator brackets are formed once for every point,
+    and each product rounds as with scalar coefficients: every point is
+    bit for bit its one-point result.
     """
-    h = hamiltonian(p)
+    op = np.asarray(op)
+    gamma1, gamma2, gamma0 = _fields(p, ("gamma1", "gamma2", "gamma0"),
+                                     op.ndim)
+    h = hamiltonian(p).reshape((-1,) + (1,) * (op.ndim - 2) + (3, 3))
     out = 1j * (h @ op - op @ h)
     # adjoint dissipator for decay channel L: L+ op L - (L+ L op + op L+ L)/2
     ldag_l = _unit(3, 3)
-    for rate, lower in ((p.gamma1, 1), (p.gamma2, 2)):
+    for rate, lower in ((gamma1, 1), (gamma2, 2)):
         l_op = _unit(lower, 3)
         out += rate * (l_op.conj().T @ op @ l_op
                        - 0.5 * (ldag_l @ op + op @ ldag_l))
     # phenomenological pure dephasing: damps only the 1-2 coherences, so
     # the optical coherences keep their purely radiative width
-    deph = np.zeros(np.shape(op), dtype=complex)
+    deph = np.zeros(op.shape, dtype=complex)
     deph[..., 0, 1] = op[..., 0, 1]
     deph[..., 1, 0] = op[..., 1, 0]
-    out -= p.gamma0 * deph
-    return out
+    out -= gamma0 * deph
+    return out[0] if isinstance(p, PhysicalParams) else out
 
 
-def bloch_drift(p: PhysicalParams) -> np.ndarray:
+def bloch_drift(p) -> np.ndarray:
     """9x9 drift matrix A with d<sigma>/dt = A <sigma> over BASIS order.
 
     One generator call on the stack of the nine matrix units E_cd:
     d<sigma_cd>/dt = <L(E_cd)>, so row (c, d) of A is L(E_cd) reshaped
-    in BASIS (row-major) order.
+    in BASIS (row-major) order.  A list of parameter sets gives a stack
+    of drifts, shape (k, 9, 9), from the same single call.
     """
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    return apply_generator(p, units).reshape(9, 9)
+    a = apply_generator(p, units)
+    return a.reshape(a.shape[:-3] + (9, 9))
 
 
-def steady_state(p: PhysicalParams) -> DensityMatrix3:
-    """Unique stationary state of the Bloch generator.
-
-    Solves the null space of the drift matrix and normalises the trace.
-    With both drives off (or other degenerate configurations) the ground
-    manifold supports a family of stationary states and
-    DegenerateSteadyStateError is raised instead of picking one.
-    """
-    a = bloch_drift(p)
+def _stationary(a: np.ndarray) -> DensityMatrix3:
+    """The unique normalised null vector of the drift ``a``, checked."""
     ns = null_space(a, rcond=1e-10)
     if ns.shape[1] == 0:
         raise DegenerateSteadyStateError("no stationary state found")
@@ -147,6 +168,33 @@ def steady_state(p: PhysicalParams) -> DensityMatrix3:
     dm = DensityMatrix3(matrix=m)
     dm.check(tol=1e-8)
     return dm
+
+
+def steady_state(p):
+    """Unique stationary state of the Bloch generator.
+
+    Solves the null space of the drift matrix and normalises the trace.
+    With both drives off (or other degenerate configurations) the ground
+    manifold supports a family of stationary states and
+    DegenerateSteadyStateError is raised instead of picking one.
+
+    ``p`` is one parameter set, giving one state, or a list of them,
+    giving the list of their states: one generator call builds every
+    drift, then each is solved in turn.  In a list, the first point
+    without a valid state raises, with its position in the list as the
+    error's ``index``.
+    """
+    drifts = bloch_drift(p)
+    if isinstance(p, PhysicalParams):
+        return _stationary(drifts)
+    states = []
+    for a in drifts:
+        try:
+            states.append(_stationary(a))
+        except (DegenerateSteadyStateError, ValueError) as exc:
+            exc.index = len(states)
+            raise
+    return states
 
 
 def steady_state_ode_oracle(p: PhysicalParams,

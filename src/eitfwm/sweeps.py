@@ -6,8 +6,9 @@ shared by every sweep axis, dip/plateau summaries, and the CSV/JSON
 writers.  The engine evaluates blocks of consecutive points as stacked
 arrays, from the assembly of drift, noise and readout rows through the
 interval doubling, output covariance, coherence-mode extension and
-quadrature transform to both witness sign branches.  A block gives
-every point bit for bit the result of a one-point evaluation, so
+quadrature transform to both witness sign branches; a parameter sweep
+builds the set-ups of its points in stacked blocks as well.  A block
+gives every point bit for bit the result of a one-point evaluation, so
 rerunning a sweep with the same configuration reproduces the output
 byte for byte.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .params import PhysicalParams, ValidationError, derive
-from .steady_state import steady_state
+from .steady_state import DegenerateSteadyStateError, steady_state
 from . import langevin
 from . import propagation
 from . import entanglement
@@ -154,14 +155,23 @@ def omega_grid(start: float, stop: float, n: int,
     return np.unique(np.concatenate(patches))
 
 
-def _set_up(p: PhysicalParams, config: SweepConfig):
-    """Everything a witness point needs that no frequency changes: the
-    steady state, the diffusion table, the derived parameters and the
-    drift set-up of the configured modes, as one witness set-up."""
-    ss = steady_state(p)
-    two_d = langevin.diffusion_matrix(p, ss)
-    dp = derive(p)
-    return entanglement.witness_set_up(p, ss, two_d, config.modes(p), dp)
+def _set_ups(points: list, config: SweepConfig) -> list:
+    """Everything a witness point needs that no frequency changes, for
+    each parameter set of ``points``: the derived parameters (validated
+    before anything is solved), the steady state, the diffusion table
+    and the drift set-up of the configured modes, as one witness set-up.
+    Three generator calls serve all the points: one for the Bloch drifts
+    and two for the diffusion tables."""
+    derived = [derive(q) for q in points]
+    states = steady_state(points)
+    tables = langevin.diffusion_matrix(points, states)
+    return [entanglement.witness_set_up(q, ss, two_d, config.modes(q), dp)
+            for q, ss, two_d, dp in zip(points, states, tables, derived)]
+
+
+def _naming(exc: Exception, axis: str, value) -> Exception:
+    """``exc`` with the swept value appended to its message, same type."""
+    return type(exc)(f"{exc}, {axis} = {float(value):g}")
 
 
 def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups: list,
@@ -196,9 +206,7 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups: list,
         except propagation.NumericalOverflowError as exc:
             if axis == "omega":
                 raise
-            raise propagation.NumericalOverflowError(
-                f"{exc}, {axis} = {float(values[lo + exc.index]):g}"
-            ) from exc
+            raise _naming(exc, axis, values[lo + exc.index]) from exc
         ext = entanglement.ExtendedCovariance(labels=labels, quad=quad)
         for pair in pairs:
             v, signs = ext.duan_stack(*pair)
@@ -218,27 +226,50 @@ def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None
     omegas = np.asarray(omegas, dtype=float)
     config = config or SweepConfig()
     return _sweep(p, "omega", omegas, omegas,
-                  [_set_up(p, config)] * len(omegas), config)
+                  _set_ups([p], config) * len(omegas), config)
 
 
 def _sweep_param(p: PhysicalParams, axis: str, field: str, values,
                  omega: float, config: SweepConfig | None
                  ) -> CorrelationSpectrum:
     """Witnesses at fixed frequency while the parameter ``field`` takes
-    each of ``values``; every point has its own ``_set_up``.  An error
-    raised while a set-up is built surfaces after the points before it
-    have been evaluated, so the first failing point is the one reported."""
+    each of ``values``; every point has its own set-up.
+
+    Every point is validated first, in grid order; the set-ups of the
+    points before the first invalid one are then built a block at a
+    time, each block's generator stacks holding at most BLOCK_ENTRIES
+    entries.  A set-up failure, invalid or unsolvable, surfaces after
+    the points before it have been evaluated, so the first failing point
+    in grid order is the one reported; its message ends with the swept
+    value."""
     config = config or SweepConfig()
-    omegas = np.full(len(values), float(omega))
-    set_ups = []
+    points, error = [], None
     for x in values:
+        q = p.with_(**{field: float(x)})
         try:
-            set_ups.append(_set_up(p.with_(**{field: float(x)}), config))
-        except Exception:
-            k = len(set_ups)
-            _sweep(p, axis, values[:k], omegas[:k], set_ups, config)
-            raise
-    return _sweep(p, axis, values, omegas, set_ups, config)
+            q.validate()
+        except ValidationError as exc:
+            error = exc
+            break
+        points.append(q)
+    # a point's largest generator stack: 36 operator products of 9 entries
+    size = max(1, BLOCK_ENTRIES // (9 * len(langevin.CHANNELS) ** 2))
+    set_ups = []
+    for lo in range(0, len(points), size):
+        block = points[lo:lo + size]
+        try:
+            set_ups += _set_ups(block, config)
+        except (DegenerateSteadyStateError, ValueError) as exc:
+            if exc.index:
+                set_ups += _set_ups(block[:exc.index], config)
+            error = exc
+            break
+    k = len(set_ups)
+    spec = _sweep(p, axis, values[:k], np.full(k, float(omega)), set_ups,
+                  config)
+    if error is None:
+        return spec
+    raise _naming(error, axis, values[k]) from error
 
 
 def sweep_gamma0(p: PhysicalParams, gamma0s, omega: float = 0.0,

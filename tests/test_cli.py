@@ -166,6 +166,26 @@ def test_degenerate_drives_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("experiment,where", [
+    ("fig4", "gamma0 = 0.01"),
+    ("fig5", "alpha = 0"),
+])
+def test_degenerate_set_up_in_a_parameter_sweep_names_the_swept_value(
+        tmp_path, capsys, experiment, where):
+    # with both drives off the first point of the sweep has no unique
+    # steady state; the failure names that point's value of the axis
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("omega_p = 0\nomega_c = 0\n")
+    out = tmp_path / "out"
+    code = cli.main(["--experiment", experiment, "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "eitfwm: numerical failure: stationary subspace has dimension 2, "
+        f"{where}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment,lines", [
     ("fig2", ""),
     ("calibrate", ""),

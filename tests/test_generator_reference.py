@@ -3,17 +3,19 @@
 The reference functions below are the operator-by-operator loops the
 stacked code replaced, kept verbatim as the oracle.  Every product in
 the set-up involves a matrix unit and is exact, so the stacked Bloch
-drift, steady state and diffusion table must match them byte for byte.
+drift, steady state and diffusion table must match them byte for byte,
+for one parameter point and for a stack of them.
 """
 
+import dataclasses
 import importlib
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from eitfwm import langevin
-from eitfwm.params import reference_params
+from eitfwm import entanglement, langevin, propagation, sweeps
+from eitfwm.params import derive, reference_params
 from eitfwm.steady_state import BASIS, _unit, hamiltonian
 
 # the package exports a function of the same name as the module
@@ -111,3 +113,69 @@ def test_stacked_generator_equals_per_operator_calls(seed, shape, gamma0,
             ss_mod.apply_generator(p, ops[idx]).tobytes()
         assert stacked[idx].tobytes() == \
             reference_apply_generator(p, ops[idx]).tobytes()
+
+
+_POINT = st.fixed_dictionaries({
+    "gamma1": _RATE, "gamma2": _RATE,
+    "gamma0": st.one_of(st.just(0.0), _RATE),
+    "omega_p": _RATE, "omega_c": _RATE})
+
+
+def _reference_steady_state(p):
+    with mock.patch.object(ss_mod, "bloch_drift", reference_bloch_drift):
+        return ss_mod.steady_state(p)
+
+
+@settings(deadline=None, max_examples=100)
+@given(changes=st.lists(_POINT, min_size=1, max_size=40),
+       config=st.sampled_from([sweeps.SweepConfig(),
+                               sweeps.SweepConfig(two_pair=True)]))
+def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
+        changes, config):
+    points = [reference_params().with_(**c) for c in changes]
+    drifts = ss_mod.bloch_drift(points)
+    assert drifts.shape == (len(points), 9, 9)
+    for a, p in zip(drifts, points):
+        assert a.tobytes() == reference_bloch_drift(p).tobytes()
+    # the reference states up to the first point that has none
+    ref_states, failure = [], None
+    for p in points:
+        try:
+            ref_states.append(_reference_steady_state(p))
+        except (ss_mod.DegenerateSteadyStateError, ValueError) as exc:
+            failure = exc
+            break
+    if failure is not None:
+        try:
+            ss_mod.steady_state(points)
+        except type(failure) as exc:
+            assert str(exc) == str(failure)
+            assert exc.index == len(ref_states)
+        else:
+            raise AssertionError(f"reference raised {failure!r}, "
+                                 "stacked did not")
+        points = points[:len(ref_states)]
+        if not points:
+            return
+    states = ss_mod.steady_state(points)
+    tables = langevin.diffusion_matrix(points, states)
+    assert tables.shape == (len(points), 6, 6)
+    ref_tables = [reference_diffusion_matrix(p, ss)
+                  for p, ss in zip(points, ref_states)]
+    for ss, ref_ss, two_d, ref_two_d in zip(states, ref_states, tables,
+                                           ref_tables):
+        assert ss.matrix.tobytes() == ref_ss.matrix.tobytes()
+        assert two_d.tobytes() == ref_two_d.tobytes()
+    stacked = propagation.stack_set_ups(sweeps._set_ups(points, config))
+    reference = propagation.stack_set_ups([
+        entanglement.witness_set_up(p, ss, two_d, config.modes(p), derive(p))
+        for p, ss, two_d in zip(points, ref_states, ref_tables)])
+    for field in dataclasses.fields(reference):
+        ref_value = getattr(reference, field.name)
+        value = getattr(stacked, field.name)
+        if isinstance(ref_value, np.ndarray):
+            assert value.dtype == ref_value.dtype, field.name
+            assert value.shape == ref_value.shape, field.name
+            assert value.tobytes() == ref_value.tobytes(), field.name
+        else:
+            assert value == ref_value, field.name

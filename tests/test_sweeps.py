@@ -1,5 +1,7 @@
 """Grid construction, sweep determinism, dip reports, serialization."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,11 @@ from eitfwm import entanglement as en
 from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import sweeps
-from eitfwm.steady_state import steady_state
+from eitfwm.params import ValidationError
+from eitfwm.steady_state import DegenerateSteadyStateError, steady_state
+
+# the package exports a function of the same name as the module
+ss_mod = importlib.import_module("eitfwm.steady_state")
 
 
 def _synthetic(omegas, values, params):
@@ -113,7 +119,7 @@ BLOCK_GRID = np.linspace(-1000.0, 3000.0, 13)
 
 def _drift(p, cfg, omega):
     """The propagated drift of one point of a sweep of ``cfg``."""
-    m, *_ = en.assemble(sweeps._set_up(p, cfg), [omega], p.length,
+    m, *_ = en.assemble(sweeps._set_ups([p], cfg)[0], [omega], p.length,
                         cfg.coupling, cfg.sideband, cfg.spinwave_definition)
     return m[0]
 
@@ -200,11 +206,59 @@ def test_overflow_in_a_later_block_names_the_first_failing_frequency(
 
 
 def test_overflow_precedes_a_later_set_up_failure(ref):
-    # gamma0 = -1 fails validation while its set-up is built, after the
-    # point before it has already overflowed
+    # gamma0 = -1 fails validation, which runs before any steady state is
+    # solved; the point before it overflows in the kernel and is reported
     cfg = sweeps.SweepConfig(sideband="same")
     with pytest.raises(pr.NumericalOverflowError, match=r"gamma0 = 0\.1$"):
         sweeps.sweep_gamma0(ref, [0.1, -1.0], omega=-2000.0, config=cfg)
+
+
+@pytest.mark.parametrize("gamma0s,error,where", [
+    ([0.1, -1.0], ValidationError, r"^non-physical parameter\(s\): gamma0, "
+                                   r"gamma0 = -1$"),
+    ([0.1, float("nan")], ValidationError, r"gamma0, gamma0 = nan$"),
+    # a dephasing of 1e300 leaves every other singular value of the drift
+    # below the null-space cut
+    ([0.1, 0.2, 1e300], DegenerateSteadyStateError,
+     r"^stationary subspace has dimension 7, gamma0 = 1e\+300$"),
+    ([1e300, -1.0], DegenerateSteadyStateError, r"gamma0 = 1e\+300$"),
+], ids=["negative", "nan", "degenerate", "degenerate_before_invalid"])
+def test_set_up_failure_names_the_swept_value(ref, gamma0s, error, where):
+    with pytest.raises(error, match=where):
+        sweeps.sweep_gamma0(ref, gamma0s, omega=0.0)
+
+
+def test_set_up_failure_in_a_later_block_is_reported_in_grid_order(
+        ref, monkeypatch):
+    # set-up blocks of 2 points: the degenerate point is the second of the
+    # second block, the invalid one opens the third
+    monkeypatch.setattr(sweeps, "BLOCK_ENTRIES",
+                        2 * 9 * len(lv.CHANNELS) ** 2)
+    gamma0s = [0.1, 0.2, 0.3, 1e300, -1.0]
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=r"gamma0 = 1e\+300$"):
+        sweeps.sweep_gamma0(ref, gamma0s, omega=0.0)
+    # the kernel overflows at the first point, before either failure
+    with pytest.raises(pr.NumericalOverflowError, match=r"gamma0 = 0\.1$"):
+        sweeps.sweep_gamma0(ref, gamma0s, omega=-2000.0,
+                            config=sweeps.SweepConfig(sideband="same"))
+
+
+def test_parameter_sweep_builds_its_set_ups_in_blocks(ref, monkeypatch):
+    # blocks of 12 points: one generator call for the Bloch drifts and
+    # two for the diffusion tables of each block
+    calls = []
+    real = ss_mod.apply_generator
+
+    def counted(p, op):
+        calls.append(len(p))
+        return real(p, op)
+
+    monkeypatch.setattr(ss_mod, "apply_generator", counted)
+    monkeypatch.setattr(lv, "apply_generator", counted)
+    sweeps.sweep_gamma0(ref, sweeps.fig_gamma0_grid(), omega=0.0)
+    assert len(calls) == 3 * 9 == 27
+    assert calls == [12] * 24 + [5] * 3
 
 
 @pytest.mark.parametrize("sweep,where", [
