@@ -10,14 +10,17 @@ reference parameter set unchanged.
 
 Exit codes: 0 success, 1 config or parameter validation error
 (including non-finite values, a spectrum window whose span
-``omega_max - omega_min`` is not finite and frequency grids beyond
-``sweeps.MAX_GRID_POINTS``), 2 numerical failure (exponential gain or
-overflow in the propagation, an extended covariance that is not finite
-or a vanishing coherence response, reported with the offending
-frequency and, in a parameter sweep, the swept value, or drives that
-leave no unique steady state), 3 verification suite reporting a
-surprising outcome.  Every output file embeds the effective
-configuration so a result can always be traced back to its inputs.
+``omega_max - omega_min`` is not finite, frequency grids beyond
+``sweeps.MAX_GRID_POINTS``, a pair detuning whose fig2/fig3 resonance
+window holds no grid point, a config file that cannot be read or is not
+UTF-8, and an output file that cannot be written), 2 numerical failure
+(exponential gain or overflow in the propagation, an extended
+covariance that is not finite or a vanishing coherence response,
+reported with the offending frequency and, in a parameter sweep, the
+swept value, or drives that leave no unique steady state), 3
+verification suite reporting a surprising outcome.  Every output file
+embeds the effective configuration so a result can always be traced
+back to its inputs.
 """
 
 from __future__ import annotations
@@ -206,12 +209,22 @@ def _spectrum_grid(rc) -> np.ndarray:
 
 def _run_omega_sweep(rc, out, fmt, grid, model, resonances=()) -> int:
     """Shared body of spectrum, fig2 and fig3: sweep the grid, then report
-    each pair's dip in the window around every resonance and over the
-    full grid, in that order."""
-    spec = sweeps.sweep_omega(rc.params, grid, model)
-    windows = [(c - RESONANCE_HALFWIDTH, c + RESONANCE_HALFWIDTH)
-               for c in resonances]
+    each pair's dip in the window around every resonance, the pair
+    detunings named by ``resonances``, and over the full grid, in that
+    order.  A window that holds no grid point is rejected before the
+    sweep."""
+    windows = []
+    for name in resonances:
+        c = getattr(rc.params, name)
+        lo, hi = c - RESONANCE_HALFWIDTH, c + RESONANCE_HALFWIDTH
+        if not np.any((grid >= lo) & (grid <= hi)):
+            raise ValidationError(
+                f"{name} = {c:g} MHz: its resonance window ({lo:g}, {hi:g}) "
+                f"holds no point of the grid, which spans ({grid[0]:g}, "
+                f"{grid[-1]:g}) MHz")
+        windows.append((lo, hi))
     windows.append((float(grid[0]), float(grid[-1])))
+    spec = sweeps.sweep_omega(rc.params, grid, model)
     dips = [sweeps.find_dip(spec, pair, window)
             for pair in spec.pairs for window in windows]
     _emit_spectrum(spec, rc, dips, out, fmt)
@@ -322,11 +335,12 @@ def calibrate(rc: RunConfig) -> dict:
         modes = cfg.modes(q)
         new = [s for s in scales if (q.coupling_scale, s) not in evaluated]
         if new:
-            set_up = propagation.stack_set_ups([entanglement.witness_set_up(
-                q.with_(spinwave_scale=s), ss, two_d, modes, dp)
-                for s in new])
+            k = len(new)
+            set_up = entanglement.witness_set_up(
+                [q.with_(spinwave_scale=s) for s in new], [ss] * k,
+                np.stack([two_d] * k), modes, [dp] * k)
             block = entanglement.extended_quadratures(
-                set_up, np.zeros(len(new)), q.length, cfg.coupling,
+                set_up, np.zeros(k), q.length, cfg.coupling,
                 cfg.sideband, cfg.spinwave_definition)
             evaluated.update(((q.coupling_scale, s), quad)
                              for s, quad in zip(new, block))
@@ -376,9 +390,11 @@ def _run_calibrate(rc, out) -> int:
 def _run_verify(rc, out) -> int:
     reports = verification.run_all(rc.params)
     lines = verification.format_lines(reports)
-    sweeps.write_text(lines)
+    # the file first: an output that cannot be written ends the run
+    # before the report is streamed
     if out:
         sweeps.write_text(lines, out)
+    sweeps.write_text(lines)
     return verification.verify_exit_code(reports)
 
 
@@ -395,11 +411,11 @@ def run(rc: RunConfig, experiment: str, out=None, fmt="csv") -> int:
     if experiment == "fig2":
         return _run_omega_sweep(rc, out, fmt, sweeps.fig_spectrum_grid(p),
                                 dataclasses.replace(rc.model, two_pair=False),
-                                (p.delta1,))
+                                ("delta1",))
     if experiment == "fig3":
         return _run_omega_sweep(rc, out, fmt, sweeps.fig_two_pair_grid(p),
                                 dataclasses.replace(rc.model, two_pair=True),
-                                (p.delta1, p.delta2))
+                                ("delta1", "delta2"))
     if experiment == "fig4":
         return _run_fig4(rc, out, fmt)
     if experiment == "fig5":
@@ -447,13 +463,13 @@ def main(argv=None) -> int:
         text = ""
         if ns.config is not None:
             try:
-                with open(ns.config) as fh:
+                with open(ns.config, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from None
         rc = parse_config(text)
         return run(rc, ns.experiment, out=ns.out, fmt=ns.fmt)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, sweeps.OutputError) as exc:
         print(f"eitfwm: error: {exc}", file=sys.stderr)
         return 1
     except (propagation.NumericalOverflowError,

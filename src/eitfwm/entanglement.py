@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, DerivedParams, C, derive
+from .params import PhysicalParams, C, derive
 from .steady_state import DensityMatrix3
 from . import langevin
 from . import propagation
@@ -88,7 +88,7 @@ def quadrature_covariance(doubled: np.ndarray) -> np.ndarray:
 class WitnessSetUp(propagation.DriftRows):
     """Everything a witness point needs that no frequency changes: the
     drift set-up plus the spin-wave and noise parts, arrays with the
-    same leading axis over set-ups.
+    same leading axis over points.
 
     S and S^+ are rows over the doubled field basis: fields on the 1-3
     transition enter S directly, the 2-3 ones daggered, with steady-state
@@ -106,27 +106,35 @@ class WitnessSetUp(propagation.DriftRows):
     atom_number: np.ndarray     # (k,)
 
 
-def witness_set_up(p: PhysicalParams, ss: DensityMatrix3,
-                   two_d: np.ndarray, modes: list,
-                   dp: DerivedParams) -> WitnessSetUp:
-    """The set-up of the witness points of ``p`` from its steady state,
-    diffusion table, field modes and derived parameters."""
-    scale = p.spinwave_scale
+def witness_set_up(points: list, states: list, tables: np.ndarray,
+                   modes: list, derived: list) -> WitnessSetUp:
+    """The set-up of the witness points of the parameter sets ``points``,
+    stacked over them, from their steady states, diffusion tables (shape
+    (k, 6, 6)) and derived parameters; the points share the field
+    ``modes``.  Every product has a factor with a zero real or imaginary
+    part, so each point is bit for bit a scalar evaluation."""
+    scale = np.array([p.spinwave_scale for p in points])
+    root_g1 = np.sqrt([dp.g1sq_n for dp in derived])
+    root_g2 = np.sqrt([dp.g2sq_n for dp in derived])
     n = len(modes)
-    s13, s23 = ss.sigma(1, 3), ss.sigma(2, 3)
-    num = np.zeros(2 * n, dtype=complex)
-    for k, mode in enumerate(modes):
-        if mode.transition == "13":
-            num[k] = -1j * scale * np.sqrt(dp.g1sq_n) * np.conj(s23)
-        else:
-            num[n + k] = 1j * scale * np.sqrt(dp.g2sq_n) * s13
+    s = np.stack([ss.matrix for ss in states])
+    s13, s23 = s[:, 0, 2], s[:, 1, 2]
+    num = np.zeros((len(points), 2 * n), dtype=complex)
+    # couplings beyond float range are reported by the transfer
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, mode in enumerate(modes):
+            if mode.transition == "13":
+                num[:, k] = -1j * scale * root_g1 * np.conj(s23)
+            else:
+                num[:, n + k] = 1j * scale * root_g2 * s13
     # daggered row: conjugate numerator with direct/daggered blocks swapped
-    num_dag = np.concatenate([np.conj(num[n:]), np.conj(num[:n])])
+    num_dag = np.concatenate([np.conj(num[:, n:]), np.conj(num[:, :n])],
+                             axis=1)
     return WitnessSetUp(
-        **vars(propagation.drift_rows(ss, modes, dp)), two_d=two_d[None],
-        gamma0=np.array([p.gamma0]), scale=np.array([scale]),
-        num=num[None], num_dag=num_dag[None],
-        atom_number=np.array([dp.atom_number]))
+        **vars(propagation.drift_rows(states, modes, derived)),
+        two_d=tables, gamma0=np.array([p.gamma0 for p in points]),
+        scale=scale, num=num, num_dag=num_dag,
+        atom_number=np.array([dp.atom_number for dp in derived]))
 
 
 def state_dim(n_modes: int, spinwave: str) -> int:
@@ -309,7 +317,7 @@ def covariance_with_spinwave(omega: float, p: PhysicalParams,
     """Quadrature covariance of the output fields plus the S mode, read
     out by the spin-wave definition ``spinwave``: a block of one point."""
     modes = modes or propagation.single_pair_modes(p)
-    set_up = witness_set_up(p, ss, two_d, modes, derive(p))
+    set_up = witness_set_up([p], [ss], two_d[None], modes, [derive(p)])
     labels = [m.name for m in modes] + ["S"]
     return ExtendedCovariance(labels=labels, quad=extended_quadratures(
         set_up, [omega], p.length, coupling, sideband, spinwave)[0])

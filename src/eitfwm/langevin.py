@@ -43,22 +43,22 @@ def diffusion_matrix(p, ss) -> np.ndarray:
 
     ``p`` is one parameter set with its steady state ``ss``, or a list of
     them with the list of their states, giving a stack of tables of
-    shape (k, 6, 6).  The three terms of all 36 pairs of every point are
-    stacked; each expectation <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b]
-    S[a,b] sums the last two axes.
+    shape (k, 6, 6).  Each of the three terms is formed for all 36 pairs
+    of every point at once, and summed before the next one is formed;
+    each expectation <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b] S[a,b]
+    sums the last two axes.
     """
     ops = np.stack([_unit(a, b) for (a, b) in CHANNELS])
     drifts = apply_generator(p, ops)
     left, right = ops[:, None], ops[None, :]
-    terms = np.stack([apply_generator(p, left @ right),
-                      drifts[..., :, None, :, :] @ right,
-                      left @ drifts[..., None, :, :, :]], axis=-5)
     if isinstance(ss, DensityMatrix3):
         s = ss.matrix
     else:
-        s = np.stack([x.matrix for x in ss])[:, None, None, None]
-    val = np.sum(terms * s, axis=(-2, -1))
-    return val[..., 0, :, :] - val[..., 1, :, :] - val[..., 2, :, :]
+        s = np.stack([x.matrix for x in ss])[:, None, None]
+    val = np.sum(apply_generator(p, left @ right) * s, axis=(-2, -1))
+    val -= np.sum((drifts[..., :, None, :, :] @ right) * s, axis=(-2, -1))
+    val -= np.sum((left @ drifts[..., None, :, :, :]) * s, axis=(-2, -1))
+    return val
 
 
 #: index in CHANNELS of the conjugate of every channel

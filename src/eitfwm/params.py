@@ -96,12 +96,23 @@ class DerivedParams:
     gamma23: float
 
 
+def _square(x: float) -> float:
+    """x ** 2, inf past float range, as a float product would overflow."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def derive(p: PhysicalParams) -> DerivedParams:
-    """Validate ``p`` and compute the derived quantities."""
+    """Validate ``p`` and compute the derived quantities.  A quantity past
+    float range is inf, which the propagation reports as a drift or a
+    covariance that is not finite."""
     p.validate()
-    volume = math.pi * p.radius ** 2 * p.length
+    volume = math.pi * _square(p.radius) * p.length
     n_atoms = p.n0 * volume
-    prefac = p.coupling_scale * 3.0 * C * p.wavelength ** 2 * p.n0 / (8.0 * math.pi)
+    prefac = (p.coupling_scale * 3.0 * C * _square(p.wavelength) * p.n0
+              / (8.0 * math.pi))
     g13 = 0.5 * (p.gamma1 + p.gamma2)
     return DerivedParams(
         atom_number=n_atoms,

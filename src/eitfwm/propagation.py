@@ -44,7 +44,6 @@ independent cross-check.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +140,8 @@ def complex_quotient(a, b) -> np.ndarray:
 @dataclass(frozen=True)
 class DriftRows:
     """The frequency-independent coefficients of the direct drift rows;
-    arrays have a leading axis over set-ups (``stack_set_ups``): one
-    entry per steady state, mode set and derived parameter set."""
+    arrays have a leading axis over points: one entry per steady state
+    and derived parameter set, all sharing one mode set."""
 
     modes: list
     channels: list
@@ -156,29 +155,37 @@ class DriftRows:
     conjugate_columns: tuple    # noise column driving each daggered row
 
 
-def drift_rows(ss: DensityMatrix3, modes: list[FieldMode],
-               dp: DerivedParams) -> DriftRows:
-    """Set up the drift assembly of ``modes`` once for every frequency."""
+def drift_rows(states: list, modes: list[FieldMode],
+               derived: list) -> DriftRows:
+    """Set up the drift assembly of ``modes`` once for every frequency,
+    for each point of the steady states ``states`` and derived
+    parameters ``derived``.  Every product has a real factor, so each
+    point's rows are bit for bit those of a scalar evaluation."""
     channels = langevin.field_noise_channels()
-    s11, s22, s33 = (ss.sigma(k, k).real for k in (1, 2, 3))
-    s12 = ss.sigma(1, 2)
+    s = np.stack([ss.matrix for ss in states])
+    s11, s22, s33 = (s[:, k, k].real for k in range(3))
+    s12 = s[:, 0, 1]
+    g1sq_n, g2sq_n, gamma13, gamma23 = (
+        np.array([getattr(dp, name) for dp in derived])
+        for name in ("g1sq_n", "g2sq_n", "gamma13", "gamma23"))
     with np.errstate(over="ignore", invalid="ignore"):
-        g1g2_n = np.sqrt(dp.g1sq_n * dp.g2sq_n)
+        g1g2_n = np.sqrt(g1sq_n * g2sq_n)
         # per transition: linewidth, own term, coherence term, noise
         # amplitude and noise channel of a row
         terms = {
-            "13": (dp.gamma13, dp.g1sq_n * (s11 - s33), g1g2_n * s12,
-                   np.sqrt(dp.g1sq_n / C), (1, 3)),
-            "23": (dp.gamma23, dp.g2sq_n * (s22 - s33),
-                   g1g2_n * np.conj(s12), np.sqrt(dp.g2sq_n / C), (2, 3)),
+            "13": (gamma13, g1sq_n * (s11 - s33), g1g2_n * s12,
+                   np.sqrt(g1sq_n / C), (1, 3)),
+            "23": (gamma23, g2sq_n * (s22 - s33), g1g2_n * np.conj(s12),
+                   np.sqrt(g2sq_n / C), (2, 3)),
         }
     gamma, own, coh, root_g, noise = zip(*(terms[mode.transition]
                                            for mode in modes))
     return DriftRows(
-        modes=list(modes), channels=channels, gamma=np.array([gamma]),
-        detuning=np.array([[mode.detuning for mode in modes]]),
-        own=np.array([own]), coh=np.array([coh], dtype=complex),
-        root_g=np.array([root_g]),
+        modes=list(modes), channels=channels,
+        gamma=np.stack(gamma, axis=-1),
+        detuning=np.array([[mode.detuning for mode in modes]] * len(s)),
+        own=np.stack(own, axis=-1), coh=np.stack(coh, axis=-1),
+        root_g=np.stack(root_g, axis=-1),
         columns=tuple(channels.index(ch) for ch in noise),
         partner=tuple(j for i, mi in enumerate(modes)
                       for j, mj in enumerate(modes)
@@ -186,18 +193,6 @@ def drift_rows(ss: DensityMatrix3, modes: list[FieldMode],
         conjugate_columns=tuple(
             channels.index(langevin.conjugate_channel(ch))
             for ch in channels))
-
-
-def stack_set_ups(set_ups: list):
-    """One set-up for a block of points from the set-ups of its points,
-    array fields concatenated; points sharing one set-up keep it."""
-    first = set_ups[0]
-    if all(s is first for s in set_ups):
-        return first
-    return dataclasses.replace(first, **{
-        f.name: np.concatenate([getattr(s, f.name) for s in set_ups])
-        for f in dataclasses.fields(first)
-        if isinstance(getattr(first, f.name), np.ndarray)})
 
 
 def _direct_sector(rows: DriftRows, omega: np.ndarray, coupling: str):
@@ -262,7 +257,7 @@ def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
                  sideband: str = "mirrored") -> DriftMatrix:
     """Assemble the doubled-basis drift and noise coupling at ``omega``:
     a block of one frequency of drift_block."""
-    rows = drift_rows(ss, modes or single_pair_modes(p), dp or derive(p))
+    rows = drift_rows([ss], modes or single_pair_modes(p), [dp or derive(p)])
     m, q = drift_block(rows, [omega], coupling, sideband)
     return DriftMatrix(rows.modes, m[0], q[0], rows.channels)
 
@@ -284,7 +279,10 @@ def noise_drive(q: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _doubling(m: np.ndarray, g: np.ndarray, length: float, k: int):
     """Taylor start step plus ``k`` doublings over a stack sharing ``k``."""
-    h = length / (2 ** k)
+    # length / 2**k, exactly; a numpy float, so that the k = 1024 of a
+    # norm near the float maximum stays in range and a power of a huge
+    # step overflows to inf instead of raising
+    h = np.ldexp(np.float64(length), -k)
     mh = m * h
     mh2 = mh @ mh
     t = np.eye(m.shape[-1], dtype=complex) + mh + mh2 / 2.0 \
@@ -325,29 +323,35 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     overflow without a reduction per stage.  Overflow is detected and
     reported explicitly, so floating-point warnings are silenced inside
     the kernel.  NumericalOverflowError is raised for the first matrix
-    of the stack, in stack order, whose drift is not finite, whose T
-    overflowed or whose gain exceeds GAIN_CEILING; its ``index``
-    attribute is that matrix's position.
+    of the stack, in stack order, whose drift is not finite, whose
+    stage count is past float range, whose T overflowed or whose gain
+    exceeds GAIN_CEILING; its ``index`` attribute is that matrix's
+    position.
     """
     m = np.asarray(m)
     t = np.full(m.shape, np.nan, dtype=complex)
     c = np.full(m.shape, np.nan, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(m, 1, axis=(-2, -1)) * length
-        finite_m = np.isfinite(norms)
+        # a drift that is finite but whose norm times the length passes
+        # 2^1014 has no stage count in float range
+        ratio = np.maximum(norms, 1e-300) / DOUBLING_THETA
+        countable = np.isfinite(ratio)
         stages = np.full(len(m), -1)
-        stages[finite_m] = np.maximum(0, np.ceil(np.log2(
-            np.maximum(norms[finite_m], 1e-300) / DOUBLING_THETA)))
-        for k in np.unique(stages[finite_m]):
+        stages[countable] = np.maximum(0, np.ceil(np.log2(ratio[countable])))
+        for k in np.unique(stages[countable]):
             sel = stages == k
             t[sel], c[sel] = _doubling(m[sel], g[sel], length, int(k))
         gain = np.max(np.abs(t), axis=(-2, -1))
     finite_t = np.all(np.isfinite(t), axis=(-2, -1))
-    bad = ~finite_m | ~finite_t | ~(gain <= GAIN_CEILING)
+    bad = ~countable | ~finite_t | ~(gain <= GAIN_CEILING)
     if np.any(bad):
         i = int(np.argmax(bad))
-        if not finite_m[i]:
+        if not np.all(np.isfinite(m[i])):
             message = "drift matrix is not finite"
+        elif not countable[i]:
+            message = (f"drift norm times length {norms[i]:.3e} is past "
+                       "the range of the interval doubling")
         elif not finite_t[i]:
             message = "transfer matrix overflowed"
         else:

@@ -6,11 +6,11 @@ shared by every sweep axis, dip/plateau summaries, and the CSV/JSON
 writers.  The engine evaluates blocks of consecutive points as stacked
 arrays, from the assembly of drift, noise and readout rows through the
 interval doubling, output covariance, coherence-mode extension and
-quadrature transform to both witness sign branches; a parameter sweep
-builds the set-ups of its points in stacked blocks as well.  A block
-gives every point bit for bit the result of a one-point evaluation, so
-rerunning a sweep with the same configuration reproduces the output
-byte for byte.
+quadrature transform to both witness sign branches; each block of a
+parameter sweep first builds one set-up stacked over its points.  A
+block gives every point bit for bit the result of a one-point
+evaluation, so rerunning a sweep with the same configuration
+reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -155,18 +156,32 @@ def omega_grid(start: float, stop: float, n: int,
     return np.unique(np.concatenate(patches))
 
 
-def _set_ups(points: list, config: SweepConfig) -> list:
-    """Everything a witness point needs that no frequency changes, for
-    each parameter set of ``points``: the derived parameters (validated
-    before anything is solved), the steady state, the diffusion table
-    and the drift set-up of the configured modes, as one witness set-up.
-    Three generator calls serve all the points: one for the Bloch drifts
+def _set_up(points: list, config: SweepConfig):
+    """(set-up, error): the witness set-up stacked over the longest
+    prefix of the parameter sets ``points`` that has one (None if the
+    first point fails), and the failure of the next point (None if no
+    point fails).  Every point is validated before anything is solved;
+    three generator calls serve all the points: one for the Bloch drifts
     and two for the diffusion tables."""
-    derived = [derive(q) for q in points]
-    states = steady_state(points)
+    derived, error = [], None
+    for q in points:
+        try:
+            derived.append(derive(q))
+        except ValidationError as exc:
+            error = exc
+            break
+    points = points[:len(derived)]
+    try:
+        states = steady_state(points)
+    except (DegenerateSteadyStateError, ValueError) as exc:
+        error, points = exc, points[:exc.index]
+        states = steady_state(points)
+    if not points:
+        return None, error
     tables = langevin.diffusion_matrix(points, states)
-    return [entanglement.witness_set_up(q, ss, two_d, config.modes(q), dp)
-            for q, ss, two_d, dp in zip(points, states, tables, derived)]
+    return entanglement.witness_set_up(
+        points, states, tables, config.modes(points[0]),
+        derived[:len(points)]), error
 
 
 def _naming(exc: Exception, axis: str, value) -> Exception:
@@ -174,22 +189,29 @@ def _naming(exc: Exception, axis: str, value) -> Exception:
     return type(exc)(f"{exc}, {axis} = {float(value):g}")
 
 
-def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups: list,
-           config: SweepConfig) -> CorrelationSpectrum:
+def _sweep(p: PhysicalParams, axis: str, values, omegas,
+           config: SweepConfig | None, field: str | None = None
+           ) -> CorrelationSpectrum:
     """Evaluate every configured pair witness at the points
-    ``(omegas[i], set_ups[i])``, one per entry of ``values``, the sweep
-    variable named ``axis``; a set-up is a ``_set_up`` result.
+    ``(omegas[i], values[i])``, the sweep variable named ``axis``.  In a
+    frequency sweep (``field`` None) every point shares the set-up of
+    ``p``; in a parameter sweep, the field ``field`` of ``p`` takes each
+    of ``values``.
 
     Blocks of consecutive points, each holding about BLOCK_ENTRIES
     entries of propagated matrices, are evaluated as stacked arrays, from
-    the assembly to both sign branches of every witness.  Every point
-    shares the cell length of ``p``.
+    the assembly to both sign branches of every witness; in a parameter
+    sweep, each block first builds its points' set-up as one stack.
+    Every point shares the cell length of ``p``.
 
-    A failing sweep reports its first failing point: a numerical
-    failure names its frequency, and the swept value when ``axis`` is a
-    parameter.  Partial results are discarded so a failed sweep can
-    never emit a truncated file.
+    A failing sweep reports its first failing point in grid order: a
+    numerical failure names its frequency, and in a parameter sweep
+    every failure names the swept value.  A set-up failure surfaces
+    after the points before it have been evaluated, so an earlier
+    failing point still wins.  Partial results are discarded so a failed
+    sweep can never emit a truncated file.
     """
+    config = config or SweepConfig()
     pairs = config.pairs()
     modes = config.modes(p)
     labels = [m.name for m in modes] + ["S"]
@@ -197,21 +219,32 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups: list,
     witness_signs = {pair: [] for pair in pairs}
     size = max(1, BLOCK_ENTRIES // entanglement.state_dim(
         len(modes), config.spinwave_definition) ** 2)
+    if field is None:
+        set_up, error = _set_up([p], config)
+        if error is not None:
+            raise error
     for lo in range(0, len(values), size):
-        try:
-            quad = entanglement.extended_quadratures(
-                propagation.stack_set_ups(set_ups[lo:lo + size]),
-                omegas[lo:lo + size], p.length, config.coupling,
-                config.sideband, config.spinwave_definition)
-        except propagation.NumericalOverflowError as exc:
-            if axis == "omega":
-                raise
-            raise _naming(exc, axis, values[lo + exc.index]) from exc
-        ext = entanglement.ExtendedCovariance(labels=labels, quad=quad)
-        for pair in pairs:
-            v, signs = ext.duan_stack(*pair)
-            witness_values[pair].extend(v.tolist())
-            witness_signs[pair].extend(signs)
+        hi = min(lo + size, len(values))
+        if field is not None:
+            set_up, error = _set_up([p.with_(**{field: float(x)})
+                                     for x in values[lo:hi]], config)
+            hi = lo if set_up is None else lo + len(set_up.gamma0)
+        if hi > lo:
+            try:
+                quad = entanglement.extended_quadratures(
+                    set_up, omegas[lo:hi], p.length, config.coupling,
+                    config.sideband, config.spinwave_definition)
+            except propagation.NumericalOverflowError as exc:
+                if field is None:
+                    raise
+                raise _naming(exc, axis, values[lo + exc.index]) from exc
+            ext = entanglement.ExtendedCovariance(labels=labels, quad=quad)
+            for pair in pairs:
+                v, signs = ext.duan_stack(*pair)
+                witness_values[pair].extend(v.tolist())
+                witness_signs[pair].extend(signs)
+        if error is not None:
+            raise _naming(error, axis, values[hi]) from error
     return CorrelationSpectrum(
         omegas=np.asarray(values, dtype=float), pairs=pairs,
         values={pair: np.array(vs, dtype=float)
@@ -222,61 +255,17 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas, set_ups: list,
 def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None
                 ) -> CorrelationSpectrum:
     """Evaluate every configured pair witness across the frequency grid;
-    every point shares one ``_set_up``."""
+    every point shares one set-up."""
     omegas = np.asarray(omegas, dtype=float)
-    config = config or SweepConfig()
-    return _sweep(p, "omega", omegas, omegas,
-                  _set_ups([p], config) * len(omegas), config)
-
-
-def _sweep_param(p: PhysicalParams, axis: str, field: str, values,
-                 omega: float, config: SweepConfig | None
-                 ) -> CorrelationSpectrum:
-    """Witnesses at fixed frequency while the parameter ``field`` takes
-    each of ``values``; every point has its own set-up.
-
-    Every point is validated first, in grid order; the set-ups of the
-    points before the first invalid one are then built a block at a
-    time, each block's generator stacks holding at most BLOCK_ENTRIES
-    entries.  A set-up failure, invalid or unsolvable, surfaces after
-    the points before it have been evaluated, so the first failing point
-    in grid order is the one reported; its message ends with the swept
-    value."""
-    config = config or SweepConfig()
-    points, error = [], None
-    for x in values:
-        q = p.with_(**{field: float(x)})
-        try:
-            q.validate()
-        except ValidationError as exc:
-            error = exc
-            break
-        points.append(q)
-    # a point's largest generator stack: 36 operator products of 9 entries
-    size = max(1, BLOCK_ENTRIES // (9 * len(langevin.CHANNELS) ** 2))
-    set_ups = []
-    for lo in range(0, len(points), size):
-        block = points[lo:lo + size]
-        try:
-            set_ups += _set_ups(block, config)
-        except (DegenerateSteadyStateError, ValueError) as exc:
-            if exc.index:
-                set_ups += _set_ups(block[:exc.index], config)
-            error = exc
-            break
-    k = len(set_ups)
-    spec = _sweep(p, axis, values[:k], np.full(k, float(omega)), set_ups,
-                  config)
-    if error is None:
-        return spec
-    raise _naming(error, axis, values[k]) from error
+    return _sweep(p, "omega", omegas, omegas, config)
 
 
 def sweep_gamma0(p: PhysicalParams, gamma0s, omega: float = 0.0,
                  config: SweepConfig | None = None) -> CorrelationSpectrum:
     """Witnesses at fixed frequency while the ground-coherence dephasing
     varies; the coherence response denominator changes with it."""
-    return _sweep_param(p, "gamma0", "gamma0", gamma0s, omega, config)
+    return _sweep(p, "gamma0", gamma0s, np.full(len(gamma0s), float(omega)),
+                  config, field="gamma0")
 
 
 def sweep_alpha(p: PhysicalParams, alphas, omega: float,
@@ -287,7 +276,8 @@ def sweep_alpha(p: PhysicalParams, alphas, omega: float,
     are constant in exact arithmetic; the sweep exists to demonstrate
     that, not to explore anything.
     """
-    return _sweep_param(p, "alpha", "alpha1", alphas, omega, config)
+    return _sweep(p, "alpha", alphas, np.full(len(alphas), float(omega)),
+                  config, field="alpha1")
 
 
 def plateau_median(spec: CorrelationSpectrum, pair, band=PLATEAU_BAND,
@@ -420,15 +410,32 @@ def csv_lines(spec: CorrelationSpectrum, extra_meta: dict | None = None):
     return lines
 
 
+class OutputError(OSError):
+    """An output file could not be written."""
+
+
 def write_text(lines, out: str | None = None) -> None:
     """Write ``lines``, each ended by a newline, to the file ``out``, or
-    to stdout when ``out`` is None or empty."""
+    to stdout when ``out`` is None or empty.
+
+    A file that cannot be opened or written raises OutputError; a write
+    that fails once the file is open removes the file, so no partial
+    output is left behind."""
     text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        raise OutputError(f"cannot write output: {exc}") from None
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        if os.path.isfile(out):
+            os.remove(out)
+        raise OutputError(f"cannot write output: {exc}") from None
 
 
 def write_csv(spec: CorrelationSpectrum, path: str,

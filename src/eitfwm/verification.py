@@ -97,8 +97,8 @@ def _field_quadratures(m, g, length) -> np.ndarray:
 
 def _rows(p, ss):
     """Drift set-up of the single field pair at the steady state ``ss``."""
-    return propagation.drift_rows(ss, propagation.single_pair_modes(p),
-                                  derive(p))
+    return propagation.drift_rows([ss], propagation.single_pair_modes(p),
+                                  [derive(p)])
 
 
 def _worst_commutator_dev(p, ss, two_d, omegas, coupling) -> float:

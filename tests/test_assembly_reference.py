@@ -6,8 +6,8 @@ block assembly (``entanglement.assemble`` on ``propagation.drift_block``)
 must reproduce every drift, noise, readout and lump row of it byte for
 byte: on random grids that include +-0.0 and the exact pair detunings,
 for every coupling, sideband, pair count and spin-wave definition, with
-one shared set-up and with a set-up per point (the parameter-sweep and
-calibration shapes).
+one shared set-up and with one set-up stacked over the points (the
+parameter-sweep and calibration shapes).
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def _points(p, omegas, two_pair):
     two_d = langevin.diffusion_matrix(p, ss)
     dp = derive(p)
     modes = _modes(p, two_pair)
-    set_up = en.witness_set_up(p, ss, two_d, modes, dp)
+    set_up = en.witness_set_up([p], [ss], two_d[None], modes, [dp])
     rows = drift_rows(ss, modes, dp)
     return set_up, [(om, p, ss, two_d, rows, dp) for om in omegas]
 
@@ -352,18 +352,17 @@ def test_shared_set_up_block_is_byte_identical(omegas, config, gamma0,
        config=st.sampled_from(CONFIGS), share_steady_state=st.booleans())
 def test_stacked_set_up_block_is_byte_identical(points, config,
                                                 share_steady_state):
-    # a set-up per point: the steady state changes with gamma0 in a
-    # parameter sweep; with a shared steady state only the spin-wave
-    # scale changes, as in calibration
-    set_ups, reference = [], []
+    # one set-up stacked over the points: the steady state changes with
+    # gamma0 in a parameter sweep; with a shared steady state only the
+    # spin-wave scale changes, as in calibration
+    reference = []
     for om, gamma0, scale in points:
         if share_steady_state:
             gamma0 = points[0][1]
         p = reference_params().with_(gamma0=gamma0, spinwave_scale=scale)
         (om,) = _nonzero_if(gamma0, [om])
-        set_up, ref = _points(p, np.array([om]), config[2])
-        set_ups.append(set_up)
-        reference += ref
-    omegas = np.array([ref[0] for ref in reference])
-    _assert_block_matches(pr.stack_set_ups(set_ups), omegas, reference,
-                          config)
+        reference += _points(p, np.array([om]), config[2])[1]
+    omegas, params, states, tables, _, derived = zip(*reference)
+    set_up = en.witness_set_up(params, states, np.stack(tables),
+                               _modes(params[0], config[2]), derived)
+    _assert_block_matches(set_up, np.array(omegas), reference, config)

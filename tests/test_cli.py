@@ -1,9 +1,11 @@
 """Command-line driver: config parsing, exit codes, output stability."""
 
 import contextlib
+import errno
 import functools
 import io
 import json
+import os
 import warnings
 
 import pytest
@@ -96,6 +98,67 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"gamma0 = 0.1\n\xff\n")
+    out = tmp_path / "out.json"
+    code = cli.main(["--experiment", "steady", "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eitfwm: error: cannot read config: ")
+    assert "can't decode byte 0xff" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["steady", "fig4", "verify"])
+def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch,
+                                   experiment):
+    # the directory of the output file does not exist; verify reports
+    # no check, so that it fails before streaming a report
+    monkeypatch.setattr(verification, "run_all", lambda p: [])
+    out = tmp_path / "absent" / "out"
+    code = cli.main(["--experiment", experiment, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("eitfwm: error: cannot write output: ")
+    assert str(out) in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+def test_failed_write_leaves_no_partial_output(tmp_path, capsys,
+                                               monkeypatch):
+    real_open = open
+
+    class DiskFull:
+        """A file that takes a few characters, then runs out of space."""
+
+        def __init__(self, path, mode):
+            self.fh = real_open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sweeps, "open", DiskFull, raising=False)
+    out = tmp_path / "steady.json"
+    assert cli.main(["--experiment", "steady", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("eitfwm: error: cannot write output: [Errno 28] "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     assert cli.main(["--experiment", "steady", "--frobnicate"]) == 1
 
@@ -155,6 +218,81 @@ def test_oversized_grid_exits_1_before_allocating(tmp_path, capsys,
     assert fragment in err
     assert f"grid cap of {sweeps.MAX_GRID_POINTS} points" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("experiment,line,message", [
+    ("fig2", "delta1 = 5000",
+     "delta1 = 5000 MHz: its resonance window (4700, 5300) holds no point "
+     "of the grid, which spans (-3000, 1000) MHz"),
+    ("fig3", "delta2 = 5000",
+     "delta2 = 5000 MHz: its resonance window (4700, 5300) holds no point "
+     "of the grid, which spans (-3000, 3000) MHz"),
+    ("fig2", "delta1 = 1e300",
+     "delta1 = 1e+300 MHz: its resonance window (1e+300, 1e+300) holds no "
+     "point of the grid, which spans (-3000, 1000) MHz"),
+], ids=["fig2", "fig3", "fig2_huge"])
+def test_detuning_outside_the_figure_grid_exits_1_before_sweeping(
+        tmp_path, capsys, monkeypatch, experiment, line, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(sweeps, "sweep_omega", no_sweep)
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out.csv"
+    code = cli.main(["--experiment", experiment, "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"eitfwm: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,line,message", [
+    # the drift norm times the cell length passes float range, so no
+    # stage count exists there
+    ("fig2", "length = 1e300",
+     "drift norm times length 1.814e+305 is past the range of the "
+     "interval doubling at omega = -1030 MHz"),
+    ("fig5", "length = 1e300",
+     "drift norm times length 1.799e+306 is past the range of the "
+     "interval doubling at omega = -1000 MHz, alpha = 0"),
+    # with the coupling off the drift vanishes at omega = 0, so the whole
+    # cell is one Taylor step, whose cube passes float range
+    ("fig4", "length = 1e300\ncoupling_scale = 0",
+     "extended covariance is not finite at omega = 0 MHz, gamma0 = 0.01"),
+    # the couplings g^2 N pass float range
+    ("fig2", "wavelength = 1e300",
+     "drift matrix is not finite at omega = -3000 MHz"),
+    ("fig4", "wavelength = 1e300",
+     "drift matrix is not finite at omega = 0 MHz, gamma0 = 0.01"),
+], ids=["length_fig2", "length_fig5", "length_uncoupled_fig4",
+        "wavelength_fig2", "wavelength_fig4"])
+def test_huge_finite_input_exits_2(tmp_path, capsys, experiment, line,
+                                   message):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--experiment", experiment, "--config", str(cfg),
+                         "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"eitfwm: numerical failure: {message}\n")
+    assert not out.exists()
+
+
+def test_huge_beam_radius_runs(tmp_path):
+    # radius ** 2 passes float range: the atom number is inf, which the
+    # endpoint witnesses never use
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("radius = 1e300\n"
+                   "omega_min = -1\nomega_max = 1\nn_points = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--experiment", "spectrum", "--config", str(cfg),
+                         "--out", str(tmp_path / "out.csv")])
+    assert code == 0
 
 
 def test_degenerate_drives_exit_2(tmp_path, capsys):
@@ -233,7 +371,7 @@ def test_non_finite_extended_covariance_exits_2(tmp_path, capsys,
 
 
 _FUZZ_VALUES = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300"]),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]),
     st.floats(-1e6, 1e6).map(repr))
 
 
@@ -425,9 +563,9 @@ def test_calibrate_evaluates_each_witness_point_once(monkeypatch):
     seen = []
     real = entanglement.witness_set_up
 
-    def recorded(p, *args, **kwargs):
-        seen.append((p.coupling_scale, p.spinwave_scale))
-        return real(p, *args, **kwargs)
+    def recorded(points, *args, **kwargs):
+        seen.extend((q.coupling_scale, q.spinwave_scale) for q in points)
+        return real(points, *args, **kwargs)
 
     monkeypatch.setattr(entanglement, "witness_set_up", recorded)
     cli.calibrate(cli.RunConfig(params=reference_params()))

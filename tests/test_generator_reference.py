@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from eitfwm import entanglement, langevin, propagation, sweeps
+from eitfwm import entanglement, langevin, sweeps
 from eitfwm.params import derive, reference_params
 from eitfwm.steady_state import BASIS, _unit, hamiltonian
 
@@ -145,7 +145,14 @@ def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
         except (ss_mod.DegenerateSteadyStateError, ValueError) as exc:
             failure = exc
             break
-    if failure is not None:
+    # the block set-up covers the points before the failing one, and
+    # reports its failure
+    block, error = sweeps._set_up(points, config)
+    if failure is None:
+        assert error is None
+    else:
+        assert type(error) is type(failure)
+        assert str(error) == str(failure)
         try:
             ss_mod.steady_state(points)
         except type(failure) as exc:
@@ -156,6 +163,7 @@ def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
                                  "stacked did not")
         points = points[:len(ref_states)]
         if not points:
+            assert block is None
             return
     states = ss_mod.steady_state(points)
     tables = langevin.diffusion_matrix(points, states)
@@ -166,16 +174,18 @@ def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
                                            ref_tables):
         assert ss.matrix.tobytes() == ref_ss.matrix.tobytes()
         assert two_d.tobytes() == ref_two_d.tobytes()
-    stacked = propagation.stack_set_ups(sweeps._set_ups(points, config))
-    reference = propagation.stack_set_ups([
-        entanglement.witness_set_up(p, ss, two_d, config.modes(p), derive(p))
-        for p, ss, two_d in zip(points, ref_states, ref_tables)])
-    for field in dataclasses.fields(reference):
-        ref_value = getattr(reference, field.name)
-        value = getattr(stacked, field.name)
-        if isinstance(ref_value, np.ndarray):
-            assert value.dtype == ref_value.dtype, field.name
-            assert value.shape == ref_value.shape, field.name
-            assert value.tobytes() == ref_value.tobytes(), field.name
-        else:
-            assert value == ref_value, field.name
+    # each point's slice of the block set-up against a one-point set-up
+    # of the reference state and table
+    for i, (p, ss, two_d) in enumerate(zip(points, ref_states, ref_tables)):
+        reference = entanglement.witness_set_up(
+            [p], [ss], two_d[None], config.modes(p), [derive(p)])
+        for field in dataclasses.fields(reference):
+            ref_value = getattr(reference, field.name)
+            value = getattr(block, field.name)
+            if isinstance(ref_value, np.ndarray):
+                value = value[i:i + 1]
+                assert value.dtype == ref_value.dtype, field.name
+                assert value.shape == ref_value.shape, field.name
+                assert value.tobytes() == ref_value.tobytes(), field.name
+            else:
+                assert value == ref_value, field.name

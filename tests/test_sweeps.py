@@ -89,19 +89,21 @@ def test_sweep_runs_one_transfer_per_point(ref, monkeypatch):
     assert len(matrices) == 3
 
 
-def test_sweeps_set_up_the_drift_once_per_parameter_point(ref, monkeypatch):
+def test_sweeps_set_up_the_drift_once_per_block(ref, monkeypatch):
+    # a frequency sweep shares one set-up; a parameter block stacks the
+    # set-ups of its points
     calls = []
     real = pr.drift_rows
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(states, *args, **kwargs):
+        calls.append(len(states))
+        return real(states, *args, **kwargs)
 
     monkeypatch.setattr(pr, "drift_rows", counted)
     sweeps.sweep_omega(ref, np.array([-1500.0, -1000.0, 0.0]))
-    assert len(calls) == 1
+    assert calls == [1]
     sweeps.sweep_gamma0(ref, np.array([0.01, 0.1]), omega=0.0)
-    assert len(calls) == 3
+    assert calls == [1, 2]
 
 
 def test_two_pair_sweep_reports_cross_pairs(ref):
@@ -119,8 +121,9 @@ BLOCK_GRID = np.linspace(-1000.0, 3000.0, 13)
 
 def _drift(p, cfg, omega):
     """The propagated drift of one point of a sweep of ``cfg``."""
-    m, *_ = en.assemble(sweeps._set_ups([p], cfg)[0], [omega], p.length,
-                        cfg.coupling, cfg.sideband, cfg.spinwave_definition)
+    set_up, _ = sweeps._set_up([p], cfg)
+    m, *_ = en.assemble(set_up, [omega], p.length, cfg.coupling,
+                        cfg.sideband, cfg.spinwave_definition)
     return m[0]
 
 
@@ -136,7 +139,8 @@ def _stage_count(m, length):
     return max(0, int(np.ceil(np.log2(norm / 2.0 ** -10))))
 
 
-@pytest.mark.parametrize("cfg", [
+#: every model switch the block sweeps are checked under
+BLOCK_CONFIGS = pytest.mark.parametrize("cfg", [
     sweeps.SweepConfig(),
     sweeps.SweepConfig(two_pair=True),
     sweeps.SweepConfig(spinwave_definition="z-averaged"),
@@ -145,6 +149,9 @@ def _stage_count(m, length):
     sweeps.SweepConfig(coupling="as_printed"),
 ], ids=["endpoint", "two_pair", "z_averaged", "z_averaged_two_pair",
         "same_sideband", "as_printed"])
+
+
+@BLOCK_CONFIGS
 def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     _small_blocks(monkeypatch, cfg, ref)
     spec = sweeps.sweep_omega(ref, BLOCK_GRID, cfg)
@@ -164,15 +171,19 @@ def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     assert len(stages) >= 3
 
 
-def test_block_param_sweep_equals_one_point_calls(ref, monkeypatch):
-    _small_blocks(monkeypatch, sweeps.SweepConfig(), ref)
+@BLOCK_CONFIGS
+def test_block_param_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
+    # blocks of 4, 4 and 1 points, each with one stacked set-up
+    _small_blocks(monkeypatch, cfg, ref)
     gamma0s = np.logspace(-2.0, 3.0, 9)
-    spec = sweeps.sweep_gamma0(ref, gamma0s, omega=0.0)
+    spec = sweeps.sweep_gamma0(ref, gamma0s, omega=0.0, config=cfg)
     for i, g0 in enumerate(gamma0s):
         q = ref.with_(gamma0=float(g0))
         ss = steady_state(q)
-        ext = en.covariance_with_spinwave(0.0, q, ss,
-                                          lv.diffusion_matrix(q, ss))
+        ext = en.covariance_with_spinwave(
+            0.0, q, ss, lv.diffusion_matrix(q, ss), modes=cfg.modes(q),
+            coupling=cfg.coupling, sideband=cfg.sideband,
+            spinwave=cfg.spinwave_definition)
         for pair in spec.pairs:
             w = ext.duan(*pair)
             assert spec.values[pair][i] == w.value, (g0, pair)
@@ -230,10 +241,10 @@ def test_set_up_failure_names_the_swept_value(ref, gamma0s, error, where):
 
 def test_set_up_failure_in_a_later_block_is_reported_in_grid_order(
         ref, monkeypatch):
-    # set-up blocks of 2 points: the degenerate point is the second of the
+    # blocks of 2 points: the degenerate point is the second of the
     # second block, the invalid one opens the third
     monkeypatch.setattr(sweeps, "BLOCK_ENTRIES",
-                        2 * 9 * len(lv.CHANNELS) ** 2)
+                        2 * en.state_dim(2, "endpoint") ** 2)
     gamma0s = [0.1, 0.2, 0.3, 1e300, -1.0]
     with pytest.raises(DegenerateSteadyStateError,
                        match=r"gamma0 = 1e\+300$"):
@@ -245,8 +256,8 @@ def test_set_up_failure_in_a_later_block_is_reported_in_grid_order(
 
 
 def test_parameter_sweep_builds_its_set_ups_in_blocks(ref, monkeypatch):
-    # blocks of 12 points: one generator call for the Bloch drifts and
-    # two for the diffusion tables of each block
+    # one block of 101 points (of 4x4 matrices): one generator call for
+    # the Bloch drifts and two for the diffusion tables
     calls = []
     real = ss_mod.apply_generator
 
@@ -257,8 +268,7 @@ def test_parameter_sweep_builds_its_set_ups_in_blocks(ref, monkeypatch):
     monkeypatch.setattr(ss_mod, "apply_generator", counted)
     monkeypatch.setattr(lv, "apply_generator", counted)
     sweeps.sweep_gamma0(ref, sweeps.fig_gamma0_grid(), omega=0.0)
-    assert len(calls) == 3 * 9 == 27
-    assert calls == [12] * 24 + [5] * 3
+    assert calls == [101] * 3
 
 
 @pytest.mark.parametrize("sweep,where", [
