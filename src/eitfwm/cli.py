@@ -17,8 +17,9 @@ UTF-8, and an output file that cannot be written), 2 numerical failure
 (exponential gain or overflow in the propagation, an extended
 covariance that is not finite or a vanishing coherence response,
 reported with the offending frequency and, in a parameter sweep, the
-swept value, or drives that leave no unique steady state), 3
-verification suite reporting a surprising outcome.  Every output file
+swept value, drives that leave no unique steady state, or a spin-wave
+fit whose optimum lies at scale zero), 3 verification suite reporting
+a surprising outcome.  Every output file
 embeds the effective configuration so a result can always be traced
 back to its inputs.
 """
@@ -32,7 +33,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+import scipy
 
 from . import __version__
 from .params import PhysicalParams, ValidationError, derive, reference_params
@@ -274,10 +275,9 @@ def _fit_coupling(p, witness, target) -> float:
         (ext,) = witness(q, [q.spinwave_scale])
         return abs(ext.duan("a1", "b1").value - target)
 
-    res = optimize.minimize_scalar(objective,
-                                   bounds=(math.log(0.2), math.log(8.0)),
-                                   method="bounded",
-                                   options={"xatol": 1e-10})
+    res = scipy.optimize.minimize_scalar(
+        objective, bounds=(math.log(0.2), math.log(8.0)), method="bounded",
+        options={"xatol": 1e-10})
     return float(math.exp(res.x))
 
 
@@ -287,7 +287,8 @@ def _fit_spinwave(samples, pair) -> dict:
     For fixed signs the witness is exactly quadratic in the scale, so
     the ``samples`` at the scales 0, 1 and 2 pin the parabola per sign
     branch; the mirror symmetry scale -> -scale with both signs flipped
-    folds a negative vertex back to a positive normalization.
+    folds a negative vertex back to a positive normalization.  A vertex
+    at scale zero, of either sign, has no such fold and raises.
     """
     best = None
     for su, sv in ((1, -1), (-1, 1)):
@@ -301,6 +302,10 @@ def _fit_spinwave(samples, pair) -> dict:
         if best is None or v_star < best[2]:
             best = ((su, sv), s_star, v_star)
     signs, s_star, v_star = best
+    if s_star == 0:  # either sign of zero
+        raise propagation.NumericalOverflowError(
+            f"spin-wave fit of pair {sweeps.pair_tag(pair)}: the witness is "
+            f"least at scale {s_star:g}, which is no usable normalization")
     if s_star < 0:
         s_star, signs = -s_star, (-signs[0], -signs[1])
     return {"pair": list(pair), "signs": list(signs),

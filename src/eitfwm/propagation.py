@@ -56,7 +56,8 @@ from . import langevin
 class NumericalOverflowError(RuntimeError):
     """Numerical failure at the point ``index`` of a stacked call: the
     transfer overflowed or exceeded the trust ceiling of the linearised
-    model, or the readout has no finite row there."""
+    model, or the readout has no finite row there.  A calibration fit
+    whose optimum is no usable scale raises it without an ``index``."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)

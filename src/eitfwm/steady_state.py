@@ -17,8 +17,8 @@ The single-atom adjoint generator implemented by :func:`apply_generator`
 acts on stacks of operators and of parameter points: one call gives the
 Bloch drifts of a whole block of points.  It is shared with the Langevin
 diffusion module, which evaluates Einstein relations with the same
-dissipators.  Only the null-space solve and the checks of a steady state
-run point by point.
+dissipators.  One SVD call solves the null spaces of a whole block of
+drifts; only the checks of a steady state run point by point.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import null_space
+import scipy
 
 from .params import PhysicalParams
 
@@ -150,24 +149,45 @@ def bloch_drift(p) -> np.ndarray:
     return a.reshape(a.shape[:-3] + (9, 9))
 
 
-def _stationary(a: np.ndarray) -> DensityMatrix3:
-    """The unique normalised null vector of the drift ``a``, checked."""
-    ns = null_space(a, rcond=1e-10)
-    if ns.shape[1] == 0:
-        raise DegenerateSteadyStateError("no stationary state found")
-    if ns.shape[1] > 1:
-        raise DegenerateSteadyStateError(
-            f"stationary subspace has dimension {ns.shape[1]}")
-    vec = ns[:, 0]
-    m = vec.reshape(3, 3)
-    tr = np.trace(m)
-    if abs(tr) < 1e-12:
+def _stationary(drifts: np.ndarray) -> list:
+    """The normalised null vectors of a stack of drifts, checked.
+
+    One SVD of the whole finite prefix of the stack gives every null
+    space; the rank counts the singular values above 1e-10 of the
+    largest, point by point.  The first point without a unique,
+    normalisable, physical state raises, with its position in the stack
+    as the error's ``index``.
+    """
+    finite = np.isfinite(drifts).all(axis=(1, 2))
+    n = len(drifts) if finite.all() else int(np.argmin(finite))
+    _, sv, vh = np.linalg.svd(drifts[:n])
+    rank = np.sum(sv > np.amax(sv, axis=1, keepdims=True) * 1e-10, axis=1)
+    m = vh[np.arange(n), np.minimum(rank, 8)].conj().reshape(n, 3, 3)
+    tr = np.trace(m, axis1=1, axis2=2)
+    # the points before the first one without a normalisable state
+    good = (rank == 8) & ~(np.abs(tr) < 1e-12)
+    stop = n if good.all() else int(np.argmin(good))
+    m = m[:stop] / tr[:stop, None, None]
+    m = 0.5 * (m + m.conj().transpose(0, 2, 1))  # enforce Hermiticity
+    states = []
+    try:
+        for matrix in m:
+            dm = DensityMatrix3(matrix=matrix)
+            dm.check(tol=1e-8)
+            states.append(dm)
+        if stop == len(drifts):
+            return states
+        if stop == n:
+            np.asarray_chkfinite(drifts[stop])  # raises its ValueError
+        if rank[stop] == 9:
+            raise DegenerateSteadyStateError("no stationary state found")
+        if rank[stop] < 8:
+            raise DegenerateSteadyStateError(
+                f"stationary subspace has dimension {9 - rank[stop]}")
         raise DegenerateSteadyStateError("traceless null vector")
-    m = m / tr
-    m = 0.5 * (m + m.conj().T)  # enforce Hermiticity of <sigma_ab>
-    dm = DensityMatrix3(matrix=m)
-    dm.check(tol=1e-8)
-    return dm
+    except (DegenerateSteadyStateError, ValueError) as exc:
+        exc.index = len(states)
+        raise
 
 
 def steady_state(p):
@@ -180,31 +200,25 @@ def steady_state(p):
 
     ``p`` is one parameter set, giving one state, or a list of them,
     giving the list of their states: one generator call builds every
-    drift, then each is solved in turn.  In a list, the first point
-    without a valid state raises, with its position in the list as the
-    error's ``index``.
+    drift and one stacked SVD solves them all.  In a list, the first
+    point without a valid state raises, with its position in the list as
+    the error's ``index``.
     """
     drifts = bloch_drift(p)
     if isinstance(p, PhysicalParams):
-        return _stationary(drifts)
-    states = []
-    for a in drifts:
-        try:
-            states.append(_stationary(a))
-        except (DegenerateSteadyStateError, ValueError) as exc:
-            exc.index = len(states)
-            raise
-    return states
+        return _stationary(drifts[None])[0]
+    return _stationary(drifts)
 
 
 def steady_state_ode_oracle(p: PhysicalParams,
                             initial: np.ndarray | None = None
                             ) -> DensityMatrix3:
-    """Long-time Bloch integration, an independent check of steady_state.
+    """Long-time Bloch evolution, an independent check of steady_state.
 
-    Integrates the 9-component mean equations from ``initial`` (default:
-    an even ground-state mixture) for 60 times the slowest relaxation
-    time and returns the final state.
+    Propagates the 9-component mean equations exactly, with the matrix
+    exponential of the drift, from ``initial`` (default: an even
+    ground-state mixture) over 60 times the slowest relaxation time and
+    returns the final state.
     """
     a = bloch_drift(p)
     if initial is None:
@@ -213,18 +227,7 @@ def steady_state_ode_oracle(p: PhysicalParams,
         m0 = np.asarray(initial, dtype=complex).reshape(3, 3)
     slow = min(x for x in (p.gamma0, p.gamma1, p.gamma2) if x > 0)
     t_final = 60.0 / slow
-    y0 = np.concatenate([m0.reshape(-1).real, m0.reshape(-1).imag])
-    big_a = np.block([[a.real, -a.imag], [a.imag, a.real]])
-
-    def rhs(_t, y):
-        return big_a @ y
-
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="LSODA",
-                    rtol=1e-11, atol=1e-13)
-    if not sol.success:
-        raise RuntimeError(f"Bloch integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    m = (y[:9] + 1j * y[9:]).reshape(3, 3)
+    m = (scipy.linalg.expm(a * t_final) @ m0.reshape(-1)).reshape(3, 3)
     m = 0.5 * (m + m.conj().T)
     m /= np.trace(m).real
     return DensityMatrix3(matrix=m)

@@ -6,7 +6,10 @@ import functools
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -570,6 +573,51 @@ def test_calibrate_evaluates_each_witness_point_once(monkeypatch):
     monkeypatch.setattr(entanglement, "witness_set_up", recorded)
     cli.calibrate(cli.RunConfig(params=reference_params()))
     assert len(seen) == len(set(seen))
+
+
+def test_spinwave_vertex_at_zero_exits_2(tmp_path, capsys):
+    # so weak a decay puts the primary fit's vertex at scale -0.0, which
+    # no sign flip turns into a usable normalization
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("gamma1 = 1e-300\n")
+    out = tmp_path / "cal.json"
+    assert cli.main(["--experiment", "calibrate", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "eitfwm: numerical failure: spin-wave fit of pair a1_S: the witness "
+        "is least at scale -0, which is no usable normalization\n")
+    assert not out.exists()
+
+
+# --- import graph ---------------------------------------------------------
+
+_IMPORT_PROBE = """
+import os, sys
+from eitfwm import cli
+
+SUBMODULES = ("scipy.linalg", "scipy.optimize", "scipy.integrate")
+for args in (["--experiment", "fig2"], ["--experiment", "steady"],
+             ["--experiment", "spectrum", "--config", sys.argv[1]]):
+    assert cli.main(args + ["--out", os.devnull]) == 0, args
+print(*[m for m in SUBMODULES if m in sys.modules])
+assert cli.main(["--experiment", "calibrate", "--out", os.devnull]) == 0
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_only_calibrate_loads_scipy_submodules(tmp_path):
+    # scipy loads its submodules on first use: the steady state and every
+    # sweep run on numpy alone, and calibrate still finds its optimizer
+    cfg = tmp_path / "zavg.cfg"
+    cfg.write_text("two_pair = true\nspinwave_definition = z-averaged\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(cfg)], env=env,
+        capture_output=True, text=True, timeout=300, check=True)
+    assert result.stdout.splitlines() == ["", "True"]
 
 
 # --- verification ---------------------------------------------------------

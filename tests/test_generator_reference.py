@@ -1,20 +1,23 @@
 """The stacked single-atom generator against its per-operator form.
 
-The reference functions below are the operator-by-operator loops the
-stacked code replaced, kept verbatim as the oracle.  Every product in
-the set-up involves a matrix unit and is exact, so the stacked Bloch
-drift, steady state and diffusion table must match them byte for byte,
-for one parameter point and for a stack of them.
+The reference functions below are the operator-by-operator loops and
+the one-point scipy null-space solve the stacked code replaced, kept
+verbatim as the oracle.  Every product in the set-up involves a matrix
+unit and is exact, and numpy's stacked SVD runs the same LAPACK routine
+point by point as scipy's, so the stacked Bloch drift, steady state and
+diffusion table must match them byte for byte, for one parameter point
+and for a stack of them, failures included.
 """
 
 import dataclasses
 import importlib
-from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import null_space
 
-from eitfwm import entanglement, langevin, sweeps
+from eitfwm import cli, entanglement, langevin, sweeps
 from eitfwm.params import derive, reference_params
 from eitfwm.steady_state import BASIS, _unit, hamiltonian
 
@@ -43,6 +46,41 @@ def reference_bloch_drift(p):
         img = reference_apply_generator(p, _unit(c, d))
         a[row, :] = img.reshape(-1)
     return a
+
+
+def reference_stationary(a):
+    ns = null_space(a, rcond=1e-10)
+    if ns.shape[1] == 0:
+        raise ss_mod.DegenerateSteadyStateError("no stationary state found")
+    if ns.shape[1] > 1:
+        raise ss_mod.DegenerateSteadyStateError(
+            f"stationary subspace has dimension {ns.shape[1]}")
+    vec = ns[:, 0]
+    m = vec.reshape(3, 3)
+    tr = np.trace(m)
+    if abs(tr) < 1e-12:
+        raise ss_mod.DegenerateSteadyStateError("traceless null vector")
+    m = m / tr
+    m = 0.5 * (m + m.conj().T)  # enforce Hermiticity of <sigma_ab>
+    dm = ss_mod.DensityMatrix3(matrix=m)
+    dm.check(tol=1e-8)
+    return dm
+
+
+def reference_steady_state(p):
+    return reference_stationary(reference_bloch_drift(p))
+
+
+def _reference_states(points):
+    """The reference states up to the first point that has none, and the
+    failure of that point (None if every point has a state)."""
+    states = []
+    for p in points:
+        try:
+            states.append(reference_steady_state(p))
+        except (ss_mod.DegenerateSteadyStateError, ValueError) as exc:
+            return states, exc
+    return states, None
 
 
 def _expval(op, ss):
@@ -78,11 +116,10 @@ def test_set_up_is_byte_identical_to_the_per_operator_loops(
                                  omega_c=omega_c)
     assert ss_mod.bloch_drift(p).tobytes() == \
         reference_bloch_drift(p).tobytes()
-    with mock.patch.object(ss_mod, "bloch_drift", reference_bloch_drift):
-        try:
-            ref_ss = ss_mod.steady_state(p)
-        except (ss_mod.DegenerateSteadyStateError, ValueError) as exc:
-            ref_ss = exc
+    try:
+        ref_ss = reference_steady_state(p)
+    except (ss_mod.DegenerateSteadyStateError, ValueError) as exc:
+        ref_ss = exc
     if isinstance(ref_ss, Exception):
         try:
             ss_mod.steady_state(p)
@@ -121,11 +158,6 @@ _POINT = st.fixed_dictionaries({
     "omega_p": _RATE, "omega_c": _RATE})
 
 
-def _reference_steady_state(p):
-    with mock.patch.object(ss_mod, "bloch_drift", reference_bloch_drift):
-        return ss_mod.steady_state(p)
-
-
 @settings(deadline=None, max_examples=100)
 @given(changes=st.lists(_POINT, min_size=1, max_size=40),
        config=st.sampled_from([sweeps.SweepConfig(),
@@ -137,14 +169,7 @@ def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
     assert drifts.shape == (len(points), 9, 9)
     for a, p in zip(drifts, points):
         assert a.tobytes() == reference_bloch_drift(p).tobytes()
-    # the reference states up to the first point that has none
-    ref_states, failure = [], None
-    for p in points:
-        try:
-            ref_states.append(_reference_steady_state(p))
-        except (ss_mod.DegenerateSteadyStateError, ValueError) as exc:
-            failure = exc
-            break
+    ref_states, failure = _reference_states(points)
     # the block set-up covers the points before the failing one, and
     # reports its failure
     block, error = sweeps._set_up(points, config)
@@ -189,3 +214,57 @@ def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
                 assert value.tobytes() == ref_value.tobytes(), field.name
             else:
                 assert value == ref_value, field.name
+
+
+def _assert_stack_matches_reference(points):
+    """The stacked solve of ``points`` against the one-point reference
+    solves in turn: the same bytes up to the first failing point, and
+    there the same error type, message and position."""
+    ref_states, failure = _reference_states(points)
+    try:
+        states = ss_mod.steady_state(points)
+    except (ss_mod.DegenerateSteadyStateError, ValueError) as exc:
+        assert failure is not None, f"stacked raised {exc!r}"
+        assert type(exc) is type(failure)
+        assert str(exc) == str(failure)
+        assert exc.index == len(ref_states)
+        states = ss_mod.steady_state(points[:exc.index])
+    else:
+        assert failure is None, f"reference raised {failure!r}"
+    assert len(states) == len(ref_states)
+    for ss, ref_ss in zip(states, ref_states):
+        assert ss.matrix.tobytes() == ref_ss.matrix.tobytes()
+
+
+_REF = reference_params()
+_DEGENERATE = _REF.with_(omega_p=0.0, omega_c=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("points", [
+    [_REF.with_(gamma0=float(g)) for g in sweeps.fig_gamma0_grid()],
+    [_REF.with_(alpha1=float(a)) for a in sweeps.fig_alpha_grid()],
+    [_REF] * 3 + [_DEGENERATE] + [_REF] * 3,
+    [_DEGENERATE, _REF],
+    [_REF, _REF.with_(omega_c=1.7e308), _REF],
+    # population decay beyond float range: a drift that is not finite
+    [_REF, _REF.with_(gamma1=1.7e308, gamma2=1.7e308), _DEGENERATE],
+    [_REF, _DEGENERATE, _REF.with_(gamma1=1.7e308, gamma2=1.7e308)],
+    # weak drives put the pumping singular value at 9.1e-10, 2.3e-10
+    # and 8.2e-11 of the largest: across the 1e-10 rank cut
+    [_REF.with_(omega_p=w, omega_c=w) for w in (1e-4, 5e-5, 3e-5)],
+], ids=["fig4_gamma0", "fig5_alpha", "degenerate_mid_list",
+        "degenerate_first", "omega_c_1.7e308", "non_finite_drift",
+        "degenerate_before_non_finite", "weak_drives_at_the_rank_cut"])
+def test_stacked_svd_equals_the_one_point_null_space_on_grids(points):
+    _assert_stack_matches_reference(points)
+
+
+def test_calibrate_artifact_is_byte_identical_under_the_one_point_solve(
+        tmp_path, monkeypatch):
+    stacked, reference = tmp_path / "stacked.json", tmp_path / "ref.json"
+    assert cli.main(["--experiment", "calibrate", "--out", str(stacked)]) == 0
+    monkeypatch.setattr(cli, "steady_state", reference_steady_state)
+    assert cli.main(["--experiment", "calibrate",
+                     "--out", str(reference)]) == 0
+    assert stacked.read_bytes() == reference.read_bytes()
