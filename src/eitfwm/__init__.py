@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 from .params import (C, PhysicalParams, DerivedParams, ValidationError,
                      derive, reference_params)
 from .steady_state import (DensityMatrix3, DegenerateSteadyStateError,
-                           bloch_drift, steady_state, steady_state_ode_oracle,
-                           dark_state_sigma)
+                           bloch_drift, steady_state, dark_state_sigma)
 from .langevin import diffusion_matrix, check_positive
 from .propagation import (FieldMode, DriftMatrix, NumericalOverflowError,
                           GAIN_CEILING, drift_matrix, transfer_step_oracle,

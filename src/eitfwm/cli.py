@@ -17,11 +17,11 @@ UTF-8, and an output file that cannot be written), 2 numerical failure
 (exponential gain or overflow in the propagation, an extended
 covariance that is not finite or a vanishing coherence response,
 reported with the offending frequency and, in a parameter sweep, the
-swept value, drives that leave no unique steady state, or a spin-wave
-fit whose optimum lies at scale zero), 3 verification suite reporting
-a surprising outcome.  Every output file
-embeds the effective configuration so a result can always be traced
-back to its inputs.
+swept value, drives that leave no unique steady state or a Bloch drift
+that is not finite, or a spin-wave fit whose optimum lies at scale
+zero), 3 verification suite reporting a surprising outcome.  Every
+output file embeds the effective configuration so a result can always
+be traced back to its inputs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .params import PhysicalParams, ValidationError, derive, reference_params
@@ -267,6 +266,78 @@ def _run_fig5(rc, out, fmt) -> int:
 
 # --- calibration -----------------------------------------------------------
 
+def _bounded_minimum(func, a: float, b: float, xatol: float) -> float:
+    """The x in [a, b] that Brent's bounded minimizer (golden-section and
+    parabolic steps; Brent, *Algorithms for Minimization without
+    Derivatives*, 1973) returns for ``func`` at absolute tolerance
+    ``xatol``, after at most 500 evaluations.
+
+    The float operations and their order are those of the classic
+    ``fminbound`` formulation, so every evaluated x, and the result, is
+    bit for bit that of ``fminbound``; the tests check this step for step.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            # the first test fails for q = 0, so the division never sees it
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        # fminbound's sign rule: a zero step moves by +tol1
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def _fit_coupling(p, witness, target) -> float:
     """Bounded scalar fit of the coupling scale at zero Fourier frequency."""
 
@@ -275,10 +346,8 @@ def _fit_coupling(p, witness, target) -> float:
         (ext,) = witness(q, [q.spinwave_scale])
         return abs(ext.duan("a1", "b1").value - target)
 
-    res = scipy.optimize.minimize_scalar(
-        objective, bounds=(math.log(0.2), math.log(8.0)), method="bounded",
-        options={"xatol": 1e-10})
-    return float(math.exp(res.x))
+    return math.exp(_bounded_minimum(objective, math.log(0.2),
+                                     math.log(8.0), 1e-10))
 
 
 def _fit_spinwave(samples, pair) -> dict:

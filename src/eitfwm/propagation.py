@@ -375,30 +375,31 @@ def transfer_step_oracle(m: np.ndarray, g: np.ndarray, length: float,
     for one matrix or for a stack of them.
 
     Deliberately naive; exists to cross-check second_moment_transfer.
+    T and C advance as one array [T | C] of shape (..., d, 2d): each
+    stage takes one product m [T | C] and one C m^+, each into its
+    preallocated buffer, and adds the terms in the order of the two
+    separate equations.
     """
-    c = np.zeros(np.shape(m), dtype=complex)
-    t = c + np.eye(c.shape[-1])
-    h = length / n_steps
-    mh = m  # alias for readability in the stage expressions
+    m = np.asarray(m)
+    d = m.shape[-1]
     md = dagger(m)
+    h = length / n_steps
+    y = np.zeros(m.shape[:-1] + (2 * d,), dtype=complex)
+    y[..., :d] = np.eye(d)
+    k = np.empty((4,) + y.shape, dtype=complex)
+    k_c = k[..., d:]
+    cm = np.empty(m.shape, dtype=complex)
     for _ in range(n_steps):
-        k1t = mh @ t
-        k1c = mh @ c + c @ md + g
-        t2 = t + 0.5 * h * k1t
-        c2 = c + 0.5 * h * k1c
-        k2t = mh @ t2
-        k2c = mh @ c2 + c2 @ md + g
-        t3 = t + 0.5 * h * k2t
-        c3 = c + 0.5 * h * k2c
-        k3t = mh @ t3
-        k3c = mh @ c3 + c3 @ md + g
-        t4 = t + h * k3t
-        c4 = c + h * k3c
-        k4t = mh @ t4
-        k4c = mh @ c4 + c4 @ md + g
-        t = t + (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
-        c = c + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-    return t, hermitian_part(c)
+        stage = y
+        for i, step in enumerate((0.5 * h, 0.5 * h, h, None)):
+            np.matmul(m, stage, out=k[i])
+            np.matmul(stage[..., d:], md, out=cm)
+            k_c[i] += cm
+            k_c[i] += g
+            if step is not None:
+                stage = y + step * k[i]
+        y = y + (h / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+    return y[..., :d], hermitian_part(y[..., d:])
 
 
 def vacuum_covariance(n_modes: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import errno
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from eitfwm import cli, entanglement, langevin, sweeps, verification
@@ -268,8 +270,13 @@ def test_detuning_outside_the_figure_grid_exits_1_before_sweeping(
      "drift matrix is not finite at omega = -3000 MHz"),
     ("fig4", "wavelength = 1e300",
      "drift matrix is not finite at omega = 0 MHz, gamma0 = 0.01"),
+    # the level-3 decay gamma1 + gamma2 passes float range
+    ("steady", "gamma1 = 1.7e308\ngamma2 = 1.7e308",
+     "Bloch drift is not finite"),
+    ("fig4", "gamma1 = 1.7e308\ngamma2 = 1.7e308",
+     "Bloch drift is not finite, gamma0 = 0.01"),
 ], ids=["length_fig2", "length_fig5", "length_uncoupled_fig4",
-        "wavelength_fig2", "wavelength_fig4"])
+        "wavelength_fig2", "wavelength_fig4", "decay_steady", "decay_fig4"])
 def test_huge_finite_input_exits_2(tmp_path, capsys, experiment, line,
                                    message):
     cfg = tmp_path / "huge.cfg"
@@ -543,6 +550,68 @@ def test_calibrate_artifact(tmp_path):
     assert set(art["spinwave_fit"]) == {"primary", "alternate"}
 
 
+def _evaluations(minimize, func, a, b, xatol):
+    """The x that ``minimize`` returns for ``func`` on [a, b] and every x
+    it evaluates, in order, as ``float.hex`` strings.  ``func`` sees each
+    x as a Python float, so both minimizers get the same values back."""
+    seen = []
+
+    def recorded(x):
+        seen.append(float(x).hex())
+        return func(float(x))
+
+    return float(minimize(recorded, a, b, xatol)).hex(), seen
+
+
+def _scipy_minimum(func, a, b, xatol):
+    return scipy.optimize.minimize_scalar(
+        func, bounds=(a, b), method="bounded", options={"xatol": xatol}).x
+
+
+#: smooth objectives of a shape parameter c, a centre x0 and a level t
+_OBJECTIVES = {
+    "quadratic": lambda c, x0, t: lambda x: c * (x - x0) ** 2 + t,
+    "quartic": lambda c, x0, t: lambda x: c * (x - x0) ** 4 - t,
+    # a distance to a target, like calibrate's |V_a1_b1 - 2|
+    "abs_target": lambda c, x0, t: lambda x: abs(math.exp(c * (x - x0)) - t),
+    # flat within t of x0: equal values reject every parabolic step there
+    "flat": lambda c, x0, t: lambda x: c * max(abs(x - x0) - t, 0.0) ** 2,
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(shape=st.sampled_from(sorted(_OBJECTIVES)),
+       a=st.floats(-20.0, 20.0), width=st.floats(0.0, 40.0),
+       x0=st.floats(-30.0, 30.0), c=st.floats(0.1, 3.0),
+       t=st.floats(0.1, 10.0),
+       xatol=st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e))
+# no tolerance around a minimum at zero: the fit stops at 500 evaluations
+@example(shape="quadratic", a=-1.0, width=2.0, x0=0.0, c=1.0, t=0.0,
+         xatol=0.0)
+def test_bounded_minimum_is_scipys_step_for_step(shape, a, width, x0, c, t,
+                                                 xatol):
+    func = _OBJECTIVES[shape](c, x0, t)
+    b = a + width
+    assert _evaluations(cli._bounded_minimum, func, a, b, xatol) == \
+        _evaluations(_scipy_minimum, func, a, b, xatol)
+
+
+def test_calibrate_fit_is_scipys_step_for_step(monkeypatch):
+    port = cli._bounded_minimum
+    runs = []
+
+    def both(func, a, b, xatol):
+        runs.append([_evaluations(minimize, func, a, b, xatol)
+                     for minimize in (port, _scipy_minimum)])
+        return port(func, a, b, xatol)
+
+    monkeypatch.setattr(cli, "_bounded_minimum", both)
+    art = cli.calibrate(cli.RunConfig(params=reference_params()))
+    ((ours, scipys),) = runs
+    assert ours == scipys
+    assert art["coupling_scale"].hex() == (1.6462819213179591).hex()
+
+
 def test_calibrate_solves_the_set_up_once(monkeypatch):
     calls = {"steady_state": 0, "diffusion_matrix": 0}
 
@@ -591,33 +660,36 @@ def test_spinwave_vertex_at_zero_exits_2(tmp_path, capsys):
 
 # --- import graph ---------------------------------------------------------
 
-_IMPORT_PROBE = """
+_NO_SCIPY_PROBE = """
 import os, sys
+sys.modules["scipy"] = None  # any import of scipy now fails
 from eitfwm import cli
 
-SUBMODULES = ("scipy.linalg", "scipy.optimize", "scipy.integrate")
-for args in (["--experiment", "fig2"], ["--experiment", "steady"],
-             ["--experiment", "spectrum", "--config", sys.argv[1]]):
-    assert cli.main(args + ["--out", os.devnull]) == 0, args
-print(*[m for m in SUBMODULES if m in sys.modules])
-assert cli.main(["--experiment", "calibrate", "--out", os.devnull]) == 0
-print("scipy.optimize" in sys.modules)
+zavg, calibration = sys.argv[1:]
+for args in (["fig2"], ["steady"], ["noise"], ["spectrum", "--config", zavg],
+             ["fig4"], ["fig5"]):
+    assert cli.main(["--experiment", *args, "--out", os.devnull]) == 0, args
+assert cli.main(["--experiment", "calibrate", "--out", calibration]) == 0
 """
 
 
-def test_only_calibrate_loads_scipy_submodules(tmp_path):
-    # scipy loads its submodules on first use: the steady state and every
-    # sweep run on numpy alone, and calibrate still finds its optimizer
+def test_experiments_run_without_scipy(tmp_path):
+    # numpy is the only run-time dependency: with every scipy import
+    # made to fail, the experiments still run, and calibrate writes the
+    # same artifact as where scipy is there to be loaded
     cfg = tmp_path / "zavg.cfg"
     cfg.write_text("two_pair = true\nspinwave_definition = z-averaged\n")
+    without, with_scipy = tmp_path / "without.json", tmp_path / "with.json"
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(cfg)], env=env,
-        capture_output=True, text=True, timeout=300, check=True)
-    assert result.stdout.splitlines() == ["", "True"]
+    subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(cfg), str(without)],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert cli.main(["--experiment", "calibrate",
+                     "--out", str(with_scipy)]) == 0
+    assert without.read_bytes() == with_scipy.read_bytes()
 
 
 # --- verification ---------------------------------------------------------

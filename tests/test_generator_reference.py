@@ -49,6 +49,10 @@ def reference_bloch_drift(p):
 
 
 def reference_stationary(a):
+    # a drift beyond float range is a numerical failure of its point;
+    # null_space's own finiteness check would raise a bare ValueError
+    if not np.all(np.isfinite(a)):
+        raise ss_mod.DegenerateSteadyStateError("Bloch drift is not finite")
     ns = null_space(a, rcond=1e-10)
     if ns.shape[1] == 0:
         raise ss_mod.DegenerateSteadyStateError("no stationary state found")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eitfwm import langevin as lv
 from eitfwm import propagation as pr
+from eitfwm import verification
 from eitfwm.steady_state import steady_state
 
 
@@ -113,6 +114,53 @@ def test_second_moment_transfer_random_stable_systems(seed, length):
         1.0, np.linalg.norm(t_ref)) < 1e-6
     assert np.linalg.norm(c_fast - c_ref) / max(
         1.0, np.linalg.norm(c_ref)) < 1e-6
+
+
+def reference_transfer_step_oracle(m, g, length, n_steps):
+    """The RK4 oracle as two separate stage loops for T and C, kept as
+    the byte reference of the joint [T | C] form."""
+    c = np.zeros(np.shape(m), dtype=complex)
+    t = c + np.eye(c.shape[-1])
+    h = length / n_steps
+    md = pr.dagger(m)
+    for _ in range(n_steps):
+        k1t = m @ t
+        k1c = m @ c + c @ md + g
+        t2 = t + 0.5 * h * k1t
+        c2 = c + 0.5 * h * k1c
+        k2t = m @ t2
+        k2c = m @ c2 + c2 @ md + g
+        t3 = t + 0.5 * h * k2t
+        c3 = c + 0.5 * h * k2c
+        k3t = m @ t3
+        k3c = m @ c3 + c3 @ md + g
+        t4 = t + h * k3t
+        c4 = c + h * k3c
+        k4t = m @ t4
+        k4c = m @ c4 + c4 @ md + g
+        t = t + (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
+        c = c + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
+    return t, pr.hermitian_part(c)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rk4_oracle_is_byte_identical_to_the_separate_loops(ref, ss_ref,
+                                                            two_d_ref):
+    # the oracle stack of verify at 2000 steps, where the 1000 MHz point
+    # overflows to inf and nan
+    m, g = verification._drift_stack(
+        verification._rows(ref, ss_ref), verification.ORACLE_POINTS,
+        two_d_ref, lv.sym_noise_matrix)
+    t, c = pr.transfer_step_oracle(m, g, ref.length, 2000)
+    t_ref, c_ref = reference_transfer_step_oracle(m, g, ref.length, 2000)
+    assert not np.all(np.isfinite(t_ref))
+    assert t.tobytes() == t_ref.tobytes()
+    assert c.tobytes() == c_ref.tobytes()
+    # one matrix, without a stack axis
+    t, c = pr.transfer_step_oracle(m[0], g[0], ref.length, 100)
+    t_ref, c_ref = reference_transfer_step_oracle(m[0], g[0], ref.length, 100)
+    assert t.tobytes() == t_ref.tobytes()
+    assert c.tobytes() == c_ref.tobytes()
 
 
 def _field_moments(p, ss, two_d, omegas, pairing=lv.sym_noise_matrix,

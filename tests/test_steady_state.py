@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from eitfwm.params import reference_params
-from eitfwm.steady_state import (DegenerateSteadyStateError, dark_state_sigma,
-                                 steady_state, steady_state_ode_oracle)
+from eitfwm.steady_state import (DegenerateSteadyStateError, DensityMatrix3,
+                                 bloch_drift, dark_state_sigma, steady_state)
 
 # Reference-point mean values, frozen after the null-space solve was
 # cross-checked against long-time Bloch integration.  The ground
@@ -14,6 +15,27 @@ from eitfwm.steady_state import (DegenerateSteadyStateError, dark_state_sigma,
 FROZEN_POP = (0.49206349914965114, 0.4920634991496509, 0.015873001700698126)
 FROZEN_S12 = 0.47619005102078016
 FROZEN_S13_IM = 5.9523756377593004e-05
+
+
+def steady_state_ode_oracle(p, initial=None):
+    """Long-time Bloch evolution, an independent check of steady_state.
+
+    Propagates the 9-component mean equations exactly, with the matrix
+    exponential of the drift, from ``initial`` (default: an even
+    ground-state mixture) over 60 times the slowest relaxation time and
+    returns the final state.
+    """
+    a = bloch_drift(p)
+    if initial is None:
+        m0 = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    else:
+        m0 = np.asarray(initial, dtype=complex).reshape(3, 3)
+    slow = min(x for x in (p.gamma0, p.gamma1, p.gamma2) if x > 0)
+    t_final = 60.0 / slow
+    m = (scipy.linalg.expm(a * t_final) @ m0.reshape(-1)).reshape(3, 3)
+    m = 0.5 * (m + m.conj().T)
+    m /= np.trace(m).real
+    return DensityMatrix3(matrix=m)
 
 
 def test_reference_populations_frozen(ss_ref):
