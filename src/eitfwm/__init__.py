@@ -17,7 +17,6 @@ from .params import (C, PhysicalParams, DerivedParams, ValidationError,
 from .steady_state import (DensityMatrix3, DegenerateSteadyStateError,
                            bloch_drift, steady_state, dark_state_sigma)
 from .langevin import diffusion_matrix, check_positive
-from .propagation import (FieldMode, DriftMatrix, NumericalOverflowError,
-                          GAIN_CEILING, drift_matrix, transfer_step_oracle,
-                          second_moment_transfer, single_pair_modes,
+from .propagation import (FieldMode, NumericalOverflowError, GAIN_CEILING,
+                          transfer_step_oracle, single_pair_modes,
                           two_pair_modes)

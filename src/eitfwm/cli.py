@@ -338,32 +338,33 @@ def _bounded_minimum(func, a: float, b: float, xatol: float) -> float:
     return xf
 
 
-def _fit_coupling(p, witness, target) -> float:
+def _fit_coupling(p, witness, labels, target) -> float:
     """Bounded scalar fit of the coupling scale at zero Fourier frequency."""
 
     def objective(x):
         q = p.with_(coupling_scale=math.exp(x))
-        (ext,) = witness(q, [q.spinwave_scale])
-        return abs(ext.duan("a1", "b1").value - target)
+        values, _ = entanglement.pair_witness(
+            witness(q, [q.spinwave_scale]), labels, ("a1", "b1"))
+        return abs(float(values[0]) - target)
 
     return math.exp(_bounded_minimum(objective, math.log(0.2),
                                      math.log(8.0), 1e-10))
 
 
-def _fit_spinwave(samples, pair) -> dict:
+def _fit_spinwave(samples, labels, pair) -> dict:
     """Closed-form optimum of a witness over the spin-wave normalization.
 
     For fixed signs the witness is exactly quadratic in the scale, so
-    the ``samples`` at the scales 0, 1 and 2 pin the parabola per sign
-    branch; the mirror symmetry scale -> -scale with both signs flipped
-    folds a negative vertex back to a positive normalization.  A vertex
-    at scale zero, of either sign, has no such fold and raises.
+    the stack ``samples`` at the scales 0, 1 and 2 pins the parabola per
+    sign branch; the mirror symmetry scale -> -scale with both signs
+    flipped folds a negative vertex back to a positive normalization.  A
+    vertex at scale zero, of either sign, has no such fold and raises.
     """
+    i, j = (labels.index(name) for name in pair)
     best = None
     for su, sv in ((1, -1), (-1, 1)):
-        v0, v1, v2 = (entanglement.duan_value(
-            ext.quad, ext.index(pair[0]), ext.index(pair[1]), su, sv)
-            for ext in samples)
+        v0, v1, v2 = entanglement.duan_values(samples, i, j, su,
+                                              sv).tolist()
         a = (v2 - 2.0 * v1 + v0) / 2.0
         b = v1 - v0 - a
         s_star = -b / (2.0 * a)
@@ -395,13 +396,14 @@ def calibrate(rc: RunConfig) -> dict:
     # fitted scales, so every witness point shares one set-up
     ss = steady_state(p)
     two_d = langevin.diffusion_matrix(p, ss)
+    labels = entanglement.extended_labels(cfg.modes(p))
     # (coupling scale, spin-wave scale) -> quadrature covariance
     evaluated = {}
 
     def witness(q, scales):
-        """Zero-frequency extended covariances at the coupling of ``q``,
-        one per spin-wave scale of ``scales``; the points not evaluated
-        before run as one block."""
+        """The stack of zero-frequency quadrature covariances at the
+        coupling of ``q``, one per spin-wave scale of ``scales``; the
+        points not evaluated before run as one block."""
         # the scale does not enter the derived quantities; computing them
         # from q also keeps the sample s = 0, which validate() rightly
         # rejects as a run setting, away from validation
@@ -418,25 +420,24 @@ def calibrate(rc: RunConfig) -> dict:
                 cfg.sideband, cfg.spinwave_definition)
             evaluated.update(((q.coupling_scale, s), quad)
                              for s, quad in zip(new, block))
-        labels = [m.name for m in modes] + ["S"]
-        return [entanglement.ExtendedCovariance(
-            labels=labels, quad=evaluated[q.coupling_scale, s])
-            for s in scales]
+        return np.stack([evaluated[q.coupling_scale, s] for s in scales])
 
-    eta = _fit_coupling(p, witness, CALIBRATION_TARGETS["V_a1_b1"])
+    eta = _fit_coupling(p, witness, labels, CALIBRATION_TARGETS["V_a1_b1"])
     pc = p.with_(coupling_scale=eta)
 
     samples = witness(pc, (0.0, 1.0, 2.0))
-    primary = _fit_spinwave(samples, ("a1", "S"))
-    alternate = _fit_spinwave(samples, ("S", "b1"))
+    primary = _fit_spinwave(samples, labels, ("a1", "S"))
+    alternate = _fit_spinwave(samples, labels, ("S", "b1"))
     kappa = primary["scale"]
 
     pf = pc.with_(spinwave_scale=kappa)
-    (ext,) = witness(pf, [kappa])
-    witnesses = {sweeps.pair_tag(pair): ext.duan(*pair)
-                 for pair in cfg.pairs()}
-    achieved = {f"V_{tag}": w.value for tag, w in witnesses.items()}
-    signs = {tag: [int(s) for s in w.signs] for tag, w in witnesses.items()}
+    final = witness(pf, [kappa])
+    witnesses = {sweeps.pair_tag(pair): entanglement.pair_witness(
+        final, labels, pair) for pair in cfg.pairs()}
+    achieved = {f"V_{tag}": float(values[0])
+                for tag, (values, _) in witnesses.items()}
+    signs = {tag: [int(s) for s in branches[0]]
+             for tag, (_, branches) in witnesses.items()}
     target_met = {
         name: bool(abs(achieved[name] - t) <= CALIBRATION_BAND * t)
         for name, t in CALIBRATION_TARGETS.items()

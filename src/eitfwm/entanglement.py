@@ -13,11 +13,11 @@ the vacuum benchmark being exactly 4.  Both sign pairings are always
 evaluated and the achieving one is recorded, so the witness does not
 depend on the unobservable global phase of the ground-state coherence.
 
-Blocks of points are evaluated as stacked arrays, from the assembly of
-the drift, noise and readout rows (``assemble``) to the witness
-(``extended_quadratures``, ``duan_min_stack``).  The one-point functions
-``covariance_with_spinwave`` and ``duan_min`` are calls of the same code
-with a block of one.
+Every function here works on stacks: blocks of points are evaluated as
+stacked arrays, from the assembly of the drift, noise and readout rows
+(``assemble``) to the quadrature covariances (``extended_quadratures``)
+and the witness of a named mode pair (``pair_witness``) or of two mode
+indices (``duan_min_stack``).  One point is a block of one.
 
 The coherence mode S is not bosonic: [S, S^+] is proportional to the
 ground-state population difference, which vanishes at the symmetric
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, C, derive
-from .steady_state import DensityMatrix3
+from .params import C
 from . import langevin
 from . import propagation
 
@@ -52,14 +51,6 @@ PREFERRED_SIGNS = {
     ("S", "b1"): (1, -1),
     ("a1", "S"): (-1, 1),
 }
-
-
-@dataclass(frozen=True)
-class DuanWitness:
-    pair: tuple
-    signs: tuple           # (sign in u, sign in v)
-    value: float
-    entangled: bool
 
 
 def quadrature_covariance(doubled: np.ndarray) -> np.ndarray:
@@ -143,36 +134,9 @@ def state_dim(n_modes: int, spinwave: str) -> int:
     return 2 * n_modes if spinwave == "endpoint" else 4 * n_modes + 2
 
 
-@dataclass
-class ExtendedCovariance:
-    """Quadrature covariance over the fields plus the coherence mode.
-
-    ``quad`` is one matrix, or a stack of them along a leading axis for
-    ``duan_stack``.
-    """
-
-    labels: list
-    quad: np.ndarray
-
-    def index(self, name: str) -> int:
-        try:
-            return self.labels.index(name)
-        except ValueError:
-            raise UnknownModeError(name) from None
-
-    def _pair(self, name_i: str, name_j: str):
-        prefer = PREFERRED_SIGNS.get((name_i, name_j)) \
-            or PREFERRED_SIGNS.get((name_j, name_i))
-        return self.index(name_i), self.index(name_j), prefer
-
-    def duan(self, name_i: str, name_j: str) -> DuanWitness:
-        w = duan_min(self.quad, *self._pair(name_i, name_j))
-        return DuanWitness(pair=(name_i, name_j), signs=w.signs,
-                           value=w.value, entangled=w.entangled)
-
-    def duan_stack(self, name_i: str, name_j: str):
-        """(values, signs) of the pair witness at every matrix of a stack."""
-        return duan_min_stack(self.quad, *self._pair(name_i, name_j))
+def extended_labels(modes: list) -> list:
+    """Mode labels of an extended covariance: the fields, then S."""
+    return [m.name for m in modes] + ["S"]
 
 
 def assemble(set_up: WitnessSetUp, omegas, length: float,
@@ -307,22 +271,6 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
     return quad
 
 
-def covariance_with_spinwave(omega: float, p: PhysicalParams,
-                             ss: DensityMatrix3, two_d: np.ndarray,
-                             modes: list | None = None,
-                             coupling: str = "parametric",
-                             sideband: str = "mirrored",
-                             spinwave: str = "endpoint"
-                             ) -> ExtendedCovariance:
-    """Quadrature covariance of the output fields plus the S mode, read
-    out by the spin-wave definition ``spinwave``: a block of one point."""
-    modes = modes or propagation.single_pair_modes(p)
-    set_up = witness_set_up([p], [ss], two_d[None], modes, [derive(p)])
-    labels = [m.name for m in modes] + ["S"]
-    return ExtendedCovariance(labels=labels, quad=extended_quadratures(
-        set_up, [omega], p.length, coupling, sideband, spinwave)[0])
-
-
 def duan_values(quad: np.ndarray, i: int, j: int, sign_u: int,
                 sign_v: int) -> np.ndarray:
     """V = Var(x_i + su*x_j) + Var(p_i + sv*p_j) from a quadrature cov,
@@ -334,12 +282,6 @@ def duan_values(quad: np.ndarray, i: int, j: int, sign_u: int,
     v = quad[..., m + i, m + i] + quad[..., m + j, m + j] \
         + 2.0 * sign_v * quad[..., m + i, m + j]
     return u + v
-
-
-def duan_value(quad: np.ndarray, i: int, j: int, sign_u: int,
-               sign_v: int) -> float:
-    """duan_values of one quadrature covariance."""
-    return float(duan_values(quad, i, j, sign_u, sign_v))
 
 
 def duan_min_stack(quad: np.ndarray, i: int, j: int,
@@ -356,13 +298,30 @@ def duan_min_stack(quad: np.ndarray, i: int, j: int,
             [second if tk else first for tk in take])
 
 
-def duan_min(quad: np.ndarray, i: int, j: int,
-             prefer: tuple | None = None) -> DuanWitness:
-    """Smaller of the two sign pairings; ties keep the preferred one."""
-    values, signs = duan_min_stack(quad[None], i, j, prefer=prefer)
-    value = float(values[0])
-    return DuanWitness(pair=(i, j), signs=signs[0], value=value,
-                       entangled=value < 4.0)
+def pair_witness(quad: np.ndarray, labels: list, pair: tuple):
+    """(values, signs) of the witness of the mode ``pair``, named by
+    ``labels``, at every matrix of the stack ``quad``; ties keep the
+    pair's PREFERRED_SIGNS."""
+
+    def index(name):
+        try:
+            return labels.index(name)
+        except ValueError:
+            raise UnknownModeError(name) from None
+
+    name_i, name_j = pair
+    prefer = PREFERRED_SIGNS.get((name_i, name_j)) \
+        or PREFERRED_SIGNS.get((name_j, name_i))
+    return duan_min_stack(quad, index(name_i), index(name_j), prefer)
+
+
+def _rotations(phases: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Local phase rotations of mode ``k`` of ``m``, one per phase."""
+    r = np.tile(np.eye(2 * m), (len(phases), 1, 1))
+    cos, sin = np.cos(phases), np.sin(phases)
+    r[:, k, k], r[:, k, m + k] = cos, sin
+    r[:, m + k, k], r[:, m + k, m + k] = -sin, cos
+    return r
 
 
 def duan_min_over_phases(quad: np.ndarray, i: int, j: int,
@@ -371,22 +330,16 @@ def duan_min_over_phases(quad: np.ndarray, i: int, j: int,
 
     The two discrete sign pairings are the 0/pi points of this family;
     scanning it documents that the reported minima are not artifacts of
-    a coherence-phase convention.
+    a coherence-phase convention.  All n_phases**2 rotated covariances
+    are evaluated as one stack; a nan witness is skipped.
     """
     m = quad.shape[0] // 2
-    best = np.inf
     phases = np.arange(n_phases) * (2.0 * np.pi / n_phases)
-    for phi in phases:
-        ri = np.eye(2 * m)
-        ri[np.ix_([i, m + i], [i, m + i])] = \
-            [[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]]
-        qi = ri @ quad @ ri.T
-        for psi in phases:
-            rj = np.eye(2 * m)
-            rj[np.ix_([j, m + j], [j, m + j])] = \
-                [[np.cos(psi), np.sin(psi)], [-np.sin(psi), np.cos(psi)]]
-            best = min(best, duan_min(rj @ qi @ rj.T, i, j).value)
-    return best
+    ri, rj = _rotations(phases, i, m), _rotations(phases, j, m)
+    qi = ri @ quad @ propagation.dagger(ri)
+    rotated = rj @ qi[:, None] @ propagation.dagger(rj)
+    values, _ = duan_min_stack(rotated.reshape(-1, 2 * m, 2 * m), i, j)
+    return float(np.min(values[~np.isnan(values)], initial=np.inf))
 
 
 def two_mode_squeezed_quadrature(s: float) -> np.ndarray:

@@ -62,10 +62,7 @@ class PhysicalParams:
     def validate(self) -> None:
         bad = []
         for name in ("n0", "radius", "length", "wavelength",
-                     "spinwave_scale"):
-            if not getattr(self, name) > 0:
-                bad.append(name)
-        for name in ("gamma1", "gamma2"):
+                     "spinwave_scale", "gamma1", "gamma2"):
             if not getattr(self, name) > 0:
                 bad.append(name)
         # coupling_scale = 0 switches the light-matter interaction off

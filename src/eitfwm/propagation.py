@@ -30,16 +30,16 @@ The transfer matrix T = exp(M L) and the accumulated noise second moment
 
 are computed together by repeated interval doubling, which stays
 accurate for optical depths of 1e5 and for marginally stable drift
-matrices alike (both occur here).  The doubling kernel works on stacks
+matrices alike (both occur here).  Every function here works on stacks
 of (d, d) matrices, so the sweeps and the built-in checks evaluate many
-frequencies per call; ``second_moment_transfer`` is a call of it with a
-stack of one.  It checks for finite values once, after the last
-doubling stage: an inf or nan in T persists through every further
-squaring, so the end check catches every overflow.  The drift is
-assembled for a block of frequencies at once (``drift_block``), bit for
-bit as one frequency at a time.  A fixed-step RK4
-integrator of the same quantities, also stack-aware, is provided as an
-independent cross-check.
+frequencies per call; one frequency is a stack of one.  The doubling
+kernel (``second_moment_transfer_stack``) checks for finite values
+once, after the last doubling stage: an inf or nan in T persists
+through every further squaring, so the end check catches every
+overflow.  The drift is assembled for a block of frequencies at once
+(``drift_block``), bit for bit as one frequency at a time.  A
+fixed-step RK4 integrator of the same quantities, also stack-aware, is
+provided as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, DerivedParams, C, derive
-from .steady_state import DensityMatrix3
+from .params import PhysicalParams, C
 from . import langevin
 
 
@@ -102,16 +101,6 @@ def two_pair_modes(p: PhysicalParams) -> list[FieldMode]:
         FieldMode("b2", "13", p.delta2, 2),
         FieldMode("a2", "23", p.delta2, 2),
     ]
-
-
-@dataclass
-class DriftMatrix:
-    """Drift M, noise rows Q and channel list at one frequency."""
-
-    modes: list
-    m: np.ndarray          # 2n x 2n
-    q: np.ndarray          # 2n x n_channels, includes the sqrt(c/N) scale
-    channels: list
 
 
 def complex_quotient(a, b) -> np.ndarray:
@@ -251,18 +240,6 @@ def drift_block(rows: DriftRows, omegas, coupling: str = "parametric",
     return m, np.concatenate([q_p, q_dag], axis=1)
 
 
-def drift_matrix(omega: float, p: PhysicalParams, ss: DensityMatrix3,
-                 modes: list[FieldMode] | None = None,
-                 coupling: str = "parametric",
-                 dp: DerivedParams | None = None,
-                 sideband: str = "mirrored") -> DriftMatrix:
-    """Assemble the doubled-basis drift and noise coupling at ``omega``:
-    a block of one frequency of drift_block."""
-    rows = drift_rows([ss], modes or single_pair_modes(p), [dp or derive(p)])
-    m, q = drift_block(rows, [omega], coupling, sideband)
-    return DriftMatrix(rows.modes, m[0], q[0], rows.channels)
-
-
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of every matrix of a stack."""
     return np.swapaxes(x.conj(), -1, -2)
@@ -362,19 +339,13 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     return t, hermitian_part(c)
 
 
-def second_moment_transfer(m: np.ndarray, g: np.ndarray, length: float):
-    """One-matrix call of second_moment_transfer_stack."""
-    t, c = second_moment_transfer_stack(m[None], np.asarray(g)[None],
-                                        length)
-    return t[0], c[0]
-
-
 def transfer_step_oracle(m: np.ndarray, g: np.ndarray, length: float,
                          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 integration of dT/dz = m T, dC/dz = m C + C m^+ + g,
     for one matrix or for a stack of them.
 
-    Deliberately naive; exists to cross-check second_moment_transfer.
+    Deliberately naive; exists to cross-check the interval doubling of
+    second_moment_transfer_stack.
     T and C advance as one array [T | C] of shape (..., d, 2d): each
     stage takes one product m [T | C] and one C m^+, each into its
     preallocated buffer, and adds the terms in the order of the two

@@ -214,7 +214,7 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     config = config or SweepConfig()
     pairs = config.pairs()
     modes = config.modes(p)
-    labels = [m.name for m in modes] + ["S"]
+    labels = entanglement.extended_labels(modes)
     witness_values = {pair: [] for pair in pairs}
     witness_signs = {pair: [] for pair in pairs}
     size = max(1, BLOCK_ENTRIES // entanglement.state_dim(
@@ -238,9 +238,8 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
                 if field is None:
                     raise
                 raise _naming(exc, axis, values[lo + exc.index]) from exc
-            ext = entanglement.ExtendedCovariance(labels=labels, quad=quad)
             for pair in pairs:
-                v, signs = ext.duan_stack(*pair)
+                v, signs = entanglement.pair_witness(quad, labels, pair)
                 witness_values[pair].extend(v.tolist())
                 witness_signs[pair].extend(signs)
         if error is not None:

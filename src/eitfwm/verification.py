@@ -23,9 +23,10 @@ The checks isolate the mechanism with controls:
 * at the reference point with the anomalous coupling, the imbalance is
   amplified by the phase-matched gain around zero frequency.
 
-Like the sweeps, the checks run on stacks: every frequency set of a
-check is assembled from one drift set-up and propagated by one call of
-the stacked doubling kernel.
+Like the sweeps, the checks run on stacks: every set of points of a
+check is assembled from one set-up, shared by its frequencies or stacked
+over its parameter sets, and propagated by one call of the stacked
+doubling kernel.
 """
 
 from __future__ import annotations
@@ -99,6 +100,20 @@ def _rows(p, ss):
     """Drift set-up of the single field pair at the steady state ``ss``."""
     return propagation.drift_rows([ss], propagation.single_pair_modes(p),
                                   [derive(p)])
+
+
+def _pair_witness(points, states, tables, omegas) -> np.ndarray:
+    """Witness values of the pair (a1, b1) at ``omegas``, from the set-up
+    of the parameter sets ``points`` (one, or one per frequency) with
+    their steady states and diffusion tables."""
+    modes = propagation.single_pair_modes(points[0])
+    set_up = entanglement.witness_set_up(points, states, tables, modes,
+                                         [derive(q) for q in points])
+    quad = entanglement.extended_quadratures(set_up, omegas,
+                                             points[0].length)
+    values, _ = entanglement.pair_witness(
+        quad, entanglement.extended_labels(modes), ("a1", "b1"))
+    return values
 
 
 def _worst_commutator_dev(p, ss, two_d, omegas, coupling) -> float:
@@ -196,14 +211,11 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
     pz = p.with_(omega_p=0.0)
     ss = steady_state(pz)
     two_d = langevin.diffusion_matrix(pz, ss)
-    worst = 0.0
-    for om in (-2500.0, -300.0, 400.0):
-        ext = entanglement.covariance_with_spinwave(om, pz, ss, two_d)
-        worst = max(worst, abs(ext.duan("a1", "b1").value - 4.0))
+    vals = _pair_witness([pz], [ss], two_d[None], [-2500.0, -300.0, 400.0])
     reports.append(CheckReport(
         name="limit_uncoupled_pair_vacuum",
         scope="pump drive off, 3 benign frequencies",
-        residual=worst, tolerance=1e-9))
+        residual=float(np.max(np.abs(vals - 4.0))), tolerance=1e-9))
 
     pd = p.with_(gamma0=0.0)
     ss = steady_state(pd)
@@ -216,15 +228,14 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
 
     ss = steady_state(p)
     two_d = langevin.diffusion_matrix(p, ss)
-    vals = []
-    for a in (0.0, 1.0, 1000.0):
-        pa = p.with_(alpha1=a, alpha2=a)
-        ext = entanglement.covariance_with_spinwave(-800.0, pa, ss, two_d)
-        vals.append(ext.duan("a1", "b1").value)
+    # one set-up per amplitude, stacked over the three points
+    amplitudes = (0.0, 1.0, 1000.0)
+    vals = _pair_witness([p.with_(alpha1=a, alpha2=a) for a in amplitudes],
+                         [ss] * 3, np.stack([two_d] * 3), [-800.0] * 3)
     reports.append(CheckReport(
         name="limit_input_amplitude_independence",
         scope="coherent amplitudes 0, 1, 1000",
-        residual=float((max(vals) - min(vals)) / abs(vals[0])),
+        residual=float((np.max(vals) - np.min(vals)) / abs(vals[0])),
         tolerance=1e-9))
 
     quad = _field_quadratures(*_drift_stack(
@@ -282,7 +293,8 @@ def convention_comparison(p: PhysicalParams | None = None) -> dict:
                     quad = _field_quadratures(*_drift_stack(
                         rows, [om], two_d, langevin.sym_noise_matrix,
                         coupling, sideband), p.length)
-                    row[om] = entanglement.duan_min(quad[0], 0, 1).value
+                    row[om] = float(
+                        entanglement.duan_min_stack(quad, 0, 1)[0][0])
                 except propagation.NumericalOverflowError:
                     row[om] = "overflow"
             table[key] = row

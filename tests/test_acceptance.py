@@ -157,8 +157,8 @@ def test_criterion_07_squeezed_pair_witness():
     worst = 0.0
     for s in (0.1, 0.5, 1.0):
         quad = en.two_mode_squeezed_quadrature(s)
-        worst = max(worst, abs(en.duan_min(quad, 0, 1).value
-                               - 4.0 * np.exp(-2.0 * s)))
+        (value,), _ = en.duan_min_stack(quad[None], 0, 1)
+        worst = max(worst, abs(value - 4.0 * np.exp(-2.0 * s)))
     _criterion(7, "squeezed_pair_witness", worst < 1e-9, True,
                f"worst |V - 4exp(-2s)| = {worst:.3e} (tol 1e-9)")
 

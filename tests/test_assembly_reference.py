@@ -23,8 +23,19 @@ from eitfwm import entanglement as en
 from eitfwm import langevin
 from eitfwm import propagation as pr
 from eitfwm.params import C, derive, reference_params
-from eitfwm.propagation import COUPLINGS, SIDEBANDS, DriftMatrix
+from eitfwm.propagation import COUPLINGS, SIDEBANDS
 from eitfwm.steady_state import steady_state
+
+
+@dataclass
+class DriftMatrix:
+    """Drift M, noise rows Q and channel list at one frequency: the
+    container of the per-point assembly below."""
+
+    modes: list
+    m: np.ndarray          # 2n x 2n
+    q: np.ndarray          # 2n x n_channels, includes the sqrt(c/N) scale
+    channels: list
 
 
 # the per-point assembly warns where a subnormal frequency overflows a

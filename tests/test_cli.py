@@ -694,6 +694,38 @@ def test_experiments_run_without_scipy(tmp_path):
 
 # --- verification ---------------------------------------------------------
 
+#: the whole report of a verify run with 2000 oracle steps, line by line
+VERIFY_2000_STEPS = [
+    "CHECK commutators_free_propagation residual=5.007106e-14 "
+    "tol=1.0e-13 PASS (expected PASS) "
+    "[coupling off, 5 frequencies]",
+    "CHECK commutators_undriven_balance residual=6.042684e-09 "
+    "tol=1.0e-06 PASS (expected PASS) "
+    "[direct coupling, no dephasing, 5 frequencies]",
+    "CHECK commutators_fault_injection residual=5.000000e-01 "
+    "tol=1.0e-06 FAIL (expected FAIL) "
+    "[same limit with the diffusion table doubled]",
+    "CHECK commutators_reference residual=3.466230e+01 "
+    "tol=1.0e-06 FAIL (expected FAIL) "
+    "[anomalous coupling, reference point, 64-point grid]",
+    "CHECK oracle_equivalence residual=3.747293e-03 "
+    "tol=1.0e-08 FAIL (expected PASS) UNEXPECTED "
+    "[16 frequencies, 2000 oracle steps]",
+    "CHECK limit_uncoupled_pair_vacuum residual=5.870682e-10 "
+    "tol=1.0e-09 PASS (expected PASS) "
+    "[pump drive off, 3 benign frequencies]",
+    "CHECK limit_dark_state residual=1.287861e-14 "
+    "tol=1.0e-06 PASS (expected PASS) "
+    "[no dephasing, symmetric drives]",
+    "CHECK limit_input_amplitude_independence residual=0.000000e+00 "
+    "tol=1.0e-09 PASS (expected PASS) "
+    "[coherent amplitudes 0, 1, 1000]",
+    "CHECK symplectic_positivity residual=1.424750e+00 "
+    "tol=1.0e-08 FAIL (expected FAIL) "
+    "[field quadrature covariance, 64-point grid]",
+]
+
+
 def test_verify_reports_nine_checks_and_exits_3_on_a_surprise(
         tmp_path, capsys, monkeypatch):
     # 2000 oracle steps leave the integrator cross-check far above its
@@ -713,3 +745,4 @@ def test_verify_reports_nine_checks_and_exits_3_on_a_surprise(
     assert len(unexpected) == 1
     assert unexpected[0].startswith(
         "CHECK oracle_equivalence residual=3.747293e-03 ")
+    assert lines == VERIFY_2000_STEPS

@@ -8,28 +8,48 @@ from hypothesis import strategies as st
 from eitfwm import entanglement as en
 from eitfwm import langevin as lv
 from eitfwm import propagation as pr
+from eitfwm import verification
+from eitfwm.params import derive
 from eitfwm.steady_state import DensityMatrix3, steady_state
+
+#: mode labels of the single pair's extended covariance
+LABELS = ["a1", "b1", "S"]
+
+
+def _quad(p, ss, two_d, omegas, **switches):
+    """Quadrature covariances of the single pair plus S at ``omegas``,
+    one witness set-up shared by every frequency."""
+    modes = pr.single_pair_modes(p)
+    set_up = en.witness_set_up([p], [ss], two_d[None], modes, [derive(p)])
+    return en.extended_quadratures(set_up, omegas, p.length, **switches)
+
+
+def _values(quad, pair=("a1", "b1")):
+    """Witness values of ``pair`` at every matrix of the stack ``quad``."""
+    values, _ = en.pair_witness(quad, LABELS, pair)
+    return values
 
 
 @pytest.fixture(scope="module")
-def ext_ref(ref, ss_ref, two_d_ref):
-    return en.covariance_with_spinwave(-300.0, ref, ss_ref, two_d_ref)
+def quad_ref(ref, ss_ref, two_d_ref):
+    return _quad(ref, ss_ref, two_d_ref, [-300.0])
 
 
 def test_two_mode_squeezed_witness_exact():
     for s in (0.1, 0.5, 1.0):
         quad = en.two_mode_squeezed_quadrature(s)
-        w = en.duan_min(quad, 0, 1)
-        assert w.value == pytest.approx(4.0 * np.exp(-2.0 * s), abs=1e-9)
-        assert w.signs == (-1, 1)
-        assert w.entangled == (s > 0)
+        (value,), (signs,) = en.duan_min_stack(quad[None], 0, 1)
+        assert value == pytest.approx(4.0 * np.exp(-2.0 * s), abs=1e-9)
+        assert signs == (-1, 1)
+        assert (value < 4.0) == (s > 0)
 
 
 @given(st.floats(min_value=0.0, max_value=2.0))
 def test_two_mode_squeezed_witness_any_squeezing(s):
     quad = en.two_mode_squeezed_quadrature(s)
-    assert en.duan_min(quad, 0, 1).value == pytest.approx(
-        4.0 * np.exp(-2.0 * s), rel=1e-12, abs=1e-12)
+    (value,), _ = en.duan_min_stack(quad[None], 0, 1)
+    assert value == pytest.approx(4.0 * np.exp(-2.0 * s), rel=1e-12,
+                                  abs=1e-12)
 
 
 def test_duan_value_matches_direct_variances(rng):
@@ -40,21 +60,28 @@ def test_duan_value_matches_direct_variances(rng):
     i, j, su, sv = 0, 2, 1, -1
     u = quad[i, i] + quad[j, j] + 2 * su * quad[i, j]
     v = quad[3 + i, 3 + i] + quad[3 + j, 3 + j] + 2 * sv * quad[3 + i, 3 + j]
-    assert en.duan_value(quad, i, j, su, sv) == pytest.approx(u + v,
-                                                              rel=1e-14)
+    assert en.duan_values(quad, i, j, su, sv) == pytest.approx(u + v,
+                                                               rel=1e-14)
 
 
 def test_duan_value_rejects_bad_index():
     quad = np.eye(6)
     with pytest.raises(en.UnknownModeError):
-        en.duan_value(quad, 0, 3, 1, -1)
+        en.duan_values(quad, 0, 3, 1, -1)
 
 
 def test_duan_min_tie_keeps_preferred_signs():
-    quad = np.eye(4)   # uncorrelated, both pairings give exactly 4
-    assert en.duan_min(quad, 0, 1).signs == (1, -1)
-    assert en.duan_min(quad, 0, 1, prefer=(-1, 1)).signs == (-1, 1)
-    assert en.duan_min(quad, 0, 1).value == 4.0
+    quad = np.eye(4)[None]   # uncorrelated, both pairings give exactly 4
+    assert en.duan_min_stack(quad, 0, 1)[1] == [(1, -1)]
+    assert en.duan_min_stack(quad, 0, 1, prefer=(-1, 1))[1] == [(-1, 1)]
+    assert en.duan_min_stack(quad, 0, 1)[0][0] == 4.0
+
+
+def test_pair_witness_keeps_the_pairs_preferred_signs():
+    quad = np.eye(6)[None]   # uncorrelated: every pair ties at 4
+    for pair in (("a1", "S"), ("S", "a1")):
+        assert en.pair_witness(quad, LABELS, pair)[1] == [(-1, 1)]
+    assert en.pair_witness(quad, LABELS, ("a1", "b1"))[1] == [(1, -1)]
 
 
 def test_phase_scan_never_beats_exact_minimum():
@@ -65,7 +92,7 @@ def test_phase_scan_never_beats_exact_minimum():
     r[np.ix_([0, 2], [0, 2])] = [[np.cos(phi), np.sin(phi)],
                                  [-np.sin(phi), np.cos(phi)]]
     rotated = r @ quad @ r.T
-    sign_only = en.duan_min(rotated, 0, 1).value
+    (sign_only,), _ = en.duan_min_stack(rotated[None], 0, 1)
     scanned = en.duan_min_over_phases(rotated, 0, 1)
     exact = 4.0 * np.exp(-2.0 * s)
     # the rotation hides the correlation from the fixed sign pairings
@@ -75,6 +102,49 @@ def test_phase_scan_never_beats_exact_minimum():
     assert exact - 1e-9 <= scanned <= exact * 1.02
     assert en.duan_min_over_phases(rotated, 0, 1, n_phases=64) <= \
         scanned + 1e-12
+
+
+def reference_duan_min_over_phases(quad, i, j, n_phases=16):
+    """The phase scan as a loop over both rotation angles, one witness
+    per rotated covariance, kept as the reference of the stacked scan."""
+    m = quad.shape[0] // 2
+    best = np.inf
+    phases = np.arange(n_phases) * (2.0 * np.pi / n_phases)
+    for phi in phases:
+        ri = np.eye(2 * m)
+        ri[np.ix_([i, m + i], [i, m + i])] = \
+            [[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]]
+        qi = ri @ quad @ ri.T
+        for psi in phases:
+            rj = np.eye(2 * m)
+            rj[np.ix_([j, m + j], [j, m + j])] = \
+                [[np.cos(psi), np.sin(psi)], [-np.sin(psi), np.cos(psi)]]
+            (value,), _ = en.duan_min_stack((rj @ qi @ rj.T)[None], i, j)
+            best = min(best, float(value))
+    return best
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(min_value=0.0, max_value=2.0),
+       st.floats(min_value=0.0, max_value=2.0 * np.pi),
+       st.sampled_from([16, 64]))
+def test_phase_scan_is_the_loop_over_rotations(s, phi, n_phases):
+    quad = en.two_mode_squeezed_quadrature(s)
+    r = np.eye(4)
+    r[np.ix_([0, 2], [0, 2])] = [[np.cos(phi), np.sin(phi)],
+                                 [-np.sin(phi), np.cos(phi)]]
+    rotated = r @ quad @ r.T
+    assert en.duan_min_over_phases(rotated, 0, 1, n_phases) == \
+        reference_duan_min_over_phases(rotated, 0, 1, n_phases)
+
+
+def test_phase_scan_is_the_loop_on_three_modes(rng):
+    for _ in range(10):
+        b = rng.normal(size=(6, 6))
+        quad = b @ b.T + np.eye(6)
+        for i, j in ((0, 2), (2, 1)):
+            assert en.duan_min_over_phases(quad, i, j) == \
+                reference_duan_min_over_phases(quad, i, j)
 
 
 def test_quadrature_covariance_vacuum():
@@ -87,112 +157,103 @@ def test_quadrature_covariance_rejects_odd_dimension():
         en.quadrature_covariance(np.eye(5))
 
 
-def test_extended_covariance_labels_and_lookup(ext_ref):
-    assert ext_ref.labels == ["a1", "b1", "S"]
-    assert ext_ref.index("S") == 2
+def test_extended_covariance_labels_and_lookup(ref, quad_ref):
+    assert en.extended_labels(pr.single_pair_modes(ref)) == LABELS
     with pytest.raises(en.UnknownModeError):
-        ext_ref.index("a9")
+        en.pair_witness(quad_ref, LABELS, ("a9", "b1"))
     with pytest.raises(en.UnknownModeError):
-        ext_ref.duan("a1", "c3")
+        en.pair_witness(quad_ref, LABELS, ("a1", "c3"))
 
 
 def test_field_block_matches_plain_field_covariance(ref, ss_ref, two_d_ref,
-                                                    ext_ref):
-    dm = pr.drift_matrix(-300.0, ref, ss_ref)
-    g = pr.noise_drive(dm.q, lv.sym_noise_matrix(two_d_ref, dm.channels))
-    t, c = pr.second_moment_transfer_stack(dm.m[None], g[None], ref.length)
+                                                    quad_ref):
+    m, g = verification._drift_stack(verification._rows(ref, ss_ref),
+                                     [-300.0], two_d_ref,
+                                     lv.sym_noise_matrix)
+    t, c = pr.second_moment_transfer_stack(m, g, ref.length)
     quad_fields = en.quadrature_covariance(pr.hermitian_part(
         pr.output_covariance(t[0], c[0], pr.vacuum_covariance(2))))
     sel = np.ix_([0, 1, 3, 4], [0, 1, 3, 4])
-    assert np.max(np.abs(ext_ref.quad[sel] - quad_fields)) < 1e-13
+    assert np.max(np.abs(quad_ref[0][sel] - quad_fields)) < 1e-13
 
 
-def test_reference_witnesses_frozen(ext_ref):
-    w = ext_ref.duan("a1", "b1")
-    assert w.signs == (1, -1)
-    assert w.value == pytest.approx(2.111497118432327, rel=1e-9)
-    assert w.entangled
-    assert ext_ref.duan("a1", "S").signs == (1, -1)
-    assert ext_ref.duan("S", "b1").signs == (1, -1)
+def test_reference_witnesses_frozen(quad_ref):
+    (value,), signs = en.pair_witness(quad_ref, LABELS, ("a1", "b1"))
+    assert signs == [(1, -1)]
+    assert value == pytest.approx(2.111497118432327, rel=1e-9)
+    assert value < 4.0
+    assert en.pair_witness(quad_ref, LABELS, ("a1", "S"))[1] == [(1, -1)]
+    assert en.pair_witness(quad_ref, LABELS, ("S", "b1"))[1] == [(1, -1)]
 
 
 def test_witness_even_in_frequency(ref, ss_ref, two_d_ref):
-    for om in (200.0, 500.0, 900.0):
-        up = en.covariance_with_spinwave(om, ref, ss_ref, two_d_ref)
-        dn = en.covariance_with_spinwave(-om, ref, ss_ref, two_d_ref)
-        vu = up.duan("a1", "b1").value
-        vd = dn.duan("a1", "b1").value
-        assert vu == pytest.approx(vd, rel=1e-6)
+    omegas = np.array([200.0, 500.0, 900.0])
+    values = _values(_quad(ref, ss_ref, two_d_ref,
+                           np.concatenate([omegas, -omegas])))
+    assert values[:3] == pytest.approx(values[3:], rel=1e-6)
 
 
 def test_uncoupled_medium_gives_vacuum_witness(ref):
     p0 = ref.with_(coupling_scale=0.0)
     ss0 = steady_state(p0)
     two_d0 = lv.diffusion_matrix(p0, ss0)
-    ext = en.covariance_with_spinwave(0.0, p0, ss0, two_d0)
-    assert ext.duan("a1", "b1").value == pytest.approx(4.0, abs=1e-12)
+    quad = _quad(p0, ss0, two_d0, [0.0])
+    assert _values(quad)[0] == pytest.approx(4.0, abs=1e-12)
     # the coherence mode disconnects from the fields entirely
-    m = ext.quad.shape[0] // 2
-    i_s = ext.index("S")
-    for i in (ext.index("a1"), ext.index("b1")):
-        assert abs(ext.quad[i, i_s]) < 1e-14
-        assert abs(ext.quad[m + i, m + i_s]) < 1e-14
+    (quad,) = quad
+    m = quad.shape[0] // 2
+    i_s = LABELS.index("S")
+    for i in (LABELS.index("a1"), LABELS.index("b1")):
+        assert abs(quad[i, i_s]) < 1e-14
+        assert abs(quad[m + i, m + i_s]) < 1e-14
     # but keeps the positive variance of its own noise lump
-    assert ext.quad[i_s, i_s] > 1.0
-    assert ext.quad[i_s, i_s] == pytest.approx(ext.quad[m + i_s, m + i_s],
-                                               rel=1e-12)
+    assert quad[i_s, i_s] > 1.0
+    assert quad[i_s, i_s] == pytest.approx(quad[m + i_s, m + i_s],
+                                           rel=1e-12)
 
 
 def test_single_drive_pair_stays_vacuum(ref):
     p1 = ref.with_(omega_p=0.0)
     ss1 = steady_state(p1)
     two_d1 = lv.diffusion_matrix(p1, ss1)
-    for om in (-2500.0, -300.0, 400.0):
-        ext = en.covariance_with_spinwave(om, p1, ss1, two_d1)
-        assert ext.duan("a1", "b1").value == pytest.approx(4.0, abs=1e-9)
+    values = _values(_quad(p1, ss1, two_d1, [-2500.0, -300.0, 400.0]))
+    assert values == pytest.approx([4.0] * 3, abs=1e-9)
 
 
 def test_gauge_flip_leaves_witnesses_unchanged(ref, ss_ref, two_d_ref,
-                                               ext_ref):
+                                               quad_ref):
     # relabel |2> -> -|2>: ground and 2-3 coherences flip sign, as do
     # the matching noise channels; every quadrature witness must agree
     u = np.diag([1.0, -1.0, 1.0])
     flipped = DensityMatrix3(u @ ss_ref.matrix @ u)
     s = np.diag([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
-    ext2 = en.covariance_with_spinwave(-300.0, ref, flipped,
-                                       s @ two_d_ref @ s)
+    quad2 = _quad(ref, flipped, s @ two_d_ref @ s, [-300.0])
     for pair in (("a1", "b1"), ("a1", "S"), ("S", "b1")):
-        assert ext2.duan(*pair).value == pytest.approx(
-            ext_ref.duan(*pair).value, rel=1e-9)
+        assert _values(quad2, pair)[0] == pytest.approx(
+            _values(quad_ref, pair)[0], rel=1e-9)
 
 
 def test_as_printed_coupling_never_entangles(ref, ss_ref, two_d_ref):
-    for om in (-1000.0, -300.0, 0.0):
-        ext = en.covariance_with_spinwave(om, ref, ss_ref, two_d_ref,
-                                          coupling="as_printed")
-        assert ext.duan("a1", "b1").value >= 4.0 - 1e-9
+    values = _values(_quad(ref, ss_ref, two_d_ref, [-1000.0, -300.0, 0.0],
+                           coupling="as_printed"))
+    assert np.all(values >= 4.0 - 1e-9)
 
 
 def test_z_averaged_definition_smoke(ref, ss_ref, two_d_ref):
-    ext = en.covariance_with_spinwave(0.0, ref, ss_ref, two_d_ref,
-                                      spinwave="z-averaged")
+    quad = _quad(ref, ss_ref, two_d_ref, [0.0], spinwave="z-averaged")
     for pair in (("a1", "b1"), ("a1", "S"), ("S", "b1")):
-        v = ext.duan(*pair).value
+        (v,) = _values(quad, pair)
         assert np.isfinite(v) and v > 0.0
 
 
 def test_unknown_spinwave_definition_rejected(ref, ss_ref, two_d_ref):
     with pytest.raises(ValueError, match="definition"):
-        en.covariance_with_spinwave(0.0, ref, ss_ref, two_d_ref,
-                                    spinwave="midpoint")
+        _quad(ref, ss_ref, two_d_ref, [0.0], spinwave="midpoint")
 
 
 def test_spinwave_scale_override(ref, ss_ref, two_d_ref):
     # doubling the scale multiplies the S-S covariance block by four
-    e1 = en.covariance_with_spinwave(0.0, ref.with_(spinwave_scale=1.0),
-                                     ss_ref, two_d_ref)
-    e2 = en.covariance_with_spinwave(0.0, ref.with_(spinwave_scale=2.0),
-                                     ss_ref, two_d_ref)
-    i_s = e1.index("S")
-    assert e2.quad[i_s, i_s] == pytest.approx(4.0 * e1.quad[i_s, i_s],
-                                              rel=1e-12)
+    (e1,) = _quad(ref.with_(spinwave_scale=1.0), ss_ref, two_d_ref, [0.0])
+    (e2,) = _quad(ref.with_(spinwave_scale=2.0), ss_ref, two_d_ref, [0.0])
+    i_s = LABELS.index("S")
+    assert e2[i_s, i_s] == pytest.approx(4.0 * e1[i_s, i_s], rel=1e-12)

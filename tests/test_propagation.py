@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import verification
+from eitfwm.params import derive
 from eitfwm.steady_state import steady_state
 
 
@@ -29,39 +30,46 @@ def test_two_pair_modes(ref):
     assert [m.pair for m in modes] == [1, 1, 2, 2]
 
 
+def _drift(p, ss, omegas, modes=None, **switches):
+    """(m, q, channels): the drift and noise-row stacks of ``modes`` (the
+    single pair by default) at ``omegas``, from one drift set-up."""
+    rows = pr.drift_rows([ss], modes or pr.single_pair_modes(p), [derive(p)])
+    m, q = pr.drift_block(rows, omegas, **switches)
+    return m, q, rows.channels
+
+
 def test_drift_matrix_rejects_unknown_switches(ref, ss_ref):
     with pytest.raises(ValueError, match="coupling"):
-        pr.drift_matrix(0.0, ref, ss_ref, coupling="resonant")
+        _drift(ref, ss_ref, [0.0], coupling="resonant")
     with pytest.raises(ValueError, match="sideband"):
-        pr.drift_matrix(0.0, ref, ss_ref, sideband="upper")
+        _drift(ref, ss_ref, [0.0], sideband="upper")
 
 
 def test_drift_matrix_shapes(ref, ss_ref):
-    dm = pr.drift_matrix(-300.0, ref, ss_ref)
-    assert dm.m.shape == (4, 4)
-    assert dm.q.shape == (4, 4)
-    assert dm.channels == lv.field_noise_channels()
-    dm2 = pr.drift_matrix(-300.0, ref, ss_ref, modes=pr.two_pair_modes(ref))
-    assert dm2.m.shape == (8, 8)
-    assert dm2.q.shape == (8, 4)
+    m, q, channels = _drift(ref, ss_ref, [-300.0])
+    assert m.shape == (1, 4, 4)
+    assert q.shape == (1, 4, 4)
+    assert channels == lv.field_noise_channels()
+    m2, q2, _ = _drift(ref, ss_ref, [-300.0], modes=pr.two_pair_modes(ref))
+    assert m2.shape == (1, 8, 8)
+    assert q2.shape == (1, 8, 4)
 
 
 def test_mirrored_dagger_block_is_conjugate_at_reflected_frequency(ref,
                                                                    ss_ref):
     om = -450.0
-    dm = pr.drift_matrix(om, ref, ss_ref, sideband="mirrored")
-    dref = pr.drift_matrix(-om, ref, ss_ref, sideband="mirrored")
+    (m, mref), _, _ = _drift(ref, ss_ref, [om, -om], sideband="mirrored")
     n = 2
-    assert np.allclose(dm.m[n:, n:], np.conj(dref.m[:n, :n]), atol=1e-14)
-    assert np.allclose(dm.m[n:, :n], np.conj(dref.m[:n, n:]), atol=1e-14)
+    assert np.allclose(m[n:, n:], np.conj(mref[:n, :n]), atol=1e-14)
+    assert np.allclose(m[n:, :n], np.conj(mref[:n, n:]), atol=1e-14)
 
 
 def test_same_sideband_conjugates_in_place(ref, ss_ref):
     om = -450.0
-    dm = pr.drift_matrix(om, ref, ss_ref, sideband="same")
+    (m,), _, _ = _drift(ref, ss_ref, [om], sideband="same")
     n = 2
-    assert np.allclose(dm.m[n:, n:], np.conj(dm.m[:n, :n]), atol=1e-14)
-    assert np.allclose(dm.m[n:, :n], np.conj(dm.m[:n, n:]), atol=1e-14)
+    assert np.allclose(m[n:, n:], np.conj(m[:n, :n]), atol=1e-14)
+    assert np.allclose(m[n:, :n], np.conj(m[:n, n:]), atol=1e-14)
 
 
 def test_vacuum_covariance():
@@ -70,9 +78,10 @@ def test_vacuum_covariance():
 
 
 def test_transfer_matches_expm(ref, ss_ref):
-    dm = pr.drift_matrix(-300.0, ref, ss_ref)
-    t, _ = pr.second_moment_transfer(dm.m, np.zeros_like(dm.m), ref.length)
-    te = sla.expm(dm.m * ref.length)
+    m, _, _ = _drift(ref, ss_ref, [-300.0])
+    (t,), _ = pr.second_moment_transfer_stack(m, np.zeros_like(m),
+                                              ref.length)
+    te = sla.expm(m[0] * ref.length)
     dev = np.linalg.norm(t - te) / np.linalg.norm(te)
     assert dev < 1e-8
 
@@ -81,7 +90,7 @@ def test_second_moment_transfer_diagonal_closed_form():
     k, g0, length = 7.0, 2.5, 0.3
     m = -k * np.eye(3, dtype=complex)
     g = g0 * np.eye(3, dtype=complex)
-    t, c = pr.second_moment_transfer(m, g, length)
+    (t,), (c,) = pr.second_moment_transfer_stack(m[None], g[None], length)
     assert np.max(np.abs(t - np.exp(-k * length) * np.eye(3))) < 1e-12
     expected = g0 * (1.0 - np.exp(-2.0 * k * length)) / (2.0 * k)
     assert np.max(np.abs(c - expected * np.eye(3))) < 1e-12
@@ -89,10 +98,11 @@ def test_second_moment_transfer_diagonal_closed_form():
 
 @pytest.mark.parametrize("omega", [-300.0, 0.0, 400.0])
 def test_second_moment_transfer_matches_rk4(ref, ss_ref, two_d_ref, omega):
-    dm = pr.drift_matrix(omega, ref, ss_ref)
-    g = dm.q @ lv.sym_noise_matrix(two_d_ref, dm.channels) @ dm.q.conj().T
-    t_fast, c_fast = pr.second_moment_transfer(dm.m, g, ref.length)
-    t_ref, c_ref = pr.transfer_step_oracle(dm.m, g, ref.length, 20000)
+    (m,), (q,), channels = _drift(ref, ss_ref, [omega])
+    g = q @ lv.sym_noise_matrix(two_d_ref, channels) @ q.conj().T
+    (t_fast,), (c_fast,) = pr.second_moment_transfer_stack(
+        m[None], g[None], ref.length)
+    t_ref, c_ref = pr.transfer_step_oracle(m, g, ref.length, 20000)
     assert np.linalg.norm(t_fast - t_ref) / max(
         1.0, np.linalg.norm(t_ref)) < 1e-7
     assert np.linalg.norm(c_fast - c_ref) / max(
@@ -108,7 +118,8 @@ def test_second_moment_transfer_random_stable_systems(seed, length):
     m = a - (np.linalg.norm(a, 2) + 0.5) * np.eye(4)
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     g = b @ b.conj().T
-    t_fast, c_fast = pr.second_moment_transfer(m, g, length)
+    (t_fast,), (c_fast,) = pr.second_moment_transfer_stack(m[None], g[None],
+                                                          length)
     t_ref, c_ref = pr.transfer_step_oracle(m, g, length, 2000)
     assert np.linalg.norm(t_fast - t_ref) / max(
         1.0, np.linalg.norm(t_ref)) < 1e-6
@@ -167,10 +178,8 @@ def _field_moments(p, ss, two_d, omegas, pairing=lv.sym_noise_matrix,
                    **switches):
     """(t, c) of the stacked transfer over ``omegas``, noise taken from
     ``two_d`` by ``pairing``."""
-    drifts = [pr.drift_matrix(om, p, ss, **switches) for om in omegas]
-    m = np.stack([dm.m for dm in drifts])
-    g = np.stack([pr.noise_drive(dm.q, pairing(two_d, dm.channels))
-                  for dm in drifts])
+    m, q, channels = _drift(p, ss, omegas, **switches)
+    g = pr.noise_drive(q, pairing(two_d, channels))
     return pr.second_moment_transfer_stack(m, g, p.length)
 
 

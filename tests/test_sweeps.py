@@ -11,7 +11,7 @@ from eitfwm import entanglement as en
 from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import sweeps
-from eitfwm.params import ValidationError
+from eitfwm.params import ValidationError, derive
 from eitfwm.steady_state import DegenerateSteadyStateError, steady_state
 
 # the package exports a function of the same name as the module
@@ -127,6 +127,17 @@ def _drift(p, cfg, omega):
     return m[0]
 
 
+def _alone(p, ss, two_d, cfg, omega):
+    """(values, signs) of every pair of ``cfg`` at one point evaluated
+    alone: a block of one point with its own set-up."""
+    modes = cfg.modes(p)
+    set_up = en.witness_set_up([p], [ss], two_d[None], modes, [derive(p)])
+    quad = en.extended_quadratures(set_up, [omega], p.length, cfg.coupling,
+                                   cfg.sideband, cfg.spinwave_definition)
+    return {pair: en.pair_witness(quad, en.extended_labels(modes), pair)
+            for pair in cfg.pairs()}
+
+
 def _small_blocks(monkeypatch, cfg, p):
     """Shrink the sweep blocks to 4 points of this configuration."""
     dim = _drift(p, cfg, 0.0).shape[-1]
@@ -160,13 +171,11 @@ def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     stages = set()
     for i, om in enumerate(BLOCK_GRID):
         stages.add(_stage_count(_drift(ref, cfg, om), ref.length))
-        ext = en.covariance_with_spinwave(
-            om, ref, ss, two_d, modes=cfg.modes(ref), coupling=cfg.coupling,
-            sideband=cfg.sideband, spinwave=cfg.spinwave_definition)
+        alone = _alone(ref, ss, two_d, cfg, om)
         for pair in spec.pairs:
-            w = ext.duan(*pair)
-            assert spec.values[pair][i] == w.value, (om, pair)
-            assert spec.signs[pair][i] == w.signs, (om, pair)
+            (value,), (signs,) = alone[pair]
+            assert spec.values[pair][i] == value, (om, pair)
+            assert spec.signs[pair][i] == signs, (om, pair)
     # blocks of 4, 4, 4 and 1 points, mixing stage counts
     assert len(stages) >= 3
 
@@ -180,14 +189,11 @@ def test_block_param_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     for i, g0 in enumerate(gamma0s):
         q = ref.with_(gamma0=float(g0))
         ss = steady_state(q)
-        ext = en.covariance_with_spinwave(
-            0.0, q, ss, lv.diffusion_matrix(q, ss), modes=cfg.modes(q),
-            coupling=cfg.coupling, sideband=cfg.sideband,
-            spinwave=cfg.spinwave_definition)
+        alone = _alone(q, ss, lv.diffusion_matrix(q, ss), cfg, 0.0)
         for pair in spec.pairs:
-            w = ext.duan(*pair)
-            assert spec.values[pair][i] == w.value, (g0, pair)
-            assert spec.signs[pair][i] == w.signs, (g0, pair)
+            (value,), (signs,) = alone[pair]
+            assert spec.values[pair][i] == value, (g0, pair)
+            assert spec.signs[pair][i] == signs, (g0, pair)
 
 
 @pytest.mark.parametrize("sweep,where", [

@@ -94,8 +94,9 @@ def test_checks_propagate_each_frequency_set_as_one_stack(ref, monkeypatch):
     assert sizes == [5, 5, 3, 64]
     sizes.clear()
     vf.check_limits(ref)
-    # six one-point witnesses of the limits, then the symplectic grid
-    assert sizes == [1] * 6 + [len(vf.COMMUTATOR_GRID)]
+    # the three pump-off frequencies, the three stacked amplitudes, then
+    # the symplectic grid
+    assert sizes == [3, 3, len(vf.COMMUTATOR_GRID)]
 
 
 def test_limit_checks(ref):
