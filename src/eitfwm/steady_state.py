@@ -17,12 +17,16 @@ The single-atom adjoint generator implemented by :func:`apply_generator`
 acts on stacks of operators and of parameter points: one call gives the
 Bloch drifts of a whole block of points.  It is shared with the Langevin
 diffusion module, which evaluates Einstein relations with the same
-dissipators.  One SVD call solves the null spaces of a whole block of
-drifts; only the checks of a steady state run point by point.
+dissipators.  The generator reads only the fields GENERATOR_FIELDS of a
+parameter set, so points with the same :func:`generator_key` share their
+drift, steady state and diffusion table.  One SVD call solves the null
+spaces of a whole block of drifts, and one pass checks all their states.
 """
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,10 @@ from .params import PhysicalParams
 
 # fixed ordering of the nine matrix units |a><b|, row-major in (a, b)
 BASIS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+
+#: every field of a parameter set that the Bloch generator reads
+GENERATOR_FIELDS = ("omega_c", "omega_p", "gamma1", "gamma2", "gamma0")
+_generator_values = operator.attrgetter(*GENERATOR_FIELDS)
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -52,16 +60,41 @@ class DensityMatrix3:
         return self.matrix.real.diagonal().copy()
 
     def check(self, tol: float = 1e-9) -> None:
-        m = self.matrix
-        if abs(np.trace(m) - 1.0) > tol:
-            raise ValueError(f"trace {np.trace(m)} != 1")
-        if np.max(np.abs(m - m.conj().T)) > tol:
-            raise ValueError("not Hermitian")
-        # <sigma_ab> = rho_ba, so eigenvalues of the transpose are the
-        # physical populations of rho
-        ev = np.linalg.eigvalsh(m.T)
-        if ev.min() < -1e5 * tol:
-            raise ValueError(f"negative eigenvalue {ev.min()}")
+        check_states(self.matrix[None], tol)
+
+
+def check_states(m: np.ndarray, tol: float = 1e-9) -> None:
+    """Check a stack of <sigma_ab> matrices, shape (k, 3, 3), in one
+    pass: unit trace, Hermiticity, and no eigenvalue below -1e5 * tol.
+    The first failing matrix raises ValueError, naming the first check
+    it fails, with its position in the stack as the error's ``index``."""
+    tr = np.trace(m, axis1=1, axis2=2)
+    bad_trace = np.abs(tr - 1.0) > tol
+    bad_hermitian = np.amax(np.abs(m - m.conj().transpose(0, 2, 1)),
+                            axis=(1, 2)) > tol
+    # <sigma_ab> = rho_ba, so eigenvalues of the transpose are the
+    # physical populations of rho
+    low = np.amin(np.linalg.eigvalsh(m.transpose(0, 2, 1)), axis=1)
+    bad = bad_trace | bad_hermitian | (low < -1e5 * tol)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if bad_trace[i]:
+        exc = ValueError(f"trace {tr[i]} != 1")
+    elif bad_hermitian[i]:
+        exc = ValueError("not Hermitian")
+    else:
+        exc = ValueError(f"negative eigenvalue {low[i]}")
+    exc.index = i
+    raise exc
+
+
+def generator_key(p: PhysicalParams) -> bytes:
+    """The exact bits of the generator fields of ``p``, as doubles: two
+    points with the same key have bit for bit the same drift, steady
+    state and diffusion table.  Bits, not values: 0.0 == -0.0, but the
+    two can give signed zeros of opposite sign in the drift."""
+    return struct.pack(f"{len(GENERATOR_FIELDS)}d", *_generator_values(p))
 
 
 def _unit(a: int, b: int) -> np.ndarray:
@@ -70,14 +103,17 @@ def _unit(a: int, b: int) -> np.ndarray:
     return e
 
 
-def _fields(p, names, ndim: int) -> list:
-    """The fields ``names`` of one parameter set ``p``, or of a list of
-    them, as arrays with a leading point axis (of length one for one set)
-    followed by ``ndim`` unit axes."""
+def _fields(p, ndim: int) -> dict:
+    """The GENERATOR_FIELDS of one parameter set ``p``, or of a list of
+    them, by name, as arrays with a leading point axis (of length one for
+    one set) followed by ``ndim`` unit axes.  The generator reads its
+    parameters only from here, so none can fall outside the key."""
     points = [p] if isinstance(p, PhysicalParams) else p
+    values = np.array([_generator_values(q) for q in points],
+                      dtype=float).reshape(len(points), len(GENERATOR_FIELDS))
     shape = (len(points),) + (1,) * ndim
-    return [np.array([getattr(q, name) for q in points],
-                     dtype=float).reshape(shape) for name in names]
+    return {name: values[:, k].reshape(shape)
+            for k, name in enumerate(GENERATOR_FIELDS)}
 
 
 def hamiltonian(p) -> np.ndarray:
@@ -95,9 +131,9 @@ def hamiltonian(p) -> np.ndarray:
     coherence-b1 witnesses; the dark state for omega_p = omega_c is then
     (|1> + |2>)/sqrt(2).
     """
-    omega_c, omega_p = _fields(p, ("omega_c", "omega_p"), 2)
-    h = -omega_c * (_unit(3, 1) + _unit(1, 3)) \
-        + omega_p * (_unit(3, 2) + _unit(2, 3))
+    f = _fields(p, 2)
+    h = -f["omega_c"] * (_unit(3, 1) + _unit(1, 3)) \
+        + f["omega_p"] * (_unit(3, 2) + _unit(2, 3))
     return h[0] if isinstance(p, PhysicalParams) else h
 
 
@@ -117,13 +153,12 @@ def apply_generator(p, op: np.ndarray) -> np.ndarray:
     bit for bit its one-point result.
     """
     op = np.asarray(op)
-    gamma1, gamma2, gamma0 = _fields(p, ("gamma1", "gamma2", "gamma0"),
-                                     op.ndim)
+    f = _fields(p, op.ndim)
     h = hamiltonian(p).reshape((-1,) + (1,) * (op.ndim - 2) + (3, 3))
     out = 1j * (h @ op - op @ h)
     # adjoint dissipator for decay channel L: L+ op L - (L+ L op + op L+ L)/2
     ldag_l = _unit(3, 3)
-    for rate, lower in ((gamma1, 1), (gamma2, 2)):
+    for rate, lower in ((f["gamma1"], 1), (f["gamma2"], 2)):
         l_op = _unit(lower, 3)
         out += rate * (l_op.conj().T @ op @ l_op
                        - 0.5 * (ldag_l @ op + op @ ldag_l))
@@ -132,7 +167,7 @@ def apply_generator(p, op: np.ndarray) -> np.ndarray:
     deph = np.zeros(op.shape, dtype=complex)
     deph[..., 0, 1] = op[..., 0, 1]
     deph[..., 1, 0] = op[..., 1, 0]
-    out -= gamma0 * deph
+    out -= f["gamma0"] * deph
     return out[0] if isinstance(p, PhysicalParams) else out
 
 
@@ -157,9 +192,10 @@ def _stationary(drifts: np.ndarray) -> list:
 
     One SVD of the whole finite prefix of the stack gives every null
     space; the rank counts the singular values above 1e-10 of the
-    largest, point by point.  The first point whose drift is not finite
-    or that has no unique, normalisable, physical state raises, with its
-    position in the stack as the error's ``index``.
+    largest, point by point, and one pass checks every state.  The first
+    point whose drift is not finite or that has no unique, normalisable,
+    physical state raises, with its position in the stack as the error's
+    ``index`` and the states of the points before it as its ``states``.
     """
     finite = np.isfinite(drifts).all(axis=(1, 2))
     n = len(drifts) if finite.all() else int(np.argmin(finite))
@@ -172,25 +208,25 @@ def _stationary(drifts: np.ndarray) -> list:
     stop = n if good.all() else int(np.argmin(good))
     m = m[:stop] / tr[:stop, None, None]
     m = 0.5 * (m + m.conj().transpose(0, 2, 1))  # enforce Hermiticity
-    states = []
+    states = [DensityMatrix3(matrix=matrix) for matrix in m]
     try:
-        for matrix in m:
-            dm = DensityMatrix3(matrix=matrix)
-            dm.check(tol=1e-8)
-            states.append(dm)
-        if stop == len(drifts):
-            return states
-        if stop == n:
-            raise DegenerateSteadyStateError("Bloch drift is not finite")
-        if rank[stop] == 9:
-            raise DegenerateSteadyStateError("no stationary state found")
-        if rank[stop] < 8:
-            raise DegenerateSteadyStateError(
-                f"stationary subspace has dimension {9 - rank[stop]}")
-        raise DegenerateSteadyStateError("traceless null vector")
-    except (DegenerateSteadyStateError, ValueError) as exc:
-        exc.index = len(states)
+        check_states(m, tol=1e-8)
+    except ValueError as exc:
+        exc.states = states[:exc.index]
         raise
+    if stop == len(drifts):
+        return states
+    if stop == n:
+        exc = DegenerateSteadyStateError("Bloch drift is not finite")
+    elif rank[stop] == 9:
+        exc = DegenerateSteadyStateError("no stationary state found")
+    elif rank[stop] < 8:
+        exc = DegenerateSteadyStateError(
+            f"stationary subspace has dimension {9 - rank[stop]}")
+    else:
+        exc = DegenerateSteadyStateError("traceless null vector")
+    exc.index, exc.states = stop, states
+    raise exc
 
 
 def steady_state(p):
@@ -205,7 +241,8 @@ def steady_state(p):
     giving the list of their states: one generator call builds every
     drift and one stacked SVD solves them all.  In a list, the first
     point without a valid state raises, with its position in the list as
-    the error's ``index``.
+    the error's ``index`` and the states of the points before it as its
+    ``states``.
     """
     drifts = bloch_drift(p)
     if isinstance(p, PhysicalParams):

@@ -7,10 +7,11 @@ writers.  The engine evaluates blocks of consecutive points as stacked
 arrays, from the assembly of drift, noise and readout rows through the
 interval doubling, output covariance, coherence-mode extension and
 quadrature transform to both witness sign branches; each block of a
-parameter sweep first builds one set-up stacked over its points.  A
-block gives every point bit for bit the result of a one-point
-evaluation, so rerunning a sweep with the same configuration
-reproduces the output byte for byte.
+parameter sweep first builds one set-up stacked over its points, and
+solves the steady state and diffusion table once per distinct
+generator point among them.  A block gives every point bit for bit the
+result of a one-point evaluation, so rerunning a sweep with the same
+configuration reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .params import PhysicalParams, ValidationError, derive
-from .steady_state import DegenerateSteadyStateError, steady_state
+from .steady_state import (DegenerateSteadyStateError, generator_key,
+                           steady_state)
 from . import langevin
 from . import propagation
 from . import entanglement
@@ -160,9 +162,14 @@ def _set_up(points: list, config: SweepConfig):
     """(set-up, error): the witness set-up stacked over the longest
     prefix of the parameter sets ``points`` that has one (None if the
     first point fails), and the failure of the next point (None if no
-    point fails).  Every point is validated before anything is solved;
-    three generator calls serve all the points: one for the Bloch drifts
-    and two for the diffusion tables."""
+    point fails).  Every point is validated before anything is solved.
+
+    Points with the same generator key share their steady state and
+    diffusion table, so each distinct key is solved once, in the order
+    of its first point; three generator calls serve them all, one for
+    the Bloch drifts and two for the diffusion tables.  A failing solve
+    fails the first point with its key.
+    """
     derived, error = [], None
     for q in points:
         try:
@@ -171,17 +178,23 @@ def _set_up(points: list, config: SweepConfig):
             error = exc
             break
     points = points[:len(derived)]
+    slots = {}
+    index = [slots.setdefault(generator_key(q), len(slots)) for q in points]
+    # the point of each distinct key that comes first in the grid
+    first = np.unique(index, return_index=True)[1]
+    distinct = [points[i] for i in first]
     try:
-        states = steady_state(points)
+        states = steady_state(distinct)
     except (DegenerateSteadyStateError, ValueError) as exc:
-        error, points = exc, points[:exc.index]
-        states = steady_state(points)
+        error, states = exc, exc.states
+        points = points[:first[exc.index]]
     if not points:
         return None, error
-    tables = langevin.diffusion_matrix(points, states)
+    tables = langevin.diffusion_matrix(distinct[:len(states)], states)
+    index = index[:len(points)]
     return entanglement.witness_set_up(
-        points, states, tables, config.modes(points[0]),
-        derived[:len(points)]), error
+        points, [states[k] for k in index], tables[index],
+        config.modes(points[0]), derived[:len(points)]), error
 
 
 def _naming(exc: Exception, axis: str, value) -> Exception:
@@ -201,7 +214,8 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     Blocks of consecutive points, each holding about BLOCK_ENTRIES
     entries of propagated matrices, are evaluated as stacked arrays, from
     the assembly to both sign branches of every witness; in a parameter
-    sweep, each block first builds its points' set-up as one stack.
+    sweep, each block first builds its points' set-up as one stack, with
+    one solve per distinct generator point.
     Every point shares the cell length of ``p``.
 
     A failing sweep reports its first failing point in grid order: a

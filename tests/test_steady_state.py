@@ -1,11 +1,17 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from eitfwm.params import reference_params
-from eitfwm.steady_state import (DegenerateSteadyStateError, DensityMatrix3,
-                                 bloch_drift, dark_state_sigma, steady_state)
+from eitfwm.langevin import diffusion_matrix
+from eitfwm.params import PhysicalParams, reference_params
+from eitfwm.steady_state import (GENERATOR_FIELDS, DegenerateSteadyStateError,
+                                 DensityMatrix3, bloch_drift, check_states,
+                                 dark_state_sigma, generator_key,
+                                 steady_state)
 
 # Reference-point mean values, frozen after the null-space solve was
 # cross-checked against long-time Bloch integration.  The ground
@@ -121,3 +127,71 @@ def test_solution_stays_physical(gamma0, drive, delta1):
     assert np.max(np.abs(m - m.conj().T)) < 1e-9
     evals = np.linalg.eigvalsh(m)
     assert evals.min() > -1e-9
+
+
+@pytest.mark.parametrize("name", [
+    f.name for f in dataclasses.fields(PhysicalParams)
+    if f.name not in GENERATOR_FIELDS])
+def test_fields_outside_the_generator_key_leave_the_set_up_unchanged(name):
+    # points that share a generator key share their drift, state and
+    # diffusion table, so no other field may reach the generator
+    p = reference_params()
+    q = p.with_(**{name: 2.0 * getattr(p, name) + 1.0})
+    assert generator_key(q) == generator_key(p)
+    assert bloch_drift(q).tobytes() == bloch_drift(p).tobytes()
+    ss_p, ss_q = steady_state(p), steady_state(q)
+    assert ss_q.matrix.tobytes() == ss_p.matrix.tobytes()
+    assert diffusion_matrix(q, ss_q).tobytes() == \
+        diffusion_matrix(p, ss_p).tobytes()
+
+
+def reference_check(m, tol):
+    """The one-point state check, as it ran point by point."""
+    if abs(np.trace(m) - 1.0) > tol:
+        raise ValueError(f"trace {np.trace(m)} != 1")
+    if np.max(np.abs(m - m.conj().T)) > tol:
+        raise ValueError("not Hermitian")
+    ev = np.linalg.eigvalsh(m.T)
+    if ev.min() < -1e5 * tol:
+        raise ValueError(f"negative eigenvalue {ev.min()}")
+
+
+_GOOD = np.diag([0.5, 0.3, 0.2]).astype(complex)
+_TRACE = _GOOD + np.diag([1e-6, 0.0, 0.0])
+_SKEW = _GOOD + 1e-6 * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+_NEGATIVE = np.diag([0.7, 0.5, -0.2]).astype(complex)
+
+
+@pytest.mark.parametrize("stack", [
+    [_GOOD, _GOOD],
+    [_GOOD, _TRACE, _SKEW],
+    [_GOOD, _GOOD, _SKEW, _TRACE],
+    [_NEGATIVE, _TRACE],
+    [_GOOD, _NEGATIVE + _SKEW - _GOOD, _TRACE],
+    [_TRACE + _SKEW - _GOOD],
+], ids=["physical", "trace", "hermiticity", "eigenvalue_first",
+        "hermiticity_before_eigenvalue", "trace_before_hermiticity"])
+def test_stacked_state_check_is_the_point_by_point_loop(stack):
+    stack = np.array(stack)
+    failure = None
+    for i, m in enumerate(stack):
+        try:
+            reference_check(m, 1e-8)
+        except ValueError as exc:
+            failure = i, str(exc)
+            break
+    try:
+        check_states(stack, tol=1e-8)
+    except ValueError as exc:
+        assert (exc.index, str(exc)) == failure
+    else:
+        assert failure is None
+    # the one-point check is the stacked check of a stack of one
+    for m in stack:
+        try:
+            reference_check(m, 1e-9)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                DensityMatrix3(matrix=m).check()
+        else:
+            DensityMatrix3(matrix=m).check()

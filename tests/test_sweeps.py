@@ -1,5 +1,6 @@
 """Grid construction, sweep determinism, dip reports, serialization."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -239,7 +240,11 @@ def test_overflow_precedes_a_later_set_up_failure(ref):
     ([0.1, 0.2, 1e300], DegenerateSteadyStateError,
      r"^stationary subspace has dimension 7, gamma0 = 1e\+300$"),
     ([1e300, -1.0], DegenerateSteadyStateError, r"gamma0 = 1e\+300$"),
-], ids=["negative", "nan", "degenerate", "degenerate_before_invalid"])
+    # the point after the failing one shares the first point's solve
+    ([0.1, 1e300, 0.1, -1.0], DegenerateSteadyStateError,
+     r"^stationary subspace has dimension 7, gamma0 = 1e\+300$"),
+], ids=["negative", "nan", "degenerate", "degenerate_before_invalid",
+        "degenerate_between_repeats"])
 def test_set_up_failure_names_the_swept_value(ref, gamma0s, error, where):
     with pytest.raises(error, match=where):
         sweeps.sweep_gamma0(ref, gamma0s, omega=0.0)
@@ -261,9 +266,31 @@ def test_set_up_failure_in_a_later_block_is_reported_in_grid_order(
                             config=sweeps.SweepConfig(sideband="same"))
 
 
-def test_parameter_sweep_builds_its_set_ups_in_blocks(ref, monkeypatch):
-    # one block of 101 points (of 4x4 matrices): one generator call for
-    # the Bloch drifts and two for the diffusion tables
+def test_repeated_failing_point_in_a_later_block_is_reported_in_grid_order(
+        ref, monkeypatch):
+    # blocks of 4 points: the second block solves 0.5, then fails at its
+    # first degenerate point; the repeat of 0.5 after it is cut, and the
+    # later degenerate point, whose key has the lower bytes, is not named
+    monkeypatch.setattr(sweeps, "BLOCK_ENTRIES",
+                        4 * en.state_dim(2, "endpoint") ** 2)
+    evaluated = []
+    real = en.extended_quadratures
+
+    def recorded(set_up, omegas, *args, **kwargs):
+        evaluated.append(len(omegas))
+        return real(set_up, omegas, *args, **kwargs)
+
+    monkeypatch.setattr(en, "extended_quadratures", recorded)
+    gamma0s = [0.1, 0.2, 0.1, 0.2, 0.5, 1e299, 0.5, 1e300, 1e299, -1.0]
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=r"^stationary subspace has dimension 7, "
+                             r"gamma0 = 1e\+299$"):
+        sweeps.sweep_gamma0(ref, gamma0s, omega=0.0)
+    assert evaluated == [4, 1]
+
+
+def _generator_calls(monkeypatch):
+    """The list that records the point count of every generator call."""
     calls = []
     real = ss_mod.apply_generator
 
@@ -273,8 +300,65 @@ def test_parameter_sweep_builds_its_set_ups_in_blocks(ref, monkeypatch):
 
     monkeypatch.setattr(ss_mod, "apply_generator", counted)
     monkeypatch.setattr(lv, "apply_generator", counted)
+    return calls
+
+
+def test_parameter_sweep_builds_its_set_ups_in_blocks(ref, monkeypatch):
+    # one block of 101 points (of 4x4 matrices): one generator call for
+    # the Bloch drifts and two for the diffusion tables
+    calls = _generator_calls(monkeypatch)
     sweeps.sweep_gamma0(ref, sweeps.fig_gamma0_grid(), omega=0.0)
     assert calls == [101] * 3
+
+
+def test_a_block_solves_each_generator_point_once(ref, monkeypatch):
+    # the coherent amplitude never reaches the generator: the 101 points
+    # of the amplitude sweep share one steady state and diffusion table
+    calls = _generator_calls(monkeypatch)
+    sweeps.sweep_alpha(ref, sweeps.fig_alpha_grid(), omega=ref.delta1)
+    assert calls == [1] * 3
+
+
+def _assert_set_ups_equal_one_point_set_ups(points, cfg):
+    """The set-up of ``points`` against the one-point set-up of each
+    point, field by field, by bytes."""
+    block, error = sweeps._set_up(points, cfg)
+    assert error is None
+    for i, q in enumerate(points):
+        alone, _ = sweeps._set_up([q], cfg)
+        for field in dataclasses.fields(alone):
+            ref_value = getattr(alone, field.name)
+            value = getattr(block, field.name)
+            if isinstance(ref_value, np.ndarray):
+                value = value[i:i + 1]
+                assert value.dtype == ref_value.dtype, field.name
+                assert value.shape == ref_value.shape, field.name
+                assert value.tobytes() == ref_value.tobytes(), field.name
+            else:
+                assert value == ref_value, field.name
+
+
+@pytest.mark.parametrize("cfg", [sweeps.SweepConfig(),
+                                 sweeps.SweepConfig(two_pair=True)],
+                         ids=["single_pair", "two_pair"])
+def test_repeated_generator_points_share_a_solve(ref, monkeypatch, cfg):
+    points = [ref.with_(gamma0=g0, alpha1=a1, coupling_scale=eta)
+              for g0, a1, eta in [(0.1, 0.0, 1.0), (0.2, 5.0, 0.5),
+                                  (0.1, 7.0, 2.0), (0.3, 1.0, 1.0),
+                                  (0.2, 1.0, 3.0)]]
+    calls = _generator_calls(monkeypatch)
+    sweeps._set_up(points, cfg)
+    assert calls == [3] * 3
+    _assert_set_ups_equal_one_point_set_ups(points, cfg)
+
+
+def test_signed_zero_dephasings_are_solved_apart(ref, monkeypatch):
+    # 0.0 == -0.0, but the generator key holds bits
+    points = [ref.with_(gamma0=0.0), ref.with_(gamma0=-0.0)]
+    calls = _generator_calls(monkeypatch)
+    sweeps._set_up(points, sweeps.SweepConfig())
+    assert calls == [2] * 3
+    _assert_set_ups_equal_one_point_set_ups(points, sweeps.SweepConfig())
 
 
 @pytest.mark.parametrize("sweep,where", [
