@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 from .params import (C, PhysicalParams, DerivedParams, ValidationError,
                      derive, reference_params)
-from .steady_state import (DensityMatrix3, DegenerateSteadyStateError,
-                           bloch_drift, steady_state, dark_state_sigma)
+from .steady_state import (DegenerateSteadyStateError, bloch_drift,
+                           steady_state, dark_state_sigma)
 from .langevin import diffusion_matrix, check_positive
 from .propagation import (FieldMode, NumericalOverflowError, GAIN_CEILING,
                           transfer_step_oracle, single_pair_modes,

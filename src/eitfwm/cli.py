@@ -166,22 +166,22 @@ def _emit_spectrum(spec, rc, dips, out, fmt, analysis=None,
 # --- experiments -----------------------------------------------------------
 
 def _run_steady(rc, out) -> int:
-    ss = steady_state(rc.params)
+    ss = steady_state([rc.params])[0]
     payload = {
         "version": __version__,
         "params": dataclasses.asdict(rc.params),
         "config": dataclasses.asdict(rc.model),
-        "rho_re": ss.matrix.real.tolist(),
-        "rho_im": ss.matrix.imag.tolist(),
-        "populations": [float(x) for x in ss.populations],
+        "rho_re": ss.real.tolist(),
+        "rho_im": ss.imag.tolist(),
+        "populations": [float(x) for x in ss.real.diagonal()],
     }
     sweeps.write_json(payload, out)
     return 0
 
 
 def _run_noise(rc, out) -> int:
-    ss = steady_state(rc.params)
-    two_d = langevin.diffusion_matrix(rc.params, ss)
+    ss = steady_state([rc.params])
+    two_d = langevin.diffusion_matrix([rc.params], ss)[0]
     payload = {
         "version": __version__,
         "params": dataclasses.asdict(rc.params),
@@ -394,33 +394,24 @@ def calibrate(rc: RunConfig) -> dict:
     cfg = dataclasses.replace(rc.model, two_pair=False)
     # neither the steady state nor the diffusion table depends on the two
     # fitted scales, so every witness point shares one set-up
-    ss = steady_state(p)
-    two_d = langevin.diffusion_matrix(p, ss)
+    states = steady_state([p])
+    tables = langevin.diffusion_matrix([p], states)
     labels = entanglement.extended_labels(cfg.modes(p))
-    # (coupling scale, spin-wave scale) -> quadrature covariance
-    evaluated = {}
 
     def witness(q, scales):
         """The stack of zero-frequency quadrature covariances at the
-        coupling of ``q``, one per spin-wave scale of ``scales``; the
-        points not evaluated before run as one block."""
+        coupling of ``q``, one per spin-wave scale of ``scales``, run as
+        one block."""
         # the scale does not enter the derived quantities; computing them
         # from q also keeps the sample s = 0, which validate() rightly
         # rejects as a run setting, away from validation
-        dp = derive(q)
-        modes = cfg.modes(q)
-        new = [s for s in scales if (q.coupling_scale, s) not in evaluated]
-        if new:
-            k = len(new)
-            set_up = entanglement.witness_set_up(
-                [q.with_(spinwave_scale=s) for s in new], [ss] * k,
-                np.stack([two_d] * k), modes, [dp] * k)
-            block = entanglement.extended_quadratures(
-                set_up, np.zeros(k), q.length, cfg.coupling,
-                cfg.sideband, cfg.spinwave_definition)
-            evaluated.update(((q.coupling_scale, s), quad)
-                             for s, quad in zip(new, block))
-        return np.stack([evaluated[q.coupling_scale, s] for s in scales])
+        k = len(scales)
+        set_up = entanglement.witness_set_up(
+            [q.with_(spinwave_scale=s) for s in scales], states[[0] * k],
+            tables[[0] * k], cfg.modes(q), [derive(q)] * k)
+        return entanglement.extended_quadratures(
+            set_up, np.zeros(k), q.length, cfg.coupling, cfg.sideband,
+            cfg.spinwave_definition)
 
     eta = _fit_coupling(p, witness, labels, CALIBRATION_TARGETS["V_a1_b1"])
     pc = p.with_(coupling_scale=eta)

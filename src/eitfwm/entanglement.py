@@ -97,19 +97,18 @@ class WitnessSetUp(propagation.DriftRows):
     atom_number: np.ndarray     # (k,)
 
 
-def witness_set_up(points: list, states: list, tables: np.ndarray,
+def witness_set_up(points: list, states: np.ndarray, tables: np.ndarray,
                    modes: list, derived: list) -> WitnessSetUp:
     """The set-up of the witness points of the parameter sets ``points``,
-    stacked over them, from their steady states, diffusion tables (shape
-    (k, 6, 6)) and derived parameters; the points share the field
+    stacked over them, from their steady states (k, 3, 3), diffusion
+    tables (k, 6, 6) and derived parameters; the points share the field
     ``modes``.  Every product has a factor with a zero real or imaginary
     part, so each point is bit for bit a scalar evaluation."""
     scale = np.array([p.spinwave_scale for p in points])
     root_g1 = np.sqrt([dp.g1sq_n for dp in derived])
     root_g2 = np.sqrt([dp.g2sq_n for dp in derived])
     n = len(modes)
-    s = np.stack([ss.matrix for ss in states])
-    s13, s23 = s[:, 0, 2], s[:, 1, 2]
+    s13, s23 = states[:, 0, 2], states[:, 1, 2]
     num = np.zeros((len(points), 2 * n), dtype=complex)
     # couplings beyond float range are reported by the transfer
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,33 +312,6 @@ def pair_witness(quad: np.ndarray, labels: list, pair: tuple):
     prefer = PREFERRED_SIGNS.get((name_i, name_j)) \
         or PREFERRED_SIGNS.get((name_j, name_i))
     return duan_min_stack(quad, index(name_i), index(name_j), prefer)
-
-
-def _rotations(phases: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Local phase rotations of mode ``k`` of ``m``, one per phase."""
-    r = np.tile(np.eye(2 * m), (len(phases), 1, 1))
-    cos, sin = np.cos(phases), np.sin(phases)
-    r[:, k, k], r[:, k, m + k] = cos, sin
-    r[:, m + k, k], r[:, m + k, m + k] = -sin, cos
-    return r
-
-
-def duan_min_over_phases(quad: np.ndarray, i: int, j: int,
-                         n_phases: int = 16) -> float:
-    """Witness minimized over local phase rotations of both modes.
-
-    The two discrete sign pairings are the 0/pi points of this family;
-    scanning it documents that the reported minima are not artifacts of
-    a coherence-phase convention.  All n_phases**2 rotated covariances
-    are evaluated as one stack; a nan witness is skipped.
-    """
-    m = quad.shape[0] // 2
-    phases = np.arange(n_phases) * (2.0 * np.pi / n_phases)
-    ri, rj = _rotations(phases, i, m), _rotations(phases, j, m)
-    qi = ri @ quad @ propagation.dagger(ri)
-    rotated = rj @ qi[:, None] @ propagation.dagger(rj)
-    values, _ = duan_min_stack(rotated.reshape(-1, 2 * m, 2 * m), i, j)
-    return float(np.min(values[~np.isnan(values)], initial=np.inf))
 
 
 def two_mode_squeezed_quadrature(s: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .steady_state import DensityMatrix3, apply_generator, _unit
+from .steady_state import apply_generator, _unit
 
 # channel ordering shared with the propagation module
 CHANNELS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
@@ -38,24 +38,21 @@ def conjugate_channel(ch: tuple[int, int]) -> tuple[int, int]:
     return (b, a)
 
 
-def diffusion_matrix(p, ss) -> np.ndarray:
-    """6x6 matrix of 2*D_{mu,nu} over CHANNELS, in MHz.
+def diffusion_matrix(points: list, states: np.ndarray) -> np.ndarray:
+    """6x6 tables of 2*D_{mu,nu} over CHANNELS, in MHz, one per parameter
+    set of ``points`` at its steady state in ``states`` (shape (k, 3, 3)),
+    shape (k, 6, 6).
 
-    ``p`` is one parameter set with its steady state ``ss``, or a list of
-    them with the list of their states, giving a stack of tables of
-    shape (k, 6, 6).  Each of the three terms is formed for all 36 pairs
-    of every point at once, and summed before the next one is formed;
-    each expectation <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b] S[a,b]
-    sums the last two axes.
+    Each of the three terms is formed for all 36 pairs of every point at
+    once, and summed before the next one is formed; each expectation
+    <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b] S[a,b] sums the last two
+    axes.
     """
     ops = np.stack([_unit(a, b) for (a, b) in CHANNELS])
-    drifts = apply_generator(p, ops)
+    drifts = apply_generator(points, ops)
     left, right = ops[:, None], ops[None, :]
-    if isinstance(ss, DensityMatrix3):
-        s = ss.matrix
-    else:
-        s = np.stack([x.matrix for x in ss])[:, None, None]
-    val = np.sum(apply_generator(p, left @ right) * s, axis=(-2, -1))
+    s = states[:, None, None]
+    val = np.sum(apply_generator(points, left @ right) * s, axis=(-2, -1))
     val -= np.sum((drifts[..., :, None, :, :] @ right) * s, axis=(-2, -1))
     val -= np.sum((left @ drifts[..., None, :, :, :]) * s, axis=(-2, -1))
     return val

@@ -145,16 +145,15 @@ class DriftRows:
     conjugate_columns: tuple    # noise column driving each daggered row
 
 
-def drift_rows(states: list, modes: list[FieldMode],
+def drift_rows(states: np.ndarray, modes: list[FieldMode],
                derived: list) -> DriftRows:
     """Set up the drift assembly of ``modes`` once for every frequency,
-    for each point of the steady states ``states`` and derived
-    parameters ``derived``.  Every product has a real factor, so each
-    point's rows are bit for bit those of a scalar evaluation."""
+    for each point of the steady states ``states`` (shape (k, 3, 3)) and
+    derived parameters ``derived``.  Every product has a real factor, so
+    each point's rows are bit for bit those of a scalar evaluation."""
     channels = langevin.field_noise_channels()
-    s = np.stack([ss.matrix for ss in states])
-    s11, s22, s33 = (s[:, k, k].real for k in range(3))
-    s12 = s[:, 0, 1]
+    s11, s22, s33 = (states[:, k, k].real for k in range(3))
+    s12 = states[:, 0, 1]
     g1sq_n, g2sq_n, gamma13, gamma23 = (
         np.array([getattr(dp, name) for dp in derived])
         for name in ("g1sq_n", "g2sq_n", "gamma13", "gamma23"))
@@ -173,7 +172,7 @@ def drift_rows(states: list, modes: list[FieldMode],
     return DriftRows(
         modes=list(modes), channels=channels,
         gamma=np.stack(gamma, axis=-1),
-        detuning=np.array([[mode.detuning for mode in modes]] * len(s)),
+        detuning=np.array([[mode.detuning for mode in modes]] * len(states)),
         own=np.stack(own, axis=-1), coh=np.stack(coh, axis=-1),
         root_g=np.stack(root_g, axis=-1),
         columns=tuple(channels.index(ch) for ch in noise),

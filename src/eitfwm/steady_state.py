@@ -13,6 +13,11 @@ density matrix).  Operators are represented by their coefficient arrays
 in the matrix-unit basis; products of coefficient arrays are then plain
 matrix products.
 
+The generator, the drift and the solve take a list of k parameter
+points, one point being a list of one, and return arrays with a leading
+point axis: the steady states of k points are one complex array S of
+shape (k, 3, 3).
+
 The single-atom adjoint generator implemented by :func:`apply_generator`
 acts on stacks of operators and of parameter points: one call gives the
 Bloch drifts of a whole block of points.  It is shared with the Langevin
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import operator
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,23 +48,6 @@ _generator_values = operator.attrgetter(*GENERATOR_FIELDS)
 class DegenerateSteadyStateError(RuntimeError):
     """The Bloch generator has no unique, normalisable stationary state,
     or its drift is not finite."""
-
-
-@dataclass
-class DensityMatrix3:
-    """Steady-state expectation values of the nine matrix units."""
-
-    matrix: np.ndarray  # 3x3 complex, matrix[a-1, b-1] = <sigma_ab>
-
-    def sigma(self, a: int, b: int) -> complex:
-        return complex(self.matrix[a - 1, b - 1])
-
-    @property
-    def populations(self) -> np.ndarray:
-        return self.matrix.real.diagonal().copy()
-
-    def check(self, tol: float = 1e-9) -> None:
-        check_states(self.matrix[None], tol)
 
 
 def check_states(m: np.ndarray, tol: float = 1e-9) -> None:
@@ -103,12 +90,11 @@ def _unit(a: int, b: int) -> np.ndarray:
     return e
 
 
-def _fields(p, ndim: int) -> dict:
-    """The GENERATOR_FIELDS of one parameter set ``p``, or of a list of
-    them, by name, as arrays with a leading point axis (of length one for
-    one set) followed by ``ndim`` unit axes.  The generator reads its
-    parameters only from here, so none can fall outside the key."""
-    points = [p] if isinstance(p, PhysicalParams) else p
+def _fields(points: list, ndim: int) -> dict:
+    """The GENERATOR_FIELDS of the parameter sets ``points``, by name, as
+    arrays with a leading point axis followed by ``ndim`` unit axes.  The
+    generator reads its parameters only from here, so none can fall
+    outside the key."""
     values = np.array([_generator_values(q) for q in points],
                       dtype=float).reshape(len(points), len(GENERATOR_FIELDS))
     shape = (len(points),) + (1,) * ndim
@@ -116,11 +102,9 @@ def _fields(p, ndim: int) -> dict:
             for k, name in enumerate(GENERATOR_FIELDS)}
 
 
-def hamiltonian(p) -> np.ndarray:
-    """Rotating-frame drive Hamiltonian (coefficient array, MHz).
-
-    ``p`` is one parameter set, or a list of them for a stack of
-    Hamiltonians along a leading point axis.
+def hamiltonian(points: list) -> np.ndarray:
+    """Rotating-frame drive Hamiltonians (coefficient arrays, MHz) of the
+    parameter sets ``points``, shape (k, 3, 3).
 
     The relative phase of the two drives is a gauge choice (a phase of
     level |2>): it moves the overall phase of the ground coherence around
@@ -131,19 +115,17 @@ def hamiltonian(p) -> np.ndarray:
     coherence-b1 witnesses; the dark state for omega_p = omega_c is then
     (|1> + |2>)/sqrt(2).
     """
-    f = _fields(p, 2)
-    h = -f["omega_c"] * (_unit(3, 1) + _unit(1, 3)) \
+    f = _fields(points, 2)
+    return -f["omega_c"] * (_unit(3, 1) + _unit(1, 3)) \
         + f["omega_p"] * (_unit(3, 2) + _unit(2, 3))
-    return h[0] if isinstance(p, PhysicalParams) else h
 
 
-def apply_generator(p, op: np.ndarray) -> np.ndarray:
+def apply_generator(points: list, op: np.ndarray) -> np.ndarray:
     """Adjoint (Heisenberg-picture) generator applied to a stack of operators.
 
     ``op`` holds coefficient arrays in the matrix-unit basis, shape
-    (..., 3, 3): one operator or any stack of them.  ``p`` is one
-    parameter set, and the result has the shape of ``op``; or a list of
-    k of them, and the result gains a leading point axis, shape
+    (..., 3, 3): one operator or any stack of them.  The result gains a
+    leading axis over the k parameter sets ``points``, shape
     (k, ..., 3, 3).  Returns the coefficient arrays of d(op)/dt,
     operator by operator: the commutator with the drive Hamiltonian, the
     two radiative dissipators, and the pure-dephasing damping of the 1-2
@@ -153,8 +135,8 @@ def apply_generator(p, op: np.ndarray) -> np.ndarray:
     bit for bit its one-point result.
     """
     op = np.asarray(op)
-    f = _fields(p, op.ndim)
-    h = hamiltonian(p).reshape((-1,) + (1,) * (op.ndim - 2) + (3, 3))
+    f = _fields(points, op.ndim)
+    h = hamiltonian(points).reshape((-1,) + (1,) * (op.ndim - 2) + (3, 3))
     out = 1j * (h @ op - op @ h)
     # adjoint dissipator for decay channel L: L+ op L - (L+ L op + op L+ L)/2
     ldag_l = _unit(3, 3)
@@ -168,27 +150,28 @@ def apply_generator(p, op: np.ndarray) -> np.ndarray:
     deph[..., 0, 1] = op[..., 0, 1]
     deph[..., 1, 0] = op[..., 1, 0]
     out -= f["gamma0"] * deph
-    return out[0] if isinstance(p, PhysicalParams) else out
+    return out
 
 
-def bloch_drift(p) -> np.ndarray:
-    """9x9 drift matrix A with d<sigma>/dt = A <sigma> over BASIS order.
+def bloch_drift(points: list) -> np.ndarray:
+    """9x9 drift matrices A with d<sigma>/dt = A <sigma> over BASIS order,
+    one per parameter set of ``points``, shape (k, 9, 9).
 
     One generator call on the stack of the nine matrix units E_cd:
     d<sigma_cd>/dt = <L(E_cd)>, so row (c, d) of A is L(E_cd) reshaped
-    in BASIS (row-major) order.  A list of parameter sets gives a stack
-    of drifts, shape (k, 9, 9), from the same single call.
+    in BASIS (row-major) order.
     """
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)
     # rates beyond float range give a drift that is not finite, which
     # the steady-state solve reports as a failure of its point
     with np.errstate(over="ignore", invalid="ignore"):
-        a = apply_generator(p, units)
-    return a.reshape(a.shape[:-3] + (9, 9))
+        a = apply_generator(points, units)
+    return a.reshape(len(points), 9, 9)
 
 
-def _stationary(drifts: np.ndarray) -> list:
-    """The normalised null vectors of a stack of drifts, checked.
+def _stationary(drifts: np.ndarray) -> np.ndarray:
+    """The normalised null vectors of a stack of drifts, checked, as a
+    stack of <sigma_ab> matrices.
 
     One SVD of the whole finite prefix of the stack gives every null
     space; the rank counts the singular values above 1e-10 of the
@@ -208,14 +191,13 @@ def _stationary(drifts: np.ndarray) -> list:
     stop = n if good.all() else int(np.argmin(good))
     m = m[:stop] / tr[:stop, None, None]
     m = 0.5 * (m + m.conj().transpose(0, 2, 1))  # enforce Hermiticity
-    states = [DensityMatrix3(matrix=matrix) for matrix in m]
     try:
         check_states(m, tol=1e-8)
     except ValueError as exc:
-        exc.states = states[:exc.index]
+        exc.states = m[:exc.index]
         raise
     if stop == len(drifts):
-        return states
+        return m
     if stop == n:
         exc = DegenerateSteadyStateError("Bloch drift is not finite")
     elif rank[stop] == 9:
@@ -225,29 +207,25 @@ def _stationary(drifts: np.ndarray) -> list:
             f"stationary subspace has dimension {9 - rank[stop]}")
     else:
         exc = DegenerateSteadyStateError("traceless null vector")
-    exc.index, exc.states = stop, states
+    exc.index, exc.states = stop, m
     raise exc
 
 
-def steady_state(p):
-    """Unique stationary state of the Bloch generator.
+def steady_state(points: list) -> np.ndarray:
+    """Unique stationary states of the Bloch generator at the parameter
+    sets ``points``: the <sigma_ab> matrices, shape (k, 3, 3).
 
-    Solves the null space of the drift matrix and normalises the trace.
+    Solves the null space of each drift matrix and normalises the trace.
     With both drives off (or other degenerate configurations) the ground
     manifold supports a family of stationary states and
     DegenerateSteadyStateError is raised instead of picking one.
 
-    ``p`` is one parameter set, giving one state, or a list of them,
-    giving the list of their states: one generator call builds every
-    drift and one stacked SVD solves them all.  In a list, the first
-    point without a valid state raises, with its position in the list as
-    the error's ``index`` and the states of the points before it as its
-    ``states``.
+    One generator call builds every drift and one stacked SVD solves
+    them all.  The first point without a valid state raises, with its
+    position in the list as the error's ``index`` and the states of the
+    points before it, shape (index, 3, 3), as its ``states``.
     """
-    drifts = bloch_drift(p)
-    if isinstance(p, PhysicalParams):
-        return _stationary(drifts[None])[0]
-    return _stationary(drifts)
+    return _stationary(bloch_drift(points))
 
 
 def dark_state_sigma() -> np.ndarray:

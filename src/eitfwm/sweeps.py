@@ -166,7 +166,8 @@ def _set_up(points: list, config: SweepConfig):
 
     Points with the same generator key share their steady state and
     diffusion table, so each distinct key is solved once, in the order
-    of its first point; three generator calls serve them all, one for
+    of its first point, and every point gathers its state and table by
+    the index of its key; three generator calls serve them all, one for
     the Bloch drifts and two for the diffusion tables.  A failing solve
     fails the first point with its key.
     """
@@ -193,7 +194,7 @@ def _set_up(points: list, config: SweepConfig):
     tables = langevin.diffusion_matrix(distinct[:len(states)], states)
     index = index[:len(points)]
     return entanglement.witness_set_up(
-        points, [states[k] for k in index], tables[index],
+        points, states[index], tables[index],
         config.modes(points[0]), derived[:len(points)]), error
 
 

@@ -96,16 +96,24 @@ def _field_quadratures(m, g, length) -> np.ndarray:
         propagation.hermitian_part(out))
 
 
-def _rows(p, ss):
-    """Drift set-up of the single field pair at the steady state ``ss``."""
-    return propagation.drift_rows([ss], propagation.single_pair_modes(p),
+def _solve(q: PhysicalParams):
+    """(states, two_d): the steady state and the diffusion table of ``q``,
+    as stacks of one, shapes (1, 3, 3) and (1, 6, 6)."""
+    states = steady_state([q])
+    return states, langevin.diffusion_matrix([q], states)
+
+
+def _rows(p, states):
+    """Drift set-up of the single field pair at the steady state
+    ``states``, a stack of one."""
+    return propagation.drift_rows(states, propagation.single_pair_modes(p),
                                   [derive(p)])
 
 
 def _pair_witness(points, states, tables, omegas) -> np.ndarray:
     """Witness values of the pair (a1, b1) at ``omegas``, from the set-up
     of the parameter sets ``points`` (one, or one per frequency) with
-    their steady states and diffusion tables."""
+    their stacks of steady states and diffusion tables."""
     modes = propagation.single_pair_modes(points[0])
     set_up = entanglement.witness_set_up(points, states, tables, modes,
                                          [derive(q) for q in points])
@@ -135,8 +143,7 @@ def check_commutators(p: PhysicalParams | None = None) -> list[CheckReport]:
     reports = []
 
     free = p.with_(coupling_scale=0.0)
-    ss = steady_state(free)
-    two_d = langevin.diffusion_matrix(free, ss)
+    ss, two_d = _solve(free)
     reports.append(CheckReport(
         name="commutators_free_propagation",
         scope="coupling off, 5 frequencies",
@@ -146,8 +153,7 @@ def check_commutators(p: PhysicalParams | None = None) -> list[CheckReport]:
         tolerance=1e-13))
 
     nodeph = p.with_(gamma0=0.0)
-    ss = steady_state(nodeph)
-    two_d = langevin.diffusion_matrix(nodeph, ss)
+    ss, two_d = _solve(nodeph)
     reports.append(CheckReport(
         name="commutators_undriven_balance",
         scope="direct coupling, no dephasing, 5 frequencies",
@@ -165,8 +171,7 @@ def check_commutators(p: PhysicalParams | None = None) -> list[CheckReport]:
         tolerance=1e-6,
         expected_pass=False))
 
-    ss = steady_state(p)
-    two_d = langevin.diffusion_matrix(p, ss)
+    ss, two_d = _solve(p)
     reports.append(CheckReport(
         name="commutators_reference",
         scope="anomalous coupling, reference point, 64-point grid",
@@ -182,8 +187,7 @@ def check_oracle_equivalence(p: PhysicalParams | None = None,
     """Doubling integrator against the naive fixed-step one."""
     if p is None:
         p = reference_params()
-    ss = steady_state(p)
-    two_d = langevin.diffusion_matrix(p, ss)
+    ss, two_d = _solve(p)
     m, g = _drift_stack(_rows(p, ss), ORACLE_POINTS, two_d,
                         langevin.sym_noise_matrix)
     # both integrators run once over the stack of all frequencies
@@ -209,29 +213,24 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
     # pump off: the ground coherence vanishes, the pair decouples, and
     # the witness must sit at the vacuum benchmark
     pz = p.with_(omega_p=0.0)
-    ss = steady_state(pz)
-    two_d = langevin.diffusion_matrix(pz, ss)
-    vals = _pair_witness([pz], [ss], two_d[None], [-2500.0, -300.0, 400.0])
+    vals = _pair_witness([pz], *_solve(pz), [-2500.0, -300.0, 400.0])
     reports.append(CheckReport(
         name="limit_uncoupled_pair_vacuum",
         scope="pump drive off, 3 benign frequencies",
         residual=float(np.max(np.abs(vals - 4.0))), tolerance=1e-9))
 
-    pd = p.with_(gamma0=0.0)
-    ss = steady_state(pd)
+    ss = steady_state([p.with_(gamma0=0.0)])
     reports.append(CheckReport(
         name="limit_dark_state",
         scope="no dephasing, symmetric drives",
-        residual=float(np.max(np.abs(ss.matrix
-                                     - dark_state_sigma()))),
+        residual=float(np.max(np.abs(ss - dark_state_sigma()))),
         tolerance=1e-6))
 
-    ss = steady_state(p)
-    two_d = langevin.diffusion_matrix(p, ss)
+    ss, two_d = _solve(p)
     # one set-up per amplitude, stacked over the three points
     amplitudes = (0.0, 1.0, 1000.0)
     vals = _pair_witness([p.with_(alpha1=a, alpha2=a) for a in amplitudes],
-                         [ss] * 3, np.stack([two_d] * 3), [-800.0] * 3)
+                         ss[[0] * 3], two_d[[0] * 3], [-800.0] * 3)
     reports.append(CheckReport(
         name="limit_input_amplitude_independence",
         scope="coherent amplitudes 0, 1, 1000",
@@ -279,8 +278,7 @@ def convention_comparison(p: PhysicalParams | None = None) -> dict:
     """
     if p is None:
         p = reference_params()
-    ss = steady_state(p)
-    two_d = langevin.diffusion_matrix(p, ss)
+    ss, two_d = _solve(p)
     rows = _rows(p, ss)
     table = {}
     for coupling in propagation.COUPLINGS:

@@ -13,12 +13,14 @@ def ref():
 
 @pytest.fixture(scope="session")
 def ss_ref(ref):
-    return steady_state(ref)
+    """The 3x3 steady state of the reference parameters."""
+    return steady_state([ref])[0]
 
 
 @pytest.fixture(scope="session")
 def two_d_ref(ref, ss_ref):
-    return langevin.diffusion_matrix(ref, ss_ref)
+    """The 6x6 diffusion table of the reference parameters."""
+    return langevin.diffusion_matrix([ref], ss_ref[None])[0]
 
 
 @pytest.fixture(scope="session")

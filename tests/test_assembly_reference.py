@@ -45,15 +45,20 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 # --- the per-point assembly, verbatim ------------------------------------
 
-def _row_terms(ss: DensityMatrix3, modes: list[FieldMode],
+def _sigma(ss: np.ndarray, a: int, b: int) -> complex:
+    """<sigma_ab> of the 3x3 steady state ``ss``, as a Python complex."""
+    return complex(ss[a - 1, b - 1])
+
+
+def _row_terms(ss: np.ndarray, modes: list[FieldMode],
                dp: DerivedParams, channels: list) -> list:
     """Frequency-independent coefficients of every direct row: (optical
     linewidth, detuning, own term, coherence term, noise amplitude,
     noise column)."""
     col = {ch: k for k, ch in enumerate(channels)}
-    s11, s22, s33 = (ss.sigma(1, 1).real, ss.sigma(2, 2).real,
-                     ss.sigma(3, 3).real)
-    s12 = ss.sigma(1, 2)
+    s11, s22, s33 = (_sigma(ss, 1, 1).real, _sigma(ss, 2, 2).real,
+                     _sigma(ss, 3, 3).real)
+    s12 = _sigma(ss, 1, 2)
     g1g2_n = np.sqrt(dp.g1sq_n * dp.g2sq_n)
     terms = []
     for mode in modes:
@@ -143,7 +148,7 @@ class DriftRows:
                            channels=self.channels)
 
 
-def drift_rows(ss: DensityMatrix3, modes: list[FieldMode],
+def drift_rows(ss: np.ndarray, modes: list[FieldMode],
                dp: DerivedParams) -> DriftRows:
     """Set up the drift assembly of ``modes`` once for every frequency."""
     channels = langevin.field_noise_channels()
@@ -160,7 +165,7 @@ def drift_rows(ss: DensityMatrix3, modes: list[FieldMode],
                            for ch in channels])
 
 
-def spinwave_rows(omega: float, p: PhysicalParams, ss: DensityMatrix3,
+def spinwave_rows(omega: float, p: PhysicalParams, ss: np.ndarray,
                   modes: list, dp: DerivedParams, sideband: str = "mirrored"):
     """Coefficient rows of S and S^+ over the doubled field basis.
 
@@ -179,8 +184,8 @@ def spinwave_rows(omega: float, p: PhysicalParams, ss: DensityMatrix3,
     """
     scale = p.spinwave_scale
     n = len(modes)
-    s13 = ss.sigma(1, 3)
-    s23 = ss.sigma(2, 3)
+    s13 = _sigma(ss, 1, 3)
+    s23 = _sigma(ss, 2, 3)
     den = p.gamma0 + 1j * omega
     den_dag = den if sideband == "mirrored" else np.conj(den)
 
@@ -306,11 +311,11 @@ def _modes(p, two_pair):
 def _points(p, omegas, two_pair):
     """(set-up, per-point reference arguments) of the points of one
     parameter set ``p``."""
-    ss = steady_state(p)
-    two_d = langevin.diffusion_matrix(p, ss)
+    (ss,) = steady_state([p])
+    (two_d,) = langevin.diffusion_matrix([p], ss[None])
     dp = derive(p)
     modes = _modes(p, two_pair)
-    set_up = en.witness_set_up([p], [ss], two_d[None], modes, [dp])
+    set_up = en.witness_set_up([p], ss[None], two_d[None], modes, [dp])
     rows = drift_rows(ss, modes, dp)
     return set_up, [(om, p, ss, two_d, rows, dp) for om in omegas]
 
@@ -374,6 +379,6 @@ def test_stacked_set_up_block_is_byte_identical(points, config,
         (om,) = _nonzero_if(gamma0, [om])
         reference += _points(p, np.array([om]), config[2])[1]
     omegas, params, states, tables, _, derived = zip(*reference)
-    set_up = en.witness_set_up(params, states, np.stack(tables),
+    set_up = en.witness_set_up(params, np.stack(states), np.stack(tables),
                                _modes(params[0], config[2]), derived)
     _assert_block_matches(set_up, np.array(omegas), reference, config)

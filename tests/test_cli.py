@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import functools
+import hashlib
 import io
 import json
 import math
@@ -85,6 +86,24 @@ def test_noise_dump(tmp_path):
     assert len(payload["channels"]) == 6
     assert len(payload["matrix_re"]) == 6
     assert len(payload["matrix_re"][0]) == 6
+
+
+#: sha256 of the default steady and noise outputs, which print the
+#: set-up layer's state and diffusion table; no figure digest pins them
+SET_UP_DIGESTS = {
+    "steady": ("d341c177e582d54b2182881ce6832798"
+               "894f15b4c3da8ab5481cf185b1aa975c"),
+    "noise": ("379c820ac058b9c1fc6abd1e1e0bb89e"
+              "96463f3745b7ce0b92aa2340d74b3e94"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SET_UP_DIGESTS))
+def test_set_up_outputs_are_byte_stable(tmp_path, experiment):
+    out = tmp_path / f"{experiment}.json"
+    assert cli.main(["--experiment", experiment, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        SET_UP_DIGESTS[experiment]
 
 
 @pytest.mark.parametrize("line", ["gamma0 = -1", "delta1 = nan"],
@@ -631,17 +650,35 @@ def test_calibrate_solves_the_set_up_once(monkeypatch):
     assert calls == {"steady_state": 1, "diffusion_matrix": 1}
 
 
-def test_calibrate_evaluates_each_witness_point_once(monkeypatch):
-    seen = []
-    real = entanglement.witness_set_up
+def test_calibrate_runs_each_witness_block_as_one_kernel_call(monkeypatch):
+    blocks, kernels = [], []
+    set_up, quadratures = (entanglement.witness_set_up,
+                           entanglement.extended_quadratures)
 
-    def recorded(points, *args, **kwargs):
-        seen.extend((q.coupling_scale, q.spinwave_scale) for q in points)
-        return real(points, *args, **kwargs)
+    def recorded_set_up(points, *args, **kwargs):
+        blocks.append([(q.coupling_scale, q.spinwave_scale) for q in points])
+        return set_up(points, *args, **kwargs)
 
-    monkeypatch.setattr(entanglement, "witness_set_up", recorded)
-    cli.calibrate(cli.RunConfig(params=reference_params()))
-    assert len(seen) == len(set(seen))
+    def recorded_quadratures(set_up, omegas, *args, **kwargs):
+        kernels.append(len(omegas))
+        return quadratures(set_up, omegas, *args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "witness_set_up", recorded_set_up)
+    monkeypatch.setattr(entanglement, "extended_quadratures",
+                        recorded_quadratures)
+    art = cli.calibrate(cli.RunConfig(params=reference_params()))
+    # one set-up and one kernel call per block, over all of its points
+    assert kernels == [len(block) for block in blocks]
+    *fit, samples, final = blocks
+    eta, kappa = art["coupling_scale"], art["spinwave_scale"]
+    # the coupling fit: one point a step, each at a new coupling
+    assert all(block == [(block[0][0], 1.0)] for block in fit)
+    couplings = [block[0][0] for block in fit]
+    assert len(set(couplings)) == len(couplings) and eta in couplings
+    # the spin-wave samples repeat the fitted point at scale 1, inside
+    # their one kernel call
+    assert samples == [(eta, 0.0), (eta, 1.0), (eta, 2.0)]
+    assert final == [(eta, kappa)]
 
 
 def test_spinwave_vertex_at_zero_exits_2(tmp_path, capsys):

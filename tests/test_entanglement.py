@@ -10,7 +10,7 @@ from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import verification
 from eitfwm.params import derive
-from eitfwm.steady_state import DensityMatrix3, steady_state
+from eitfwm.steady_state import steady_state
 
 #: mode labels of the single pair's extended covariance
 LABELS = ["a1", "b1", "S"]
@@ -20,7 +20,8 @@ def _quad(p, ss, two_d, omegas, **switches):
     """Quadrature covariances of the single pair plus S at ``omegas``,
     one witness set-up shared by every frequency."""
     modes = pr.single_pair_modes(p)
-    set_up = en.witness_set_up([p], [ss], two_d[None], modes, [derive(p)])
+    set_up = en.witness_set_up([p], ss[None], two_d[None], modes,
+                               [derive(p)])
     return en.extended_quadratures(set_up, omegas, p.length, **switches)
 
 
@@ -84,6 +85,33 @@ def test_pair_witness_keeps_the_pairs_preferred_signs():
     assert en.pair_witness(quad, LABELS, ("a1", "b1"))[1] == [(1, -1)]
 
 
+def _rotations(phases: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Local phase rotations of mode ``k`` of ``m``, one per phase."""
+    r = np.tile(np.eye(2 * m), (len(phases), 1, 1))
+    cos, sin = np.cos(phases), np.sin(phases)
+    r[:, k, k], r[:, k, m + k] = cos, sin
+    r[:, m + k, k], r[:, m + k, m + k] = -sin, cos
+    return r
+
+
+def duan_min_over_phases(quad: np.ndarray, i: int, j: int,
+                         n_phases: int = 16) -> float:
+    """Witness minimized over local phase rotations of both modes.
+
+    The two discrete sign pairings are the 0/pi points of this family;
+    scanning it shows that a minimum hidden from them by a coherence
+    phase is recovered.  All n_phases**2 rotated covariances are
+    evaluated as one stack; a nan witness is skipped.
+    """
+    m = quad.shape[0] // 2
+    phases = np.arange(n_phases) * (2.0 * np.pi / n_phases)
+    ri, rj = _rotations(phases, i, m), _rotations(phases, j, m)
+    qi = ri @ quad @ pr.dagger(ri)
+    rotated = rj @ qi[:, None] @ pr.dagger(rj)
+    values, _ = en.duan_min_stack(rotated.reshape(-1, 2 * m, 2 * m), i, j)
+    return float(np.min(values[~np.isnan(values)], initial=np.inf))
+
+
 def test_phase_scan_never_beats_exact_minimum():
     s = 0.5
     quad = en.two_mode_squeezed_quadrature(s)
@@ -93,14 +121,14 @@ def test_phase_scan_never_beats_exact_minimum():
                                  [-np.sin(phi), np.cos(phi)]]
     rotated = r @ quad @ r.T
     (sign_only,), _ = en.duan_min_stack(rotated[None], 0, 1)
-    scanned = en.duan_min_over_phases(rotated, 0, 1)
+    scanned = duan_min_over_phases(rotated, 0, 1)
     exact = 4.0 * np.exp(-2.0 * s)
     # the rotation hides the correlation from the fixed sign pairings
     # but the phase scan recovers it up to grid resolution
     assert sign_only > exact * 1.2
     assert scanned <= sign_only + 1e-12
     assert exact - 1e-9 <= scanned <= exact * 1.02
-    assert en.duan_min_over_phases(rotated, 0, 1, n_phases=64) <= \
+    assert duan_min_over_phases(rotated, 0, 1, n_phases=64) <= \
         scanned + 1e-12
 
 
@@ -134,7 +162,7 @@ def test_phase_scan_is_the_loop_over_rotations(s, phi, n_phases):
     r[np.ix_([0, 2], [0, 2])] = [[np.cos(phi), np.sin(phi)],
                                  [-np.sin(phi), np.cos(phi)]]
     rotated = r @ quad @ r.T
-    assert en.duan_min_over_phases(rotated, 0, 1, n_phases) == \
+    assert duan_min_over_phases(rotated, 0, 1, n_phases) == \
         reference_duan_min_over_phases(rotated, 0, 1, n_phases)
 
 
@@ -143,7 +171,7 @@ def test_phase_scan_is_the_loop_on_three_modes(rng):
         b = rng.normal(size=(6, 6))
         quad = b @ b.T + np.eye(6)
         for i, j in ((0, 2), (2, 1)):
-            assert en.duan_min_over_phases(quad, i, j) == \
+            assert duan_min_over_phases(quad, i, j) == \
                 reference_duan_min_over_phases(quad, i, j)
 
 
@@ -167,7 +195,7 @@ def test_extended_covariance_labels_and_lookup(ref, quad_ref):
 
 def test_field_block_matches_plain_field_covariance(ref, ss_ref, two_d_ref,
                                                     quad_ref):
-    m, g = verification._drift_stack(verification._rows(ref, ss_ref),
+    m, g = verification._drift_stack(verification._rows(ref, ss_ref[None]),
                                      [-300.0], two_d_ref,
                                      lv.sym_noise_matrix)
     t, c = pr.second_moment_transfer_stack(m, g, ref.length)
@@ -195,8 +223,8 @@ def test_witness_even_in_frequency(ref, ss_ref, two_d_ref):
 
 def test_uncoupled_medium_gives_vacuum_witness(ref):
     p0 = ref.with_(coupling_scale=0.0)
-    ss0 = steady_state(p0)
-    two_d0 = lv.diffusion_matrix(p0, ss0)
+    (ss0,) = steady_state([p0])
+    (two_d0,) = lv.diffusion_matrix([p0], ss0[None])
     quad = _quad(p0, ss0, two_d0, [0.0])
     assert _values(quad)[0] == pytest.approx(4.0, abs=1e-12)
     # the coherence mode disconnects from the fields entirely
@@ -214,8 +242,8 @@ def test_uncoupled_medium_gives_vacuum_witness(ref):
 
 def test_single_drive_pair_stays_vacuum(ref):
     p1 = ref.with_(omega_p=0.0)
-    ss1 = steady_state(p1)
-    two_d1 = lv.diffusion_matrix(p1, ss1)
+    (ss1,) = steady_state([p1])
+    (two_d1,) = lv.diffusion_matrix([p1], ss1[None])
     values = _values(_quad(p1, ss1, two_d1, [-2500.0, -300.0, 400.0]))
     assert values == pytest.approx([4.0] * 3, abs=1e-9)
 
@@ -225,7 +253,7 @@ def test_gauge_flip_leaves_witnesses_unchanged(ref, ss_ref, two_d_ref,
     # relabel |2> -> -|2>: ground and 2-3 coherences flip sign, as do
     # the matching noise channels; every quadrature witness must agree
     u = np.diag([1.0, -1.0, 1.0])
-    flipped = DensityMatrix3(u @ ss_ref.matrix @ u)
+    flipped = u @ ss_ref @ u
     s = np.diag([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     quad2 = _quad(ref, flipped, s @ two_d_ref @ s, [-300.0])
     for pair in (("a1", "b1"), ("a1", "S"), ("S", "b1")):

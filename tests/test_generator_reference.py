@@ -19,14 +19,14 @@ from scipy.linalg import null_space
 
 from eitfwm import cli, entanglement, langevin, sweeps
 from eitfwm.params import derive, reference_params
-from eitfwm.steady_state import BASIS, _unit, hamiltonian
+from eitfwm.steady_state import BASIS, _unit, check_states, hamiltonian
 
 # the package exports a function of the same name as the module
 ss_mod = importlib.import_module("eitfwm.steady_state")
 
 
 def reference_apply_generator(p, op):
-    h = hamiltonian(p)
+    (h,) = hamiltonian([p])
     out = 1j * (h @ op - op @ h)
     for rate, lower in ((p.gamma1, 1), (p.gamma2, 2)):
         l_op = _unit(lower, 3)
@@ -66,9 +66,8 @@ def reference_stationary(a):
         raise ss_mod.DegenerateSteadyStateError("traceless null vector")
     m = m / tr
     m = 0.5 * (m + m.conj().T)  # enforce Hermiticity of <sigma_ab>
-    dm = ss_mod.DensityMatrix3(matrix=m)
-    dm.check(tol=1e-8)
-    return dm
+    check_states(m[None], tol=1e-8)
+    return m
 
 
 def reference_steady_state(p):
@@ -88,7 +87,7 @@ def _reference_states(points):
 
 
 def _expval(op, ss):
-    return complex(np.sum(op * ss.matrix))
+    return complex(np.sum(op * ss))
 
 
 def reference_diffusion_matrix(p, ss):
@@ -118,7 +117,7 @@ def test_set_up_is_byte_identical_to_the_per_operator_loops(
     p = reference_params().with_(gamma1=gamma1, gamma2=gamma2,
                                  gamma0=gamma0, omega_p=omega_p,
                                  omega_c=omega_c)
-    assert ss_mod.bloch_drift(p).tobytes() == \
+    assert ss_mod.bloch_drift([p])[0].tobytes() == \
         reference_bloch_drift(p).tobytes()
     try:
         ref_ss = reference_steady_state(p)
@@ -126,14 +125,14 @@ def test_set_up_is_byte_identical_to_the_per_operator_loops(
         ref_ss = exc
     if isinstance(ref_ss, Exception):
         try:
-            ss_mod.steady_state(p)
+            ss_mod.steady_state([p])
         except type(ref_ss):
             return
         raise AssertionError(f"reference raised {ref_ss!r}, stacked did not")
-    ss = ss_mod.steady_state(p)
-    assert ss.matrix.tobytes() == ref_ss.matrix.tobytes()
-    assert langevin.diffusion_matrix(p, ss).tobytes() == \
-        reference_diffusion_matrix(p, ss).tobytes()
+    ss = ss_mod.steady_state([p])
+    assert ss[0].tobytes() == ref_ss.tobytes()
+    assert langevin.diffusion_matrix([p], ss)[0].tobytes() == \
+        reference_diffusion_matrix(p, ss[0]).tobytes()
 
 
 @settings(deadline=None, max_examples=50)
@@ -147,11 +146,11 @@ def test_stacked_generator_equals_per_operator_calls(seed, shape, gamma0,
     rng = np.random.default_rng(seed)
     ops = (rng.standard_normal(shape + (3, 3))
            + 1j * rng.standard_normal(shape + (3, 3)))
-    stacked = ss_mod.apply_generator(p, ops)
+    (stacked,) = ss_mod.apply_generator([p], ops)
     assert stacked.shape == ops.shape
     for idx in np.ndindex(*shape):
         assert stacked[idx].tobytes() == \
-            ss_mod.apply_generator(p, ops[idx]).tobytes()
+            ss_mod.apply_generator([p], ops[idx])[0].tobytes()
         assert stacked[idx].tobytes() == \
             reference_apply_generator(p, ops[idx]).tobytes()
 
@@ -201,13 +200,13 @@ def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
                   for p, ss in zip(points, ref_states)]
     for ss, ref_ss, two_d, ref_two_d in zip(states, ref_states, tables,
                                            ref_tables):
-        assert ss.matrix.tobytes() == ref_ss.matrix.tobytes()
+        assert ss.tobytes() == ref_ss.tobytes()
         assert two_d.tobytes() == ref_two_d.tobytes()
     # each point's slice of the block set-up against a one-point set-up
     # of the reference state and table
     for i, (p, ss, two_d) in enumerate(zip(points, ref_states, ref_tables)):
         reference = entanglement.witness_set_up(
-            [p], [ss], two_d[None], config.modes(p), [derive(p)])
+            [p], ss[None], two_d[None], config.modes(p), [derive(p)])
         for field in dataclasses.fields(reference):
             ref_value = getattr(reference, field.name)
             value = getattr(block, field.name)
@@ -237,7 +236,7 @@ def _assert_stack_matches_reference(points):
         assert failure is None, f"reference raised {failure!r}"
     assert len(states) == len(ref_states)
     for ss, ref_ss in zip(states, ref_states):
-        assert ss.matrix.tobytes() == ref_ss.matrix.tobytes()
+        assert ss.tobytes() == ref_ss.tobytes()
 
 
 _REF = reference_params()
@@ -268,7 +267,8 @@ def test_calibrate_artifact_is_byte_identical_under_the_one_point_solve(
         tmp_path, monkeypatch):
     stacked, reference = tmp_path / "stacked.json", tmp_path / "ref.json"
     assert cli.main(["--experiment", "calibrate", "--out", str(stacked)]) == 0
-    monkeypatch.setattr(cli, "steady_state", reference_steady_state)
+    monkeypatch.setattr(cli, "steady_state", lambda points: np.stack(
+        [reference_steady_state(p) for p in points]))
     assert cli.main(["--experiment", "calibrate",
                      "--out", str(reference)]) == 0
     assert stacked.read_bytes() == reference.read_bytes()

@@ -53,7 +53,7 @@ def test_check_positive_rejects_negative(two_d_ref):
 
 def test_ground_channel_vanishes_without_dephasing(ref):
     p0 = ref.with_(gamma0=0.0)
-    two_d = lv.diffusion_matrix(p0, steady_state(p0))
+    (two_d,) = lv.diffusion_matrix([p0], steady_state([p0]))
     assert abs(_d(two_d, (1, 2), (2, 1))) < 1e-10
     assert abs(_d(two_d, (2, 1), (1, 2))) < 1e-10
 
@@ -81,7 +81,7 @@ def test_comm_noise_matrix_signs(two_d_ref):
 
 def test_diffusion_scales_with_decay(ref):
     p2 = ref.with_(gamma1=6.0, gamma2=6.0)
-    two_d = lv.diffusion_matrix(p2, steady_state(p2))
+    (two_d,) = lv.diffusion_matrix([p2], steady_state([p2]))
     # optical autocorrelators track gamma13 = (gamma1 + gamma2)/2
     assert _d(two_d, (1, 3), (3, 1)).real == pytest.approx(6.0, rel=1e-9)
     assert _d(two_d, (2, 3), (3, 2)).real == pytest.approx(6.0, rel=1e-9)

@@ -33,7 +33,8 @@ def test_two_pair_modes(ref):
 def _drift(p, ss, omegas, modes=None, **switches):
     """(m, q, channels): the drift and noise-row stacks of ``modes`` (the
     single pair by default) at ``omegas``, from one drift set-up."""
-    rows = pr.drift_rows([ss], modes or pr.single_pair_modes(p), [derive(p)])
+    rows = pr.drift_rows(ss[None], modes or pr.single_pair_modes(p),
+                         [derive(p)])
     m, q = pr.drift_block(rows, omegas, **switches)
     return m, q, rows.channels
 
@@ -160,7 +161,7 @@ def test_rk4_oracle_is_byte_identical_to_the_separate_loops(ref, ss_ref,
     # the oracle stack of verify at 2000 steps, where the 1000 MHz point
     # overflows to inf and nan
     m, g = verification._drift_stack(
-        verification._rows(ref, ss_ref), verification.ORACLE_POINTS,
+        verification._rows(ref, ss_ref[None]), verification.ORACLE_POINTS,
         two_d_ref, lv.sym_noise_matrix)
     t, c = pr.transfer_step_oracle(m, g, ref.length, 2000)
     t_ref, c_ref = reference_transfer_step_oracle(m, g, ref.length, 2000)
@@ -190,8 +191,8 @@ def _field_covariance(t, c):
 
 def test_free_propagation_preserves_commutators(ref):
     p0 = ref.with_(coupling_scale=0.0)
-    ss0 = steady_state(p0)
-    two_d0 = lv.diffusion_matrix(p0, ss0)
+    (ss0,) = steady_state([p0])
+    (two_d0,) = lv.diffusion_matrix([p0], ss0[None])
     omegas = (-2000.0, -1000.0, 0.0, 400.0, 900.0)
     j = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     t, c_comm = _field_moments(p0, ss0, two_d0, omegas,

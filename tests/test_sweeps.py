@@ -130,9 +130,10 @@ def _drift(p, cfg, omega):
 
 def _alone(p, ss, two_d, cfg, omega):
     """(values, signs) of every pair of ``cfg`` at one point evaluated
-    alone: a block of one point with its own set-up."""
+    alone: a block of one point with its own set-up, from its steady
+    state ``ss`` and diffusion table ``two_d``, stacks of one."""
     modes = cfg.modes(p)
-    set_up = en.witness_set_up([p], [ss], two_d[None], modes, [derive(p)])
+    set_up = en.witness_set_up([p], ss, two_d, modes, [derive(p)])
     quad = en.extended_quadratures(set_up, [omega], p.length, cfg.coupling,
                                    cfg.sideband, cfg.spinwave_definition)
     return {pair: en.pair_witness(quad, en.extended_labels(modes), pair)
@@ -167,8 +168,8 @@ BLOCK_CONFIGS = pytest.mark.parametrize("cfg", [
 def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     _small_blocks(monkeypatch, cfg, ref)
     spec = sweeps.sweep_omega(ref, BLOCK_GRID, cfg)
-    ss = steady_state(ref)
-    two_d = lv.diffusion_matrix(ref, ss)
+    ss = steady_state([ref])
+    two_d = lv.diffusion_matrix([ref], ss)
     stages = set()
     for i, om in enumerate(BLOCK_GRID):
         stages.add(_stage_count(_drift(ref, cfg, om), ref.length))
@@ -189,8 +190,8 @@ def test_block_param_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     spec = sweeps.sweep_gamma0(ref, gamma0s, omega=0.0, config=cfg)
     for i, g0 in enumerate(gamma0s):
         q = ref.with_(gamma0=float(g0))
-        ss = steady_state(q)
-        alone = _alone(q, ss, lv.diffusion_matrix(q, ss), cfg, 0.0)
+        ss = steady_state([q])
+        alone = _alone(q, ss, lv.diffusion_matrix([q], ss), cfg, 0.0)
         for pair in spec.pairs:
             (value,), (signs,) = alone[pair]
             assert spec.values[pair][i] == value, (g0, pair)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from eitfwm import langevin, propagation as pr, verification as vf
-from eitfwm.steady_state import steady_state
+from eitfwm import propagation as pr, verification as vf
 
 
 def _report(residual, tolerance, expected_pass=True, name="demo"):
@@ -74,8 +73,7 @@ def test_each_condition_alone_breaks_commutators(ref, coupling, gamma0):
     # the two controls check_commutators leaves out: commutators balance
     # only with the direct coupling and no dephasing together
     p = ref.with_(gamma0=gamma0)
-    ss = steady_state(p)
-    two_d = langevin.diffusion_matrix(p, ss)
+    ss, two_d = vf._solve(p)
     assert vf._worst_commutator_dev(p, ss, two_d, vf.COMMUTATOR_GRID,
                                     coupling) > 1.0
 
