@@ -39,7 +39,9 @@ through every further squaring, so the end check catches every
 overflow.  The drift is assembled for a block of frequencies at once
 (``drift_block``), bit for bit as one frequency at a time.  A
 fixed-step RK4 integrator of the same quantities, also stack-aware, is
-provided as an independent cross-check.
+provided as an independent cross-check: it applies one precomputed RK4
+step map per frequency, step after step, and never squares it (see
+``transfer_step_oracle``).
 """
 
 from __future__ import annotations
@@ -338,38 +340,47 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     return t, hermitian_part(c)
 
 
+def _rk4_step_map(z: np.ndarray) -> np.ndarray:
+    """R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 by Horner, matrix by matrix."""
+    eye = np.eye(z.shape[-1])
+    r = eye + z / 4
+    for k in (3, 2, 1):
+        r = eye + z @ r / k
+    return r
+
+
 def transfer_step_oracle(m: np.ndarray, g: np.ndarray, length: float,
                          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 integration of dT/dz = m T, dC/dz = m C + C m^+ + g,
     for one matrix or for a stack of them.
 
     Deliberately naive; exists to cross-check the interval doubling of
-    second_moment_transfer_stack.
-    T and C advance as one array [T | C] of shape (..., d, 2d): each
-    stage takes one product m [T | C] and one C m^+, each into its
-    preallocated buffer, and adds the terms in the order of the two
-    separate equations.
+    second_moment_transfer_stack.  For constant m one RK4 step of a
+    linear equation y' = B y is exactly y <- R(hB) y, with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  The step map is built once
+    per matrix, T <- R(hm) T and [vec C; 1] <- R(hB) [vec C; 1] with
+    B = [[m (x) I + I (x) conj(m), vec g], [0, 0]] in row-major vec,
+    and the n_steps are marched one product at a time.  The map is never
+    squared: powers by squaring are what the doubling kernel does, so a
+    squared march would share the rounding it is meant to check.
     """
     m = np.asarray(m)
     d = m.shape[-1]
-    md = dagger(m)
-    h = length / n_steps
-    y = np.zeros(m.shape[:-1] + (2 * d,), dtype=complex)
-    y[..., :d] = np.eye(d)
-    k = np.empty((4,) + y.shape, dtype=complex)
-    k_c = k[..., d:]
-    cm = np.empty(m.shape, dtype=complex)
-    for _ in range(n_steps):
-        stage = y
-        for i, step in enumerate((0.5 * h, 0.5 * h, h, None)):
-            np.matmul(m, stage, out=k[i])
-            np.matmul(stage[..., d:], md, out=cm)
-            k_c[i] += cm
-            k_c[i] += g
-            if step is not None:
-                stage = y + step * k[i]
-        y = y + (h / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
-    return y[..., :d], hermitian_part(y[..., d:])
+    n = d * d
+    eye = np.eye(d)
+    b = np.zeros(m.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    b[..., :n, :n] = (np.einsum("...ik,jl->...ijkl", m, eye)
+                      + np.einsum("ik,...jl->...ijkl", eye, m.conj())
+                      ).reshape(m.shape[:-2] + (n, n))
+    b[..., :n, n] = np.reshape(g, np.shape(g)[:-2] + (n,))
+    step_t, step_c = (_rk4_step_map(z * (length / n_steps)) for z in (m, b))
+    # the first step takes T = I to step_t and [vec C; 1] = [0; 1] to the
+    # last column of step_c
+    t, y = step_t, step_c[..., n:]
+    for _ in range(n_steps - 1):
+        t = step_t @ t
+        y = step_c @ y
+    return t, hermitian_part(y[..., :n, 0].reshape(m.shape))
 
 
 def vacuum_covariance(n_modes: int) -> np.ndarray:

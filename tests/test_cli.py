@@ -763,6 +763,38 @@ VERIFY_2000_STEPS = [
 ]
 
 
+#: the whole report of the default verify run, 100 000 oracle steps
+VERIFY_DEFAULT = [
+    "CHECK commutators_free_propagation residual=5.007106e-14 "
+    "tol=1.0e-13 PASS (expected PASS) "
+    "[coupling off, 5 frequencies]",
+    "CHECK commutators_undriven_balance residual=6.042684e-09 "
+    "tol=1.0e-06 PASS (expected PASS) "
+    "[direct coupling, no dephasing, 5 frequencies]",
+    "CHECK commutators_fault_injection residual=5.000000e-01 "
+    "tol=1.0e-06 FAIL (expected FAIL) "
+    "[same limit with the diffusion table doubled]",
+    "CHECK commutators_reference residual=3.466230e+01 "
+    "tol=1.0e-06 FAIL (expected FAIL) "
+    "[anomalous coupling, reference point, 64-point grid]",
+    "CHECK oracle_equivalence residual=9.554294e-09 "
+    "tol=1.0e-08 PASS (expected PASS) "
+    "[16 frequencies, 100000 oracle steps]",
+    "CHECK limit_uncoupled_pair_vacuum residual=5.870682e-10 "
+    "tol=1.0e-09 PASS (expected PASS) "
+    "[pump drive off, 3 benign frequencies]",
+    "CHECK limit_dark_state residual=1.287861e-14 "
+    "tol=1.0e-06 PASS (expected PASS) "
+    "[no dephasing, symmetric drives]",
+    "CHECK limit_input_amplitude_independence residual=0.000000e+00 "
+    "tol=1.0e-09 PASS (expected PASS) "
+    "[coherent amplitudes 0, 1, 1000]",
+    "CHECK symplectic_positivity residual=1.424750e+00 "
+    "tol=1.0e-08 FAIL (expected FAIL) "
+    "[field quadrature covariance, 64-point grid]",
+]
+
+
 def test_verify_reports_nine_checks_and_exits_3_on_a_surprise(
         tmp_path, capsys, monkeypatch):
     # 2000 oracle steps leave the integrator cross-check far above its
@@ -783,3 +815,10 @@ def test_verify_reports_nine_checks_and_exits_3_on_a_surprise(
     assert unexpected[0].startswith(
         "CHECK oracle_equivalence residual=3.747293e-03 ")
     assert lines == VERIFY_2000_STEPS
+
+
+def test_default_verify_report_is_pinned_and_exits_0(tmp_path, capsys):
+    out = tmp_path / "verify.txt"
+    assert cli.main(["--experiment", "verify", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert out.read_text().splitlines() == VERIFY_DEFAULT

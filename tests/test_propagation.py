@@ -130,7 +130,7 @@ def test_second_moment_transfer_random_stable_systems(seed, length):
 
 def reference_transfer_step_oracle(m, g, length, n_steps):
     """The RK4 oracle as two separate stage loops for T and C, kept as
-    the byte reference of the joint [T | C] form."""
+    the reference of the marched step maps."""
     c = np.zeros(np.shape(m), dtype=complex)
     t = c + np.eye(c.shape[-1])
     h = length / n_steps
@@ -155,24 +155,56 @@ def reference_transfer_step_oracle(m, g, length, n_steps):
     return t, pr.hermitian_part(c)
 
 
+def _relative_error(x, x_ref):
+    """max |x - x_ref| / max |x_ref|, matrix by matrix."""
+    return (np.max(np.abs(x - x_ref), axis=(-2, -1))
+            / np.max(np.abs(x_ref), axis=(-2, -1)))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_rk4_oracle_is_byte_identical_to_the_separate_loops(ref, ss_ref,
-                                                            two_d_ref):
+def test_rk4_oracle_march_matches_the_separate_loops(ref, ss_ref, two_d_ref):
     # the oracle stack of verify at 2000 steps, where the 1000 MHz point
-    # overflows to inf and nan
+    # overflows to nan
     m, g = verification._drift_stack(
         verification._rows(ref, ss_ref[None]), verification.ORACLE_POINTS,
         two_d_ref, lv.sym_noise_matrix)
     t, c = pr.transfer_step_oracle(m, g, ref.length, 2000)
     t_ref, c_ref = reference_transfer_step_oracle(m, g, ref.length, 2000)
-    assert not np.all(np.isfinite(t_ref))
-    assert t.tobytes() == t_ref.tobytes()
-    assert c.tobytes() == c_ref.tobytes()
+    finite = np.all(np.isfinite(t_ref) & np.isfinite(c_ref), axis=(-2, -1))
+    assert np.array(verification.ORACLE_POINTS)[~finite].tolist() == [1000.0]
+    assert np.all(np.isnan(t[~finite])) and np.all(np.isnan(c[~finite]))
+    assert np.all(np.isfinite(t[finite])) and np.all(np.isfinite(c[finite]))
+    assert np.max(_relative_error(t[finite], t_ref[finite])) < 1e-10
+    assert np.max(_relative_error(c[finite], c_ref[finite])) < 1e-10
     # one matrix, without a stack axis
     t, c = pr.transfer_step_oracle(m[0], g[0], ref.length, 100)
     t_ref, c_ref = reference_transfer_step_oracle(m[0], g[0], ref.length, 100)
-    assert t.tobytes() == t_ref.tobytes()
-    assert c.tobytes() == c_ref.tobytes()
+    assert t.shape == c.shape == m[0].shape
+    assert _relative_error(t, t_ref) < 1e-10
+    assert _relative_error(c, c_ref) < 1e-10
+
+
+def test_rk4_oracle_is_rk4_not_the_exponential():
+    # m = -k I, g = g0 I at hk = 0.5: one RK4 step scales T by R(-hk) and
+    # the distance of C from its fixed point g0 / 2k by R(-2hk), with
+    # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    k, g0, n_steps = 2.0, 3.0, 4
+    length = n_steps * 0.5 / k
+    m = -k * np.eye(3, dtype=complex)
+    g = g0 * np.eye(3, dtype=complex)
+    (t,), (c,) = pr.transfer_step_oracle(m[None], g[None], length, n_steps)
+
+    def r(z):
+        return 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+
+    eye = np.eye(3)
+    assert np.max(np.abs(t - r(-0.5) ** n_steps * eye)) < 1e-13
+    assert np.max(np.abs(
+        c - g0 / (2 * k) * (1.0 - r(-1.0) ** n_steps) * eye)) < 1e-13
+    # the exact solution is farther off than any rounding
+    assert np.max(np.abs(t - np.exp(-k * length) * eye)) > 1e-6
+    assert np.max(np.abs(
+        c - g0 / (2 * k) * (1.0 - np.exp(-2 * k * length)) * eye)) > 1e-6
 
 
 def _field_moments(p, ss, two_d, omegas, pairing=lv.sym_noise_matrix,
