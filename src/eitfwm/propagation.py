@@ -39,8 +39,10 @@ through every further squaring, so the end check catches every
 overflow.  The drift is assembled for a block of frequencies at once
 (``drift_block``), bit for bit as one frequency at a time.  A
 fixed-step RK4 integrator of the same quantities, also stack-aware, is
-provided as an independent cross-check: it applies one precomputed RK4
-step map per frequency, step after step, and never squares it (see
+provided as an independent cross-check: per frequency it precomputes
+the RK4 step map and the map of a block of MARCH_BLOCK = 16 steps, a
+power formed by successive products with the step map, never by
+squaring, and marches the leftover single steps, then the blocks (see
 ``transfer_step_oracle``).
 """
 
@@ -66,6 +68,9 @@ class NumericalOverflowError(RuntimeError):
 
 
 GAIN_CEILING = 1e6
+
+#: steps per block of the RK4 oracle's march, see transfer_step_oracle
+MARCH_BLOCK = 16
 
 #: largest ||m||_1 * h of the Taylor start step of the interval
 #: doubling, see second_moment_transfer_stack
@@ -359,10 +364,13 @@ def transfer_step_oracle(m: np.ndarray, g: np.ndarray, length: float,
     linear equation y' = B y is exactly y <- R(hB) y, with
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  The step map is built once
     per matrix, T <- R(hm) T and [vec C; 1] <- R(hB) [vec C; 1] with
-    B = [[m (x) I + I (x) conj(m), vec g], [0, 0]] in row-major vec,
-    and the n_steps are marched one product at a time.  The map is never
-    squared: powers by squaring are what the doubling kernel does, so a
-    squared march would share the rounding it is meant to check.
+    B = [[m (x) I + I (x) conj(m), vec g], [0, 0]] in row-major vec.
+    Its MARCH_BLOCK-th power, the map of a block of steps, is built by
+    MARCH_BLOCK - 1 successive products with the one-step map; the march
+    takes n_steps mod MARCH_BLOCK single steps, then n_steps //
+    MARCH_BLOCK block steps.  No map is ever squared: powers by
+    squaring are what the doubling kernel does, so a squared march would
+    share the rounding it is meant to check.
     """
     m = np.asarray(m)
     d = m.shape[-1]
@@ -374,12 +382,21 @@ def transfer_step_oracle(m: np.ndarray, g: np.ndarray, length: float,
                       ).reshape(m.shape[:-2] + (n, n))
     b[..., :n, n] = np.reshape(g, np.shape(g)[:-2] + (n,))
     step_t, step_c = (_rk4_step_map(z * (length / n_steps)) for z in (m, b))
-    # the first step takes T = I to step_t and [vec C; 1] = [0; 1] to the
-    # last column of step_c
-    t, y = step_t, step_c[..., n:]
-    for _ in range(n_steps - 1):
+    n_blocks, n_single = divmod(n_steps, MARCH_BLOCK)
+    # T = I and [vec C; 1] = [0; 1] at z = 0
+    t = np.broadcast_to(eye, m.shape)
+    y = np.zeros(b.shape[:-1] + (1,))
+    y[..., n, 0] = 1.0
+    for _ in range(n_single):
         t = step_t @ t
         y = step_c @ y
+    block_t, block_c = step_t, step_c
+    for _ in range(MARCH_BLOCK - 1):
+        block_t = step_t @ block_t
+        block_c = step_c @ block_c
+    for _ in range(n_blocks):
+        t = block_t @ t
+        y = block_c @ y
     return t, hermitian_part(y[..., :n, 0].reshape(m.shape))
 
 

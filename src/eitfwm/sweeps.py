@@ -414,13 +414,15 @@ def csv_lines(spec: CorrelationSpectrum, extra_meta: dict | None = None):
         t = pair_tag(pair)
         cols += [f"V_{t}", f"su_{t}", f"sv_{t}"]
     lines.append(",".join(cols))
-    for i, x in enumerate(spec.omegas):
-        row = [fmt_float(x)]
-        for pair in spec.pairs:
-            su, sv = spec.signs[pair][i]
-            row += [fmt_float(spec.values[pair][i]),
-                    str(int(su)), str(int(sv))]
-        lines.append(",".join(row))
+    # the columns, read from Python floats, are formatted lazily so that
+    # only one row of cells exists at a time
+    columns = [map(fmt_float, spec.omegas.tolist())]
+    for pair in spec.pairs:
+        signs = spec.signs[pair]
+        columns += [map(fmt_float, spec.values[pair].tolist()),
+                    (str(int(su)) for su, _ in signs),
+                    (str(int(sv)) for _, sv in signs)]
+    lines.extend(map(",".join, zip(*columns)))
     return lines
 
 

@@ -96,11 +96,12 @@ def _field_quadratures(m, g, length) -> np.ndarray:
         propagation.hermitian_part(out))
 
 
-def _solve(q: PhysicalParams):
-    """(states, two_d): the steady state and the diffusion table of ``q``,
-    as stacks of one, shapes (1, 3, 3) and (1, 6, 6)."""
-    states = steady_state([q])
-    return states, langevin.diffusion_matrix([q], states)
+def _solve(points: list):
+    """(states, two_d): the steady states and the diffusion tables of the
+    parameter sets ``points``, shapes (k, 3, 3) and (k, 6, 6), each from
+    one stacked call."""
+    states = steady_state(points)
+    return states, langevin.diffusion_matrix(points, states)
 
 
 def _rows(p, states):
@@ -142,22 +143,20 @@ def check_commutators(p: PhysicalParams | None = None) -> list[CheckReport]:
         p = reference_params()
     reports = []
 
-    free = p.with_(coupling_scale=0.0)
-    ss, two_d = _solve(free)
+    free, nodeph = p.with_(coupling_scale=0.0), p.with_(gamma0=0.0)
+    states, tables = _solve([free, nodeph, p])
     reports.append(CheckReport(
         name="commutators_free_propagation",
         scope="coupling off, 5 frequencies",
-        residual=_worst_commutator_dev(free, ss, two_d,
+        residual=_worst_commutator_dev(free, states[[0]], tables[[0]],
                                        (-2000.0, -1000.0, -500.0, 0.0, 500.0),
                                        "as_printed"),
         tolerance=1e-13))
 
-    nodeph = p.with_(gamma0=0.0)
-    ss, two_d = _solve(nodeph)
     reports.append(CheckReport(
         name="commutators_undriven_balance",
         scope="direct coupling, no dephasing, 5 frequencies",
-        residual=_worst_commutator_dev(nodeph, ss, two_d,
+        residual=_worst_commutator_dev(nodeph, states[[1]], tables[[1]],
                                        (-2000.0, -1031.7, -1000.0, 0.0, 500.0),
                                        "as_printed"),
         tolerance=1e-6))
@@ -165,17 +164,18 @@ def check_commutators(p: PhysicalParams | None = None) -> list[CheckReport]:
     reports.append(CheckReport(
         name="commutators_fault_injection",
         scope="same limit with the diffusion table doubled",
-        residual=_worst_commutator_dev(nodeph, ss, 2.0 * two_d,
+        residual=_worst_commutator_dev(nodeph, states[[1]],
+                                       2.0 * tables[[1]],
                                        (-2000.0, -1000.0, 0.0),
                                        "as_printed"),
         tolerance=1e-6,
         expected_pass=False))
 
-    ss, two_d = _solve(p)
     reports.append(CheckReport(
         name="commutators_reference",
         scope="anomalous coupling, reference point, 64-point grid",
-        residual=_worst_commutator_dev(p, ss, two_d, COMMUTATOR_GRID,
+        residual=_worst_commutator_dev(p, states[[2]], tables[[2]],
+                                       COMMUTATOR_GRID,
                                        "parametric"),
         tolerance=1e-6,
         expected_pass=False))
@@ -187,7 +187,7 @@ def check_oracle_equivalence(p: PhysicalParams | None = None,
     """Doubling integrator against the naive fixed-step one."""
     if p is None:
         p = reference_params()
-    ss, two_d = _solve(p)
+    ss, two_d = _solve([p])
     m, g = _drift_stack(_rows(p, ss), ORACLE_POINTS, two_d,
                         langevin.sym_noise_matrix)
     # both integrators run once over the stack of all frequencies
@@ -210,27 +210,31 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
         p = reference_params()
     reports = []
 
+    # one stacked solve; the no-dephasing point needs no diffusion
+    # table, so ``tables`` holds those of pz and p
+    pz, nodeph = p.with_(omega_p=0.0), p.with_(gamma0=0.0)
+    states = steady_state([pz, nodeph, p])
+    tables = langevin.diffusion_matrix([pz, p], states[[0, 2]])
+
     # pump off: the ground coherence vanishes, the pair decouples, and
     # the witness must sit at the vacuum benchmark
-    pz = p.with_(omega_p=0.0)
-    vals = _pair_witness([pz], *_solve(pz), [-2500.0, -300.0, 400.0])
+    vals = _pair_witness([pz], states[[0]], tables[[0]],
+                         [-2500.0, -300.0, 400.0])
     reports.append(CheckReport(
         name="limit_uncoupled_pair_vacuum",
         scope="pump drive off, 3 benign frequencies",
         residual=float(np.max(np.abs(vals - 4.0))), tolerance=1e-9))
 
-    ss = steady_state([p.with_(gamma0=0.0)])
     reports.append(CheckReport(
         name="limit_dark_state",
         scope="no dephasing, symmetric drives",
-        residual=float(np.max(np.abs(ss - dark_state_sigma()))),
+        residual=float(np.max(np.abs(states[1] - dark_state_sigma()))),
         tolerance=1e-6))
 
-    ss, two_d = _solve(p)
     # one set-up per amplitude, stacked over the three points
     amplitudes = (0.0, 1.0, 1000.0)
     vals = _pair_witness([p.with_(alpha1=a, alpha2=a) for a in amplitudes],
-                         ss[[0] * 3], two_d[[0] * 3], [-800.0] * 3)
+                         states[[2] * 3], tables[[1] * 3], [-800.0] * 3)
     reports.append(CheckReport(
         name="limit_input_amplitude_independence",
         scope="coherent amplitudes 0, 1, 1000",
@@ -238,8 +242,8 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
         tolerance=1e-9))
 
     quad = _field_quadratures(*_drift_stack(
-        _rows(p, ss), COMMUTATOR_GRID, two_d, langevin.sym_noise_matrix),
-        p.length)
+        _rows(p, states[[2]]), COMMUTATOR_GRID, tables[[1]],
+        langevin.sym_noise_matrix), p.length)
     m = quad.shape[-1] // 2
     form = np.zeros((2 * m, 2 * m))
     form[:m, m:] = 2.0 * np.eye(m)
@@ -278,7 +282,7 @@ def convention_comparison(p: PhysicalParams | None = None) -> dict:
     """
     if p is None:
         p = reference_params()
-    ss, two_d = _solve(p)
+    ss, two_d = _solve([p])
     rows = _rows(p, ss)
     table = {}
     for coupling in propagation.COUPLINGS:

@@ -163,25 +163,73 @@ def _relative_error(x, x_ref):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rk4_oracle_march_matches_the_separate_loops(ref, ss_ref, two_d_ref):
-    # the oracle stack of verify at 2000 steps, where the 1000 MHz point
-    # overflows to nan
+    # the oracle stack of verify, where the 1000 MHz point overflows to
+    # nan, and one matrix without a stack axis; 2000 steps are whole
+    # blocks of MARCH_BLOCK steps, 2003 blocks plus single steps, 100
+    # both, and 7 single steps alone
+    m, g = verification._drift_stack(
+        verification._rows(ref, ss_ref[None]), verification.ORACLE_POINTS,
+        two_d_ref, lv.sym_noise_matrix)
+    for n_stack, n_one in ((2000, 100), (2003, 7)):
+        t, c = pr.transfer_step_oracle(m, g, ref.length, n_stack)
+        t_ref, c_ref = reference_transfer_step_oracle(m, g, ref.length,
+                                                      n_stack)
+        finite = np.all(np.isfinite(t_ref) & np.isfinite(c_ref),
+                        axis=(-2, -1))
+        assert (np.array(verification.ORACLE_POINTS)[~finite].tolist()
+                == [1000.0])
+        assert np.all(np.isnan(t[~finite])) and np.all(np.isnan(c[~finite]))
+        assert np.all(np.isfinite(t[finite])) and np.all(
+            np.isfinite(c[finite]))
+        assert np.max(_relative_error(t[finite], t_ref[finite])) < 1e-10
+        assert np.max(_relative_error(c[finite], c_ref[finite])) < 1e-10
+        t, c = pr.transfer_step_oracle(m[0], g[0], ref.length, n_one)
+        t_ref, c_ref = reference_transfer_step_oracle(m[0], g[0], ref.length,
+                                                      n_one)
+        assert t.shape == c.shape == m[0].shape
+        assert _relative_error(t, t_ref) < 1e-10
+        assert _relative_error(c, c_ref) < 1e-10
+    assert [divmod(n, pr.MARCH_BLOCK) for n in (2000, 2003, 100, 7)] == [
+        (125, 0), (125, 3), (6, 4), (0, 7)]
+
+
+def _rk4_march_clongdouble(m, g, length, n_steps):
+    """The oracle's RK4 step maps, built and marched one step at a time
+    in extended precision: an independent reference of its rounding."""
+    m = np.asarray(m, dtype=np.clongdouble)
+    d = m.shape[-1]
+    n = d * d
+    eye = np.eye(d, dtype=np.clongdouble)
+    b = np.zeros(m.shape[:-2] + (n + 1, n + 1), dtype=np.clongdouble)
+    b[..., :n, :n] = (np.einsum("...ik,jl->...ijkl", m, eye)
+                      + np.einsum("ik,...jl->...ijkl", eye, m.conj())
+                      ).reshape(m.shape[:-2] + (n, n))
+    b[..., :n, n] = np.reshape(np.asarray(g, dtype=np.clongdouble),
+                               np.shape(g)[:-2] + (n,))
+    h = np.longdouble(length) / n_steps
+    step_t, step_c = pr._rk4_step_map(m * h), pr._rk4_step_map(b * h)
+    assert step_t.dtype == step_c.dtype == np.clongdouble
+    t, y = step_t, step_c[..., n:]
+    for _ in range(n_steps - 1):
+        t = step_t @ t
+        y = step_c @ y
+    return t, pr.hermitian_part(y[..., :n, 0].reshape(m.shape))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rk4_oracle_matches_an_extended_precision_march(
+        ref, ss_ref, two_d_ref):
     m, g = verification._drift_stack(
         verification._rows(ref, ss_ref[None]), verification.ORACLE_POINTS,
         two_d_ref, lv.sym_noise_matrix)
     t, c = pr.transfer_step_oracle(m, g, ref.length, 2000)
-    t_ref, c_ref = reference_transfer_step_oracle(m, g, ref.length, 2000)
-    finite = np.all(np.isfinite(t_ref) & np.isfinite(c_ref), axis=(-2, -1))
+    t_ref, c_ref = _rk4_march_clongdouble(m, g, ref.length, 2000)
+    finite = np.all(np.isfinite(t) & np.isfinite(c), axis=(-2, -1))
     assert np.array(verification.ORACLE_POINTS)[~finite].tolist() == [1000.0]
-    assert np.all(np.isnan(t[~finite])) and np.all(np.isnan(c[~finite]))
-    assert np.all(np.isfinite(t[finite])) and np.all(np.isfinite(c[finite]))
     assert np.max(_relative_error(t[finite], t_ref[finite])) < 1e-10
     assert np.max(_relative_error(c[finite], c_ref[finite])) < 1e-10
-    # one matrix, without a stack axis
-    t, c = pr.transfer_step_oracle(m[0], g[0], ref.length, 100)
-    t_ref, c_ref = reference_transfer_step_oracle(m[0], g[0], ref.length, 100)
-    assert t.shape == c.shape == m[0].shape
-    assert _relative_error(t, t_ref) < 1e-10
-    assert _relative_error(c, c_ref) < 1e-10
 
 
 def test_rk4_oracle_is_rk4_not_the_exponential():
@@ -205,6 +253,31 @@ def test_rk4_oracle_is_rk4_not_the_exponential():
     assert np.max(np.abs(t - np.exp(-k * length) * eye)) > 1e-6
     assert np.max(np.abs(
         c - g0 / (2 * k) * (1.0 - np.exp(-2 * k * length)) * eye)) > 1e-6
+
+
+def test_rk4_oracle_blocks_are_rk4_steps_not_the_exponential():
+    # the same decaying system over 2 blocks of MARCH_BLOCK steps plus 5
+    # single steps, at hk = 0.1 so that T and C stay far from rounding
+    k, g0 = 2.0, 3.0
+    n_steps = 2 * pr.MARCH_BLOCK + 5
+    length = n_steps * 0.1 / k
+    m = -k * np.eye(3, dtype=complex)
+    g = g0 * np.eye(3, dtype=complex)
+    (t,), (c,) = pr.transfer_step_oracle(m[None], g[None], length, n_steps)
+
+    def r(z):
+        return 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+
+    eye = np.eye(3)
+    t_rk4 = r(-0.1) ** n_steps
+    c_rk4 = g0 / (2 * k) * (1.0 - r(-0.2) ** n_steps)
+    assert _relative_error(t, t_rk4 * eye) < 1e-13
+    assert _relative_error(c, c_rk4 * eye) < 1e-13
+    # the exact solution is farther off than any rounding
+    t_exp = np.exp(-k * length)
+    c_exp = g0 / (2 * k) * (1.0 - np.exp(-2 * k * length))
+    assert _relative_error(t, t_exp * eye) > 1e-9
+    assert _relative_error(c, c_exp * eye) > 1e-9
 
 
 def _field_moments(p, ss, two_d, omegas, pairing=lv.sym_noise_matrix,

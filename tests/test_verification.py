@@ -73,7 +73,7 @@ def test_each_condition_alone_breaks_commutators(ref, coupling, gamma0):
     # the two controls check_commutators leaves out: commutators balance
     # only with the direct coupling and no dephasing together
     p = ref.with_(gamma0=gamma0)
-    ss, two_d = vf._solve(p)
+    ss, two_d = vf._solve([p])
     assert vf._worst_commutator_dev(p, ss, two_d, vf.COMMUTATOR_GRID,
                                     coupling) > 1.0
 
