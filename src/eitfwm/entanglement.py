@@ -214,8 +214,10 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
 
     The points share one spin-wave definition, one mode set and the
     cell ``length``; ``set_up`` is shared by them or stacked over them.
-    Every step runs on the whole block: the assembly, the doubling, the
-    output covariance, the extension R C R^+ and the quadratures.
+    Every step runs on the whole block: the assembly, the output
+    covariance, the extension R C R^+ and the quadratures; the doubling
+    runs in the kernel's sub-stacks of propagation.BLOCK_ENTRIES
+    entries, so a large block costs little more working memory.
 
     NumericalOverflowError names the first failing point by its
     frequency and its ``index``: a failed transfer, an extended
@@ -243,6 +245,9 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
             # first, so that the first failing point is the one reported
             t, c = propagation.second_moment_transfer_stack(
                 m[:stop], g[:stop], length)
+            # the block's drift and noise drive are done with: freeing
+            # them keeps the readout's working memory off the peak
+            del m, q, g
             # the fields start in vacuum, any augmented rows at zero
             n = r.shape[-2] // 2 - 1
             c_in = np.zeros(t.shape[-2:], dtype=complex)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .steady_state import apply_generator, _unit
+from .steady_state import apply_generator
 
 # channel ordering shared with the propagation module
 CHANNELS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
@@ -38,21 +38,34 @@ def conjugate_channel(ch: tuple[int, int]) -> tuple[int, int]:
     return (b, a)
 
 
+#: index of the matrix unit of every channel among the nine units,
+#: row-major, and of the product of every pair of channels among the
+#: units and zero (index 9): E_ab E_cd = E_ad if b == c, else 0
+_UNIT = np.array([3 * (a - 1) + b - 1 for a, b in CHANNELS])
+_PRODUCT = np.array([[3 * (a - 1) + d - 1 if b == c else 9
+                      for c, d in CHANNELS] for a, b in CHANNELS])
+
+
 def diffusion_matrix(points: list, states: np.ndarray) -> np.ndarray:
     """6x6 tables of 2*D_{mu,nu} over CHANNELS, in MHz, one per parameter
     set of ``points`` at its steady state in ``states`` (shape (k, 3, 3)),
     shape (k, 6, 6).
 
-    Each of the three terms is formed for all 36 pairs of every point at
-    once, and summed before the next one is formed; each expectation
-    <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b] S[a,b] sums the last two
-    axes.
+    The channel operators are matrix units, and so is the product of
+    any two of them, or else zero: one generator call on the nine units
+    and zero gives every image the table needs.  The first term takes
+    the expectation of each distinct image once and gathers it for all
+    36 pairs; the other two are formed for all pairs of every point at
+    once.  Each expectation <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b]
+    S[a,b] sums the last two axes.
     """
-    ops = np.stack([_unit(a, b) for (a, b) in CHANNELS])
-    drifts = apply_generator(points, ops)
-    left, right = ops[:, None], ops[None, :]
+    ops = np.concatenate([np.eye(9, dtype=complex).reshape(9, 3, 3),
+                          np.zeros((1, 3, 3), dtype=complex)])
+    images = apply_generator(points, ops)
     s = states[:, None, None]
-    val = np.sum(apply_generator(points, left @ right) * s, axis=(-2, -1))
+    val = np.sum(images * states[:, None], axis=(-2, -1))[:, _PRODUCT]
+    drifts = images[:, _UNIT]
+    left, right = ops[_UNIT, None], ops[None, _UNIT]
     val -= np.sum((drifts[..., :, None, :, :] @ right) * s, axis=(-2, -1))
     val -= np.sum((left @ drifts[..., None, :, :, :]) * s, axis=(-2, -1))
     return val

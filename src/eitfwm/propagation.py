@@ -33,7 +33,9 @@ accurate for optical depths of 1e5 and for marginally stable drift
 matrices alike (both occur here).  Every function here works on stacks
 of (d, d) matrices, so the sweeps and the built-in checks evaluate many
 frequencies per call; one frequency is a stack of one.  The doubling
-kernel (``second_moment_transfer_stack``) checks for finite values
+kernel (``second_moment_transfer_stack``) doubles the matrices that
+share a stage count together, in sub-stacks of at most BLOCK_ENTRIES
+entries whatever the length of the stack, and checks for finite values
 once, after the last doubling stage: an inf or nan in T persists
 through every further squaring, so the end check catches every
 overflow.  The drift is assembled for a block of frequencies at once
@@ -71,6 +73,11 @@ GAIN_CEILING = 1e6
 
 #: steps per block of the RK4 oracle's march, see transfer_step_oracle
 MARCH_BLOCK = 16
+
+#: most entries (matrices x d x d) the interval doubling evaluates as
+#: one stack: 256 matrices of 4x4, 12 of 18x18.  Bounds the kernel's
+#: working memory whatever the length of the stack it is given.
+BLOCK_ENTRIES = 4096
 
 #: largest ||m||_1 * h of the Taylor start step of the interval
 #: doubling, see second_moment_transfer_stack
@@ -261,31 +268,59 @@ def noise_drive(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     return q @ s @ dagger(q)
 
 
+def _start_transfer(mh: np.ndarray) -> np.ndarray:
+    """The degree-4 Taylor polynomial of exp(mh), matrix by matrix."""
+    mh2 = mh @ mh
+    return np.eye(mh.shape[-1], dtype=complex) + mh + mh2 / 2.0 \
+        + mh2 @ mh / 6.0 + mh2 @ mh2 / 24.0
+
+
+def _start_moment(m: np.ndarray, g: np.ndarray, h) -> np.ndarray:
+    """The moment integral over a step ``h``, to fourth order in h.
+    Each power of m is dropped once the last term using it is summed,
+    so that few stacks are live at a time."""
+    g = np.asarray(g, dtype=complex)
+    md = dagger(m)
+    mg = m @ g
+    m2g = m @ mg
+    c = g + (h / 2.0) * (mg + dagger(mg))
+    c += (h * h / 6.0) * (m2g + dagger(m2g) + 2.0 * (mg @ md))
+    del mg
+    m2g_md = m2g @ md
+    m3g = m @ m2g
+    del m2g, md
+    m3g += dagger(m3g)
+    m2g_md += dagger(m2g_md)
+    c += (h ** 3 / 24.0) * (m3g + 3.0 * m2g_md)
+    return h * c
+
+
 def _doubling(m: np.ndarray, g: np.ndarray, length: float, k: int):
-    """Taylor start step plus ``k`` doublings over a stack sharing ``k``."""
+    """(T, C) of a Taylor start step plus ``k`` doublings over a stack
+    sharing ``k``; C is returned Hermitian."""
     # length / 2**k, exactly; a numpy float, so that the k = 1024 of a
     # norm near the float maximum stays in range and a power of a huge
     # step overflows to inf instead of raising
     h = np.ldexp(np.float64(length), -k)
-    mh = m * h
-    mh2 = mh @ mh
-    t = np.eye(m.shape[-1], dtype=complex) + mh + mh2 / 2.0 \
-        + mh2 @ mh / 6.0 + mh2 @ mh2 / 24.0
-    gh = np.asarray(g, dtype=complex)
-    md = dagger(m)
-    mg = m @ gh
-    mg_h = mg + dagger(mg)
-    m2g = m @ mg
-    m3g = m @ m2g
-    m2g_md = m2g @ md
-    c = h * (gh + (h / 2.0) * mg_h
-             + (h * h / 6.0) * (m2g + dagger(m2g) + 2.0 * (mg @ md))
-             + (h ** 3 / 24.0) * (m3g + dagger(m3g)
-                                  + 3.0 * (m2g_md + dagger(m2g_md))))
+    t = _start_transfer(m * h)
+    c = _start_moment(m, g, h)
     for _ in range(k):
         c = t @ c @ dagger(t) + c
         t = t @ t
-    return t, c
+    return t, hermitian_part(c)
+
+
+def _sub_stacks(stages: np.ndarray, size: int):
+    """The matrices of every stage count in ``stages``, in sub-stacks of
+    at most ``size``: slices where a sub-stack is a contiguous run, so
+    that it is read in place, index arrays elsewhere."""
+    for k in np.unique(stages[stages >= 0]):
+        (group,) = np.nonzero(stages == k)
+        for lo in range(0, len(group), size):
+            run = group[lo:lo + size]
+            if run[-1] - run[0] == len(run) - 1:
+                run = slice(run[0], run[-1] + 1)
+            yield int(k), run
 
 
 def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
@@ -298,9 +333,11 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     The threshold DOUBLING_THETA balances truncation (pushes h down)
     against roundoff amplification over the squaring chain (pushes the
     stage count down); 2^-10 keeps both near 1e-12 for the matrices met
-    here.  Matrices sharing a stage count are doubled together; the
-    result of each one is bit for bit that of doubling it alone.  Stable
-    for strongly decaying m (entries of T underflow to zero honestly).
+    here.  Matrices sharing a stage count are doubled together, in
+    sub-stacks of at most BLOCK_ENTRIES entries, so the kernel's working
+    memory is bounded whatever the length of the stack; the result of
+    each matrix is bit for bit that of doubling it alone.  Stable for
+    strongly decaying m (entries of T underflow to zero honestly).
 
     Finiteness is checked once, after the last stage: an inf or nan in
     T survives every further squaring, so the end check sees every
@@ -313,8 +350,9 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     position.
     """
     m = np.asarray(m)
-    t = np.full(m.shape, np.nan, dtype=complex)
-    c = np.full(m.shape, np.nan, dtype=complex)
+    size = max(1, BLOCK_ENTRIES // m.shape[-1] ** 2)
+    t = np.empty(m.shape, dtype=complex)
+    c = np.empty(m.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(m, 1, axis=(-2, -1)) * length
         # a drift that is finite but whose norm times the length passes
@@ -323,9 +361,9 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
         countable = np.isfinite(ratio)
         stages = np.full(len(m), -1)
         stages[countable] = np.maximum(0, np.ceil(np.log2(ratio[countable])))
-        for k in np.unique(stages[countable]):
-            sel = stages == k
-            t[sel], c[sel] = _doubling(m[sel], g[sel], length, int(k))
+        t[~countable] = np.nan
+        for k, run in _sub_stacks(stages, size):
+            t[run], c[run] = _doubling(m[run], g[run], length, k)
         gain = np.max(np.abs(t), axis=(-2, -1))
     finite_t = np.all(np.isfinite(t), axis=(-2, -1))
     bad = ~countable | ~finite_t | ~(gain <= GAIN_CEILING)
@@ -342,7 +380,7 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
             message = (f"transfer gain {gain[i]:.3e} exceeds ceiling "
                        f"{GAIN_CEILING:.0e}")
         raise NumericalOverflowError(message, index=i)
-    return t, hermitian_part(c)
+    return t, c
 
 
 def _rk4_step_map(z: np.ndarray) -> np.ndarray:
@@ -409,4 +447,6 @@ def output_covariance(t: np.ndarray, c_noise: np.ndarray,
                       c_in: np.ndarray) -> np.ndarray:
     """T c_in T^+ + C: input moment ``c_in`` carried through the transfer
     ``t`` plus the accumulated noise moment, matrix by matrix."""
-    return t @ c_in @ dagger(t) + c_noise
+    out = t @ c_in @ dagger(t)
+    out += c_noise
+    return out

@@ -50,10 +50,15 @@ REFINE_HALFWIDTH = 30.0
 #: 13 s and 45 MB of peak memory on a 2-core machine.
 MAX_GRID_POINTS = 100_000
 
-#: entries of propagated matrices (points x d x d) evaluated per block:
-#: 256 points of 4x4, 12 of 18x18.  Bounds the working memory of the
-#: stacked evaluation whatever the grid size.
-BLOCK_ENTRIES = 4096
+#: fewest points per block.  A block holds propagation.BLOCK_ENTRIES
+#: entries of propagated matrices (points x d x d), 256 points of 4x4
+#: and 64 of 8x8, but never fewer than this many: 48 points of 18x18,
+#: which the doubling kernel evaluates in sub-stacks of 12.  The
+#: assembly, the readout and the witnesses have a fixed cost per block,
+#: so they run on the larger block, while the sub-stacks bound the
+#: kernel's working memory.  Blocks of 32 points of 18x18 were slower,
+#: and blocks of 64 used more memory for no more speed.
+MIN_BLOCK_POINTS = 48
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,8 @@ def _set_up(points: list, config: SweepConfig):
     Points with the same generator key share their steady state and
     diffusion table, so each distinct key is solved once, in the order
     of its first point, and every point gathers its state and table by
-    the index of its key; three generator calls serve them all, one for
-    the Bloch drifts and two for the diffusion tables.  A failing solve
+    the index of its key; two generator calls serve them all, one for
+    the Bloch drifts and one for the diffusion tables.  A failing solve
     fails the first point with its key.
     """
     derived, error = [], None
@@ -212,11 +217,13 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     ``p``; in a parameter sweep, the field ``field`` of ``p`` takes each
     of ``values``.
 
-    Blocks of consecutive points, each holding about BLOCK_ENTRIES
-    entries of propagated matrices, are evaluated as stacked arrays, from
-    the assembly to both sign branches of every witness; in a parameter
-    sweep, each block first builds its points' set-up as one stack, with
-    one solve per distinct generator point.
+    Blocks of consecutive points, each holding about
+    propagation.BLOCK_ENTRIES entries of propagated matrices but at least
+    MIN_BLOCK_POINTS points, are evaluated as stacked arrays, from the
+    assembly to both sign branches of every witness; the doubling kernel
+    splits a larger block into sub-stacks of BLOCK_ENTRIES entries.  In a
+    parameter sweep, each block first builds its points' set-up as one
+    stack, with one solve per distinct generator point.
     Every point shares the cell length of ``p``.
 
     A failing sweep reports its first failing point in grid order: a
@@ -232,8 +239,8 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     labels = entanglement.extended_labels(modes)
     witness_values = {pair: [] for pair in pairs}
     witness_signs = {pair: [] for pair in pairs}
-    size = max(1, BLOCK_ENTRIES // entanglement.state_dim(
-        len(modes), config.spinwave_definition) ** 2)
+    dim = entanglement.state_dim(len(modes), config.spinwave_definition)
+    size = max(MIN_BLOCK_POINTS, propagation.BLOCK_ENTRIES // dim ** 2)
     if field is None:
         set_up, error = _set_up([p], config)
         if error is not None:

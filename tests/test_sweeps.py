@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,10 +141,13 @@ def _alone(p, ss, two_d, cfg, omega):
             for pair in cfg.pairs()}
 
 
-def _small_blocks(monkeypatch, cfg, p):
-    """Shrink the sweep blocks to 4 points of this configuration."""
+def _small_blocks(monkeypatch, cfg, p, points=4, stack=None):
+    """Shrink the sweep blocks of this configuration to ``points``
+    points, doubled in kernel sub-stacks of at most ``stack`` matrices
+    (default: the whole block)."""
     dim = _drift(p, cfg, 0.0).shape[-1]
-    monkeypatch.setattr(sweeps, "BLOCK_ENTRIES", 4 * dim * dim)
+    monkeypatch.setattr(sweeps, "MIN_BLOCK_POINTS", points)
+    monkeypatch.setattr(pr, "BLOCK_ENTRIES", (stack or points) * dim * dim)
 
 
 def _stage_count(m, length):
@@ -164,22 +168,55 @@ BLOCK_CONFIGS = pytest.mark.parametrize("cfg", [
         "same_sideband", "as_printed"])
 
 
+def _recorded_sub_stacks(monkeypatch):
+    """The list that records, for every transfer, the list of its kernel
+    sub-stacks as (stage count, matrix count)."""
+    transfers = []
+    real_transfer, real_doubling = pr.second_moment_transfer_stack, \
+        pr._doubling
+
+    def transfer(m, *args, **kwargs):
+        transfers.append([])
+        return real_transfer(m, *args, **kwargs)
+
+    def doubling(m, g, length, k):
+        transfers[-1].append((k, len(m)))
+        return real_doubling(m, g, length, k)
+
+    monkeypatch.setattr(pr, "second_moment_transfer_stack", transfer)
+    monkeypatch.setattr(pr, "_doubling", doubling)
+    return transfers
+
+
 @BLOCK_CONFIGS
 def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
-    _small_blocks(monkeypatch, cfg, ref)
-    spec = sweeps.sweep_omega(ref, BLOCK_GRID, cfg)
     ss = steady_state([ref])
     two_d = lv.diffusion_matrix([ref], ss)
-    stages = set()
-    for i, om in enumerate(BLOCK_GRID):
-        stages.add(_stage_count(_drift(ref, cfg, om), ref.length))
-        alone = _alone(ref, ss, two_d, cfg, om)
-        for pair in spec.pairs:
-            (value,), (signs,) = alone[pair]
-            assert spec.values[pair][i] == value, (om, pair)
-            assert spec.signs[pair][i] == signs, (om, pair)
-    # blocks of 4, 4, 4 and 1 points, mixing stage counts
+    alone = [_alone(ref, ss, two_d, cfg, om) for om in BLOCK_GRID]
+    stages = {_stage_count(_drift(ref, cfg, om), ref.length)
+              for om in BLOCK_GRID}
+    # blocks of 4, 4, 4 and 1 points, each doubled whole, then blocks of
+    # 8 and 5 points, each doubled in several sub-stacks of at most 2;
+    # the blocks mix stage counts
     assert len(stages) >= 3
+    for points, stack, n_blocks in [(4, None, 4), (8, 2, 2)]:
+        with monkeypatch.context() as patch:
+            _small_blocks(patch, cfg, ref, points, stack)
+            blocks = _recorded_sub_stacks(patch)
+            spec = sweeps.sweep_omega(ref, BLOCK_GRID, cfg)
+        assert len(blocks) == n_blocks
+        assert sum(n for subs in blocks for _, n in subs) == len(BLOCK_GRID)
+        if stack:
+            # some stage count of every block spans more than one
+            # sub-stack
+            assert all(n <= stack for subs in blocks for _, n in subs)
+            assert all(len(subs) > len({k for k, _ in subs})
+                       for subs in blocks)
+        for i, om in enumerate(BLOCK_GRID):
+            for pair in spec.pairs:
+                (value,), (signs,) = alone[i][pair]
+                assert spec.values[pair][i] == value, (om, pair, points)
+                assert spec.signs[pair][i] == signs, (om, pair, points)
 
 
 @BLOCK_CONFIGS
@@ -224,6 +261,67 @@ def test_overflow_in_a_later_block_names_the_first_failing_frequency(
         sweeps.sweep_omega(ref, grid, cfg)
 
 
+#: the z-averaged two-pair configuration under each sideband convention
+Z_TWO_PAIR = sweeps.SweepConfig(spinwave_definition="z-averaged",
+                                two_pair=True)
+Z_TWO_PAIR_SAME = dataclasses.replace(Z_TWO_PAIR, sideband="same")
+
+
+def test_overflow_in_a_second_sub_stack_names_its_frequency_and_index(
+        ref, monkeypatch):
+    # one block of 8 points in sub-stacks of 2.  The stage counts are
+    # 20, 22, 22, 22, 19, 20, 21, 22: 1250 MHz (index 3) overflows in the
+    # second sub-stack of stage 22, after -3000 MHz (index 4, stage 19)
+    # has overflowed in the first sub-stack doubled; grid order decides
+    _small_blocks(monkeypatch, Z_TWO_PAIR_SAME, ref, 8, 2)
+    transfers = _recorded_sub_stacks(monkeypatch)
+    grid = np.array([0.0, 700.0, 800.0, 1250.0, -3000.0, 250.0, 500.0,
+                     750.0])
+    with pytest.raises(pr.NumericalOverflowError,
+                       match=r"^transfer gain .* at omega = 1250 MHz$") as exc:
+        sweeps.sweep_omega(ref, grid, Z_TWO_PAIR_SAME)
+    assert exc.value.index == 3
+    assert transfers == [[(19, 1), (20, 2), (21, 1), (22, 2), (22, 2)]]
+
+
+def test_vanishing_response_after_several_sub_stacks_names_its_index(
+        ref, monkeypatch):
+    # one block of 8 points in sub-stacks of 2: the response vanishes at
+    # 0 MHz (index 5), so the block is cut there and its first 5 points,
+    # all of stage count 20, are doubled in 3 sub-stacks before it
+    _small_blocks(monkeypatch, Z_TWO_PAIR, ref, 8, 2)
+    transfers = _recorded_sub_stacks(monkeypatch)
+    grid = np.array([-500.0, -400.0, -300.0, -200.0, -100.0, 0.0, 100.0,
+                     200.0])
+    with pytest.raises(pr.NumericalOverflowError,
+                       match=r"^coherence response .* vanishes at "
+                             r"omega = 0 MHz$") as exc:
+        sweeps.sweep_omega(ref.with_(gamma0=0.0), grid, Z_TWO_PAIR)
+    assert exc.value.index == 5
+    assert transfers == [[(20, 2), (20, 2), (20, 1)]]
+
+
+#: traced peak of one full two-pair z-averaged block, 48 points of 18x18
+#: doubled in sub-stacks of 12, as measured with numpy 2.4 (a block of
+#: 12 points, doubled whole, peaked at 1.31 MB before the sub-stacks)
+Z_TWO_PAIR_BLOCK_PEAK = 1_727_000
+
+
+def test_a_z_averaged_two_pair_block_keeps_its_working_memory(ref):
+    dim = en.state_dim(4, "z-averaged")
+    size = max(sweeps.MIN_BLOCK_POINTS, pr.BLOCK_ENTRIES // dim ** 2)
+    grid = sweeps.fig_two_pair_grid(ref)[:size]
+    # the first call pays one-off allocations of numpy's linear algebra
+    sweeps.sweep_omega(ref, grid, Z_TWO_PAIR)
+    tracemalloc.start()
+    try:
+        sweeps.sweep_omega(ref, grid, Z_TWO_PAIR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * Z_TWO_PAIR_BLOCK_PEAK, peak
+
+
 def test_overflow_precedes_a_later_set_up_failure(ref):
     # gamma0 = -1 fails validation, which runs before any steady state is
     # solved; the point before it overflows in the kernel and is reported
@@ -255,8 +353,7 @@ def test_set_up_failure_in_a_later_block_is_reported_in_grid_order(
         ref, monkeypatch):
     # blocks of 2 points: the degenerate point is the second of the
     # second block, the invalid one opens the third
-    monkeypatch.setattr(sweeps, "BLOCK_ENTRIES",
-                        2 * en.state_dim(2, "endpoint") ** 2)
+    _small_blocks(monkeypatch, sweeps.SweepConfig(), ref, 2)
     gamma0s = [0.1, 0.2, 0.3, 1e300, -1.0]
     with pytest.raises(DegenerateSteadyStateError,
                        match=r"gamma0 = 1e\+300$"):
@@ -272,8 +369,7 @@ def test_repeated_failing_point_in_a_later_block_is_reported_in_grid_order(
     # blocks of 4 points: the second block solves 0.5, then fails at its
     # first degenerate point; the repeat of 0.5 after it is cut, and the
     # later degenerate point, whose key has the lower bytes, is not named
-    monkeypatch.setattr(sweeps, "BLOCK_ENTRIES",
-                        4 * en.state_dim(2, "endpoint") ** 2)
+    _small_blocks(monkeypatch, sweeps.SweepConfig(), ref)
     evaluated = []
     real = en.extended_quadratures
 
@@ -306,10 +402,10 @@ def _generator_calls(monkeypatch):
 
 def test_parameter_sweep_builds_its_set_ups_in_blocks(ref, monkeypatch):
     # one block of 101 points (of 4x4 matrices): one generator call for
-    # the Bloch drifts and two for the diffusion tables
+    # the Bloch drifts and one for the diffusion tables
     calls = _generator_calls(monkeypatch)
     sweeps.sweep_gamma0(ref, sweeps.fig_gamma0_grid(), omega=0.0)
-    assert calls == [101] * 3
+    assert calls == [101] * 2
 
 
 def test_a_block_solves_each_generator_point_once(ref, monkeypatch):
@@ -317,7 +413,7 @@ def test_a_block_solves_each_generator_point_once(ref, monkeypatch):
     # of the amplitude sweep share one steady state and diffusion table
     calls = _generator_calls(monkeypatch)
     sweeps.sweep_alpha(ref, sweeps.fig_alpha_grid(), omega=ref.delta1)
-    assert calls == [1] * 3
+    assert calls == [1] * 2
 
 
 def _assert_set_ups_equal_one_point_set_ups(points, cfg):
@@ -349,7 +445,7 @@ def test_repeated_generator_points_share_a_solve(ref, monkeypatch, cfg):
                                   (0.2, 1.0, 3.0)]]
     calls = _generator_calls(monkeypatch)
     sweeps._set_up(points, cfg)
-    assert calls == [3] * 3
+    assert calls == [3] * 2
     _assert_set_ups_equal_one_point_set_ups(points, cfg)
 
 
@@ -358,7 +454,7 @@ def test_signed_zero_dephasings_are_solved_apart(ref, monkeypatch):
     points = [ref.with_(gamma0=0.0), ref.with_(gamma0=-0.0)]
     calls = _generator_calls(monkeypatch)
     sweeps._set_up(points, sweeps.SweepConfig())
-    assert calls == [2] * 3
+    assert calls == [2] * 2
     _assert_set_ups_equal_one_point_set_ups(points, sweeps.SweepConfig())
 
 
