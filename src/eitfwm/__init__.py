@@ -16,7 +16,7 @@ from .params import (C, PhysicalParams, DerivedParams, ValidationError,
                      derive, reference_params)
 from .steady_state import (DegenerateSteadyStateError, bloch_drift,
                            steady_state, dark_state_sigma)
-from .langevin import diffusion_matrix, check_positive
+from .langevin import diffusion_matrix
 from .propagation import (FieldMode, NumericalOverflowError, GAIN_CEILING,
                           transfer_step_oracle, single_pair_modes,
                           two_pair_modes)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .params import PhysicalParams, ValidationError, derive, reference_params
-from .steady_state import DegenerateSteadyStateError, steady_state
+from .steady_state import DegenerateSteadyStateError, solve, steady_state
 from . import langevin
 from . import propagation
 from . import entanglement
@@ -180,8 +180,7 @@ def _run_steady(rc, out) -> int:
 
 
 def _run_noise(rc, out) -> int:
-    ss = steady_state([rc.params])
-    two_d = langevin.diffusion_matrix([rc.params], ss)[0]
+    _, (two_d,) = solve([rc.params])
     payload = {
         "version": __version__,
         "params": dataclasses.asdict(rc.params),
@@ -394,8 +393,7 @@ def calibrate(rc: RunConfig) -> dict:
     cfg = dataclasses.replace(rc.model, two_pair=False)
     # neither the steady state nor the diffusion table depends on the two
     # fitted scales, so every witness point shares one set-up
-    states = steady_state([p])
-    tables = langevin.diffusion_matrix([p], states)
+    states, tables = solve([p])
     labels = entanglement.extended_labels(cfg.modes(p))
 
     def witness(q, scales):

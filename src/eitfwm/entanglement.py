@@ -317,16 +317,3 @@ def pair_witness(quad: np.ndarray, labels: list, pair: tuple):
     prefer = PREFERRED_SIGNS.get((name_i, name_j)) \
         or PREFERRED_SIGNS.get((name_j, name_i))
     return duan_min_stack(quad, index(name_i), index(name_j), prefer)
-
-
-def two_mode_squeezed_quadrature(s: float) -> np.ndarray:
-    """Quadrature covariance of an ideal two-mode squeezed pair.
-
-    Correlated x, anticorrelated p; the minimizing witness signs are
-    ('-' in u, '+' in v) and V = 4*exp(-2s) exactly.
-    """
-    c, sh = np.cosh(2.0 * s), np.sinh(2.0 * s)
-    quad = np.zeros((4, 4))
-    quad[:2, :2] = [[c, sh], [sh, c]]
-    quad[2:, 2:] = [[c, -sh], [-sh, c]]
-    return quad

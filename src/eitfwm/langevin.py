@@ -8,9 +8,10 @@ the second moments follow from the single-atom dynamics alone:
 
 evaluated in the zeroth-order steady state, with L the same adjoint
 generator that produces the Bloch drift (drive terms cancel identically
-in this combination, so only the dissipators contribute).  L acts on
-stacks of operators and of parameter points, so the tables of a whole
-block of points are evaluated in one pass.
+in this combination, so only the dissipators contribute).  Row (c, d) of
+the Bloch drift is L(E_cd), so the drifts of a block of points already
+hold every image L needs, and the tables of the whole block are
+evaluated from them in one pass.
 
 Spatial normalisation: the correlator used by the propagation module is
 
@@ -25,8 +26,6 @@ sector must pass; see the propagation invariants.
 from __future__ import annotations
 
 import numpy as np
-
-from .steady_state import apply_generator
 
 # channel ordering shared with the propagation module
 CHANNELS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
@@ -46,55 +45,35 @@ _PRODUCT = np.array([[3 * (a - 1) + d - 1 if b == c else 9
                       for c, d in CHANNELS] for a, b in CHANNELS])
 
 
-def diffusion_matrix(points: list, states: np.ndarray) -> np.ndarray:
-    """6x6 tables of 2*D_{mu,nu} over CHANNELS, in MHz, one per parameter
-    set of ``points`` at its steady state in ``states`` (shape (k, 3, 3)),
-    shape (k, 6, 6).
+def diffusion_matrix(drifts: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """6x6 tables of 2*D_{mu,nu} over CHANNELS, in MHz, one per Bloch
+    drift of ``drifts`` (shape (k, 9, 9)) at its steady state in
+    ``states`` (shape (k, 3, 3)), shape (k, 6, 6).
 
     The channel operators are matrix units, and so is the product of
-    any two of them, or else zero: one generator call on the nine units
-    and zero gives every image the table needs.  The first term takes
-    the expectation of each distinct image once and gathers it for all
-    36 pairs; the other two are formed for all pairs of every point at
-    once.  Each expectation <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b]
-    S[a,b] sums the last two axes.
+    any two of them, or else zero: row (c, d) of a drift is the image
+    L(E_cd), and the image of zero is zero, so the drift rows give every
+    image the table needs.  The first term takes the expectation of each
+    distinct image once and gathers it for all 36 pairs; the other two
+    are formed for all pairs of every point at once.  Each expectation
+    <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b] S[a,b] sums the last two
+    axes.
     """
-    ops = np.concatenate([np.eye(9, dtype=complex).reshape(9, 3, 3),
-                          np.zeros((1, 3, 3), dtype=complex)])
-    images = apply_generator(points, ops)
+    images = np.zeros((len(drifts), 10, 3, 3), dtype=complex)
+    images[:, :9] = drifts.reshape(-1, 9, 3, 3)
     s = states[:, None, None]
     val = np.sum(images * states[:, None], axis=(-2, -1))[:, _PRODUCT]
-    drifts = images[:, _UNIT]
-    left, right = ops[_UNIT, None], ops[None, _UNIT]
-    val -= np.sum((drifts[..., :, None, :, :] @ right) * s, axis=(-2, -1))
-    val -= np.sum((left @ drifts[..., None, :, :, :]) * s, axis=(-2, -1))
+    rows = images[:, _UNIT]
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    left, right = units[_UNIT, None], units[None, _UNIT]
+    val -= np.sum((rows[..., :, None, :, :] @ right) * s, axis=(-2, -1))
+    val -= np.sum((left @ rows[..., None, :, :, :]) * s, axis=(-2, -1))
     return val
 
 
 #: index in CHANNELS of the conjugate of every channel
 CONJUGATE_INDEX = np.array([CHANNEL_INDEX[conjugate_channel(ch)]
                             for ch in CHANNELS])
-
-
-def gram_matrix(two_d: np.ndarray) -> np.ndarray:
-    """<F_mu F_nu^dagger> pairing of the diffusion table.
-
-    G[mu, nu] = 2 D_{mu, conj(nu)}; this is the matrix that must be
-    positive semidefinite for the noise model to admit a state.
-    """
-    return two_d[:, CONJUGATE_INDEX]
-
-
-def check_positive(two_d: np.ndarray, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of the Gram pairing (must be >= -tol)."""
-    g = gram_matrix(two_d)
-    g = 0.5 * (g + g.conj().T)
-    ev = np.linalg.eigvalsh(g)
-    low = float(ev.min())
-    scale = max(1.0, float(ev.max()))
-    if low < -tol * scale:
-        raise ValueError(f"noise Gram matrix has eigenvalue {low}")
-    return low
 
 
 def _pairing(channels):

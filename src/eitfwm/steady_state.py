@@ -20,12 +20,12 @@ shape (k, 3, 3).
 
 The single-atom adjoint generator implemented by :func:`apply_generator`
 acts on stacks of operators and of parameter points: one call gives the
-Bloch drifts of a whole block of points.  It is shared with the Langevin
-diffusion module, which evaluates Einstein relations with the same
-dissipators.  The generator reads only the fields GENERATOR_FIELDS of a
-parameter set, so points with the same :func:`generator_key` share their
-drift, steady state and diffusion table.  One SVD call solves the null
-spaces of a whole block of drifts, and one pass checks all their states.
+Bloch drifts of a whole block of points, whose rows are also the images
+the Langevin Einstein relations need.  The generator reads only the
+fields GENERATOR_FIELDS of a parameter set, so points with the same
+:func:`generator_key` share their drift, steady state and diffusion
+table, and :func:`solve` solves each key once.  One SVD call solves the
+null spaces of a whole block of drifts, and one pass checks all states.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import struct
 import numpy as np
 
 from .params import PhysicalParams
+from . import langevin
 
 # fixed ordering of the nine matrix units |a><b|, row-major in (a, b)
 BASIS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
@@ -178,7 +179,7 @@ def _stationary(drifts: np.ndarray) -> np.ndarray:
     largest, point by point, and one pass checks every state.  The first
     point whose drift is not finite or that has no unique, normalisable,
     physical state raises, with its position in the stack as the error's
-    ``index`` and the states of the points before it as its ``states``.
+    ``index``.
     """
     finite = np.isfinite(drifts).all(axis=(1, 2))
     n = len(drifts) if finite.all() else int(np.argmin(finite))
@@ -191,11 +192,7 @@ def _stationary(drifts: np.ndarray) -> np.ndarray:
     stop = n if good.all() else int(np.argmin(good))
     m = m[:stop] / tr[:stop, None, None]
     m = 0.5 * (m + m.conj().transpose(0, 2, 1))  # enforce Hermiticity
-    try:
-        check_states(m, tol=1e-8)
-    except ValueError as exc:
-        exc.states = m[:exc.index]
-        raise
+    check_states(m, tol=1e-8)
     if stop == len(drifts):
         return m
     if stop == n:
@@ -207,7 +204,7 @@ def _stationary(drifts: np.ndarray) -> np.ndarray:
             f"stationary subspace has dimension {9 - rank[stop]}")
     else:
         exc = DegenerateSteadyStateError("traceless null vector")
-    exc.index, exc.states = stop, m
+    exc.index = stop
     raise exc
 
 
@@ -222,10 +219,33 @@ def steady_state(points: list) -> np.ndarray:
 
     One generator call builds every drift and one stacked SVD solves
     them all.  The first point without a valid state raises, with its
-    position in the list as the error's ``index`` and the states of the
-    points before it, shape (index, 3, 3), as its ``states``.
+    position in the list as the error's ``index``.
     """
     return _stationary(bloch_drift(points))
+
+
+def solve(points: list) -> tuple[np.ndarray, np.ndarray]:
+    """(states, tables): the steady states and the Langevin diffusion
+    tables of the parameter sets ``points``, shapes (k, 3, 3) and
+    (k, 6, 6), from one generator call.
+
+    Each distinct generator key is solved once, in the order of its
+    first point, and every point gathers its state and table by the
+    index of its key.  The first point without a valid state raises,
+    with its position in ``points`` as the error's ``index``.
+    """
+    slots = {}
+    index = [slots.setdefault(generator_key(q), len(slots)) for q in points]
+    # the point of each distinct key that comes first in the list
+    first = np.unique(index, return_index=True)[1]
+    drifts = bloch_drift([points[i] for i in first])
+    try:
+        states = _stationary(drifts)
+    except (DegenerateSteadyStateError, ValueError) as exc:
+        exc.index = int(first[exc.index])
+        raise
+    tables = langevin.diffusion_matrix(drifts, states)
+    return states[index], tables[index]
 
 
 def dark_state_sigma() -> np.ndarray:

@@ -27,9 +27,7 @@ import numpy as np
 
 from . import __version__
 from .params import PhysicalParams, ValidationError, derive
-from .steady_state import (DegenerateSteadyStateError, generator_key,
-                           steady_state)
-from . import langevin
+from .steady_state import DegenerateSteadyStateError, solve
 from . import propagation
 from . import entanglement
 
@@ -169,12 +167,9 @@ def _set_up(points: list, config: SweepConfig):
     first point fails), and the failure of the next point (None if no
     point fails).  Every point is validated before anything is solved.
 
-    Points with the same generator key share their steady state and
-    diffusion table, so each distinct key is solved once, in the order
-    of its first point, and every point gathers its state and table by
-    the index of its key; two generator calls serve them all, one for
-    the Bloch drifts and one for the diffusion tables.  A failing solve
-    fails the first point with its key.
+    One steady_state.solve gives the states and diffusion tables of the
+    points, one solve per distinct generator key.  When a point has no
+    state, the points before it are solved again for the prefix.
     """
     derived, error = [], None
     for q in points:
@@ -184,23 +179,16 @@ def _set_up(points: list, config: SweepConfig):
             error = exc
             break
     points = points[:len(derived)]
-    slots = {}
-    index = [slots.setdefault(generator_key(q), len(slots)) for q in points]
-    # the point of each distinct key that comes first in the grid
-    first = np.unique(index, return_index=True)[1]
-    distinct = [points[i] for i in first]
     try:
-        states = steady_state(distinct)
+        states, tables = solve(points)
     except (DegenerateSteadyStateError, ValueError) as exc:
-        error, states = exc, exc.states
-        points = points[:first[exc.index]]
+        error, points = exc, points[:exc.index]
+        states, tables = solve(points)
     if not points:
         return None, error
-    tables = langevin.diffusion_matrix(distinct[:len(states)], states)
-    index = index[:len(points)]
     return entanglement.witness_set_up(
-        points, states[index], tables[index],
-        config.modes(points[0]), derived[:len(points)]), error
+        points, states, tables, config.modes(points[0]),
+        derived[:len(points)]), error
 
 
 def _naming(exc: Exception, axis: str, value) -> Exception:

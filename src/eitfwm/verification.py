@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import PhysicalParams, derive, reference_params
-from .steady_state import steady_state, dark_state_sigma
+from .steady_state import dark_state_sigma, solve
 from . import langevin
 from . import propagation
 from . import entanglement
@@ -86,22 +86,26 @@ def _drift_stack(rows, omegas, two_d, pairing, coupling="parametric",
     return m, propagation.noise_drive(q, pairing(two_d, rows.channels))
 
 
-def _field_quadratures(m, g, length) -> np.ndarray:
+def _transfer(m, g, length, omegas):
+    """propagation.second_moment_transfer_stack of the drift stack ``m``
+    at the frequencies ``omegas``; a failing matrix is named by its
+    frequency."""
+    try:
+        return propagation.second_moment_transfer_stack(m, g, length)
+    except propagation.NumericalOverflowError as exc:
+        raise propagation.NumericalOverflowError(
+            f"{exc} at omega = {omegas[exc.index]:g} MHz",
+            index=exc.index) from exc
+
+
+def _field_quadratures(m, g, length, omegas) -> np.ndarray:
     """Quadrature covariances of the output fields for vacuum inputs, one
-    per matrix of the drift stack ``m``."""
-    t, c = propagation.second_moment_transfer_stack(m, g, length)
+    per matrix of the drift stack ``m`` at ``omegas``."""
+    t, c = _transfer(m, g, length, omegas)
     out = propagation.output_covariance(
         t, c, propagation.vacuum_covariance(t.shape[-1] // 2))
     return entanglement.quadrature_covariance(
         propagation.hermitian_part(out))
-
-
-def _solve(points: list):
-    """(states, two_d): the steady states and the diffusion tables of the
-    parameter sets ``points``, shapes (k, 3, 3) and (k, 6, 6), each from
-    one stacked call."""
-    states = steady_state(points)
-    return states, langevin.diffusion_matrix(points, states)
 
 
 def _rows(p, states):
@@ -131,7 +135,7 @@ def _worst_commutator_dev(p, ss, two_d, omegas, coupling) -> float:
     noise."""
     m, g = _drift_stack(_rows(p, ss), omegas, two_d,
                         langevin.comm_noise_matrix, coupling)
-    t, c = propagation.second_moment_transfer_stack(m, g, p.length)
+    t, c = _transfer(m, g, p.length, omegas)
     n = m.shape[-1] // 2
     j0 = np.diag([1.0] * n + [-1.0] * n)
     out = propagation.output_covariance(t, c, j0.astype(complex))
@@ -144,7 +148,7 @@ def check_commutators(p: PhysicalParams | None = None) -> list[CheckReport]:
     reports = []
 
     free, nodeph = p.with_(coupling_scale=0.0), p.with_(gamma0=0.0)
-    states, tables = _solve([free, nodeph, p])
+    states, tables = solve([free, nodeph, p])
     reports.append(CheckReport(
         name="commutators_free_propagation",
         scope="coupling off, 5 frequencies",
@@ -187,11 +191,11 @@ def check_oracle_equivalence(p: PhysicalParams | None = None,
     """Doubling integrator against the naive fixed-step one."""
     if p is None:
         p = reference_params()
-    ss, two_d = _solve([p])
+    ss, two_d = solve([p])
     m, g = _drift_stack(_rows(p, ss), ORACLE_POINTS, two_d,
                         langevin.sym_noise_matrix)
     # both integrators run once over the stack of all frequencies
-    t1, c1 = propagation.second_moment_transfer_stack(m, g, p.length)
+    t1, c1 = _transfer(m, g, p.length, ORACLE_POINTS)
     t2, c2 = propagation.transfer_step_oracle(m, g, p.length, n_steps)
     worst = 0.0
     for tk1, ck1, tk2, ck2 in zip(t1, c1, t2, c2):
@@ -210,11 +214,8 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
         p = reference_params()
     reports = []
 
-    # one stacked solve; the no-dephasing point needs no diffusion
-    # table, so ``tables`` holds those of pz and p
     pz, nodeph = p.with_(omega_p=0.0), p.with_(gamma0=0.0)
-    states = steady_state([pz, nodeph, p])
-    tables = langevin.diffusion_matrix([pz, p], states[[0, 2]])
+    states, tables = solve([pz, nodeph, p])
 
     # pump off: the ground coherence vanishes, the pair decouples, and
     # the witness must sit at the vacuum benchmark
@@ -234,7 +235,7 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
     # one set-up per amplitude, stacked over the three points
     amplitudes = (0.0, 1.0, 1000.0)
     vals = _pair_witness([p.with_(alpha1=a, alpha2=a) for a in amplitudes],
-                         states[[2] * 3], tables[[1] * 3], [-800.0] * 3)
+                         states[[2] * 3], tables[[2] * 3], [-800.0] * 3)
     reports.append(CheckReport(
         name="limit_input_amplitude_independence",
         scope="coherent amplitudes 0, 1, 1000",
@@ -242,8 +243,8 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
         tolerance=1e-9))
 
     quad = _field_quadratures(*_drift_stack(
-        _rows(p, states[[2]]), COMMUTATOR_GRID, tables[[1]],
-        langevin.sym_noise_matrix), p.length)
+        _rows(p, states[[2]]), COMMUTATOR_GRID, tables[[2]],
+        langevin.sym_noise_matrix), p.length, COMMUTATOR_GRID)
     m = quad.shape[-1] // 2
     form = np.zeros((2 * m, 2 * m))
     form[:m, m:] = 2.0 * np.eye(m)
@@ -282,7 +283,7 @@ def convention_comparison(p: PhysicalParams | None = None) -> dict:
     """
     if p is None:
         p = reference_params()
-    ss, two_d = _solve([p])
+    ss, two_d = solve([p])
     rows = _rows(p, ss)
     table = {}
     for coupling in propagation.COUPLINGS:
@@ -294,7 +295,7 @@ def convention_comparison(p: PhysicalParams | None = None) -> dict:
                 try:
                     quad = _field_quadratures(*_drift_stack(
                         rows, [om], two_d, langevin.sym_noise_matrix,
-                        coupling, sideband), p.length)
+                        coupling, sideband), p.length, [om])
                     row[om] = float(
                         entanglement.duan_min_stack(quad, 0, 1)[0][0])
                 except propagation.NumericalOverflowError:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from eitfwm import langevin
 from eitfwm.params import reference_params
-from eitfwm.steady_state import steady_state
+from eitfwm.steady_state import solve, steady_state
 
 
 @pytest.fixture(scope="session")
@@ -18,9 +17,29 @@ def ss_ref(ref):
 
 
 @pytest.fixture(scope="session")
-def two_d_ref(ref, ss_ref):
+def two_d_ref(ref):
     """The 6x6 diffusion table of the reference parameters."""
-    return langevin.diffusion_matrix([ref], ss_ref[None])[0]
+    return solve([ref])[1][0]
+
+
+def _two_mode_squeezed_quadrature(s: float) -> np.ndarray:
+    """Quadrature covariance of an ideal two-mode squeezed pair.
+
+    Correlated x, anticorrelated p; the minimizing witness signs are
+    ('-' in u, '+' in v) and V = 4*exp(-2s) exactly.
+    """
+    c, sh = np.cosh(2.0 * s), np.sinh(2.0 * s)
+    quad = np.zeros((4, 4))
+    quad[:2, :2] = [[c, sh], [sh, c]]
+    quad[2:, 2:] = [[c, -sh], [-sh, c]]
+    return quad
+
+
+@pytest.fixture(scope="session")
+def squeezed_quadrature():
+    """The quadrature covariance of an ideal two-mode squeezed pair, as
+    a function of the squeezing parameter."""
+    return _two_mode_squeezed_quadrature
 
 
 @pytest.fixture(scope="session")

@@ -153,10 +153,10 @@ def test_criterion_06_integrator_oracle(ref):
                "frequencies, 1e5-step reference (tol 1e-8)")
 
 
-def test_criterion_07_squeezed_pair_witness():
+def test_criterion_07_squeezed_pair_witness(squeezed_quadrature):
     worst = 0.0
     for s in (0.1, 0.5, 1.0):
-        quad = en.two_mode_squeezed_quadrature(s)
+        quad = squeezed_quadrature(s)
         (value,), _ = en.duan_min_stack(quad[None], 0, 1)
         worst = max(worst, abs(value - 4.0 * np.exp(-2.0 * s)))
     _criterion(7, "squeezed_pair_witness", worst < 1e-9, True,

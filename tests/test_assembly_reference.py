@@ -24,7 +24,7 @@ from eitfwm import langevin
 from eitfwm import propagation as pr
 from eitfwm.params import C, derive, reference_params
 from eitfwm.propagation import COUPLINGS, SIDEBANDS
-from eitfwm.steady_state import steady_state
+from eitfwm.steady_state import solve
 
 
 @dataclass
@@ -311,8 +311,7 @@ def _modes(p, two_pair):
 def _points(p, omegas, two_pair):
     """(set-up, per-point reference arguments) of the points of one
     parameter set ``p``."""
-    (ss,) = steady_state([p])
-    (two_d,) = langevin.diffusion_matrix([p], ss[None])
+    (ss,), (two_d,) = solve([p])
     dp = derive(p)
     modes = _modes(p, two_pair)
     set_up = en.witness_set_up([p], ss[None], two_d[None], modes, [dp])

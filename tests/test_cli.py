@@ -294,8 +294,14 @@ def test_detuning_outside_the_figure_grid_exits_1_before_sweeping(
      "Bloch drift is not finite"),
     ("fig4", "gamma1 = 1.7e308\ngamma2 = 1.7e308",
      "Bloch drift is not finite, gamma0 = 0.01"),
+    # the self-checks name the frequency of their first failing matrix
+    ("verify", "length = 1e300",
+     "transfer matrix overflowed at omega = -2000 MHz"),
+    ("verify", "coupling_scale = 1e308",
+     "drift matrix is not finite at omega = -2000 MHz"),
 ], ids=["length_fig2", "length_fig5", "length_uncoupled_fig4",
-        "wavelength_fig2", "wavelength_fig4", "decay_steady", "decay_fig4"])
+        "wavelength_fig2", "wavelength_fig4", "decay_steady", "decay_fig4",
+        "length_verify", "coupling_verify"])
 def test_huge_finite_input_exits_2(tmp_path, capsys, experiment, line,
                                    message):
     cfg = tmp_path / "huge.cfg"
@@ -632,7 +638,7 @@ def test_calibrate_fit_is_scipys_step_for_step(monkeypatch):
 
 
 def test_calibrate_solves_the_set_up_once(monkeypatch):
-    calls = {"steady_state": 0, "diffusion_matrix": 0}
+    calls = {"solve": 0, "diffusion_matrix": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -640,14 +646,14 @@ def test_calibrate_solves_the_set_up_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    steady = counted("steady_state", cli.steady_state)
-    monkeypatch.setattr(cli, "steady_state", steady)
-    monkeypatch.setattr(sweeps, "steady_state", steady)
+    solve = counted("solve", cli.solve)
+    monkeypatch.setattr(cli, "solve", solve)
+    monkeypatch.setattr(sweeps, "solve", solve)
     monkeypatch.setattr(langevin, "diffusion_matrix",
                         counted("diffusion_matrix",
                                 langevin.diffusion_matrix))
     cli.calibrate(cli.RunConfig(params=reference_params()))
-    assert calls == {"steady_state": 1, "diffusion_matrix": 1}
+    assert calls == {"solve": 1, "diffusion_matrix": 1}
 
 
 def test_calibrate_runs_each_witness_block_as_one_kernel_call(monkeypatch):

@@ -10,7 +10,7 @@ from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import verification
 from eitfwm.params import derive
-from eitfwm.steady_state import steady_state
+from eitfwm.steady_state import solve
 
 #: mode labels of the single pair's extended covariance
 LABELS = ["a1", "b1", "S"]
@@ -36,9 +36,9 @@ def quad_ref(ref, ss_ref, two_d_ref):
     return _quad(ref, ss_ref, two_d_ref, [-300.0])
 
 
-def test_two_mode_squeezed_witness_exact():
+def test_two_mode_squeezed_witness_exact(squeezed_quadrature):
     for s in (0.1, 0.5, 1.0):
-        quad = en.two_mode_squeezed_quadrature(s)
+        quad = squeezed_quadrature(s)
         (value,), (signs,) = en.duan_min_stack(quad[None], 0, 1)
         assert value == pytest.approx(4.0 * np.exp(-2.0 * s), abs=1e-9)
         assert signs == (-1, 1)
@@ -46,8 +46,8 @@ def test_two_mode_squeezed_witness_exact():
 
 
 @given(st.floats(min_value=0.0, max_value=2.0))
-def test_two_mode_squeezed_witness_any_squeezing(s):
-    quad = en.two_mode_squeezed_quadrature(s)
+def test_two_mode_squeezed_witness_any_squeezing(squeezed_quadrature, s):
+    quad = squeezed_quadrature(s)
     (value,), _ = en.duan_min_stack(quad[None], 0, 1)
     assert value == pytest.approx(4.0 * np.exp(-2.0 * s), rel=1e-12,
                                   abs=1e-12)
@@ -112,9 +112,9 @@ def duan_min_over_phases(quad: np.ndarray, i: int, j: int,
     return float(np.min(values[~np.isnan(values)], initial=np.inf))
 
 
-def test_phase_scan_never_beats_exact_minimum():
+def test_phase_scan_never_beats_exact_minimum(squeezed_quadrature):
     s = 0.5
-    quad = en.two_mode_squeezed_quadrature(s)
+    quad = squeezed_quadrature(s)
     phi = np.pi / 7.0
     r = np.eye(4)
     r[np.ix_([0, 2], [0, 2])] = [[np.cos(phi), np.sin(phi)],
@@ -156,8 +156,9 @@ def reference_duan_min_over_phases(quad, i, j, n_phases=16):
 @given(st.floats(min_value=0.0, max_value=2.0),
        st.floats(min_value=0.0, max_value=2.0 * np.pi),
        st.sampled_from([16, 64]))
-def test_phase_scan_is_the_loop_over_rotations(s, phi, n_phases):
-    quad = en.two_mode_squeezed_quadrature(s)
+def test_phase_scan_is_the_loop_over_rotations(squeezed_quadrature, s,
+                                                phi, n_phases):
+    quad = squeezed_quadrature(s)
     r = np.eye(4)
     r[np.ix_([0, 2], [0, 2])] = [[np.cos(phi), np.sin(phi)],
                                  [-np.sin(phi), np.cos(phi)]]
@@ -223,8 +224,7 @@ def test_witness_even_in_frequency(ref, ss_ref, two_d_ref):
 
 def test_uncoupled_medium_gives_vacuum_witness(ref):
     p0 = ref.with_(coupling_scale=0.0)
-    (ss0,) = steady_state([p0])
-    (two_d0,) = lv.diffusion_matrix([p0], ss0[None])
+    (ss0,), (two_d0,) = solve([p0])
     quad = _quad(p0, ss0, two_d0, [0.0])
     assert _values(quad)[0] == pytest.approx(4.0, abs=1e-12)
     # the coherence mode disconnects from the fields entirely
@@ -242,8 +242,7 @@ def test_uncoupled_medium_gives_vacuum_witness(ref):
 
 def test_single_drive_pair_stays_vacuum(ref):
     p1 = ref.with_(omega_p=0.0)
-    (ss1,) = steady_state([p1])
-    (two_d1,) = lv.diffusion_matrix([p1], ss1[None])
+    (ss1,), (two_d1,) = solve([p1])
     values = _values(_quad(p1, ss1, two_d1, [-2500.0, -300.0, 400.0]))
     assert values == pytest.approx([4.0] * 3, abs=1e-9)
 

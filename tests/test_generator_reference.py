@@ -125,13 +125,13 @@ def test_set_up_is_byte_identical_to_the_per_operator_loops(
         ref_ss = exc
     if isinstance(ref_ss, Exception):
         try:
-            ss_mod.steady_state([p])
+            ss_mod.solve([p])
         except type(ref_ss):
             return
         raise AssertionError(f"reference raised {ref_ss!r}, stacked did not")
-    ss = ss_mod.steady_state([p])
+    ss, tables = ss_mod.solve([p])
     assert ss[0].tobytes() == ref_ss.tobytes()
-    assert langevin.diffusion_matrix([p], ss)[0].tobytes() == \
+    assert tables[0].tobytes() == \
         reference_diffusion_matrix(p, ss[0]).tobytes()
 
 
@@ -182,7 +182,7 @@ def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
         assert type(error) is type(failure)
         assert str(error) == str(failure)
         try:
-            ss_mod.steady_state(points)
+            ss_mod.solve(points)
         except type(failure) as exc:
             assert str(exc) == str(failure)
             assert exc.index == len(ref_states)
@@ -193,8 +193,7 @@ def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
         if not points:
             assert block is None
             return
-    states = ss_mod.steady_state(points)
-    tables = langevin.diffusion_matrix(points, states)
+    states, tables = ss_mod.solve(points)
     assert tables.shape == (len(points), 6, 6)
     ref_tables = [reference_diffusion_matrix(p, ss)
                   for p, ss in zip(points, ref_states)]
@@ -267,8 +266,18 @@ def test_calibrate_artifact_is_byte_identical_under_the_one_point_solve(
         tmp_path, monkeypatch):
     stacked, reference = tmp_path / "stacked.json", tmp_path / "ref.json"
     assert cli.main(["--experiment", "calibrate", "--out", str(stacked)]) == 0
-    monkeypatch.setattr(cli, "steady_state", lambda points: np.stack(
-        [reference_steady_state(p) for p in points]))
+    # the solve builds its drifts and states by the per-operator loops
+    # and the one-point null space
+    solved = []
+
+    def drifts(points):
+        solved.append(len(points))
+        return np.stack([reference_bloch_drift(p) for p in points])
+
+    monkeypatch.setattr(ss_mod, "bloch_drift", drifts)
+    monkeypatch.setattr(ss_mod, "_stationary", lambda a: np.stack(
+        [reference_stationary(x) for x in a]))
     assert cli.main(["--experiment", "calibrate",
                      "--out", str(reference)]) == 0
+    assert solved == [1]
     assert stacked.read_bytes() == reference.read_bytes()

@@ -10,7 +10,7 @@ from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import verification
 from eitfwm.params import derive
-from eitfwm.steady_state import steady_state
+from eitfwm.steady_state import solve
 
 
 def test_single_pair_modes(ref):
@@ -296,8 +296,7 @@ def _field_covariance(t, c):
 
 def test_free_propagation_preserves_commutators(ref):
     p0 = ref.with_(coupling_scale=0.0)
-    (ss0,) = steady_state([p0])
-    (two_d0,) = lv.diffusion_matrix([p0], ss0[None])
+    (ss0,), (two_d0,) = solve([p0])
     omegas = (-2000.0, -1000.0, 0.0, 400.0, 900.0)
     j = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     t, c_comm = _field_moments(p0, ss0, two_d0, omegas,

@@ -6,11 +6,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from eitfwm.langevin import diffusion_matrix
 from eitfwm.params import PhysicalParams, reference_params
 from eitfwm.steady_state import (GENERATOR_FIELDS, DegenerateSteadyStateError,
                                  bloch_drift, check_states, dark_state_sigma,
-                                 generator_key, steady_state)
+                                 generator_key, solve, steady_state)
 
 # Reference-point mean values, frozen after the null-space solve was
 # cross-checked against long-time Bloch integration.  The ground
@@ -110,15 +109,32 @@ def test_states_of_k_points_are_one_complex_stack(ref):
     assert steady_state([ref]).shape == (1, 3, 3)
 
 
-def test_degenerate_point_carries_the_prefix_as_one_stack(ref):
-    points = [ref, ref.with_(gamma0=0.5),
-              ref.with_(omega_p=0.0, omega_c=0.0), ref]
-    with pytest.raises(DegenerateSteadyStateError) as info:
-        steady_state(points)
-    assert info.value.index == 2
-    states = info.value.states
-    assert isinstance(states, np.ndarray) and states.shape == (2, 3, 3)
-    assert states.tobytes() == steady_state(points[:2]).tobytes()
+@pytest.mark.parametrize("pattern,index", [("ABAC", 1), ("AAB", 2)])
+def test_solve_names_the_first_failing_point_in_the_callers_order(
+        ref, pattern, index):
+    # B has no unique state and C no finite drift; each key is solved
+    # once, but the error names a position in the caller's list
+    points = {"A": ref, "B": ref.with_(omega_p=0.0, omega_c=0.0),
+              "C": ref.with_(gamma1=1.7e308, gamma2=1.7e308)}
+    with pytest.raises(DegenerateSteadyStateError,
+                       match="^stationary subspace has dimension") as info:
+        solve([points[name] for name in pattern])
+    assert info.value.index == index
+
+
+def test_solve_gives_every_point_its_one_point_solve(ref):
+    # a repeated key, fields outside the key, and the two signed zeros
+    # of gamma0, which are distinct keys
+    points = [ref.with_(gamma0=0.1), ref.with_(gamma0=0.2, alpha1=3.0),
+              ref.with_(gamma0=0.1, coupling_scale=2.0),
+              ref.with_(gamma0=0.0), ref.with_(gamma0=-0.0)]
+    states, tables = solve(points)
+    assert states.shape == (5, 3, 3) and tables.shape == (5, 6, 6)
+    assert states.tobytes() == steady_state(points).tobytes()
+    for p, ss, two_d in zip(points, states, tables):
+        (alone_ss,), (alone_two_d,) = solve([p])
+        assert ss.tobytes() == alone_ss.tobytes()
+        assert two_d.tobytes() == alone_two_d.tobytes()
 
 
 def test_undriven_system_is_degenerate():
@@ -159,10 +175,9 @@ def test_fields_outside_the_generator_key_leave_the_set_up_unchanged(name):
     q = p.with_(**{name: 2.0 * getattr(p, name) + 1.0})
     assert generator_key(q) == generator_key(p)
     assert bloch_drift([q]).tobytes() == bloch_drift([p]).tobytes()
-    ss_p, ss_q = steady_state([p]), steady_state([q])
+    (ss_p, two_d_p), (ss_q, two_d_q) = solve([p]), solve([q])
     assert ss_q.tobytes() == ss_p.tobytes()
-    assert diffusion_matrix([q], ss_q).tobytes() == \
-        diffusion_matrix([p], ss_p).tobytes()
+    assert two_d_q.tobytes() == two_d_p.tobytes()
 
 
 def reference_check(m, tol):

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitfwm import entanglement as en
-from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import sweeps
 from eitfwm.params import ValidationError, derive
-from eitfwm.steady_state import DegenerateSteadyStateError, steady_state
+from eitfwm.steady_state import DegenerateSteadyStateError, solve
 
 # the package exports a function of the same name as the module
 ss_mod = importlib.import_module("eitfwm.steady_state")
@@ -190,8 +189,7 @@ def _recorded_sub_stacks(monkeypatch):
 
 @BLOCK_CONFIGS
 def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
-    ss = steady_state([ref])
-    two_d = lv.diffusion_matrix([ref], ss)
+    ss, two_d = solve([ref])
     alone = [_alone(ref, ss, two_d, cfg, om) for om in BLOCK_GRID]
     stages = {_stage_count(_drift(ref, cfg, om), ref.length)
               for om in BLOCK_GRID}
@@ -227,8 +225,7 @@ def test_block_param_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     spec = sweeps.sweep_gamma0(ref, gamma0s, omega=0.0, config=cfg)
     for i, g0 in enumerate(gamma0s):
         q = ref.with_(gamma0=float(g0))
-        ss = steady_state([q])
-        alone = _alone(q, ss, lv.diffusion_matrix([q], ss), cfg, 0.0)
+        alone = _alone(q, *solve([q]), cfg, 0.0)
         for pair in spec.pairs:
             (value,), (signs,) = alone[pair]
             assert spec.values[pair][i] == value, (g0, pair)
@@ -396,16 +393,15 @@ def _generator_calls(monkeypatch):
         return real(p, op)
 
     monkeypatch.setattr(ss_mod, "apply_generator", counted)
-    monkeypatch.setattr(lv, "apply_generator", counted)
     return calls
 
 
 def test_parameter_sweep_builds_its_set_ups_in_blocks(ref, monkeypatch):
-    # one block of 101 points (of 4x4 matrices): one generator call for
-    # the Bloch drifts and one for the diffusion tables
+    # one block of 101 points (of 4x4 matrices): one generator call gives
+    # the Bloch drifts, and with them the diffusion tables
     calls = _generator_calls(monkeypatch)
     sweeps.sweep_gamma0(ref, sweeps.fig_gamma0_grid(), omega=0.0)
-    assert calls == [101] * 2
+    assert calls == [101]
 
 
 def test_a_block_solves_each_generator_point_once(ref, monkeypatch):
@@ -413,7 +409,7 @@ def test_a_block_solves_each_generator_point_once(ref, monkeypatch):
     # of the amplitude sweep share one steady state and diffusion table
     calls = _generator_calls(monkeypatch)
     sweeps.sweep_alpha(ref, sweeps.fig_alpha_grid(), omega=ref.delta1)
-    assert calls == [1] * 2
+    assert calls == [1]
 
 
 def _assert_set_ups_equal_one_point_set_ups(points, cfg):
@@ -445,7 +441,7 @@ def test_repeated_generator_points_share_a_solve(ref, monkeypatch, cfg):
                                   (0.2, 1.0, 3.0)]]
     calls = _generator_calls(monkeypatch)
     sweeps._set_up(points, cfg)
-    assert calls == [3] * 2
+    assert calls == [3]
     _assert_set_ups_equal_one_point_set_ups(points, cfg)
 
 
@@ -454,7 +450,7 @@ def test_signed_zero_dephasings_are_solved_apart(ref, monkeypatch):
     points = [ref.with_(gamma0=0.0), ref.with_(gamma0=-0.0)]
     calls = _generator_calls(monkeypatch)
     sweeps._set_up(points, sweeps.SweepConfig())
-    assert calls == [2] * 2
+    assert calls == [2]
     _assert_set_ups_equal_one_point_set_ups(points, sweeps.SweepConfig())
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eitfwm import propagation as pr, verification as vf
+from eitfwm.steady_state import solve
 
 
 def _report(residual, tolerance, expected_pass=True, name="demo"):
@@ -73,7 +74,7 @@ def test_each_condition_alone_breaks_commutators(ref, coupling, gamma0):
     # the two controls check_commutators leaves out: commutators balance
     # only with the direct coupling and no dephasing together
     p = ref.with_(gamma0=gamma0)
-    ss, two_d = vf._solve([p])
+    ss, two_d = solve([p])
     assert vf._worst_commutator_dev(p, ss, two_d, vf.COMMUTATOR_GRID,
                                     coupling) > 1.0
 
@@ -95,6 +96,18 @@ def test_checks_propagate_each_frequency_set_as_one_stack(ref, monkeypatch):
     # the three pump-off frequencies, the three stacked amplitudes, then
     # the symplectic grid
     assert sizes == [3, 3, len(vf.COMMUTATOR_GRID)]
+
+
+@pytest.mark.parametrize("check", [vf.check_oracle_equivalence,
+                                   vf.check_limits])
+def test_a_failing_check_names_its_frequency(ref, check):
+    # the drift norm times the cell length passes float range only at
+    # the last frequency of either grid
+    with pytest.raises(pr.NumericalOverflowError,
+                       match=r"^drift norm times length 1\.799e\+306 is past "
+                             r"the range of the interval doubling "
+                             r"at omega = 1000 MHz$"):
+        check(ref.with_(length=1e300))
 
 
 def test_limit_checks(ref):
