@@ -6,8 +6,10 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitfwm import entanglement as en
 from eitfwm import langevin as lv
 from eitfwm import propagation as pr
+from eitfwm import sweeps
 from eitfwm import verification
 from eitfwm.params import derive
 from eitfwm.steady_state import solve
@@ -56,13 +58,31 @@ def test_drift_matrix_shapes(ref, ss_ref):
     assert q2.shape == (1, 8, 4)
 
 
-def test_mirrored_dagger_block_is_conjugate_at_reflected_frequency(ref,
-                                                                   ss_ref):
-    om = -450.0
-    (m, mref), _, _ = _drift(ref, ss_ref, [om, -om], sideband="mirrored")
-    n = 2
-    assert np.allclose(m[n:, n:], np.conj(mref[:n, :n]), atol=1e-14)
-    assert np.allclose(m[n:, :n], np.conj(mref[:n, n:]), atol=1e-14)
+def test_mirrored_dagger_block_is_conjugate_at_reflected_frequency(ref):
+    # M(-omega) = P conj(M(omega)) P^T, where P swaps the direct and
+    # daggered halves of the fields (and of their z-integrals and the two
+    # coherence-force integrals when z-averaged): bit for bit in the
+    # field block, drift_block's output, and by value in the augmented
+    # rows, whose constant zeros conjugate to -0
+    omegas = np.array(verification.COMMUTATOR_GRID)
+    for two_pair in (False, True):
+        for spinwave in en.SPINWAVE_DEFINITIONS:
+            cfg = sweeps.SweepConfig(two_pair=two_pair,
+                                     spinwave_definition=spinwave)
+            set_up, _ = sweeps._set_up([ref], cfg)
+            m_plus, m_minus = (en.assemble(set_up, w, ref.length,
+                                           cfg.coupling, "mirrored",
+                                           spinwave)[0]
+                               for w in (omegas, -omegas))
+            n = len(set_up.modes)
+            swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+            if spinwave != "endpoint":
+                swap = np.concatenate([swap, 2 * n + swap,
+                                       [4 * n + 1, 4 * n]])
+            mirror = np.conj(m_plus)[:, swap][:, :, swap]
+            fields = np.s_[:, :2 * n, :2 * n]
+            assert _bits(m_minus[fields]) == _bits(mirror[fields])
+            assert np.array_equal(m_minus, mirror)
 
 
 def test_same_sideband_conjugates_in_place(ref, ss_ref):
@@ -126,6 +146,67 @@ def test_second_moment_transfer_random_stable_systems(seed, length):
         1.0, np.linalg.norm(t_ref)) < 1e-6
     assert np.linalg.norm(c_fast - c_ref) / max(
         1.0, np.linalg.norm(c_ref)) < 1e-6
+
+
+def _three_product_transfer(m, g, length):
+    """(T, C) of every matrix of the stacks doubled alone by the stage
+    c <- t c t^+ + c, t <- t t, from the kernel's start step and stage
+    count: the reference of the kernel's fused stage."""
+    t, c = np.empty_like(m), np.empty_like(m)
+    ratio = np.maximum(np.linalg.norm(m, 1, axis=(-2, -1)) * length,
+                       1e-300) / pr.DOUBLING_THETA
+    stages = np.maximum(0, np.ceil(np.log2(ratio))).astype(int)
+    for i, k in enumerate(stages):
+        h = np.ldexp(np.float64(length), -k)
+        ti = pr._start_transfer(m[i:i + 1] * h)
+        ci = pr._start_moment(m[i:i + 1], g[i:i + 1], h)
+        for _ in range(k):
+            ci = ti @ ci @ pr.dagger(ti) + ci
+            ti = ti @ ti
+        t[i], c[i] = ti[0], pr.hermitian_part(ci)[0]
+    return t, c
+
+
+def _assert_three_product_bits(m, g, length):
+    t, c = pr.second_moment_transfer_stack(m, g, length)
+    t_ref, c_ref = _three_product_transfer(m, g, length)
+    assert _bits(t) == _bits(t_ref)
+    assert _bits(c) == _bits(c_ref)
+
+
+@pytest.mark.parametrize("two_pair, spinwave, dim", [
+    (False, "endpoint", 4), (True, "endpoint", 8),
+    (False, "z-averaged", 10), (True, "z-averaged", 18)])
+def test_transfer_keeps_the_bits_of_the_three_product_stage(
+        ref, two_pair, spinwave, dim):
+    # every stack dimension the sweeps build: the fused stage at 4 and
+    # 8, the three-product stage at 10 and 18
+    cfg = sweeps.SweepConfig(two_pair=two_pair,
+                             spinwave_definition=spinwave)
+    set_up, _ = sweeps._set_up([ref], cfg)
+    m, q, channels, _, _ = en.assemble(
+        set_up, verification.COMMUTATOR_GRID, ref.length, cfg.coupling,
+        cfg.sideband, spinwave)
+    assert m.shape == (len(verification.COMMUTATOR_GRID), dim, dim)
+    g = pr.noise_drive(q, lv.sym_noise_matrix(set_up.two_d, channels))
+    _assert_three_product_bits(m, g, ref.length)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([4, 8]),
+       st.floats(min_value=0.05, max_value=5.0))
+def test_transfer_keeps_the_three_product_bits_on_stable_systems(
+        seed, dim, length):
+    # three matrices of different norms, so several stage counts
+    rng = np.random.default_rng(seed)
+    shape = (3, dim, dim)
+    a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * np.array([0.1, 1.0, 10.0])[:, None, None]
+    m = a - (np.linalg.norm(a, 2, axis=(-2, -1))[:, None, None] + 0.5) \
+        * np.eye(dim)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    _assert_three_product_bits(m, b @ pr.dagger(b), length)
 
 
 def reference_transfer_step_oracle(m, g, length, n_steps):

@@ -1,5 +1,7 @@
 """Self-check reports, exit-code semantics, and the negative controls."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,17 @@ def test_a_failing_check_names_its_frequency(ref, check):
                              r"the range of the interval doubling "
                              r"at omega = 1000 MHz$"):
         check(ref.with_(length=1e300))
+
+
+def test_oracle_check_counts_zero_over_zero_as_agreement(ref):
+    # a detuning of 1e300 keeps the noise off the fields: both
+    # integrators give C = 0 at every oracle frequency, and the residual
+    # comes from T alone, with no 0 / 0 along the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (report,) = vf.check_oracle_equivalence(ref.with_(delta1=1e300))
+    assert report.line().startswith(
+        "CHECK oracle_equivalence residual=4.893995e-12 tol=1.0e-08 PASS")
 
 
 def test_limit_checks(ref):
