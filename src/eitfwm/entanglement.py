@@ -269,9 +269,7 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
                     "coherence response gamma0 + i*omega vanishes",
                     index=stop)
         except propagation.NumericalOverflowError as exc:
-            raise propagation.NumericalOverflowError(
-                f"{exc} at omega = {omegas[exc.index]:g} MHz",
-                index=exc.index) from exc
+            raise exc.at_frequency(omegas) from exc
     return quad
 
 

@@ -33,17 +33,20 @@ accurate for optical depths of 1e5 and for marginally stable drift
 matrices alike (both occur here).  Every function here works on stacks
 of (d, d) matrices, so the sweeps and the built-in checks evaluate many
 frequencies per call; one frequency is a stack of one.  The doubling
-kernel (``second_moment_transfer_stack``) doubles the matrices that
-share a stage count together, in sub-stacks of at most BLOCK_ENTRIES
-entries whatever the length of the stack, and checks for finite values
+kernel (``second_moment_transfer_stack``) sorts the matrices by stage
+count, descending, and doubles them in sub-stacks of at most
+BLOCK_ENTRIES entries whatever the length of the stack: one start step
+and one stage loop per sub-stack, each stage on the shrinking prefix of
+the matrices that still have stages to go.  It checks for finite values
 once, after the last doubling stage: an inf or nan in T persists
 through every further squaring, so the end check catches every
 overflow.  A stage maps (T, C) to (T^2, T C T^+ + C).  Where the
 matrix size d is a multiple of 4 (the endpoint states, 4x4 and 8x8),
 C and T sit side by side and one product T [C | T] gives T C and T^2:
-two products per stage instead of three.  Measured on OpenBLAS's
-zgemm, the fused product keeps every bit only at such d, so the
-z-averaged states (10x10, 18x18) keep the three-product stage.  The
+two products per stage instead of three, and the Taylor start gets
+its third and fourth powers from one product too.  Measured on
+OpenBLAS's zgemm, the fused product keeps every bit only at such d, so
+the z-averaged states (10x10, 18x18) keep the separate products.  The
 drift is assembled for a block of frequencies at once
 (``drift_block``), bit for bit as one frequency at a time.  A
 fixed-step RK4 integrator of the same quantities, also stack-aware, is
@@ -73,6 +76,12 @@ class NumericalOverflowError(RuntimeError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+    def at_frequency(self, omegas) -> NumericalOverflowError:
+        """This failure with its point named by its frequency, taken
+        from the frequencies ``omegas`` of the stack at ``index``."""
+        return NumericalOverflowError(
+            f"{self} at omega = {omegas[self.index]:g} MHz", self.index)
 
 
 GAIN_CEILING = 1e6
@@ -275,16 +284,47 @@ def noise_drive(q: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _start_transfer(mh: np.ndarray) -> np.ndarray:
-    """The degree-4 Taylor polynomial of exp(mh), matrix by matrix."""
+    """The degree-4 Taylor polynomial of exp(mh), matrix by matrix.
+    Where the matrix size is a multiple of 4, one product mh2 [mh | mh2]
+    gives mh^3 and mh^4 with the bits of the two separate products, by
+    the measured property that lets _doubling fuse its stage."""
+    d = mh.shape[-1]
     mh2 = mh @ mh
-    return np.eye(mh.shape[-1], dtype=complex) + mh + mh2 / 2.0 \
-        + mh2 @ mh / 6.0 + mh2 @ mh2 / 24.0
+    if d % 4:
+        mh3, mh4 = mh2 @ mh, mh2 @ mh2
+    else:
+        mh34 = mh2 @ np.concatenate([mh, mh2], axis=-1)
+        mh3, mh4 = mh34[..., :d], mh34[..., d:]
+    return np.eye(d, dtype=complex) + mh + mh2 / 2.0 + mh3 / 6.0 \
+        + mh4 / 24.0
 
 
-def _start_moment(m: np.ndarray, g: np.ndarray, h) -> np.ndarray:
-    """The moment integral over a step ``h``, to fourth order in h.
-    Each power of m is dropped once the last term using it is summed,
-    so that few stacks are live at a time."""
+def _start_steps(length: float, runs: list) -> tuple:
+    """(h, h^3): the start step h = length / 2^k of every matrix of a
+    stack and its cube, the stack holding the ``runs`` (k, first, end)
+    of its stage counts: scalars where it holds one count, as a matrix
+    doubled alone has them, else arrays of shape (n, 1, 1).
+
+    Both come from one numpy float scalar per count: numpy's array power
+    does not round h ** 3 as the scalar power does (in about 5 % of
+    (length, k) pairs, e.g. at length 1.4424519675836176), and a matrix
+    must get the bits it gets alone.  A numpy float, not a Python one,
+    so that the k = 1024 of a norm near the float maximum stays in range
+    and the cube of a huge step overflows to inf instead of raising."""
+    hs = [np.ldexp(np.float64(length), -k) for k, _, _ in runs]
+    cubes = [h ** 3 for h in hs]
+    if len(runs) == 1:
+        return hs[0], cubes[0]
+    sizes = [end - first for _, first, end in runs]
+    return (np.repeat(hs, sizes)[:, None, None],
+            np.repeat(cubes, sizes)[:, None, None])
+
+
+def _start_moment(m: np.ndarray, g: np.ndarray, h, h3) -> np.ndarray:
+    """The moment integral over a step ``h``, to fourth order in h, with
+    the cube ``h3`` of the step from _start_steps.  Each power of m is
+    dropped once the last term using it is summed, so that few stacks
+    are live at a time."""
     g = np.asarray(g, dtype=complex)
     md = dagger(m)
     mg = m @ g
@@ -297,61 +337,89 @@ def _start_moment(m: np.ndarray, g: np.ndarray, h) -> np.ndarray:
     del m2g, md
     m3g += dagger(m3g)
     m2g_md += dagger(m2g_md)
-    c += (h ** 3 / 24.0) * (m3g + 3.0 * m2g_md)
+    c += (h3 / 24.0) * (m3g + 3.0 * m2g_md)
     return h * c
 
 
-def _doubling(m: np.ndarray, g: np.ndarray, length: float, k: int):
-    """(T, C) of a Taylor start step plus ``k`` doublings over a stack
-    sharing ``k``; C is returned Hermitian."""
-    # length / 2**k, exactly; a numpy float, so that the k = 1024 of a
-    # norm near the float maximum stays in range and a power of a huge
-    # step overflows to inf instead of raising
-    h = np.ldexp(np.float64(length), -k)
+def _doubling(m: np.ndarray, g: np.ndarray, length: float, ks: np.ndarray):
+    """(T, C) of a Taylor start step plus k_i doublings for every matrix
+    i of a stack sorted by its stage counts ``ks``, descending; C is
+    returned Hermitian.
+
+    Stage s doubles the prefix of the matrices with k_i >= s, so a
+    matrix that has had its k_i stages is no longer touched, and every
+    matrix gets the products of doubling it alone.  The prefix changes
+    only where a count ends, so the stages run in segments, each on
+    views made once.  The stages ping-pong between two buffers, and
+    matrix i ends in buffer k_i % 2; the matrices that end in the other
+    buffer than those of the largest count are copied over once, at the
+    end."""
+    # the prefix doubled at every stage s = 0 .. k_0, the matrices with
+    # k_i >= s, and the run [first, end) of each count, largest first
+    active = np.searchsorted(-ks, -np.arange(ks[0] + 1), side="right")
+    active = active.tolist() + [0]
+    runs = [(k, active[k + 1], active[k])
+            for k in range(len(active) - 2, -1, -1)
+            if active[k + 1] < active[k]]
+    h, h3 = _start_steps(length, runs)
     t = _start_transfer(m * h)
-    c = _start_moment(m, g, h)
+    c = _start_moment(m, g, h, h3)
     d = m.shape[-1]
+    tct = np.empty_like(t)
     # why 4: on OpenBLAS 0.3.31's Haswell zgemm the fused product
     # T [C | T] has the bits of the separate products T C and T T at
     # d = 4, 8, ..., 24, and not at d = 2, 6, 10, 14, 18 (C moves by
     # ~1e-26); only a multiple of 4 takes the fused stage
-    if d % 4:
-        for _ in range(k):
-            c = t @ c @ dagger(t) + c
-            t = t @ t
-        return t, hermitian_part(c)
-    # ping-pong buffers [C | T] with their C and T views; a stage reads
-    # one and writes the other
-    ct = np.concatenate([c, t], axis=-1)
-    now, then = ((b, b[..., :d], b[..., d:]) for b in (ct, np.empty_like(ct)))
-    conj_t = np.empty_like(t)
-    t_dag = np.swapaxes(conj_t, -1, -2)
-    tct = np.empty_like(t)
-    # the outputs are passed positionally: keyword parsing is a
-    # measurable share of a one-matrix stage
-    for _ in range(k):
-        (ct, c, t), (ct_next, tc, _) = now, then
-        # [T C | T^2], then T C T^+ + C in place of T C
-        np.matmul(t, ct, ct_next)
-        np.conjugate(t, conj_t)
-        np.matmul(tc, t_dag, tct)
-        np.add(tct, c, tc)
-        now, then = then, now
-    _, c, t = now
-    return t, hermitian_part(c)
-
-
-def _sub_stacks(stages: np.ndarray, size: int):
-    """The matrices of every stage count in ``stages``, in sub-stacks of
-    at most ``size``: slices where a sub-stack is a contiguous run, so
-    that it is read in place, index arrays elsewhere."""
-    for k in np.unique(stages[stages >= 0]):
-        (group,) = np.nonzero(stages == k)
-        for lo in range(0, len(group), size):
-            run = group[lo:lo + size]
-            if run[-1] - run[0] == len(run) - 1:
-                run = slice(run[0], run[-1] + 1)
-            yield int(k), run
+    fused = d % 4 == 0
+    if fused:
+        # buffers [C | T]; a stage reads one and writes the other
+        start = np.concatenate([c, t], axis=-1)
+        del c, t
+    else:
+        # T ping-pongs, C is doubled in place
+        start, tc = t, np.empty_like(t)
+    buffers = (start, np.empty_like(start))
+    # a stage conjugates T in place once T^2 is formed from it, and
+    # reads T^+ as a transposed view: the buffer it conjugates is
+    # written over by the next stage, and a matrix past its last stage
+    # is out of the prefix.  The outputs are passed positionally:
+    # keyword parsing is a measurable share of a one-matrix stage
+    done = 0
+    for k, _, n in reversed(runs):
+        now, then = buffers[done % 2][:n], buffers[1 - done % 2][:n]
+        tct_n = tct[:n]
+        if fused:
+            now, then = ((b, b[..., :d], b[..., d:],
+                          np.swapaxes(b[..., d:], -1, -2))
+                         for b in (now, then))
+            for _ in range(k - done):
+                (ct, c_n, t_n, t_dag), (ct_next, tc_n, _, _) = now, then
+                # [T C | T^2], then T C T^+ + C in place of T C
+                np.matmul(t_n, ct, ct_next)
+                np.conjugate(t_n, t_n)
+                np.matmul(tc_n, t_dag, tct_n)
+                np.add(tct_n, c_n, tc_n)
+                now, then = then, now
+        else:
+            c_n, tc_n = c[:n], tc[:n]
+            now, then = ((b, np.swapaxes(b, -1, -2)) for b in (now, then))
+            for _ in range(k - done):
+                (t_n, t_dag), (t_next, _) = now, then
+                np.matmul(t_n, c_n, tc_n)
+                np.matmul(t_n, t_n, t_next)
+                np.conjugate(t_n, t_n)
+                np.matmul(tc_n, t_dag, tct_n)
+                np.add(tct_n, c_n, c_n)
+                now, then = then, now
+        done = k
+    # done is the largest count now
+    out = buffers[done % 2]
+    for k, first, end in runs:
+        if (done - k) % 2:
+            out[first:end] = buffers[k % 2][first:end]
+    if fused:
+        c, out = out[..., :d], out[..., d:]
+    return out, hermitian_part(c)
 
 
 def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
@@ -364,10 +432,15 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     The threshold DOUBLING_THETA balances truncation (pushes h down)
     against roundoff amplification over the squaring chain (pushes the
     stage count down); 2^-10 keeps both near 1e-12 for the matrices met
-    here.  Matrices sharing a stage count are doubled together, in
-    sub-stacks of at most BLOCK_ENTRIES entries, so the kernel's working
-    memory is bounded whatever the length of the stack; the result of
-    each matrix is bit for bit that of doubling it alone.  Stable for
+    here.  The matrices are sorted by stage count, descending (stack
+    order within a count), and cut into sub-stacks of at most
+    BLOCK_ENTRIES entries, so the kernel's working memory is bounded
+    whatever the length of the stack; a sub-stack that is a contiguous
+    run of the stack is read in place.  A sub-stack may mix stage
+    counts: stage s doubles its active prefix, the matrices with at
+    least s stages, and the prefix shrinks as counts run out.  Each
+    matrix gets its own start step and exactly its own stages, so its
+    result is bit for bit that of doubling it alone.  Stable for
     strongly decaying m (entries of T underflow to zero honestly).
 
     A stage takes two stacked products where d is a multiple of 4,
@@ -400,8 +473,17 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
         stages = np.full(len(m), -1)
         stages[countable] = np.maximum(0, np.ceil(np.log2(ratio[countable])))
         t[~countable] = np.nan
-        for k, run in _sub_stacks(stages, size):
-            t[run], c[run] = _doubling(m[run], g[run], length, k)
+        # the countable matrices by stage count, descending, in stack
+        # order within a count; a sub-stack that is a contiguous run is
+        # read in place
+        order = np.argsort(-stages, kind="stable")
+        order = order[:np.count_nonzero(countable)]
+        for lo in range(0, len(order), size):
+            run = order[lo:lo + size]
+            first = int(run[0])
+            if (run == np.arange(first, first + len(run))).all():
+                run = slice(first, first + len(run))
+            t[run], c[run] = _doubling(m[run], g[run], length, stages[run])
         gain = np.max(np.abs(t), axis=(-2, -1))
     finite_t = np.all(np.isfinite(t), axis=(-2, -1))
     bad = ~countable | ~finite_t | ~(gain <= GAIN_CEILING)

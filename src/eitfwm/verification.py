@@ -93,9 +93,7 @@ def _transfer(m, g, length, omegas):
     try:
         return propagation.second_moment_transfer_stack(m, g, length)
     except propagation.NumericalOverflowError as exc:
-        raise propagation.NumericalOverflowError(
-            f"{exc} at omega = {omegas[exc.index]:g} MHz",
-            index=exc.index) from exc
+        raise exc.at_frequency(omegas) from exc
 
 
 def _field_quadratures(m, g, length, omegas) -> np.ndarray:

@@ -148,23 +148,71 @@ def test_second_moment_transfer_random_stable_systems(seed, length):
         1.0, np.linalg.norm(c_ref)) < 1e-6
 
 
-def _three_product_transfer(m, g, length):
-    """(T, C) of every matrix of the stacks doubled alone by the stage
-    c <- t c t^+ + c, t <- t t, from the kernel's start step and stage
-    count: the reference of the kernel's fused stage."""
-    t, c = np.empty_like(m), np.empty_like(m)
+def _taylor_start(mh):
+    """The degree-4 Taylor polynomial of exp(mh), with mh^3 and mh^4 as
+    two separate products: the reference of the kernel's fused start."""
+    mh2 = mh @ mh
+    return np.eye(mh.shape[-1], dtype=complex) + mh + mh2 / 2.0 \
+        + mh2 @ mh / 6.0 + mh2 @ mh2 / 24.0
+
+
+def _taylor_moment(m, g, h):
+    """The start moment over the numpy float step ``h``, every power of h
+    a scalar: the reference of the kernel's per-matrix start steps."""
+    md = pr.dagger(m)
+    mg = m @ g
+    m2g = m @ mg
+    c = g + (h / 2.0) * (mg + pr.dagger(mg))
+    c += (h * h / 6.0) * (m2g + pr.dagger(m2g) + 2.0 * (mg @ md))
+    m2g_md = m2g @ md
+    m3g = m @ m2g
+    m3g += pr.dagger(m3g)
+    m2g_md += pr.dagger(m2g_md)
+    c += (h ** 3 / 24.0) * (m3g + 3.0 * m2g_md)
+    return h * c
+
+
+def _stage_counts(m, length):
+    """The doubling stage count of every matrix of the stack ``m``."""
     ratio = np.maximum(np.linalg.norm(m, 1, axis=(-2, -1)) * length,
                        1e-300) / pr.DOUBLING_THETA
-    stages = np.maximum(0, np.ceil(np.log2(ratio))).astype(int)
-    for i, k in enumerate(stages):
+    return np.maximum(0, np.ceil(np.log2(ratio))).astype(int)
+
+
+def _three_product_transfer(m, g, length):
+    """(T, C) of every matrix of the stacks doubled alone, from an
+    unfused Taylor start step over its own step h = length / 2^k, by
+    the stage c <- t c t^+ + c, t <- t t: the reference of the kernel's
+    fused start and stage and of its sub-stacks of mixed stage counts."""
+    t, c = np.empty_like(m), np.empty_like(m)
+    for i, k in enumerate(_stage_counts(m, length)):
         h = np.ldexp(np.float64(length), -k)
-        ti = pr._start_transfer(m[i:i + 1] * h)
-        ci = pr._start_moment(m[i:i + 1], g[i:i + 1], h)
+        ti = _taylor_start(m[i:i + 1] * h)
+        ci = _taylor_moment(m[i:i + 1], g[i:i + 1], h)
         for _ in range(k):
             ci = ti @ ci @ pr.dagger(ti) + ci
             ti = ti @ ti
         t[i], c[i] = ti[0], pr.hermitian_part(ci)[0]
     return t, c
+
+
+@pytest.mark.parametrize("dim", [4, 8, 10, 18])
+def test_start_transfer_keeps_the_bits_of_separate_products(dim):
+    # at a step norm far above the kernel's 2^-10, where a product of
+    # other bits reaches T: the fused product mh2 [mh | mh2] keeps them
+    # at dim 4 and 8, and would not at 10 and 18
+    rng = np.random.default_rng(dim)
+    shape = (16, dim, dim)
+    mh = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (0.5 / dim)
+    assert _bits(pr._start_transfer(mh)) == _bits(_taylor_start(mh))
+
+
+def test_overflow_names_the_frequency_of_its_point():
+    exc = pr.NumericalOverflowError("transfer matrix overflowed", index=1)
+    named = exc.at_frequency(np.array([0.0, -2000.0]))
+    assert type(named) is pr.NumericalOverflowError
+    assert str(named) == "transfer matrix overflowed at omega = -2000 MHz"
+    assert named.index == 1
 
 
 def _assert_three_product_bits(m, g, length):
@@ -207,6 +255,72 @@ def test_transfer_keeps_the_three_product_bits_on_stable_systems(
         * np.eye(dim)
     b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     _assert_three_product_bits(m, b @ pr.dagger(b), length)
+
+
+def _mixed_stack(seed, dim, length):
+    """(m, g): a stack of 5 stable matrices of size ``dim`` in descending
+    order of norm, the second one twice and the last one of stage count
+    0, with random Hermitian noise drives."""
+    rng = np.random.default_rng(seed)
+    shape = (3, dim, dim)
+    a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * np.array([100.0, 10.0, 1.0])[:, None, None]
+    m = a - (np.linalg.norm(a, 2, axis=(-2, -1))[:, None, None] + 0.5) \
+        * np.eye(dim)
+    # ||m||_1 * length = 2^-12, below DOUBLING_THETA
+    tiny = m[2] * (2.0 ** -12 / (np.linalg.norm(m[2], 1) * length))
+    m = np.stack([m[0], m[1], m[1], m[2], tiny])
+    b = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    return m, b @ pr.dagger(b)
+
+
+def _chain_stack(dim, length):
+    """(m, g): a stack of 5 drifts s (S - I) in the order of _mixed_stack,
+    S the shift e_j -> e_(j+1), all driven by g = e_1 e_1^+.  Entry
+    (4, 1) of each start moment is then h (h^3 / 24) alone, so its
+    bits follow the cube of the start step."""
+    shift = np.eye(dim, k=-1) - np.eye(dim)
+    scales = np.array([100.0, 10.0, 10.0, 1.0,
+                       2.0 ** -13 / length])[:, None, None]
+    g = np.zeros((5, dim, dim), dtype=complex)
+    g[:, 0, 0] = 1.0
+    return scales * shift + 0j, g
+
+
+def _assert_mixed_stack_bits(m, g, length):
+    """The stack, in its order and reversed, whole and in sub-stacks of
+    2 matrices, keeps the bits of every matrix doubled alone."""
+    dim = m.shape[-1]
+    counts = sorted(_stage_counts(m, length).tolist(), reverse=True)
+    # at least 3 counts, one of them 0; in sub-stacks of 2 the count of
+    # the repeated matrix straddles the first boundary
+    assert len(set(counts)) >= 3 and counts[-1] == 0
+    assert counts[1] == counts[2]
+    for stack in (2, None):
+        with pytest.MonkeyPatch.context() as patch:
+            if stack:
+                patch.setattr(pr, "BLOCK_ENTRIES", stack * dim * dim)
+            _assert_three_product_bits(m, g, length)
+            _assert_three_product_bits(m[::-1], g[::-1], length)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([4, 8, 10, 18]),
+       st.floats(min_value=0.05, max_value=5.0))
+def test_mixed_sub_stacks_keep_the_bits_of_each_matrix_alone(
+        seed, dim, length):
+    _assert_mixed_stack_bits(*_mixed_stack(seed, dim, length), length)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 10, 18])
+def test_mixed_sub_stacks_take_the_scalar_cube_of_each_step(dim):
+    # at this length numpy's array power rounds h^3 apart from the
+    # scalar power, at every stage count
+    length = 1.4424519675836176
+    h = np.ldexp(np.float64(length), -np.arange(30))
+    assert np.all(h ** 3 != [np.float64(x) ** 3 for x in h])
+    _assert_mixed_stack_bits(*_chain_stack(dim, length), length)
 
 
 def reference_transfer_step_oracle(m, g, length, n_steps):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from eitfwm import entanglement as en
 from eitfwm import propagation as pr
 from eitfwm import sweeps
+from eitfwm import verification
 from eitfwm.params import ValidationError, derive
 from eitfwm.steady_state import DegenerateSteadyStateError, solve
 
@@ -169,7 +170,7 @@ BLOCK_CONFIGS = pytest.mark.parametrize("cfg", [
 
 def _recorded_sub_stacks(monkeypatch):
     """The list that records, for every transfer, the list of its kernel
-    sub-stacks as (stage count, matrix count)."""
+    sub-stacks, each as the list of its matrices' stage counts."""
     transfers = []
     real_transfer, real_doubling = pr.second_moment_transfer_stack, \
         pr._doubling
@@ -178,9 +179,9 @@ def _recorded_sub_stacks(monkeypatch):
         transfers.append([])
         return real_transfer(m, *args, **kwargs)
 
-    def doubling(m, g, length, k):
-        transfers[-1].append((k, len(m)))
-        return real_doubling(m, g, length, k)
+    def doubling(m, g, length, ks):
+        transfers[-1].append(ks.tolist())
+        return real_doubling(m, g, length, ks)
 
     monkeypatch.setattr(pr, "second_moment_transfer_stack", transfer)
     monkeypatch.setattr(pr, "_doubling", doubling)
@@ -203,13 +204,15 @@ def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
             blocks = _recorded_sub_stacks(patch)
             spec = sweeps.sweep_omega(ref, BLOCK_GRID, cfg)
         assert len(blocks) == n_blocks
-        assert sum(n for subs in blocks for _, n in subs) == len(BLOCK_GRID)
+        assert sum(len(ks) for subs in blocks for ks in subs) \
+            == len(BLOCK_GRID)
+        # sorted by stage count, descending, through all sub-stacks of
+        # a block; some sub-stack mixes stage counts
+        assert all(sum(subs, []) == sorted(sum(subs, []), reverse=True)
+                   for subs in blocks)
+        assert any(len(set(ks)) > 1 for subs in blocks for ks in subs)
         if stack:
-            # some stage count of every block spans more than one
-            # sub-stack
-            assert all(n <= stack for subs in blocks for _, n in subs)
-            assert all(len(subs) > len({k for k, _ in subs})
-                       for subs in blocks)
+            assert all(len(ks) <= stack for subs in blocks for ks in subs)
         for i, om in enumerate(BLOCK_GRID):
             for pair in spec.pairs:
                 (value,), (signs,) = alone[i][pair]
@@ -267,9 +270,10 @@ Z_TWO_PAIR_SAME = dataclasses.replace(Z_TWO_PAIR, sideband="same")
 def test_overflow_in_a_second_sub_stack_names_its_frequency_and_index(
         ref, monkeypatch):
     # one block of 8 points in sub-stacks of 2.  The stage counts are
-    # 20, 22, 22, 22, 19, 20, 21, 22: 1250 MHz (index 3) overflows in the
-    # second sub-stack of stage 22, after -3000 MHz (index 4, stage 19)
-    # has overflowed in the first sub-stack doubled; grid order decides
+    # 20, 22, 22, 22, 19, 20, 21, 22, doubled by count, descending:
+    # 1250 MHz (index 3) overflows in the second sub-stack, with index 7,
+    # and -3000 MHz (index 4, stage 19) in the last one, with index 0;
+    # grid order decides
     _small_blocks(monkeypatch, Z_TWO_PAIR_SAME, ref, 8, 2)
     transfers = _recorded_sub_stacks(monkeypatch)
     grid = np.array([0.0, 700.0, 800.0, 1250.0, -3000.0, 250.0, 500.0,
@@ -278,7 +282,7 @@ def test_overflow_in_a_second_sub_stack_names_its_frequency_and_index(
                        match=r"^transfer gain .* at omega = 1250 MHz$") as exc:
         sweeps.sweep_omega(ref, grid, Z_TWO_PAIR_SAME)
     assert exc.value.index == 3
-    assert transfers == [[(19, 1), (20, 2), (21, 1), (22, 2), (22, 2)]]
+    assert transfers == [[[22, 22], [22, 22], [21, 20], [20, 19]]]
 
 
 def test_vanishing_response_after_several_sub_stacks_names_its_index(
@@ -295,7 +299,21 @@ def test_vanishing_response_after_several_sub_stacks_names_its_index(
                              r"omega = 0 MHz$") as exc:
         sweeps.sweep_omega(ref.with_(gamma0=0.0), grid, Z_TWO_PAIR)
     assert exc.value.index == 5
-    assert transfers == [[(20, 2), (20, 2), (20, 1)]]
+    assert transfers == [[[20, 20], [20, 20], [20]]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_verify_pass_doubles_each_transfer_in_one_sub_stack(
+        ref, monkeypatch):
+    # the checks of a verify pass, with the 2000 oracle steps of the
+    # benchmark (RK4 overflows at 1000 MHz): 8 transfers of at most 64
+    # matrices, each one kernel call, some of them mixing stage counts
+    transfers = _recorded_sub_stacks(monkeypatch)
+    (verification.check_commutators(ref)
+     + verification.check_oracle_equivalence(ref, n_steps=2000)
+     + verification.check_limits(ref))
+    assert [len(subs) for subs in transfers] == [1] * 8
+    assert any(len(set(ks)) > 1 for (ks,) in transfers)
 
 
 #: traced peak of one full two-pair z-averaged block, 48 points of 18x18
