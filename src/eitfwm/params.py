@@ -18,7 +18,7 @@ single knob used for calibration of the field sector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 # speed of light in m * (angular MHz)
 C = 299.792458
@@ -60,26 +60,37 @@ class PhysicalParams:
     spinwave_scale: float = 1.0
 
     def validate(self) -> None:
-        bad = []
-        for name in ("n0", "radius", "length", "wavelength",
-                     "spinwave_scale", "gamma1", "gamma2"):
-            if not getattr(self, name) > 0:
-                bad.append(name)
+        values = self.__dict__
+        bad = [name for name in _POSITIVE if not values[name] > 0]
         # coupling_scale = 0 switches the light-matter interaction off
         # entirely, a limit the self-checks rely on
-        for name in ("gamma0", "omega_p", "omega_c", "omega12",
-                     "coupling_scale"):
-            if getattr(self, name) < 0:
-                bad.append(name)
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)) and f.name not in bad:
-                bad.append(f.name)
+        bad += [name for name in _NON_NEGATIVE if values[name] < 0]
+        bad += [name for name in _FIELDS
+                if not math.isfinite(values[name]) and name not in bad]
         if bad:
             raise ValidationError("non-physical parameter(s): " + ", ".join(bad))
 
     def with_(self, **changes) -> "PhysicalParams":
         """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
+        unknown = changes.keys() - self.__dict__.keys()
+        if unknown:
+            raise TypeError(
+                "unknown parameter(s): " + ", ".join(sorted(unknown)))
+        # a frozen instance is a plain __dict__ of its fields: copying
+        # that dict skips the field walk and the __init__ of
+        # dataclasses.replace, a cost every point of a parameter sweep pays
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, **changes)
+        return copy
+
+
+#: the fields of PhysicalParams, in declaration order
+_FIELDS = tuple(f.name for f in fields(PhysicalParams))
+#: fields that must be positive, and fields that must not be negative, in
+#: the order validate names them
+_POSITIVE = ("n0", "radius", "length", "wavelength", "spinwave_scale",
+             "gamma1", "gamma2")
+_NON_NEGATIVE = ("gamma0", "omega_p", "omega_c", "omega12", "coupling_scale")
 
 
 @dataclass(frozen=True)

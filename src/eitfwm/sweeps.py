@@ -6,12 +6,14 @@ shared by every sweep axis, dip/plateau summaries, and the CSV/JSON
 writers.  The engine evaluates blocks of consecutive points as stacked
 arrays, from the assembly of drift, noise and readout rows through the
 interval doubling, output covariance, coherence-mode extension and
-quadrature transform to both witness sign branches; each block of a
-parameter sweep first builds one set-up stacked over its points, and
-solves the steady state and diffusion table once per distinct
-generator point among them.  A block gives every point bit for bit the
-result of a one-point evaluation, so rerunning a sweep with the same
-configuration reproduces the output byte for byte.
+quadrature transform to both witness sign branches.  A parameter sweep
+evaluates each distinct witness point once, keyed by the bits of what
+a witness reads (witness_key), and every point takes the result of its
+key; each of its blocks first builds one set-up stacked over its
+points, and solves the steady state and diffusion table once per
+distinct generator point among them.  A block gives every point bit
+for bit the result of a one-point evaluation, so rerunning a sweep with
+the same configuration reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -57,6 +61,13 @@ MAX_GRID_POINTS = 100_000
 #: kernel's working memory.  Blocks of 32 points of 18x18 were slower,
 #: and blocks of 64 used more memory for no more speed.
 MIN_BLOCK_POINTS = 48
+
+#: every field of a parameter set that a witness point reads: all but the
+#: coherent amplitudes, which displace the fields and never enter the
+#: fluctuation dynamics
+WITNESS_FIELDS = tuple(f.name for f in dataclasses.fields(PhysicalParams)
+                       if f.name not in ("alpha1", "alpha2"))
+_witness_values = operator.attrgetter(*WITNESS_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -196,6 +207,15 @@ def _naming(exc: Exception, axis: str, value) -> Exception:
     return type(exc)(f"{exc}, {axis} = {float(value):g}")
 
 
+def witness_key(p: PhysicalParams, omega: float) -> bytes:
+    """The exact bits of the WITNESS_FIELDS of ``p`` and of ``omega``, as
+    doubles: two points of a sweep with the same key have bit for bit
+    the same witness values and signs.  Bits, not values, as in
+    steady_state.generator_key."""
+    return struct.pack(f"{len(WITNESS_FIELDS) + 1}d",
+                       *_witness_values(p), omega)
+
+
 def _sweep(p: PhysicalParams, axis: str, values, omegas,
            config: SweepConfig | None, field: str | None = None
            ) -> CorrelationSpectrum:
@@ -205,21 +225,24 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     ``p``; in a parameter sweep, the field ``field`` of ``p`` takes each
     of ``values``.
 
-    Blocks of consecutive points, each holding about
-    propagation.BLOCK_ENTRIES entries of propagated matrices but at least
-    MIN_BLOCK_POINTS points, are evaluated as stacked arrays, from the
-    assembly to both sign branches of every witness; the doubling kernel
-    splits a larger block into sub-stacks of BLOCK_ENTRIES entries.  In a
-    parameter sweep, each block first builds its points' set-up as one
-    stack, with one solve per distinct generator point.
-    Every point shares the cell length of ``p``.
+    A parameter sweep evaluates each distinct witness_key once, in the
+    order of its first point, and every point gathers its values and
+    signs by the index of its key; a frequency sweep evaluates every
+    point.  The evaluated points go in blocks of consecutive points,
+    each holding about propagation.BLOCK_ENTRIES entries of propagated
+    matrices but at least MIN_BLOCK_POINTS points, evaluated as stacked
+    arrays, from the assembly to both sign branches of every witness;
+    the doubling kernel splits a larger block into sub-stacks of
+    BLOCK_ENTRIES entries.  In a parameter sweep, each block first
+    builds its points' set-up as one stack, with one solve per distinct
+    generator point.  Every point shares the cell length of ``p``.
 
     A failing sweep reports its first failing point in grid order: a
     numerical failure names its frequency, and in a parameter sweep
-    every failure names the swept value.  A set-up failure surfaces
-    after the points before it have been evaluated, so an earlier
-    failing point still wins.  Partial results are discarded so a failed
-    sweep can never emit a truncated file.
+    every failure names the swept value of the first point of its key.
+    A set-up failure surfaces after the points before it have been
+    evaluated, so an earlier failing point still wins.  Partial results
+    are discarded so a failed sweep can never emit a truncated file.
     """
     config = config or SweepConfig()
     pairs = config.pairs()
@@ -229,15 +252,24 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     witness_signs = {pair: [] for pair in pairs}
     dim = entanglement.state_dim(len(modes), config.spinwave_definition)
     size = max(MIN_BLOCK_POINTS, propagation.BLOCK_ENTRIES // dim ** 2)
+    grid = np.asarray(values, dtype=float)
     if field is None:
         set_up, error = _set_up([p], config)
         if error is not None:
             raise error
+    else:
+        points = [p.with_(**{field: x}) for x in grid.tolist()]
+        slots = {}
+        index = [slots.setdefault(witness_key(q, om), len(slots))
+                 for q, om in zip(points, omegas.tolist())]
+        # the point of each distinct key that comes first in the grid
+        first = np.unique(index, return_index=True)[1]
+        points = [points[i] for i in first]
+        values, omegas = grid[first], omegas[first]
     for lo in range(0, len(values), size):
         hi = min(lo + size, len(values))
         if field is not None:
-            set_up, error = _set_up([p.with_(**{field: float(x)})
-                                     for x in values[lo:hi]], config)
+            set_up, error = _set_up(points[lo:hi], config)
             hi = lo if set_up is None else lo + len(set_up.gamma0)
         if hi > lo:
             try:
@@ -254,8 +286,14 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
                 witness_signs[pair].extend(signs)
         if error is not None:
             raise _naming(error, axis, values[hi]) from error
+    if field is not None:
+        # every point takes the values and signs of its key
+        witness_values = {pair: [vs[i] for i in index]
+                          for pair, vs in witness_values.items()}
+        witness_signs = {pair: [signs[i] for i in index]
+                         for pair, signs in witness_signs.items()}
     return CorrelationSpectrum(
-        omegas=np.asarray(values, dtype=float), pairs=pairs,
+        omegas=grid, pairs=pairs,
         values={pair: np.array(vs, dtype=float)
                 for pair, vs in witness_values.items()},
         signs=witness_signs, params=p, config=config, axis=axis)
@@ -281,9 +319,11 @@ def sweep_alpha(p: PhysicalParams, alphas, omega: float,
                 config: SweepConfig | None = None) -> CorrelationSpectrum:
     """Witnesses versus the coherent input amplitude ``alpha1``.
 
-    The fluctuation dynamics never sees the displacement, so the values
-    are constant in exact arithmetic; the sweep exists to demonstrate
-    that, not to explore anything.
+    The fluctuation dynamics never sees the displacement, so no witness
+    reads ``alpha1``: every point has one witness_key, evaluated once,
+    and the values are constant by construction.  That the amplitudes
+    reach no set-up is tested directly, and verify's
+    limit_input_amplitude_independence check propagates three of them.
     """
     return _sweep(p, "alpha", alphas, np.full(len(alphas), float(omega)),
                   config, field="alpha1")
@@ -409,15 +449,17 @@ def csv_lines(spec: CorrelationSpectrum, extra_meta: dict | None = None):
         t = pair_tag(pair)
         cols += [f"V_{t}", f"su_{t}", f"sv_{t}"]
     lines.append(",".join(cols))
-    # the columns, read from Python floats, are formatted lazily so that
-    # only one row of cells exists at a time
-    columns = [map(fmt_float, spec.omegas.tolist())]
+    # one format per row: "%.17g" % x is format(x, ".17g") for every
+    # Python float, signed zeros, infinities, nan and subnormals
+    # included; the rows are formatted lazily so that only one row of
+    # cells exists at a time
+    row = "%.17g" + ",%.17g,%d,%d" * len(spec.pairs)
+    columns = [spec.omegas.tolist()]
     for pair in spec.pairs:
         signs = spec.signs[pair]
-        columns += [map(fmt_float, spec.values[pair].tolist()),
-                    (str(int(su)) for su, _ in signs),
-                    (str(int(sv)) for _, sv in signs)]
-    lines.extend(map(",".join, zip(*columns)))
+        columns += [spec.values[pair].tolist(), (su for su, _ in signs),
+                    (sv for _, sv in signs)]
+    lines.extend(row % cells for cells in zip(*columns))
     return lines
 
 

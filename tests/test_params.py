@@ -89,6 +89,32 @@ def test_with_returns_modified_copy():
     assert q.with_(gamma0=0.1) == p
 
 
+def test_validate_names_every_bad_field_in_a_fixed_order():
+    # positive fields, then non-negative ones, then the other non-finite
+    # fields in declaration order, each named once
+    p = reference_params().with_(gamma0=-1.0, n0=0.0, delta1=math.nan,
+                                 alpha1=math.inf, radius=math.nan,
+                                 omega12=-math.inf)
+    with pytest.raises(ValidationError) as err:
+        p.validate()
+    assert str(err.value) == ("non-physical parameter(s): n0, radius, "
+                              "gamma0, omega12, delta1, alpha1")
+
+
+def test_with_is_a_plain_frozen_copy():
+    p = reference_params()
+    q = p.with_(gamma0=0.5, alpha1=-0.0)
+    assert type(q) is PhysicalParams
+    assert q == dataclasses.replace(p, gamma0=0.5, alpha1=-0.0)
+    assert hash(q) == hash(PhysicalParams(gamma0=0.5, alpha1=-0.0))
+    assert math.copysign(1.0, q.alpha1) == -1.0
+    assert p.with_() == p and p.with_() is not p
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.gamma0 = 1.0
+    with pytest.raises(TypeError, match="unknown parameter"):
+        p.with_(gamma3=1.0)
+
+
 def test_params_are_immutable():
     p = reference_params()
     with pytest.raises(dataclasses.FrozenInstanceError):

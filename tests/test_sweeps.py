@@ -379,12 +379,9 @@ def test_set_up_failure_in_a_later_block_is_reported_in_grid_order(
                             config=sweeps.SweepConfig(sideband="same"))
 
 
-def test_repeated_failing_point_in_a_later_block_is_reported_in_grid_order(
-        ref, monkeypatch):
-    # blocks of 4 points: the second block solves 0.5, then fails at its
-    # first degenerate point; the repeat of 0.5 after it is cut, and the
-    # later degenerate point, whose key has the lower bytes, is not named
-    _small_blocks(monkeypatch, sweeps.SweepConfig(), ref)
+def _evaluated(monkeypatch):
+    """The list that records the point count of every witness
+    evaluation."""
     evaluated = []
     real = en.extended_quadratures
 
@@ -393,12 +390,117 @@ def test_repeated_failing_point_in_a_later_block_is_reported_in_grid_order(
         return real(set_up, omegas, *args, **kwargs)
 
     monkeypatch.setattr(en, "extended_quadratures", recorded)
+    return evaluated
+
+
+def test_repeated_failing_point_in_a_later_block_is_reported_in_grid_order(
+        ref, monkeypatch):
+    # blocks of 4 distinct points: the first block holds 0.1, 0.2, 0.5
+    # and the first degenerate point, so it evaluates 3 points and fails;
+    # the repeats are never evaluated again, and the later degenerate
+    # point, whose generator key has the lower bytes, is not named
+    _small_blocks(monkeypatch, sweeps.SweepConfig(), ref)
+    evaluated = _evaluated(monkeypatch)
     gamma0s = [0.1, 0.2, 0.1, 0.2, 0.5, 1e299, 0.5, 1e300, 1e299, -1.0]
     with pytest.raises(DegenerateSteadyStateError,
                        match=r"^stationary subspace has dimension 7, "
                              r"gamma0 = 1e\+299$"):
         sweeps.sweep_gamma0(ref, gamma0s, omega=0.0)
-    assert evaluated == [4, 1]
+    assert evaluated == [3]
+
+
+def test_a_parameter_sweep_evaluates_each_distinct_point_once(
+        ref, monkeypatch):
+    # the amplitude never reaches a witness: fig5's 101 points are one
+    # evaluation, while fig4's 101 dephasings are 101
+    evaluated = _evaluated(monkeypatch)
+    sweeps.sweep_alpha(ref, sweeps.fig_alpha_grid(), omega=ref.delta1)
+    assert evaluated == [1]
+    sweeps.sweep_gamma0(ref, sweeps.fig_gamma0_grid(), omega=0.0)
+    assert evaluated == [1, 101]
+
+
+@BLOCK_CONFIGS
+def test_repeated_points_take_the_one_point_result(ref, monkeypatch, cfg):
+    # blocks of 2 distinct points: 0.1, 0.2 and then 0.3
+    _small_blocks(monkeypatch, cfg, ref, 2)
+    evaluated = _evaluated(monkeypatch)
+    gamma0s = [0.1, 0.2, 0.1, 0.3, 0.2]
+    spec = sweeps.sweep_gamma0(ref, gamma0s, omega=-800.0, config=cfg)
+    assert evaluated == [2, 1]
+    assert spec.omegas.tolist() == gamma0s
+    for i, g0 in enumerate(gamma0s):
+        q = ref.with_(gamma0=g0)
+        alone = _alone(q, *solve([q]), cfg, -800.0)
+        for pair in spec.pairs:
+            (value,), (signs,) = alone[pair]
+            assert spec.values[pair][i].tobytes() == value.tobytes(), \
+                (g0, pair)
+            assert spec.signs[pair][i] == signs, (g0, pair)
+
+
+@pytest.mark.parametrize("sweep,error,where", [
+    # the degenerate key first occurs in the second block of 2 distinct
+    # points and again in the last 2 points of the grid
+    (lambda p, cfg: sweeps.sweep_gamma0(
+        p, [0.1, 0.2, 0.1, 1e299, 0.3, 0.2, 1e300, 1e299], omega=0.0),
+     DegenerateSteadyStateError,
+     r"^stationary subspace has dimension 7, gamma0 = 1e\+299$"),
+    # every amplitude shares the one failing key: the first one is named
+    (lambda p, cfg: sweeps.sweep_alpha(p.with_(gamma0=1e300),
+                                       [5.0, 7.0, 5.0, 9.0], omega=0.0),
+     DegenerateSteadyStateError, r"dimension 7, alpha = 5$"),
+    (lambda p, cfg: sweeps.sweep_alpha(p, [3.0, 4.0, 3.0], omega=-2000.0,
+                                       config=cfg),
+     pr.NumericalOverflowError, r"at omega = -2000 MHz, alpha = 3$"),
+    (lambda p, cfg: sweeps.sweep_alpha(p.with_(gamma0=0.0),
+                                       [-0.0, 2.0, -1.0, 0.0], omega=0.0),
+     pr.NumericalOverflowError,
+     r"^coherence response .* vanishes at omega = 0 MHz, alpha = -0$"),
+], ids=["gamma0", "alpha_set_up", "alpha_overflow", "alpha_vanishing"])
+def test_a_failing_key_is_named_at_its_first_point(ref, monkeypatch, sweep,
+                                                   error, where):
+    _small_blocks(monkeypatch, sweeps.SweepConfig(), ref, 2)
+    cfg = sweeps.SweepConfig(sideband="same")
+    with pytest.raises(error, match=where):
+        sweep(ref, cfg)
+
+
+@pytest.mark.parametrize("points", [2, None], ids=["blocks_of_2", "default"])
+def test_an_overflow_before_a_repeated_set_up_failure_wins(ref, monkeypatch,
+                                                           points):
+    # the invalid and the degenerate key both come after the first
+    # overflowing point, and the overflowing key recurs after them
+    if points:
+        _small_blocks(monkeypatch, sweeps.SweepConfig(sideband="same"), ref,
+                      points)
+    cfg = sweeps.SweepConfig(sideband="same")
+    with pytest.raises(pr.NumericalOverflowError,
+                       match=r"at omega = -2000 MHz, gamma0 = 0\.2$"):
+        sweeps.sweep_gamma0(ref, [0.2, 1e300, 0.2, -1.0, 0.2],
+                            omega=-2000.0, config=cfg)
+
+
+def test_witness_keys_hold_bits_and_leave_out_the_amplitudes(ref):
+    # 0.0 == -0.0, but a key holds bits, in a field as in the frequency
+    assert sweeps.witness_key(ref, 0.0) != sweeps.witness_key(ref, -0.0)
+    assert sweeps.witness_key(ref.with_(gamma0=0.0), 0.0) \
+        != sweeps.witness_key(ref.with_(gamma0=-0.0), 0.0)
+    assert sweeps.witness_key(ref.with_(alpha1=-0.0, alpha2=1e300), 5.0) \
+        == sweeps.witness_key(ref, 5.0)
+    for name in sweeps.WITNESS_FIELDS:
+        moved = ref.with_(**{name: getattr(ref, name) * 2.0 + 1.0})
+        assert sweeps.witness_key(moved, 5.0) \
+            != sweeps.witness_key(ref, 5.0), name
+    assert set(sweeps.WITNESS_FIELDS) == {
+        f.name for f in dataclasses.fields(ref)} - {"alpha1", "alpha2"}
+
+
+def test_signed_zero_dephasings_are_evaluated_apart(ref, monkeypatch):
+    evaluated = _evaluated(monkeypatch)
+    spec = sweeps.sweep_gamma0(ref, [0.0, -0.0, 0.0], omega=-800.0)
+    assert evaluated == [2]
+    assert [np.copysign(1.0, g) for g in spec.omegas] == [1.0, -1.0, 1.0]
 
 
 def _generator_calls(monkeypatch):
@@ -430,12 +532,13 @@ def test_a_block_solves_each_generator_point_once(ref, monkeypatch):
     assert calls == [1]
 
 
-def _assert_set_ups_equal_one_point_set_ups(points, cfg):
+def _assert_set_ups_equal_one_point_set_ups(points, cfg, alone_points=None):
     """The set-up of ``points`` against the one-point set-up of each
-    point, field by field, by bytes."""
+    point, or of the same place of ``alone_points``, field by field, by
+    bytes."""
     block, error = sweeps._set_up(points, cfg)
     assert error is None
-    for i, q in enumerate(points):
+    for i, q in enumerate(alone_points or points):
         alone, _ = sweeps._set_up([q], cfg)
         for field in dataclasses.fields(alone):
             ref_value = getattr(alone, field.name)
@@ -461,6 +564,46 @@ def test_repeated_generator_points_share_a_solve(ref, monkeypatch, cfg):
     sweeps._set_up(points, cfg)
     assert calls == [3]
     _assert_set_ups_equal_one_point_set_ups(points, cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    sweeps.SweepConfig(),
+    sweeps.SweepConfig(two_pair=True),
+    sweeps.SweepConfig(spinwave_definition="z-averaged"),
+    Z_TWO_PAIR,
+], ids=["endpoint", "two_pair", "z_averaged", "z_averaged_two_pair"])
+@settings(deadline=None, max_examples=20)
+@given(amplitudes=st.lists(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=3))
+def test_amplitudes_never_reach_a_set_up(ref, cfg, amplitudes):
+    # the premise of witness_key: whatever the coherent amplitudes, the
+    # set-up, which is all a witness point reads besides its frequency
+    # and the sweep's cell length, has the bytes of the reference point's
+    points = [ref.with_(alpha1=a1, alpha2=a2) for a1, a2 in amplitudes]
+    _assert_set_ups_equal_one_point_set_ups(points, cfg,
+                                            [ref] * len(points))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_propagates_each_coherent_amplitude(ref, monkeypatch):
+    # the checks keep their own stacks: the amplitude check still sends
+    # its three amplitudes to the kernel, between the pump-off limit's 3
+    # frequencies and the symplectic check's 64
+    sizes = []
+    real = pr.second_moment_transfer_stack
+
+    def counted(m, *args, **kwargs):
+        sizes.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(pr, "second_moment_transfer_stack", counted)
+    reports = verification.check_limits(ref)
+    assert sizes == [3, 3, 64]
+    (amplitude,) = [r for r in reports
+                    if r.name == "limit_input_amplitude_independence"]
+    assert amplitude.residual == 0.0
 
 
 def test_signed_zero_dephasings_are_solved_apart(ref, monkeypatch):
@@ -581,6 +724,42 @@ def test_csv_lines_structure_and_round_trip(spec_small):
     first = rows[0].split(",")
     assert float(first[0]) == spec_small.omegas[0]
     assert float(first[1]) == spec_small.values[("a1", "b1")][0]
+
+
+#: doubles whose text is easy to get wrong: signed zeros, infinities, nan,
+#: the subnormal and normal extremes, and 17-digit round-trip cases
+SPECIAL_DOUBLES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   2.225073858507201e-308, 2.2250738585072014e-308,
+                   np.finfo(float).max, -np.finfo(float).max, 0.1, 1e16,
+                   1e17, 123456789012345680.0, 1.0000000000000002, -1.0,
+                   9007199254740993.0, 1e-7, 1e21, 1e22]
+
+
+def test_row_format_is_the_metadata_format():
+    # csv_lines formats a whole row with one "%" string
+    rng = np.random.default_rng(7)
+    doubles = SPECIAL_DOUBLES + rng.standard_normal(500).tolist() + (
+        rng.integers(0, 2 ** 64, 500, dtype=np.uint64)
+        .view(np.float64).tolist())
+    for x in doubles:
+        assert "%.17g" % x == sweeps.fmt_float(x), x
+    for sign in (1, -1, True):
+        assert "%d" % sign == str(int(sign))
+
+
+def test_csv_rows_format_every_cell_as_before(ref):
+    # a row is the 17-digit text of each value and the integer text of
+    # each sign, joined by commas, for special values too
+    pair = ("a1", "b1")
+    spec = _synthetic(SPECIAL_DOUBLES, SPECIAL_DOUBLES[::-1], ref)
+    spec.signs[pair] = [(1, -1), (-1, 1)] * (len(SPECIAL_DOUBLES) // 2) \
+        + [(1, -1)]
+    rows = sweeps.csv_lines(spec)[-len(SPECIAL_DOUBLES):]
+    expected = [",".join([sweeps.fmt_float(om), sweeps.fmt_float(v),
+                          str(int(su)), str(int(sv))])
+                for om, v, (su, sv) in zip(spec.omegas, spec.values[pair],
+                                           spec.signs[pair])]
+    assert rows == expected
 
 
 def test_write_csv_file(tmp_path, spec_small):
