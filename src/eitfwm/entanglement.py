@@ -60,18 +60,22 @@ def quadrature_covariance(doubled: np.ndarray) -> np.ndarray:
     (x of every mode..., p of every mode...).  The result is real for
     any Hermitian input.  A stack of matrices is transformed matrix by
     matrix.
+
+    The frame is L X L^+ with x_k = a_k + a_k^+ and
+    p_k = i(a_k^+ - a_k) as the rows of L; its entries are 0, 1 and
+    +-i, so the products are sums and differences of rows, then of
+    columns.  Every nonzero entry has the bits of the matrix products;
+    only the sign of an exact zero can differ from OpenBLAS's zgemm,
+    and no sweep stack has one that does.
     """
     dim = doubled.shape[-1]
     if dim % 2:
         raise ValueError("doubled-basis matrix must have even dimension")
     n = dim // 2
-    lam = np.zeros((dim, dim), dtype=complex)
-    for k in range(n):
-        lam[k, k] = 1.0
-        lam[k, n + k] = 1.0
-        lam[n + k, k] = -1j
-        lam[n + k, n + k] = 1j
-    out = lam @ doubled @ propagation.dagger(lam)
+    a, a_dag = doubled[..., :n, :], doubled[..., n:, :]
+    rows = np.concatenate([a + a_dag, 1j * (a_dag - a)], axis=-2)
+    a, a_dag = rows[..., :n], rows[..., n:]
+    out = np.concatenate([a + a_dag, 1j * (a - a_dag)], axis=-1)
     return out.real
 
 
@@ -249,10 +253,7 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
             # them keeps the readout's working memory off the peak
             del m, q, g
             # the fields start in vacuum, any augmented rows at zero
-            n = r.shape[-2] // 2 - 1
-            c_in = np.zeros(t.shape[-2:], dtype=complex)
-            c_in[:2 * n, :2 * n] = propagation.vacuum_covariance(n)
-            out = propagation.output_covariance(t, c, c_in)
+            out = propagation.vacuum_output(t, c, r.shape[-2] // 2 - 1)
             if lump is not None:
                 out = propagation.hermitian_part(out)
             ext = r[:stop] @ out @ propagation.dagger(r[:stop])

@@ -45,6 +45,25 @@ _PRODUCT = np.array([[3 * (a - 1) + d - 1 if b == c else 9
                       for c, d in CHANNELS] for a, b in CHANNELS])
 
 
+def _moves():
+    """(target, source) flat positions of the products of the images
+    with the units, R_mu E_nu and E_mu R_nu for every channel pair
+    (mu, nu) = ((a, b), (c, d)): targets in a (6, 6, 3, 3) table of
+    3x3 products, sources in a 9x9 drift, whose row r is the image of
+    unit r as a 3x3 matrix.  R E_cd is column c of R put at column d;
+    E_ab R is row b of R put at row a."""
+    mu, nu, i = np.indices((6, 6, 3)).reshape(3, -1)
+    a, b = (np.array(CHANNELS).T - 1)[:, mu]
+    c, d = (np.array(CHANNELS).T - 1)[:, nu]
+    cell = (6 * mu + nu) * 3
+    right = (3 * (cell + i) + d, 9 * _UNIT[mu] + 3 * i + c)
+    left = (3 * (cell + a) + i, 9 * _UNIT[nu] + 3 * b + i)
+    return right, left
+
+
+_MOVES = _moves()
+
+
 def diffusion_matrix(drifts: np.ndarray, states: np.ndarray) -> np.ndarray:
     """6x6 tables of 2*D_{mu,nu} over CHANNELS, in MHz, one per Bloch
     drift of ``drifts`` (shape (k, 9, 9)) at its steady state in
@@ -54,20 +73,25 @@ def diffusion_matrix(drifts: np.ndarray, states: np.ndarray) -> np.ndarray:
     any two of them, or else zero: row (c, d) of a drift is the image
     L(E_cd), and the image of zero is zero, so the drift rows give every
     image the table needs.  The first term takes the expectation of each
-    distinct image once and gathers it for all 36 pairs; the other two
-    are formed for all pairs of every point at once.  Each expectation
-    <sum_ab x[a,b] sigma_ab> = sum_ab x[a,b] S[a,b] sums the last two
-    axes.
+    distinct image once and gathers it for all 36 pairs.  The other two
+    multiply an image by a unit, which only moves entries: R_mu E_nu and
+    E_mu R_nu of all pairs of every point are moved into one zero-padded
+    (k, 6, 6, 3, 3) buffer (_MOVES), the same bits as the matrix
+    products.  Each expectation <sum_ab x[a,b] sigma_ab> =
+    sum_ab x[a,b] S[a,b] sums the last two axes.
     """
-    images = np.zeros((len(drifts), 10, 3, 3), dtype=complex)
+    k = len(drifts)
+    images = np.zeros((k, 10, 3, 3), dtype=complex)
     images[:, :9] = drifts.reshape(-1, 9, 3, 3)
     s = states[:, None, None]
     val = np.sum(images * states[:, None], axis=(-2, -1))[:, _PRODUCT]
-    rows = images[:, _UNIT]
-    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    left, right = units[_UNIT, None], units[None, _UNIT]
-    val -= np.sum((rows[..., :, None, :, :] @ right) * s, axis=(-2, -1))
-    val -= np.sum((left @ rows[..., None, :, :, :]) * s, axis=(-2, -1))
+    flat = images.reshape(k, 90)
+    moved = np.empty((k, 6, 6, 3, 3), dtype=complex)
+    for target, source in _MOVES:
+        moved.fill(0)
+        moved.reshape(k, 324)[:, target] = flat[:, source]
+        np.multiply(moved, s, out=moved)
+        val -= np.sum(moved, axis=(-2, -1))
     return val
 
 

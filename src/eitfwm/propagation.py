@@ -54,7 +54,12 @@ provided as an independent cross-check: per frequency it precomputes
 the RK4 step map and the map of a block of MARCH_BLOCK = 16 steps, a
 power formed by successive products with the step map, never by
 squaring, and marches the leftover single steps, then the blocks (see
-``transfer_step_oracle``).
+``transfer_step_oracle``).  The output covariance of vacuum inputs,
+T c_in T^+ + C with c_in = 0.5 * I on the doubled field rows and zero
+on any augmented rows (``vacuum_output``), takes the field columns T_f
+of T and forms (0.5 T_f) T_f^+ + C: one product instead of two, with
+the bits of the product with c_in; ``output_covariance`` keeps the
+general input for the commutator audit's J.
 """
 
 from __future__ import annotations
@@ -558,15 +563,23 @@ def transfer_step_oracle(m: np.ndarray, g: np.ndarray, length: float,
     return t, hermitian_part(y[..., :n, 0].reshape(m.shape))
 
 
-def vacuum_covariance(n_modes: int) -> np.ndarray:
-    """Symmetrised doubled-basis covariance of uncorrelated vacuum."""
-    return 0.5 * np.eye(2 * n_modes, dtype=complex)
-
-
 def output_covariance(t: np.ndarray, c_noise: np.ndarray,
                       c_in: np.ndarray) -> np.ndarray:
     """T c_in T^+ + C: input moment ``c_in`` carried through the transfer
     ``t`` plus the accumulated noise moment, matrix by matrix."""
     out = t @ c_in @ dagger(t)
+    out += c_noise
+    return out
+
+
+def vacuum_output(t: np.ndarray, c_noise: np.ndarray,
+                  n_modes: int) -> np.ndarray:
+    """T c_in T^+ + C for ``n_modes`` field modes in vacuum: c_in is
+    0.5 * I on the 2n doubled field rows and zero on any augmented
+    rows, so the input term is (0.5 T_f) T_f^+, T_f the 2n field
+    columns of ``t``; matrix by matrix, bit for bit the product with
+    c_in."""
+    fields = t[..., :2 * n_modes]
+    out = (0.5 * fields) @ dagger(fields)
     out += c_noise
     return out

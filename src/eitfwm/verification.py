@@ -100,8 +100,7 @@ def _field_quadratures(m, g, length, omegas) -> np.ndarray:
     """Quadrature covariances of the output fields for vacuum inputs, one
     per matrix of the drift stack ``m`` at ``omegas``."""
     t, c = _transfer(m, g, length, omegas)
-    out = propagation.output_covariance(
-        t, c, propagation.vacuum_covariance(t.shape[-1] // 2))
+    out = propagation.vacuum_output(t, c, t.shape[-1] // 2)
     return entanglement.quadrature_covariance(
         propagation.hermitian_part(out))
 

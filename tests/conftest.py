@@ -22,6 +22,36 @@ def two_d_ref(ref):
     return solve([ref])[1][0]
 
 
+def _vacuum_covariance(n_modes: int) -> np.ndarray:
+    """Symmetrised doubled-basis covariance of uncorrelated vacuum."""
+    return 0.5 * np.eye(2 * n_modes, dtype=complex)
+
+
+def _reference_vacuum_output(t, c, n_modes):
+    """T c_in T^+ + C with the vacuum input c_in of ``n_modes`` field
+    modes padded with zero rows to the size of ``t``: the product form
+    that propagation.vacuum_output replaces."""
+    c_in = np.zeros(t.shape[-2:], dtype=complex)
+    c_in[:2 * n_modes, :2 * n_modes] = _vacuum_covariance(n_modes)
+    out = t @ c_in @ np.swapaxes(t.conj(), -1, -2)
+    out += c
+    return out
+
+
+@pytest.fixture(scope="session")
+def vacuum_covariance():
+    """The doubled-basis covariance of uncorrelated vacuum, as a function
+    of the number of modes."""
+    return _vacuum_covariance
+
+
+@pytest.fixture(scope="session")
+def reference_vacuum_output():
+    """The product form of the output covariance for vacuum inputs, as a
+    function of (t, c, n_modes)."""
+    return _reference_vacuum_output
+
+
 def _two_mode_squeezed_quadrature(s: float) -> np.ndarray:
     """Quadrature covariance of an ideal two-mode squeezed pair.
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eitfwm import entanglement as en
 from eitfwm import langevin as lv
@@ -177,9 +178,81 @@ def test_phase_scan_is_the_loop_on_three_modes(rng):
                 reference_duan_min_over_phases(quad, i, j)
 
 
-def test_quadrature_covariance_vacuum():
-    quad = en.quadrature_covariance(pr.vacuum_covariance(2))
+def test_quadrature_covariance_vacuum(vacuum_covariance):
+    quad = en.quadrature_covariance(vacuum_covariance(2))
     assert np.allclose(quad, np.eye(4), atol=1e-14)
+
+
+def reference_quadrature_covariance(doubled):
+    """L X L^+ by matrix products, the rows of L the quadratures
+    x_k = a_k + a_k^+ and p_k = -i(a_k - a_k^+): the form that
+    entanglement.quadrature_covariance replaces."""
+    n = doubled.shape[-1] // 2
+    lam = np.zeros((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        lam[k, k] = 1.0
+        lam[k, n + k] = 1.0
+        lam[n + k, k] = -1j
+        lam[n + k, n + k] = 1j
+    return (lam @ doubled @ pr.dagger(lam)).real
+
+
+#: finite parts, exact zeros of both signs in good supply
+_PART = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+
+
+def _doubled_stacks(n, stack):
+    """Stacks of ``stack`` complex (2n, 2n) matrices made of _PART."""
+    return arrays(np.float64, (stack, 2 * n, 2 * n, 2), elements=_PART).map(
+        lambda parts: parts.view(complex)[..., 0])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.integers(1, 3).flatmap(lambda k: _doubled_stacks(n, k))))
+def test_quadrature_frame_is_the_product_with_lambda(x):
+    # every entry has the bits of the product form, but for the sign of
+    # an exact zero: OpenBLAS's zgemm signs the zeros of its sums by its
+    # own accumulation order, which no sum of two entries reproduces
+    quad = en.quadrature_covariance(x)
+    ref = reference_quadrature_covariance(x)
+    assert quad.shape == ref.shape
+    assert (quad + 0.0).tobytes() == (ref + 0.0).tobytes()
+
+
+def test_quadrature_frame_and_vacuum_output_keep_every_bit_on_sweeps(
+        ref, reference_vacuum_output, monkeypatch):
+    # on the fig2 and two-pair z-averaged stacks, zeros included
+    frames, outputs = [], []
+    frame, output = en.quadrature_covariance, pr.vacuum_output
+
+    def recorded_frame(doubled):
+        frames.append((doubled, frame(doubled)))
+        return frames[-1][1]
+
+    def recorded_output(t, c, n_modes):
+        outputs.append((t, c, n_modes, output(t, c, n_modes)))
+        return outputs[-1][-1]
+
+    monkeypatch.setattr(en, "quadrature_covariance", recorded_frame)
+    monkeypatch.setattr(pr, "vacuum_output", recorded_output)
+    p = ref.with_(coupling_scale=1.6462819213179591,
+                  spinwave_scale=0.007228895687294551)
+    for cfg, grid in [
+            (sweeps.SweepConfig(), sweeps.fig_spectrum_grid(p)),
+            (sweeps.SweepConfig(two_pair=True,
+                                spinwave_definition="z-averaged"),
+             sweeps.fig_two_pair_grid(p))]:
+        set_up, _ = sweeps._set_up([p], cfg)
+        en.extended_quadratures(set_up, grid, p.length,
+                                spinwave=cfg.spinwave_definition)
+    assert len(frames) == len(outputs) == 2
+    for doubled, quad in frames:
+        assert quad.tobytes() == \
+            reference_quadrature_covariance(doubled).tobytes()
+    for t, c, n, out in outputs:
+        assert out.tobytes() == \
+            reference_vacuum_output(t, c, n).tobytes()
 
 
 def test_quadrature_covariance_rejects_odd_dimension():
@@ -196,13 +269,14 @@ def test_extended_covariance_labels_and_lookup(ref, quad_ref):
 
 
 def test_field_block_matches_plain_field_covariance(ref, ss_ref, two_d_ref,
-                                                    quad_ref):
+                                                    quad_ref,
+                                                    vacuum_covariance):
     m, g = verification._drift_stack(verification._rows(ref, ss_ref[None]),
                                      [-300.0], two_d_ref,
                                      lv.sym_noise_matrix)
     t, c = pr.second_moment_transfer_stack(m, g, ref.length)
     quad_fields = en.quadrature_covariance(pr.hermitian_part(
-        pr.output_covariance(t[0], c[0], pr.vacuum_covariance(2))))
+        pr.output_covariance(t[0], c[0], vacuum_covariance(2))))
     sel = np.ix_([0, 1, 3, 4], [0, 1, 3, 4])
     assert np.max(np.abs(quad_ref[0][sel] - quad_fields)) < 1e-13
 

@@ -93,9 +93,16 @@ def test_same_sideband_conjugates_in_place(ref, ss_ref):
     assert np.allclose(m[n:, :n], np.conj(m[:n, n:]), atol=1e-14)
 
 
-def test_vacuum_covariance():
-    assert np.array_equal(pr.vacuum_covariance(3),
+def test_vacuum_covariance(vacuum_covariance):
+    # an identity transfer without noise carries the vacuum input through
+    # on the field rows and leaves augmented rows at zero
+    assert np.array_equal(vacuum_covariance(3),
                           0.5 * np.eye(6, dtype=complex))
+    eye = np.eye(8, dtype=complex)
+    out = pr.vacuum_output(eye[None], np.zeros((1, 8, 8), complex), 3)
+    assert out.shape == (1, 8, 8)
+    assert np.array_equal(out[0, :6, :6], vacuum_covariance(3))
+    assert not np.any(out[0, 6:]) and not np.any(out[0, :, 6:])
 
 
 def test_transfer_matches_expm(ref, ss_ref):
@@ -427,6 +434,63 @@ def test_rk4_oracle_matches_an_extended_precision_march(
     assert np.max(_relative_error(c[finite], c_ref[finite])) < 1e-10
 
 
+#: largest cond(V) of the eigenbasis reference's eigenvectors
+EIGENBASIS_GATE = 1e2
+
+
+def eigenbasis_moments(m, g, length):
+    """(T, C, cond(V)) of the drifts ``m`` with noise drives ``g`` over
+    ``length`` in the eigenbasis m = V diag(lam) V^-1, the diagonal form
+    of Van Loan's integral (IEEE TAC 23 (1978) 395):
+
+        T = V exp(lam L) V^-1,  C = V [(V^-1 g V^-+) o K] V^+,
+        K_ij = expm1(s L) / s,  s = lam_i + conj(lam_j),  or L at s = 0.
+
+    A reference only where cond(V) is small (EIGENBASIS_GATE)."""
+    lam, v = np.linalg.eig(m)
+    w = np.linalg.inv(v)
+    t = (v * np.exp(lam * length)[..., None, :]) @ w
+    s = lam[..., :, None] + np.conj(lam)[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(s == 0, length, np.expm1(s * length) / s)
+    c = v @ ((w @ g @ pr.dagger(w)) * k) @ pr.dagger(v)
+    return t, c, np.linalg.cond(v)
+
+
+def test_eigenbasis_reference_matches_richardson_extrapolated_rk4(
+        ref, ss_ref, two_d_ref):
+    # RK4's error falls as h^4, so (16 X(2n) - X(n)) / 15 cancels its
+    # leading term; what is left, about 1e-10, is the roundoff of the
+    # 2e5-step march.  cond(V) <= 47 at the oracle frequencies
+    m, g = verification._drift_stack(
+        verification._rows(ref, ss_ref[None]), verification.ORACLE_POINTS,
+        two_d_ref, lv.sym_noise_matrix)
+    t, c, cond = eigenbasis_moments(m, g, ref.length)
+    assert np.all(cond <= EIGENBASIS_GATE)
+    (t1, c1), (t2, c2) = (pr.transfer_step_oracle(m, g, ref.length, n)
+                          for n in (100_000, 200_000))
+    assert np.max(_relative_error(t, (16 * t2 - t1) / 15)) < 1e-9
+    assert np.max(_relative_error(c, (16 * c2 - c1) / 15)) < 1e-9
+
+
+def test_doubling_kernel_against_the_eigenbasis_reference_on_fig2(ref):
+    # at the reference point 1991 of fig2's 2031 points pass the gate;
+    # the kernel's error there has median 6e-11, and its worst, at
+    # -1000 MHz with 27 stages, is 1.1e-8 in T and 5.4e-9 in C (RK4 by
+    # Richardson agrees with the reference there to 1.1e-11)
+    cfg = sweeps.SweepConfig()
+    set_up, _ = sweeps._set_up([ref], cfg)
+    m, q, channels, _, _ = en.assemble(set_up, sweeps.fig_spectrum_grid(ref),
+                                       ref.length)
+    g = pr.noise_drive(q, lv.sym_noise_matrix(set_up.two_d, channels))
+    t_ref, c_ref, cond = eigenbasis_moments(m, g, ref.length)
+    gated = cond <= EIGENBASIS_GATE
+    assert np.count_nonzero(gated) > 1900
+    t, c = pr.second_moment_transfer_stack(m, g, ref.length)
+    assert np.max(_relative_error(t[gated], t_ref[gated])) < 2e-8
+    assert np.max(_relative_error(c[gated], c_ref[gated])) < 2e-8
+
+
 def test_rk4_oracle_is_rk4_not_the_exponential():
     # m = -k I, g = g0 I at hk = 0.5: one RK4 step scales T by R(-hk) and
     # the distance of C from its fixed point g0 / 2k by R(-2hk), with
@@ -485,8 +549,25 @@ def _field_moments(p, ss, two_d, omegas, pairing=lv.sym_noise_matrix,
 
 
 def _field_covariance(t, c):
-    return pr.hermitian_part(pr.output_covariance(
-        t, c, pr.vacuum_covariance(t.shape[-1] // 2)))
+    return pr.hermitian_part(pr.vacuum_output(t, c, t.shape[-1] // 2))
+
+
+#: field modes of each state size: the endpoint pairs and their
+#: z-averaged augmentations
+_FIELD_MODES = {4: 2, 8: 4, 10: 2, 18: 4}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(sorted(_FIELD_MODES)),
+       st.floats(min_value=0.05, max_value=5.0))
+def test_vacuum_output_keeps_the_bits_of_the_product_with_the_input(
+        reference_vacuum_output, seed, dim, length):
+    m, g = _mixed_stack(seed, dim, length)
+    t, c = pr.second_moment_transfer_stack(m, g, length)
+    n = _FIELD_MODES[dim]
+    assert pr.vacuum_output(t, c, n).tobytes() == \
+        reference_vacuum_output(t, c, n).tobytes()
 
 
 def test_free_propagation_preserves_commutators(ref):
