@@ -10,11 +10,12 @@ same-frequency bookkeeping develops runaway broadband gain away from
 the pump detunings; those cells print as "overflow".
 """
 
+from eitfwm.params import reference_params
 from eitfwm.verification import convention_comparison
 
 
 def main():
-    table = convention_comparison()
+    table = convention_comparison(reference_params())
     freqs = sorted(next(iter(table.values())))
     head = "".join(f"{f:>14.0f}" for f in freqs)
     print(f"{'coupling/sideband':24s}{head}   (omega, MHz)")

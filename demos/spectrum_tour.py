@@ -33,7 +33,7 @@ def main():
               f"{rep.plateau_median:10.4f}")
 
     out = os.path.join(os.path.dirname(__file__), "spectrum_tour.csv")
-    sweeps.write_csv(spec, out)
+    sweeps.write_text(sweeps.csv_lines(spec), out)
     print(f"wrote {len(grid)} grid points to {out}")
 
 

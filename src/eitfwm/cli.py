@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .params import PhysicalParams, ValidationError, derive, reference_params
-from .steady_state import DegenerateSteadyStateError, solve, steady_state
+from .params import (FIELDS, PhysicalParams, ValidationError, derive,
+                     reference_params)
+from .steady_state import DegenerateSteadyStateError, solve
 from . import langevin
 from . import propagation
 from . import entanglement
@@ -70,7 +71,6 @@ class RunConfig:
     n_points: int = 2001
 
 
-_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(PhysicalParams))
 _CHOICE_KEYS = {
     "coupling": propagation.COUPLINGS,
     "sideband": propagation.SIDEBANDS,
@@ -98,7 +98,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _PARAM_KEYS:
+        if key in FIELDS:
             try:
                 overrides[key] = float(value)
             except ValueError:
@@ -138,7 +138,7 @@ def parse_config(text: str) -> RunConfig:
 def config_echo(rc: RunConfig) -> dict:
     """The effective configuration as deterministic key/value strings."""
     echo = {}
-    for name in _PARAM_KEYS:
+    for name in FIELDS:
         echo[name] = sweeps.fmt_float(getattr(rc.params, name))
     for name, value in dataclasses.asdict(rc.model).items():
         echo[name] = str(value).lower() if isinstance(value, bool) else value
@@ -166,7 +166,7 @@ def _emit_spectrum(spec, rc, dips, out, fmt, analysis=None,
 # --- experiments -----------------------------------------------------------
 
 def _run_steady(rc, out) -> int:
-    ss = steady_state([rc.params])[0]
+    (ss,), _ = solve([rc.params])
     payload = {
         "version": __version__,
         "params": dataclasses.asdict(rc.params),

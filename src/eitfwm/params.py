@@ -65,7 +65,7 @@ class PhysicalParams:
         # coupling_scale = 0 switches the light-matter interaction off
         # entirely, a limit the self-checks rely on
         bad += [name for name in _NON_NEGATIVE if values[name] < 0]
-        bad += [name for name in _FIELDS
+        bad += [name for name in FIELDS
                 if not math.isfinite(values[name]) and name not in bad]
         if bad:
             raise ValidationError("non-physical parameter(s): " + ", ".join(bad))
@@ -85,7 +85,7 @@ class PhysicalParams:
 
 
 #: the fields of PhysicalParams, in declaration order
-_FIELDS = tuple(f.name for f in fields(PhysicalParams))
+FIELDS = tuple(f.name for f in fields(PhysicalParams))
 #: fields that must be positive, and fields that must not be negative, in
 #: the order validate names them
 _POSITIVE = ("n0", "radius", "length", "wavelength", "spinwave_scale",

@@ -13,10 +13,10 @@ density matrix).  Operators are represented by their coefficient arrays
 in the matrix-unit basis; products of coefficient arrays are then plain
 matrix products.
 
-The generator, the drift and the solve take a list of k parameter
-points, one point being a list of one, and return arrays with a leading
-point axis: the steady states of k points are one complex array S of
-shape (k, 3, 3).
+:func:`solve` is the one entry point: it takes a list of k parameter
+points, one point being a list of one, and returns their steady states,
+one complex array S of shape (k, 3, 3), with their Langevin diffusion
+tables.
 
 The single-atom adjoint generator implemented by :func:`apply_generator`
 acts on stacks of operators and of parameter points: one call gives the
@@ -208,26 +208,14 @@ def _stationary(drifts: np.ndarray) -> np.ndarray:
     raise exc
 
 
-def steady_state(points: list) -> np.ndarray:
-    """Unique stationary states of the Bloch generator at the parameter
-    sets ``points``: the <sigma_ab> matrices, shape (k, 3, 3).
-
-    Solves the null space of each drift matrix and normalises the trace.
-    With both drives off (or other degenerate configurations) the ground
-    manifold supports a family of stationary states and
-    DegenerateSteadyStateError is raised instead of picking one.
-
-    One generator call builds every drift and one stacked SVD solves
-    them all.  The first point without a valid state raises, with its
-    position in the list as the error's ``index``.
-    """
-    return _stationary(bloch_drift(points))
-
-
 def solve(points: list) -> tuple[np.ndarray, np.ndarray]:
     """(states, tables): the steady states and the Langevin diffusion
     tables of the parameter sets ``points``, shapes (k, 3, 3) and
     (k, 6, 6), from one generator call.
+
+    With both drives off (or other degenerate configurations) the ground
+    manifold holds a family of stationary states, and
+    DegenerateSteadyStateError is raised instead of picking one.
 
     Each distinct generator key is solved once, in the order of its
     first point, and every point gathers its state and table by the

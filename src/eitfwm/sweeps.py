@@ -2,8 +2,9 @@
 
 This module owns grid construction (with automatic refinement near the
 pair detunings and a cap on the point count), one block sweep engine
-shared by every sweep axis, dip/plateau summaries, and the CSV/JSON
-writers.  The engine evaluates blocks of consecutive points as stacked
+shared by every sweep axis, dip/plateau summaries, the CSV lines and
+JSON payloads of a result, and write_text and write_json, which emit
+them.  The engine evaluates blocks of consecutive points as stacked
 arrays, from the assembly of drift, noise and readout rows through the
 interval doubling, output covariance, coherence-mode extension and
 quadrature transform to both witness sign branches.  A parameter sweep
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .params import PhysicalParams, ValidationError, derive
+from .params import FIELDS, PhysicalParams, ValidationError, derive
 from .steady_state import DegenerateSteadyStateError, solve
 from . import propagation
 from . import entanglement
@@ -65,8 +66,8 @@ MIN_BLOCK_POINTS = 48
 #: every field of a parameter set that a witness point reads: all but the
 #: coherent amplitudes, which displace the fields and never enter the
 #: fluctuation dynamics
-WITNESS_FIELDS = tuple(f.name for f in dataclasses.fields(PhysicalParams)
-                       if f.name not in ("alpha1", "alpha2"))
+WITNESS_FIELDS = tuple(name for name in FIELDS
+                       if name not in ("alpha1", "alpha2"))
 _witness_values = operator.attrgetter(*WITNESS_FIELDS)
 
 
@@ -134,13 +135,12 @@ def params_hash(p: PhysicalParams, config: SweepConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def omega_grid(start: float, stop: float, n: int,
-               refine_centers=(), refine_step: float | None = None,
-               p: PhysicalParams | None = None) -> np.ndarray:
+def omega_grid(start: float, stop: float, n: int, refine_centers,
+               p: PhysicalParams) -> np.ndarray:
     """Uniform grid with dense patches of half width REFINE_HALFWIDTH
     inserted around given centers.
 
-    The refinement step defaults to a third of the optical linewidth, so
+    The refinement step is a third of the optical linewidth of ``p``, so
     features of that scale cannot fall between grid points.  The point
     count is checked against MAX_GRID_POINTS before anything is
     allocated; a grid beyond it raises ValidationError naming
@@ -150,9 +150,7 @@ def omega_grid(start: float, stop: float, n: int,
         raise ValidationError(
             f"n_points = {n} exceeds the grid cap of {MAX_GRID_POINTS} "
             "points")
-    if refine_step is None:
-        dp = derive(p if p is not None else PhysicalParams())
-        refine_step = dp.gamma13 / 3.0
+    refine_step = derive(p).gamma13 / 3.0
     spans = []
     total = n
     for c in refine_centers:
@@ -489,11 +487,6 @@ def write_text(lines, out: str | None = None) -> None:
         if os.path.isfile(out):
             os.remove(out)
         raise OutputError(f"cannot write output: {exc}") from None
-
-
-def write_csv(spec: CorrelationSpectrum, path: str,
-              extra_meta: dict | None = None) -> None:
-    write_text(csv_lines(spec, extra_meta), path)
 
 
 def summary_payload(spec: CorrelationSpectrum, dips=()) -> dict:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, derive, reference_params
+from .params import PhysicalParams, derive
 from .steady_state import dark_state_sigma, solve
 from . import langevin
 from . import propagation
@@ -139,9 +139,7 @@ def _worst_commutator_dev(p, ss, two_d, omegas, coupling) -> float:
     return float(np.max(np.abs(out - j0)))
 
 
-def check_commutators(p: PhysicalParams | None = None) -> list[CheckReport]:
-    if p is None:
-        p = reference_params()
+def check_commutators(p: PhysicalParams) -> list[CheckReport]:
     reports = []
 
     free, nodeph = p.with_(coupling_scale=0.0), p.with_(gamma0=0.0)
@@ -190,11 +188,9 @@ def _relative_deviation(x: np.ndarray, ref: np.ndarray) -> float:
     return 0.0 if deviation == 0 else float(deviation / np.max(np.abs(ref)))
 
 
-def check_oracle_equivalence(p: PhysicalParams | None = None,
+def check_oracle_equivalence(p: PhysicalParams,
                              n_steps: int = 100000) -> list[CheckReport]:
     """Doubling integrator against the naive fixed-step one."""
-    if p is None:
-        p = reference_params()
     ss, two_d = solve([p])
     m, g = _drift_stack(_rows(p, ss), ORACLE_POINTS, two_d,
                         langevin.sym_noise_matrix)
@@ -212,9 +208,7 @@ def check_oracle_equivalence(p: PhysicalParams | None = None,
         tolerance=1e-8)]
 
 
-def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
-    if p is None:
-        p = reference_params()
+def check_limits(p: PhysicalParams) -> list[CheckReport]:
     reports = []
 
     pz, nodeph = p.with_(omega_p=0.0), p.with_(gamma0=0.0)
@@ -262,9 +256,7 @@ def check_limits(p: PhysicalParams | None = None) -> list[CheckReport]:
     return reports
 
 
-def run_all(p: PhysicalParams | None = None) -> list[CheckReport]:
-    if p is None:
-        p = reference_params()
+def run_all(p: PhysicalParams) -> list[CheckReport]:
     return (check_commutators(p) + check_oracle_equivalence(p)
             + check_limits(p))
 
@@ -277,15 +269,13 @@ def verify_exit_code(reports) -> int:
     return 3 if any(r.surprising for r in reports) else 0
 
 
-def convention_comparison(p: PhysicalParams | None = None) -> dict:
+def convention_comparison(p: PhysicalParams) -> dict:
     """Witness values for every coupling/sideband combination.
 
     Feeds the comparison table of the validation notes; "overflow"
     marks combinations where the drift develops broadband exponential
     gain beyond the trust ceiling.
     """
-    if p is None:
-        p = reference_params()
     ss, two_d = solve([p])
     rows = _rows(p, ss)
     table = {}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eitfwm.params import reference_params
-from eitfwm.steady_state import solve, steady_state
+from eitfwm.steady_state import solve
 
 
 @pytest.fixture(scope="session")
@@ -13,7 +13,7 @@ def ref():
 @pytest.fixture(scope="session")
 def ss_ref(ref):
     """The 3x3 steady state of the reference parameters."""
-    return steady_state([ref])[0]
+    return solve([ref])[0][0]
 
 
 @pytest.fixture(scope="session")

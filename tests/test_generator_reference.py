@@ -224,13 +224,13 @@ def _assert_stack_matches_reference(points):
     there the same error type, message and position."""
     ref_states, failure = _reference_states(points)
     try:
-        states = ss_mod.steady_state(points)
+        states = ss_mod.solve(points)[0]
     except (ss_mod.DegenerateSteadyStateError, ValueError) as exc:
         assert failure is not None, f"stacked raised {exc!r}"
         assert type(exc) is type(failure)
         assert str(exc) == str(failure)
         assert exc.index == len(ref_states)
-        states = ss_mod.steady_state(points[:exc.index])
+        states = ss_mod.solve(points[:exc.index])[0]
     else:
         assert failure is None, f"reference raised {failure!r}"
     assert len(states) == len(ref_states)

@@ -473,7 +473,16 @@ def test_eigenbasis_reference_matches_richardson_extrapolated_rk4(
     assert np.max(_relative_error(c, (16 * c2 - c1) / 15)) < 1e-9
 
 
-def test_doubling_kernel_against_the_eigenbasis_reference_on_fig2(ref):
+@pytest.mark.parametrize("bound", [
+    pytest.param(2e-8, id="2e-8"),
+    # the tolerance verify's oracle_equivalence certifies, which the
+    # kernel misses in T at -1000 MHz, a frequency the check does not
+    # sample
+    pytest.param(1e-8, id="1e-8", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the kernel is 1.095e-8 off in T at -1000 MHz")),
+])
+def test_doubling_kernel_against_the_eigenbasis_reference_on_fig2(ref, bound):
     # at the reference point 1991 of fig2's 2031 points pass the gate;
     # the kernel's error there has median 6e-11, and its worst, at
     # -1000 MHz with 27 stages, is 1.1e-8 in T and 5.4e-9 in C (RK4 by
@@ -487,8 +496,8 @@ def test_doubling_kernel_against_the_eigenbasis_reference_on_fig2(ref):
     gated = cond <= EIGENBASIS_GATE
     assert np.count_nonzero(gated) > 1900
     t, c = pr.second_moment_transfer_stack(m, g, ref.length)
-    assert np.max(_relative_error(t[gated], t_ref[gated])) < 2e-8
-    assert np.max(_relative_error(c[gated], c_ref[gated])) < 2e-8
+    assert np.max(_relative_error(t[gated], t_ref[gated])) < bound
+    assert np.max(_relative_error(c[gated], c_ref[gated])) < bound
 
 
 def test_rk4_oracle_is_rk4_not_the_exponential():

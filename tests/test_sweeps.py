@@ -13,7 +13,7 @@ from eitfwm import entanglement as en
 from eitfwm import propagation as pr
 from eitfwm import sweeps
 from eitfwm import verification
-from eitfwm.params import ValidationError, derive
+from eitfwm.params import ValidationError, derive, reference_params
 from eitfwm.steady_state import DegenerateSteadyStateError, solve
 
 # the package exports a function of the same name as the module
@@ -54,7 +54,7 @@ def test_omega_grid_refinement_density(ref):
        st.floats(min_value=-6000.0, max_value=6000.0))
 def test_omega_grid_is_sorted_unique_and_bounded(start, stop, n, center):
     grid = sweeps.omega_grid(start, stop, n, refine_centers=(center,),
-                             refine_step=0.7)
+                             p=reference_params())
     assert np.all(np.diff(grid) > 0)
     assert grid[0] >= start - 1e-9 and grid[-1] <= stop + 1e-9
     assert start in grid and stop in grid
@@ -764,7 +764,7 @@ def test_csv_rows_format_every_cell_as_before(ref):
 
 def test_write_csv_file(tmp_path, spec_small):
     path = tmp_path / "spec.csv"
-    sweeps.write_csv(spec_small, str(path))
+    sweeps.write_text(sweeps.csv_lines(spec_small), str(path))
     text = path.read_text()
     assert text.endswith("\n")
     assert text == "\n".join(sweeps.csv_lines(spec_small)) + "\n"
