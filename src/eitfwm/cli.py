@@ -148,9 +148,13 @@ def config_echo(rc: RunConfig) -> dict:
     return echo
 
 
-def _emit_spectrum(spec, rc, dips, out, fmt, analysis=None,
+def _emit_spectrum(spec, rc, windows, out, fmt, analysis=None,
                    extra_meta=None) -> None:
+    """Write ``spec`` as CSV or as JSON; the JSON reports each pair's dip
+    in every window of ``windows``, pair by pair."""
     if fmt == "json":
+        dips = [sweeps.find_dip(spec, pair, window)
+                for pair in spec.pairs for window in windows]
         payload = sweeps.summary_payload(spec, dips=dips)
         payload["config_echo"] = config_echo(rc)
         if analysis:
@@ -207,11 +211,11 @@ def _spectrum_grid(rc) -> np.ndarray:
 
 
 def _run_omega_sweep(rc, out, fmt, grid, model, resonances=()) -> int:
-    """Shared body of spectrum, fig2 and fig3: sweep the grid, then report
-    each pair's dip in the window around every resonance, the pair
-    detunings named by ``resonances``, and over the full grid, in that
-    order.  A window that holds no grid point is rejected before the
-    sweep."""
+    """Shared body of spectrum, fig2 and fig3: sweep the grid, then, in
+    JSON, report each pair's dip in the window around every resonance,
+    the pair detunings named by ``resonances``, and over the full grid,
+    in that order.  A window that holds no grid point is rejected before
+    the sweep."""
     windows = []
     for name in resonances:
         c = getattr(rc.params, name)
@@ -224,9 +228,7 @@ def _run_omega_sweep(rc, out, fmt, grid, model, resonances=()) -> int:
         windows.append((lo, hi))
     windows.append((float(grid[0]), float(grid[-1])))
     spec = sweeps.sweep_omega(rc.params, grid, model)
-    dips = [sweeps.find_dip(spec, pair, window)
-            for pair in spec.pairs for window in windows]
-    _emit_spectrum(spec, rc, dips, out, fmt)
+    _emit_spectrum(spec, rc, windows, out, fmt)
     return 0
 
 
@@ -425,7 +427,7 @@ def calibrate(rc: RunConfig) -> dict:
         final, labels, pair) for pair in cfg.pairs()}
     achieved = {f"V_{tag}": float(values[0])
                 for tag, (values, _) in witnesses.items()}
-    signs = {tag: [int(s) for s in branches[0]]
+    signs = {tag: branches[0].tolist()
              for tag, (_, branches) in witnesses.items()}
     target_met = {
         name: bool(abs(achieved[name] - t) <= CALIBRATION_BAND * t)

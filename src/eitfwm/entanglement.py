@@ -290,7 +290,8 @@ def duan_values(quad: np.ndarray, i: int, j: int, sign_u: int,
 def duan_min_stack(quad: np.ndarray, i: int, j: int,
                    prefer: tuple | None = None):
     """(values, signs): the smaller of the two sign pairings at every
-    matrix of a stack; ties and nan keep the preferred pairing."""
+    matrix of a stack, and its (sign_u, sign_v) as an (N, 2) integer
+    array; ties and nan keep the preferred pairing."""
     first, second = (1, -1), (-1, 1)
     if prefer is not None and tuple(prefer) == second:
         first, second = second, first
@@ -298,7 +299,7 @@ def duan_min_stack(quad: np.ndarray, i: int, j: int,
     v_second = duan_values(quad, i, j, *second)
     take = v_second < v_first
     return (np.where(take, v_second, v_first),
-            [second if tk else first for tk in take])
+            np.where(take[..., None], second, first))
 
 
 def pair_witness(quad: np.ndarray, labels: list, pair: tuple):

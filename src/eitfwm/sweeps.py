@@ -7,14 +7,15 @@ JSON payloads of a result, and write_text and write_json, which emit
 them.  The engine evaluates blocks of consecutive points as stacked
 arrays, from the assembly of drift, noise and readout rows through the
 interval doubling, output covariance, coherence-mode extension and
-quadrature transform to both witness sign branches.  A parameter sweep
-evaluates each distinct witness point once, keyed by the bits of what
-a witness reads (witness_key), and every point takes the result of its
-key; each of its blocks first builds one set-up stacked over its
-points, and solves the steady state and diffusion table once per
-distinct generator point among them.  A block gives every point bit
-for bit the result of a one-point evaluation, so rerunning a sweep with
-the same configuration reproduces the output byte for byte.
+quadrature transform to both witness sign branches.  Every sweep
+evaluates each distinct witness point once, keyed by the bits of its
+frequency and of the swept field if a witness reads it, and every point
+takes the result of its key as one array gather; each block of a
+parameter sweep first builds one set-up stacked over its points, and
+solves the steady state and diffusion table once per distinct generator
+point among them.  A block gives every point bit for bit the result of
+a one-point evaluation, so rerunning a sweep with the same
+configuration reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import operator
 import os
-import struct
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ from . import entanglement
 SINGLE_PAIRS = (("a1", "b1"), ("a1", "S"), ("S", "b1"))
 TWO_PAIR_PAIRS = (("a1", "a2"), ("b1", "b2"), ("a1", "S"), ("S", "b1"))
 
-#: plateau statistics are taken over this band unless overridden
+#: plateau statistics are taken over this band
 PLATEAU_BAND = (-2600.0, 600.0)
 
 #: half width of the dense patch the frequency grids place around each
@@ -68,7 +67,6 @@ MIN_BLOCK_POINTS = 48
 #: fluctuation dynamics
 WITNESS_FIELDS = tuple(name for name in FIELDS
                        if name not in ("alpha1", "alpha2"))
-_witness_values = operator.attrgetter(*WITNESS_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ class CorrelationSpectrum:
     omegas: np.ndarray
     pairs: list
     values: dict            # pair -> array of V
-    signs: dict             # pair -> list of (sign_u, sign_v)
+    signs: dict             # pair -> (N, 2) int array of (sign_u, sign_v)
     params: PhysicalParams
     config: SweepConfig
     axis: str = "omega"     # sweep variable of ``omegas``
@@ -205,15 +203,6 @@ def _naming(exc: Exception, axis: str, value) -> Exception:
     return type(exc)(f"{exc}, {axis} = {float(value):g}")
 
 
-def witness_key(p: PhysicalParams, omega: float) -> bytes:
-    """The exact bits of the WITNESS_FIELDS of ``p`` and of ``omega``, as
-    doubles: two points of a sweep with the same key have bit for bit
-    the same witness values and signs.  Bits, not values, as in
-    steady_state.generator_key."""
-    return struct.pack(f"{len(WITNESS_FIELDS) + 1}d",
-                       *_witness_values(p), omega)
-
-
 def _sweep(p: PhysicalParams, axis: str, values, omegas,
            config: SweepConfig | None, field: str | None = None
            ) -> CorrelationSpectrum:
@@ -223,17 +212,19 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     ``p``; in a parameter sweep, the field ``field`` of ``p`` takes each
     of ``values``.
 
-    A parameter sweep evaluates each distinct witness_key once, in the
-    order of its first point, and every point gathers its values and
-    signs by the index of its key; a frequency sweep evaluates every
-    point.  The evaluated points go in blocks of consecutive points,
-    each holding about propagation.BLOCK_ENTRIES entries of propagated
-    matrices but at least MIN_BLOCK_POINTS points, evaluated as stacked
-    arrays, from the assembly to both sign branches of every witness;
-    the doubling kernel splits a larger block into sub-stacks of
-    BLOCK_ENTRIES entries.  In a parameter sweep, each block first
-    builds its points' set-up as one stack, with one solve per distinct
-    generator point.  Every point shares the cell length of ``p``.
+    Every point is ``p`` with at most ``field`` replaced, so its key is
+    the bits of its frequency and, if a witness reads ``field`` (it is
+    one of WITNESS_FIELDS), of its swept value.  Each distinct key is
+    evaluated once, in the order of its first point, and every point
+    gathers its values and signs by the index of its key.  The
+    evaluated points go in blocks of consecutive points, each holding
+    about propagation.BLOCK_ENTRIES entries of propagated matrices but
+    at least MIN_BLOCK_POINTS points, evaluated as stacked arrays, from
+    the assembly to both sign branches of every witness; the doubling
+    kernel splits a larger block into sub-stacks of BLOCK_ENTRIES
+    entries.  In a parameter sweep, each block first builds its points'
+    set-up as one stack, with one solve per distinct generator point.
+    Every point shares the cell length of ``p``.
 
     A failing sweep reports its first failing point in grid order: a
     numerical failure names its frequency, and in a parameter sweep
@@ -246,24 +237,27 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     pairs = config.pairs()
     modes = config.modes(p)
     labels = entanglement.extended_labels(modes)
-    witness_values = {pair: [] for pair in pairs}
-    witness_signs = {pair: [] for pair in pairs}
     dim = entanglement.state_dim(len(modes), config.spinwave_definition)
     size = max(MIN_BLOCK_POINTS, propagation.BLOCK_ENTRIES // dim ** 2)
     grid = np.asarray(values, dtype=float)
+    # bits, not values: 0.0 == -0.0, as in steady_state.generator_key
+    swept = grid if field in WITNESS_FIELDS else np.zeros_like(grid)
+    bits = np.stack([swept, omegas], axis=1).view(np.int64)
+    _, first, index = np.unique(bits, axis=0, return_index=True,
+                                return_inverse=True)
+    # the keys in the order of their first points
+    order = np.argsort(first)
+    first, index = first[order], np.argsort(order)[index]
+    values, omegas = grid[first], omegas[first]
     if field is None:
         set_up, error = _set_up([p], config)
         if error is not None:
             raise error
     else:
-        points = [p.with_(**{field: x}) for x in grid.tolist()]
-        slots = {}
-        index = [slots.setdefault(witness_key(q, om), len(slots))
-                 for q, om in zip(points, omegas.tolist())]
-        # the point of each distinct key that comes first in the grid
-        first = np.unique(index, return_index=True)[1]
-        points = [points[i] for i in first]
-        values, omegas = grid[first], omegas[first]
+        points = [p.with_(**{field: x}) for x in values.tolist()]
+    # the (values, signs) of every pair, block by block; the first block
+    # is empty, so that an empty grid gives empty arrays
+    blocks = [[(np.empty(0), np.empty((0, 2), dtype=int))] * len(pairs)]
     for lo in range(0, len(values), size):
         hi = min(lo + size, len(values))
         if field is not None:
@@ -278,23 +272,18 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
                 if field is None:
                     raise
                 raise _naming(exc, axis, values[lo + exc.index]) from exc
-            for pair in pairs:
-                v, signs = entanglement.pair_witness(quad, labels, pair)
-                witness_values[pair].extend(v.tolist())
-                witness_signs[pair].extend(signs)
+            blocks.append([entanglement.pair_witness(quad, labels, pair)
+                           for pair in pairs])
         if error is not None:
             raise _naming(error, axis, values[hi]) from error
-    if field is not None:
-        # every point takes the values and signs of its key
-        witness_values = {pair: [vs[i] for i in index]
-                          for pair, vs in witness_values.items()}
-        witness_signs = {pair: [signs[i] for i in index]
-                         for pair, signs in witness_signs.items()}
+    # every point takes the values and signs of its key
+    gathered = [[np.concatenate(parts)[index] for parts in zip(*results)]
+                for results in zip(*blocks)]
     return CorrelationSpectrum(
         omegas=grid, pairs=pairs,
-        values={pair: np.array(vs, dtype=float)
-                for pair, vs in witness_values.items()},
-        signs=witness_signs, params=p, config=config, axis=axis)
+        values={pair: v for pair, (v, _) in zip(pairs, gathered)},
+        signs={pair: s for pair, (_, s) in zip(pairs, gathered)},
+        params=p, config=config, axis=axis)
 
 
 def sweep_omega(p: PhysicalParams, omegas, config: SweepConfig | None = None
@@ -318,19 +307,18 @@ def sweep_alpha(p: PhysicalParams, alphas, omega: float,
     """Witnesses versus the coherent input amplitude ``alpha1``.
 
     The fluctuation dynamics never sees the displacement, so no witness
-    reads ``alpha1``: every point has one witness_key, evaluated once,
-    and the values are constant by construction.  That the amplitudes
-    reach no set-up is tested directly, and verify's
+    reads ``alpha1``: every point has one key, evaluated once, and the
+    values are constant by construction.  That the amplitudes reach no
+    set-up is tested directly, and verify's
     limit_input_amplitude_independence check propagates three of them.
     """
     return _sweep(p, "alpha", alphas, np.full(len(alphas), float(omega)),
                   config, field="alpha1")
 
 
-def plateau_median(spec: CorrelationSpectrum, pair, band=PLATEAU_BAND,
-                   exclude=()) -> float:
-    """Median witness over the plateau band, excluding given intervals."""
-    mask = (spec.omegas >= band[0]) & (spec.omegas <= band[1])
+def plateau_median(spec: CorrelationSpectrum, pair, exclude=()) -> float:
+    """Median witness over PLATEAU_BAND, excluding given intervals."""
+    mask = (spec.omegas >= PLATEAU_BAND[0]) & (spec.omegas <= PLATEAU_BAND[1])
     for lo, hi in exclude:
         mask &= ~((spec.omegas >= lo) & (spec.omegas <= hi))
     if not np.any(mask):
@@ -454,9 +442,7 @@ def csv_lines(spec: CorrelationSpectrum, extra_meta: dict | None = None):
     row = "%.17g" + ",%.17g,%d,%d" * len(spec.pairs)
     columns = [spec.omegas.tolist()]
     for pair in spec.pairs:
-        signs = spec.signs[pair]
-        columns += [spec.values[pair].tolist(), (su for su, _ in signs),
-                    (sv for _, sv in signs)]
+        columns += [spec.values[pair].tolist(), *spec.signs[pair].T.tolist()]
     lines.extend(row % cells for cells in zip(*columns))
     return lines
 
@@ -503,7 +489,7 @@ def summary_payload(spec: CorrelationSpectrum, dips=()) -> dict:
         },
         "axis": spec.axis,
         "dips": [dataclasses.asdict(d) for d in dips],
-        "signs": {pair_tag(pair): spec.signs[pair][0]
+        "signs": {pair_tag(pair): spec.signs[pair][0].tolist()
                   for pair in spec.pairs},
         "calibration": {},
         "curves": {

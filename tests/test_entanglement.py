@@ -43,7 +43,7 @@ def test_two_mode_squeezed_witness_exact(squeezed_quadrature):
         quad = squeezed_quadrature(s)
         (value,), (signs,) = en.duan_min_stack(quad[None], 0, 1)
         assert value == pytest.approx(4.0 * np.exp(-2.0 * s), abs=1e-9)
-        assert signs == (-1, 1)
+        assert signs.tolist() == [-1, 1]
         assert (value < 4.0) == (s > 0)
 
 
@@ -75,16 +75,18 @@ def test_duan_value_rejects_bad_index():
 
 def test_duan_min_tie_keeps_preferred_signs():
     quad = np.eye(4)[None]   # uncorrelated, both pairings give exactly 4
-    assert en.duan_min_stack(quad, 0, 1)[1] == [(1, -1)]
-    assert en.duan_min_stack(quad, 0, 1, prefer=(-1, 1))[1] == [(-1, 1)]
+    assert en.duan_min_stack(quad, 0, 1)[1].tolist() == [[1, -1]]
+    assert en.duan_min_stack(quad, 0, 1, prefer=(-1, 1))[1].tolist() \
+        == [[-1, 1]]
     assert en.duan_min_stack(quad, 0, 1)[0][0] == 4.0
 
 
 def test_pair_witness_keeps_the_pairs_preferred_signs():
     quad = np.eye(6)[None]   # uncorrelated: every pair ties at 4
     for pair in (("a1", "S"), ("S", "a1")):
-        assert en.pair_witness(quad, LABELS, pair)[1] == [(-1, 1)]
-    assert en.pair_witness(quad, LABELS, ("a1", "b1"))[1] == [(1, -1)]
+        assert en.pair_witness(quad, LABELS, pair)[1].tolist() == [[-1, 1]]
+    assert en.pair_witness(quad, LABELS, ("a1", "b1"))[1].tolist() \
+        == [[1, -1]]
 
 
 def _rotations(phases: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -283,11 +285,12 @@ def test_field_block_matches_plain_field_covariance(ref, ss_ref, two_d_ref,
 
 def test_reference_witnesses_frozen(quad_ref):
     (value,), signs = en.pair_witness(quad_ref, LABELS, ("a1", "b1"))
-    assert signs == [(1, -1)]
+    assert signs.tolist() == [[1, -1]]
     assert value == pytest.approx(2.111497118432327, rel=1e-9)
     assert value < 4.0
-    assert en.pair_witness(quad_ref, LABELS, ("a1", "S"))[1] == [(1, -1)]
-    assert en.pair_witness(quad_ref, LABELS, ("S", "b1"))[1] == [(1, -1)]
+    for pair in (("a1", "S"), ("S", "b1")):
+        assert en.pair_witness(quad_ref, LABELS, pair)[1].tolist() \
+            == [[1, -1]]
 
 
 def test_witness_even_in_frequency(ref):
@@ -313,7 +316,7 @@ def test_witness_even_in_frequency(ref):
         for pair in cfg.pairs():
             v_plus, signs_plus = en.pair_witness(plus, labels, pair)
             v_minus, signs_minus = en.pair_witness(minus, labels, pair)
-            assert signs_minus == signs_plus
+            assert np.array_equal(signs_minus, signs_plus)
             assert np.max(np.abs(v_minus - v_plus) / v_plus) < 1e-8
 
 

@@ -25,7 +25,7 @@ def _synthetic(omegas, values, params):
     return sweeps.CorrelationSpectrum(
         omegas=np.asarray(omegas, dtype=float), pairs=[pair],
         values={pair: np.asarray(values, dtype=float)},
-        signs={pair: [(1, -1)] * len(omegas)},
+        signs={pair: np.tile((1, -1), (len(omegas), 1))},
         params=params, config=sweeps.SweepConfig())
 
 
@@ -73,7 +73,7 @@ def test_sweep_deterministic(ref, spec_small):
     again = sweeps.sweep_omega(ref, SMALL_GRID)
     for pair in spec_small.pairs:
         assert np.array_equal(spec_small.values[pair], again.values[pair])
-        assert spec_small.signs[pair] == again.signs[pair]
+        assert np.array_equal(spec_small.signs[pair], again.signs[pair])
 
 
 def test_sweep_runs_one_transfer_per_point(ref, monkeypatch):
@@ -217,7 +217,8 @@ def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
             for pair in spec.pairs:
                 (value,), (signs,) = alone[i][pair]
                 assert spec.values[pair][i] == value, (om, pair, points)
-                assert spec.signs[pair][i] == signs, (om, pair, points)
+                assert spec.signs[pair][i].tolist() == signs.tolist(), \
+                    (om, pair, points)
 
 
 @BLOCK_CONFIGS
@@ -232,7 +233,7 @@ def test_block_param_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
         for pair in spec.pairs:
             (value,), (signs,) = alone[pair]
             assert spec.values[pair][i] == value, (g0, pair)
-            assert spec.signs[pair][i] == signs, (g0, pair)
+            assert spec.signs[pair][i].tolist() == signs.tolist(), (g0, pair)
 
 
 @pytest.mark.parametrize("sweep,where", [
@@ -422,21 +423,43 @@ def test_a_parameter_sweep_evaluates_each_distinct_point_once(
 
 @BLOCK_CONFIGS
 def test_repeated_points_take_the_one_point_result(ref, monkeypatch, cfg):
-    # blocks of 2 distinct points: 0.1, 0.2 and then 0.3
+    # blocks of 2 distinct points: 0.1, 0.2 and then 0.3 in the dephasing
+    # sweep, 0.0, -0.0 and then 250 in the frequency sweep
     _small_blocks(monkeypatch, cfg, ref, 2)
     evaluated = _evaluated(monkeypatch)
     gamma0s = [0.1, 0.2, 0.1, 0.3, 0.2]
-    spec = sweeps.sweep_gamma0(ref, gamma0s, omega=-800.0, config=cfg)
-    assert evaluated == [2, 1]
-    assert spec.omegas.tolist() == gamma0s
-    for i, g0 in enumerate(gamma0s):
-        q = ref.with_(gamma0=g0)
-        alone = _alone(q, *solve([q]), cfg, -800.0)
+    omegas = [0.0, -0.0, 250.0, 0.0, 250.0]
+    for grid, sweep, points in [
+            (gamma0s,
+             lambda: sweeps.sweep_gamma0(ref, gamma0s, omega=-800.0,
+                                         config=cfg),
+             [(ref.with_(gamma0=g0), -800.0) for g0 in gamma0s]),
+            (omegas, lambda: sweeps.sweep_omega(ref, np.array(omegas), cfg),
+             [(ref, om) for om in omegas])]:
+        evaluated.clear()
+        spec = sweep()
+        assert evaluated == [2, 1]
+        assert spec.omegas.tobytes() == np.array(grid).tobytes()
+        for i, (q, om) in enumerate(points):
+            alone = _alone(q, *solve([q]), cfg, om)
+            for pair in spec.pairs:
+                (value,), (signs,) = alone[pair]
+                assert spec.values[pair][i].tobytes() == value.tobytes(), \
+                    (grid[i], pair)
+                assert spec.signs[pair][i].tolist() == signs.tolist(), \
+                    (grid[i], pair)
+
+
+def test_an_empty_grid_gives_empty_arrays(ref):
+    for spec in (sweeps.sweep_omega(ref, np.array([])),
+                 sweeps.sweep_gamma0(ref, [], omega=0.0)):
         for pair in spec.pairs:
-            (value,), (signs,) = alone[pair]
-            assert spec.values[pair][i].tobytes() == value.tobytes(), \
-                (g0, pair)
-            assert spec.signs[pair][i] == signs, (g0, pair)
+            assert spec.values[pair].shape == (0,)
+            assert spec.values[pair].dtype == np.float64
+            assert spec.signs[pair].shape == (0, 2)
+            assert spec.signs[pair].dtype.kind == "i"
+        # the header is the last line
+        assert sweeps.csv_lines(spec)[-1].startswith(spec.axis + ",V_")
 
 
 @pytest.mark.parametrize("sweep,error,where", [
@@ -481,17 +504,21 @@ def test_an_overflow_before_a_repeated_set_up_failure_wins(ref, monkeypatch,
                             omega=-2000.0, config=cfg)
 
 
-def test_witness_keys_hold_bits_and_leave_out_the_amplitudes(ref):
-    # 0.0 == -0.0, but a key holds bits, in a field as in the frequency
-    assert sweeps.witness_key(ref, 0.0) != sweeps.witness_key(ref, -0.0)
-    assert sweeps.witness_key(ref.with_(gamma0=0.0), 0.0) \
-        != sweeps.witness_key(ref.with_(gamma0=-0.0), 0.0)
-    assert sweeps.witness_key(ref.with_(alpha1=-0.0, alpha2=1e300), 5.0) \
-        == sweeps.witness_key(ref, 5.0)
-    for name in sweeps.WITNESS_FIELDS:
-        moved = ref.with_(**{name: getattr(ref, name) * 2.0 + 1.0})
-        assert sweeps.witness_key(moved, 5.0) \
-            != sweeps.witness_key(ref, 5.0), name
+def test_witness_keys_hold_bits_and_leave_out_the_amplitudes(
+        ref, monkeypatch):
+    # 0.0 == -0.0, but a key holds bits: in the frequency here, in a field
+    # in test_signed_zero_dephasings_are_evaluated_apart
+    evaluated = _evaluated(monkeypatch)
+    spec = sweeps.sweep_omega(ref, np.array([0.0, -0.0, 0.0]))
+    assert evaluated == [2]
+    assert [np.copysign(1.0, om) for om in spec.omegas] == [1.0, -1.0, 1.0]
+    # a sweep of any field a witness reads evaluates each of its values,
+    # a sweep of either amplitude one point
+    for name in sweeps.WITNESS_FIELDS + ("alpha1", "alpha2"):
+        x = getattr(ref, name)
+        sweeps._sweep(ref, name, [x, x * 2.0 + 1.0, x], np.full(3, 5.0),
+                      None, field=name)
+    assert evaluated == [2] + [2] * len(sweeps.WITNESS_FIELDS) + [1, 1]
     assert set(sweeps.WITNESS_FIELDS) == {
         f.name for f in dataclasses.fields(ref)} - {"alpha1", "alpha2"}
 
@@ -578,7 +605,7 @@ def test_repeated_generator_points_share_a_solve(ref, monkeypatch, cfg):
               st.floats(allow_nan=False, allow_infinity=False)),
     min_size=1, max_size=3))
 def test_amplitudes_never_reach_a_set_up(ref, cfg, amplitudes):
-    # the premise of witness_key: whatever the coherent amplitudes, the
+    # the premise of the sweep keys: whatever the coherent amplitudes, the
     # set-up, which is all a witness point reads besides its frequency
     # and the sweep's cell length, has the bytes of the reference point's
     points = [ref.with_(alpha1=a1, alpha2=a2) for a1, a2 in amplitudes]
@@ -683,14 +710,13 @@ def test_plateau_median_respects_exclusions(ref):
     vals = np.full(om.size, 3.0)
     vals[(om >= -1100.0) & (om <= -900.0)] = 0.5
     spec = _synthetic(om, vals, ref)
-    raw = sweeps.plateau_median(spec, ("a1", "b1"), band=(-2000.0, 0.0))
+    # the whole grid lies in PLATEAU_BAND
+    raw = sweeps.plateau_median(spec, ("a1", "b1"))
     cleaned = sweeps.plateau_median(spec, ("a1", "b1"),
-                                    band=(-2000.0, 0.0),
                                     exclude=[(-1100.0, -900.0)])
     assert raw == 3.0       # dip region is a minority of the band
     assert cleaned == 3.0
     empty = sweeps.plateau_median(spec, ("a1", "b1"),
-                                  band=(-2000.0, 0.0),
                                   exclude=[(-2000.0, 0.0)])
     assert np.isnan(empty)
 
@@ -752,8 +778,8 @@ def test_csv_rows_format_every_cell_as_before(ref):
     # each sign, joined by commas, for special values too
     pair = ("a1", "b1")
     spec = _synthetic(SPECIAL_DOUBLES, SPECIAL_DOUBLES[::-1], ref)
-    spec.signs[pair] = [(1, -1), (-1, 1)] * (len(SPECIAL_DOUBLES) // 2) \
-        + [(1, -1)]
+    spec.signs[pair] = np.array(
+        [(1, -1), (-1, 1)] * (len(SPECIAL_DOUBLES) // 2) + [(1, -1)])
     rows = sweeps.csv_lines(spec)[-len(SPECIAL_DOUBLES):]
     expected = [",".join([sweeps.fmt_float(om), sweeps.fmt_float(v),
                           str(int(su)), str(int(sv))])
