@@ -22,20 +22,14 @@ The single-atom adjoint generator implemented by :func:`apply_generator`
 acts on stacks of operators and of parameter points: one call gives the
 Bloch drifts of a whole block of points, whose rows are also the images
 the Langevin Einstein relations need.  The generator reads only the
-fields GENERATOR_FIELDS of a parameter set, so points with the same
-:func:`generator_key` share their drift, steady state and diffusion
-table, and :func:`solve` solves each key once.  One SVD call solves the
+fields GENERATOR_FIELDS of a parameter set.  One SVD call solves the
 null spaces of a whole block of drifts, and one pass checks all states.
 """
 
 from __future__ import annotations
 
-import operator
-import struct
-
 import numpy as np
 
-from .params import PhysicalParams
 from . import langevin
 
 # fixed ordering of the nine matrix units |a><b|, row-major in (a, b)
@@ -43,7 +37,6 @@ BASIS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
 
 #: every field of a parameter set that the Bloch generator reads
 GENERATOR_FIELDS = ("omega_c", "omega_p", "gamma1", "gamma2", "gamma0")
-_generator_values = operator.attrgetter(*GENERATOR_FIELDS)
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -77,14 +70,6 @@ def check_states(m: np.ndarray, tol: float = 1e-9) -> None:
     raise exc
 
 
-def generator_key(p: PhysicalParams) -> bytes:
-    """The exact bits of the generator fields of ``p``, as doubles: two
-    points with the same key have bit for bit the same drift, steady
-    state and diffusion table.  Bits, not values: 0.0 == -0.0, but the
-    two can give signed zeros of opposite sign in the drift."""
-    return struct.pack(f"{len(GENERATOR_FIELDS)}d", *_generator_values(p))
-
-
 def _unit(a: int, b: int) -> np.ndarray:
     e = np.zeros((3, 3), dtype=complex)
     e[a - 1, b - 1] = 1.0
@@ -94,9 +79,9 @@ def _unit(a: int, b: int) -> np.ndarray:
 def _fields(points: list, ndim: int) -> dict:
     """The GENERATOR_FIELDS of the parameter sets ``points``, by name, as
     arrays with a leading point axis followed by ``ndim`` unit axes.  The
-    generator reads its parameters only from here, so none can fall
-    outside the key."""
-    values = np.array([_generator_values(q) for q in points],
+    generator reads its parameters only from here."""
+    values = np.array([[getattr(q, name) for name in GENERATOR_FIELDS]
+                       for q in points],
                       dtype=float).reshape(len(points), len(GENERATOR_FIELDS))
     shape = (len(points),) + (1,) * ndim
     return {name: values[:, k].reshape(shape)
@@ -217,23 +202,13 @@ def solve(points: list) -> tuple[np.ndarray, np.ndarray]:
     manifold holds a family of stationary states, and
     DegenerateSteadyStateError is raised instead of picking one.
 
-    Each distinct generator key is solved once, in the order of its
-    first point, and every point gathers its state and table by the
-    index of its key.  The first point without a valid state raises,
-    with its position in ``points`` as the error's ``index``.
+    Every point is solved, and bit for bit as it would be alone.  The
+    first point without a valid state raises, with its position in
+    ``points`` as the error's ``index``.
     """
-    slots = {}
-    index = [slots.setdefault(generator_key(q), len(slots)) for q in points]
-    # the point of each distinct key that comes first in the list
-    first = np.unique(index, return_index=True)[1]
-    drifts = bloch_drift([points[i] for i in first])
-    try:
-        states = _stationary(drifts)
-    except (DegenerateSteadyStateError, ValueError) as exc:
-        exc.index = int(first[exc.index])
-        raise
-    tables = langevin.diffusion_matrix(drifts, states)
-    return states[index], tables[index]
+    drifts = bloch_drift(points)
+    states = _stationary(drifts)
+    return states, langevin.diffusion_matrix(drifts, states)
 
 
 def dark_state_sigma() -> np.ndarray:

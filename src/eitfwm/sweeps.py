@@ -11,11 +11,11 @@ quadrature transform to both witness sign branches.  Every sweep
 evaluates each distinct witness point once, keyed by the bits of its
 frequency and of the swept field if a witness reads it, and every point
 takes the result of its key as one array gather; each block of a
-parameter sweep first builds one set-up stacked over its points, and
-solves the steady state and diffusion table once per distinct generator
-point among them.  A block gives every point bit for bit the result of
-a one-point evaluation, so rerunning a sweep with the same
-configuration reproduces the output byte for byte.
+parameter sweep first builds one set-up stacked over its points, with
+one solve of their steady states and diffusion tables.  A block gives
+every point bit for bit the result of a one-point evaluation, so
+rerunning a sweep with the same configuration reproduces the output
+byte for byte.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ def _set_up(points: list, config: SweepConfig):
     point fails).  Every point is validated before anything is solved.
 
     One steady_state.solve gives the states and diffusion tables of the
-    points, one solve per distinct generator key.  When a point has no
-    state, the points before it are solved again for the prefix.
+    points.  When a point has no state, the points before it are solved
+    again for the prefix.
     """
     derived, error = [], None
     for q in points:
@@ -223,7 +223,7 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     the assembly to both sign branches of every witness; the doubling
     kernel splits a larger block into sub-stacks of BLOCK_ENTRIES
     entries.  In a parameter sweep, each block first builds its points'
-    set-up as one stack, with one solve per distinct generator point.
+    set-up as one stack, from one solve of all its points.
     Every point shares the cell length of ``p``.
 
     A failing sweep reports its first failing point in grid order: a
@@ -240,7 +240,8 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     dim = entanglement.state_dim(len(modes), config.spinwave_definition)
     size = max(MIN_BLOCK_POINTS, propagation.BLOCK_ENTRIES // dim ** 2)
     grid = np.asarray(values, dtype=float)
-    # bits, not values: 0.0 == -0.0, as in steady_state.generator_key
+    # bits, not values: 0.0 == -0.0, but the two can give signed zeros
+    # of opposite sign in the results
     swept = grid if field in WITNESS_FIELDS else np.zeros_like(grid)
     bits = np.stack([swept, omegas], axis=1).view(np.int64)
     _, first, index = np.unique(bits, axis=0, return_index=True,

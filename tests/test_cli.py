@@ -836,11 +836,17 @@ def test_default_verify_report_is_pinned_and_exits_0(tmp_path, capsys):
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="max() in check_oracle_equivalence drops the nan "
                           "of an overflowing oracle: a false PASS")
+@pytest.mark.parametrize("text", [
+    "coupling_scale = 1e5\n",
+    "coupling_scale = 1.6462819213179591\n"
+    "spinwave_scale = 0.007228895687294551\n",
+], ids=["strong", "calibrated"])
 def test_verify_fails_the_oracle_check_when_the_oracle_overflows(
-        tmp_path, capsys):
-    cfg = tmp_path / "strong.cfg"
-    cfg.write_text("coupling_scale = 1e5\n")
-    # the RK4 oracle overflows at this coupling
+        tmp_path, capsys, text):
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(text)
+    # the RK4 oracle overflows at both couplings: at the calibrated
+    # scales its C is not finite at 1000 MHz, while its T is
     with pytest.warns(RuntimeWarning):
         assert cli.main(["--experiment", "verify", "--config", str(cfg)]) == 3
     (line,) = [line for line in capsys.readouterr().out.splitlines()

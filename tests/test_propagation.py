@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitfwm import entanglement as en
@@ -58,22 +58,41 @@ def test_drift_matrix_shapes(ref, ss_ref):
     assert q2.shape == (1, 8, 4)
 
 
-def test_mirrored_dagger_block_is_conjugate_at_reflected_frequency(ref):
+@settings(deadline=None, max_examples=25)
+@example(point={}, omegas=list(verification.COMMUTATOR_GRID))
+@given(point=st.fixed_dictionaries({
+    "gamma0": st.floats(min_value=0.0, max_value=5.0),
+    "omega_c": st.floats(min_value=1.0, max_value=1000.0),
+    "omega_p": st.floats(min_value=1.0, max_value=1000.0),
+    "gamma1": st.floats(min_value=0.1, max_value=10.0),
+    "gamma2": st.floats(min_value=0.1, max_value=10.0),
+    "coupling_scale": st.floats(min_value=0.0, max_value=10.0),
+    "spinwave_scale": st.floats(min_value=1e-3, max_value=10.0),
+    "delta1": st.floats(min_value=-3000.0, max_value=3000.0),
+    "delta2": st.floats(min_value=-3000.0, max_value=3000.0)}),
+    omegas=st.lists(st.floats(min_value=-3000.0, max_value=3000.0),
+                    max_size=12))
+def test_mirrored_dagger_block_is_conjugate_at_reflected_frequency(
+        ref, point, omegas):
     # M(-omega) = P conj(M(omega)) P^T, where P swaps the direct and
     # daggered halves of the fields (and of their z-integrals and the two
     # coherence-force integrals when z-averaged): bit for bit in the
     # field block, drift_block's output, and by value in the augmented
-    # rows, whose constant zeros conjugate to -0
-    omegas = np.array(verification.COMMUTATOR_GRID)
+    # rows, whose constant zeros conjugate to -0.  Likewise Q(-omega) =
+    # P conj(Q(omega)) with every channel column taken from its
+    # conjugate channel: bit for bit at the endpoint, by value when
+    # z-averaged
+    p = ref.with_(**point)
+    omegas = np.array(omegas + [0.0, 5e-324, p.delta1, p.delta2])
     for two_pair in (False, True):
         for spinwave in en.SPINWAVE_DEFINITIONS:
             cfg = sweeps.SweepConfig(two_pair=two_pair,
                                      spinwave_definition=spinwave)
-            set_up, _ = sweeps._set_up([ref], cfg)
-            m_plus, m_minus = (en.assemble(set_up, w, ref.length,
-                                           cfg.coupling, "mirrored",
-                                           spinwave)[0]
-                               for w in (omegas, -omegas))
+            set_up, _ = sweeps._set_up([p], cfg)
+            (m_plus, q_plus, channels, _, _), (m_minus, q_minus, _, _, _) = (
+                en.assemble(set_up, w, p.length, cfg.coupling, "mirrored",
+                            spinwave)
+                for w in (omegas, -omegas))
             n = len(set_up.modes)
             swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
             if spinwave != "endpoint":
@@ -83,6 +102,12 @@ def test_mirrored_dagger_block_is_conjugate_at_reflected_frequency(ref):
             fields = np.s_[:, :2 * n, :2 * n]
             assert _bits(m_minus[fields]) == _bits(mirror[fields])
             assert np.array_equal(m_minus, mirror)
+            conjugates = [channels.index(lv.conjugate_channel(ch))
+                          for ch in channels]
+            q_mirror = np.conj(q_plus)[:, swap][:, :, conjugates]
+            if spinwave == "endpoint":
+                assert _bits(q_minus) == _bits(q_mirror)
+            assert np.array_equal(q_minus, q_mirror)
 
 
 def test_same_sideband_conjugates_in_place(ref, ss_ref):

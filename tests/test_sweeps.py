@@ -399,7 +399,7 @@ def test_repeated_failing_point_in_a_later_block_is_reported_in_grid_order(
     # blocks of 4 distinct points: the first block holds 0.1, 0.2, 0.5
     # and the first degenerate point, so it evaluates 3 points and fails;
     # the repeats are never evaluated again, and the later degenerate
-    # point, whose generator key has the lower bytes, is not named
+    # point, whose gamma0 has the lower bytes, is not named
     _small_blocks(monkeypatch, sweeps.SweepConfig(), ref)
     evaluated = _evaluated(monkeypatch)
     gamma0s = [0.1, 0.2, 0.1, 0.2, 0.5, 1e299, 0.5, 1e300, 1e299, -1.0]
@@ -582,14 +582,14 @@ def _assert_set_ups_equal_one_point_set_ups(points, cfg, alone_points=None):
 @pytest.mark.parametrize("cfg", [sweeps.SweepConfig(),
                                  sweeps.SweepConfig(two_pair=True)],
                          ids=["single_pair", "two_pair"])
-def test_repeated_generator_points_share_a_solve(ref, monkeypatch, cfg):
+def test_a_block_solves_each_of_its_points(ref, monkeypatch, cfg):
     points = [ref.with_(gamma0=g0, alpha1=a1, coupling_scale=eta)
               for g0, a1, eta in [(0.1, 0.0, 1.0), (0.2, 5.0, 0.5),
                                   (0.1, 7.0, 2.0), (0.3, 1.0, 1.0),
                                   (0.2, 1.0, 3.0)]]
     calls = _generator_calls(monkeypatch)
     sweeps._set_up(points, cfg)
-    assert calls == [3]
+    assert calls == [5]
     _assert_set_ups_equal_one_point_set_ups(points, cfg)
 
 
@@ -634,7 +634,7 @@ def test_verify_propagates_each_coherent_amplitude(ref, monkeypatch):
 
 
 def test_signed_zero_dephasings_are_solved_apart(ref, monkeypatch):
-    # 0.0 == -0.0, but the generator key holds bits
+    # 0.0 == -0.0, but each point is solved with its own bits
     points = [ref.with_(gamma0=0.0), ref.with_(gamma0=-0.0)]
     calls = _generator_calls(monkeypatch)
     sweeps._set_up(points, sweeps.SweepConfig())
