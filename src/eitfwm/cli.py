@@ -393,10 +393,11 @@ def calibrate(rc: RunConfig) -> dict:
     """
     p = rc.params
     cfg = dataclasses.replace(rc.model, two_pair=False)
-    # neither the steady state nor the diffusion table depends on the two
-    # fitted scales, so every witness point shares one set-up
+    # neither the steady state, the diffusion table nor the field modes
+    # depend on the two fitted scales, so every witness point shares them
     states, tables = solve([p])
-    labels = entanglement.extended_labels(cfg.modes(p))
+    modes = cfg.modes(p)
+    labels = entanglement.extended_labels(modes)
 
     def witness(q, scales):
         """The stack of zero-frequency quadrature covariances at the
@@ -408,7 +409,7 @@ def calibrate(rc: RunConfig) -> dict:
         k = len(scales)
         set_up = entanglement.witness_set_up(
             [q.with_(spinwave_scale=s) for s in scales], states[[0] * k],
-            tables[[0] * k], cfg.modes(q), [derive(q)] * k)
+            tables[[0] * k], modes, [derive(q)] * k)
         return entanglement.extended_quadratures(
             set_up, np.zeros(k), q.length, cfg.coupling, cfg.sideband,
             cfg.spinwave_definition)

@@ -29,6 +29,7 @@ canonical field sector only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ def quadrature_covariance(doubled: np.ndarray) -> np.ndarray:
     return out.real
 
 
-@dataclass(frozen=True)
+@dataclass
 class WitnessSetUp(propagation.DriftRows):
     """Everything a witness point needs that no frequency changes: the
     drift set-up plus the spin-wave and noise parts, arrays with the
@@ -108,27 +109,23 @@ def witness_set_up(points: list, states: np.ndarray, tables: np.ndarray,
     tables (k, 6, 6) and derived parameters; the points share the field
     ``modes``.  Every product has a factor with a zero real or imaginary
     part, so each point is bit for bit a scalar evaluation."""
-    scale = np.array([p.spinwave_scale for p in points])
-    root_g1 = np.sqrt([dp.g1sq_n for dp in derived])
-    root_g2 = np.sqrt([dp.g2sq_n for dp in derived])
-    n = len(modes)
-    s13, s23 = states[:, 0, 2], states[:, 1, 2]
-    num = np.zeros((len(points), 2 * n), dtype=complex)
+    rows = propagation.drift_rows(states, modes, derived)
+    scale, gamma0 = np.array([(p.spinwave_scale, p.gamma0)
+                              for p in points]).reshape(-1, 2).T
+    atom_number, g1sq_n, g2sq_n = np.array(
+        [(dp.atom_number, dp.g1sq_n, dp.g2sq_n)
+         for dp in derived]).reshape(-1, 3).T
+    num = np.zeros((len(points), 2 * len(modes)), dtype=complex)
     # couplings beyond float range are reported by the transfer
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, mode in enumerate(modes):
-            if mode.transition == "13":
-                num[:, k] = -1j * scale * root_g1 * np.conj(s23)
-            else:
-                num[:, n + k] = 1j * scale * root_g2 * s13
+        num[:, rows.index.spinwave] = np.array([
+            -1j * scale * np.sqrt(g1sq_n) * np.conj(states[:, 1, 2]),
+            1j * scale * np.sqrt(g2sq_n) * states[:, 0, 2],
+        ]).T[:, rows.index.transition]
     # daggered row: conjugate numerator with direct/daggered blocks swapped
-    num_dag = np.concatenate([np.conj(num[:, n:]), np.conj(num[:, :n])],
-                             axis=1)
     return WitnessSetUp(
-        **vars(propagation.drift_rows(states, modes, derived)),
-        two_d=tables, gamma0=np.array([p.gamma0 for p in points]),
-        scale=scale, num=num, num_dag=num_dag,
-        atom_number=np.array([dp.atom_number for dp in derived]))
+        **vars(rows), two_d=tables, gamma0=gamma0, scale=scale, num=num,
+        num_dag=np.conj(num)[:, rows.index.swap], atom_number=atom_number)
 
 
 def state_dim(n_modes: int, spinwave: str) -> int:
@@ -140,6 +137,15 @@ def state_dim(n_modes: int, spinwave: str) -> int:
 def extended_labels(modes: list) -> list:
     """Mode labels of an extended covariance: the fields, then S."""
     return [m.name for m in modes] + ["S"]
+
+
+@functools.lru_cache(maxsize=None)
+def _readout_frame(n: int, dim: int) -> np.ndarray:
+    """The readout of ``n`` modes from a state of dimension ``dim``
+    before its S rows: the identity on the doubled fields, zero S and
+    S^+ rows; a read-only view, built once per mode set."""
+    return np.broadcast_to(np.insert(np.eye(2 * n, dim, dtype=complex),
+                                     [n, 2 * n], 0, axis=0), (2 * n + 2, dim))
 
 
 def assemble(set_up: WitnessSetUp, omegas, length: float,
@@ -182,9 +188,7 @@ def assemble(set_up: WitnessSetUp, omegas, length: float,
     n = len(set_up.modes)
     size = len(omegas)
     dim = state_dim(n, spinwave)
-    r = np.zeros((size, 2 * n + 2, dim), dtype=complex)
-    r[:, :n, :n] = np.eye(n)
-    r[:, n + 1:2 * n + 1, n:2 * n] = np.eye(n)
+    r = _readout_frame(n, dim)[None].repeat(size, axis=0)
     s = slice(0, 2 * n) if spinwave == "endpoint" else slice(2 * n, 4 * n)
     r[:, n, s] = row_s
     r[:, 2 * n + 1, s] = row_sdag
@@ -233,7 +237,7 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
     m, q, channels, r, lump = assemble(set_up, omegas, length, coupling,
                                        sideband, spinwave)
     omegas = np.asarray(omegas, dtype=float)
-    (vanishing,) = np.nonzero((set_up.gamma0 == 0) & (omegas == 0))
+    (vanishing,) = ((set_up.gamma0 == 0) & (omegas == 0)).nonzero()
     stop = int(vanishing[0]) if vanishing.size else len(omegas)
     # a covariance that is not finite is reported below, not left to
     # floating-point warnings
@@ -258,13 +262,13 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
                 out = propagation.hermitian_part(out)
             ext = r[:stop] @ out @ propagation.dagger(r[:stop])
             if lump is not None:
-                ext = ext + lump_noise[:stop]
+                ext += lump_noise[:stop]
             quad = quadrature_covariance(propagation.hermitian_part(ext))
-            bad = ~np.all(np.isfinite(quad), axis=(-2, -1))
-            if np.any(bad):
+            finite = np.isfinite(quad).all(axis=(-2, -1))
+            if not finite.all():
                 raise propagation.NumericalOverflowError(
                     "extended covariance is not finite",
-                    index=int(np.argmax(bad)))
+                    index=int(np.argmin(finite)))
             if stop < len(omegas):
                 raise propagation.NumericalOverflowError(
                     "coherence response gamma0 + i*omega vanishes",

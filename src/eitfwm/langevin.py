@@ -25,6 +25,8 @@ sector must pass; see the propagation invariants.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # channel ordering shared with the propagation module
@@ -100,9 +102,10 @@ CONJUGATE_INDEX = np.array([CHANNEL_INDEX[conjugate_channel(ch)]
                             for ch in CHANNELS])
 
 
-def _pairing(channels):
+@functools.lru_cache(maxsize=None)
+def _pairing(channels: tuple):
     """Index arrays (mu as a column, conj(nu) as a row) of the channel
-    pairs (mu, nu) of ``channels`` in the diffusion table."""
+    pairs (mu, nu) of ``channels`` in the diffusion table, cached."""
     mu = np.array([CHANNEL_INDEX[ch] for ch in channels])
     nubar = CONJUGATE_INDEX[mu]
     return mu[:, None], nubar[None, :]
@@ -115,13 +118,13 @@ def sym_noise_matrix(two_d: np.ndarray, channels) -> np.ndarray:
     c/N spatial scale is *not* included here, the caller folds it into
     the noise coupling rows.  A stack of tables gives a stack.
     """
-    mu, nubar = _pairing(channels)
+    mu, nubar = _pairing(tuple(channels))
     return 0.5 * (two_d[..., mu, nubar] + two_d[..., nubar, mu])
 
 
 def comm_noise_matrix(two_d: np.ndarray, channels) -> np.ndarray:
     """Commutator pairing <[F, F^+]> used by the commutator audit."""
-    mu, nubar = _pairing(channels)
+    mu, nubar = _pairing(tuple(channels))
     return two_d[..., mu, nubar] - two_d[..., nubar, mu]
 
 

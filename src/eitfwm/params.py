@@ -65,8 +65,10 @@ class PhysicalParams:
         # coupling_scale = 0 switches the light-matter interaction off
         # entirely, a limit the self-checks rely on
         bad += [name for name in _NON_NEGATIVE if values[name] < 0]
-        bad += [name for name in FIELDS
-                if not math.isfinite(values[name]) and name not in bad]
+        # a finite sum has no field that is inf or nan
+        if not math.isfinite(sum(values.values())):
+            bad += [name for name in FIELDS
+                    if not math.isfinite(values[name]) and name not in bad]
         if bad:
             raise ValidationError("non-physical parameter(s): " + ", ".join(bad))
 

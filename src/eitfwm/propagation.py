@@ -64,6 +64,8 @@ general input for the commutator audit's J.
 
 from __future__ import annotations
 
+import collections
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,11 +163,39 @@ def complex_quotient(a, b) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+ModeIndex = collections.namedtuple(
+    "ModeIndex", "rows partner columns swap conjugate transition spinwave")
+
+
+@functools.lru_cache(maxsize=None)
+def _mode_set(structure: tuple) -> ModeIndex:
+    """Read-only index arrays of the modes whose (transition, pair) are
+    ``structure``, built once per mode set: rows, pair partners, noise
+    columns, the doubled basis's halves swapped, the noise column of each
+    daggered channel, each mode's transition (0 for 1-3, 1 for 2-3) and
+    spin-wave column (1-3 modes direct, 2-3 modes daggered)."""
+    channels, n = langevin.field_noise_channels(), len(structure)
+    rows = np.arange(n)
+    transition = np.array([t == "23" for t, _ in structure], dtype=int)
+    index = ModeIndex(
+        rows, np.array([j for i, (_, pi) in enumerate(structure)
+                        for j, (_, pj) in enumerate(structure)
+                        if i != j and pi == pj]),
+        np.array([channels.index((1 + t, 3)) for t in transition.tolist()]),
+        np.roll(np.arange(2 * n), n),
+        np.array([channels.index(langevin.conjugate_channel(ch))
+                  for ch in channels]), transition, rows + n * transition)
+    for array in index:
+        array.flags.writeable = False
+    return index
+
+
+@dataclass
 class DriftRows:
     """The frequency-independent coefficients of the direct drift rows;
     arrays have a leading axis over points: one entry per steady state
-    and derived parameter set, all sharing one mode set."""
+    and derived parameter set, all sharing one mode set.  Not frozen:
+    a frozen __init__ pays an object.__setattr__ per field and call."""
 
     modes: list
     channels: list
@@ -174,9 +204,7 @@ class DriftRows:
     own: np.ndarray             # (k, n) own term
     coh: np.ndarray             # (k, n) coherence term, complex
     root_g: np.ndarray          # (k, n) noise amplitude
-    columns: tuple              # noise column driving each direct row
-    partner: tuple              # row of each row's pair partner
-    conjugate_columns: tuple    # noise column driving each daggered row
+    index: ModeIndex            # index arrays of the mode set, _mode_set
 
 
 def drift_rows(states: np.ndarray, modes: list[FieldMode],
@@ -185,61 +213,52 @@ def drift_rows(states: np.ndarray, modes: list[FieldMode],
     for each point of the steady states ``states`` (shape (k, 3, 3)) and
     derived parameters ``derived``.  Every product has a real factor, so
     each point's rows are bit for bit those of a scalar evaluation."""
-    channels = langevin.field_noise_channels()
-    s11, s22, s33 = (states[:, k, k].real for k in range(3))
+    index = _mode_set(tuple([(mode.transition, mode.pair) for mode in modes]))
+    transition = index.transition
+    # per point and transition (1-3, 2-3), then gathered per mode
+    g_sq, gamma = np.array([((dp.g1sq_n, dp.g2sq_n), (dp.gamma13, dp.gamma23))
+                            for dp in derived]).swapaxes(0, 1)
+    pops = states.reshape(-1, 9)[:, ::4].real
     s12 = states[:, 0, 1]
-    g1sq_n, g2sq_n, gamma13, gamma23 = (
-        np.array([getattr(dp, name) for dp in derived])
-        for name in ("g1sq_n", "g2sq_n", "gamma13", "gamma23"))
     with np.errstate(over="ignore", invalid="ignore"):
-        g1g2_n = np.sqrt(g1sq_n * g2sq_n)
-        # per transition: linewidth, own term, coherence term, noise
-        # amplitude and noise channel of a row
-        terms = {
-            "13": (gamma13, g1sq_n * (s11 - s33), g1g2_n * s12,
-                   np.sqrt(g1sq_n / C), (1, 3)),
-            "23": (gamma23, g2sq_n * (s22 - s33), g1g2_n * np.conj(s12),
-                   np.sqrt(g2sq_n / C), (2, 3)),
-        }
-    gamma, own, coh, root_g, noise = zip(*(terms[mode.transition]
-                                           for mode in modes))
+        g1g2_n = np.sqrt(g_sq[:, :1] * g_sq[:, 1:])
+        own = g_sq * (pops[:, :2] - pops[:, 2:])
+        coh = g1g2_n * np.array([s12, np.conj(s12)]).T
+        root_g = np.sqrt(g_sq / C)
     return DriftRows(
-        modes=list(modes), channels=channels,
-        gamma=np.stack(gamma, axis=-1),
+        modes=list(modes), channels=langevin.field_noise_channels(),
         detuning=np.array([[mode.detuning for mode in modes]] * len(states)),
-        own=np.stack(own, axis=-1), coh=np.stack(coh, axis=-1),
-        root_g=np.stack(root_g, axis=-1),
-        columns=tuple(channels.index(ch) for ch in noise),
-        partner=tuple(j for i, mi in enumerate(modes)
-                      for j, mj in enumerate(modes)
-                      if i != j and mi.pair == mj.pair),
-        conjugate_columns=tuple(
-            channels.index(langevin.conjugate_channel(ch))
-            for ch in channels))
+        gamma=gamma[:, transition], own=own[:, transition],
+        coh=coh[:, transition], root_g=root_g[:, transition], index=index)
 
 
 def _direct_sector(rows: DriftRows, omega: np.ndarray, coupling: str):
-    """Direct-sector rows (to-direct, to-daggered, Q) at the frequencies
-    ``omega``, of shape (..., N, 1).  ``den`` was a Python complex in the
-    one-frequency assembly: the quotients of Python numbers run as
-    CPython's, that of the coherence term, a numpy complex, as numpy's.
-    Every product has a real or imaginary factor, so numpy's complex
-    multiply, fused or not, rounds it as CPython does."""
+    """Direct-sector rows ([to-direct | to-daggered], Q) at the
+    frequencies ``omega``, of shape (..., N, 1).  ``den`` was a Python
+    complex in the one-frequency assembly: the quotients of Python
+    numbers run as CPython's, that of the coherence term, a numpy
+    complex, as numpy's.  Every product has a real or imaginary factor,
+    so numpy's complex multiply, fused or not, rounds it as CPython
+    does."""
     den = rows.gamma + 1j * (omega - rows.detuning)
     c_den = C * den
     n = len(rows.modes)
-    k = np.arange(n)
-    a = np.zeros(den.shape + (n,), dtype=complex)
-    b = np.zeros_like(a)
+    k, partner, columns = rows.index[:3]
+    # CPython divides z = -i*omega by the real C as z * (1 - 0j), whose
+    # products are exact, then its parts as reals
+    kinetic = ((-1j * omega) * complex(1.0, -0.0)).view(float) / C
+    # own / (C * den), and i * g * N / (c * den) with the sqrt(c/N)
+    # correlator scale folded in to use the raw diffusion table as-is
+    quotients = complex_quotient(
+        np.concatenate([rows.own, 1j * rows.root_g], axis=-1),
+        np.concatenate([c_den, den], axis=-1))
+    a = np.zeros(den.shape + (2 * n,), dtype=complex)
     qd = np.zeros(den.shape + (len(rows.channels),), dtype=complex)
-    a[..., k, k] = (complex_quotient(-1j * omega, C)
-                    - complex_quotient(rows.own, c_den))
-    (a if coupling == "as_printed" else b)[..., k, rows.partner] = \
+    a[..., k, k] = kinetic.view(complex) - quotients[..., :n]
+    a[..., k, partner if coupling == "as_printed" else partner + n] = \
         -rows.coh / c_den
-    # i * g * N / (c * den) with the sqrt(c/N) correlator scale folded
-    # in, so the raw diffusion table can be used as-is downstream
-    qd[..., k, rows.columns] = complex_quotient(1j * rows.root_g, den)
-    return a, b, qd
+    qd[..., k, columns] = quotients[..., n:]
+    return a, qd
 
 
 def drift_block(rows: DriftRows, omegas, coupling: str = "parametric",
@@ -253,29 +272,25 @@ def drift_block(rows: DriftRows, omegas, coupling: str = "parametric",
         raise ValueError(f"unknown sideband convention {sideband!r}")
     omega = np.asarray(omegas, dtype=float)[:, None]
     omega_dag = -omega if sideband == "mirrored" else omega
-    n = len(rows.modes)
     # a drift that is not finite (couplings beyond float range) is
     # reported by the transfer, which checks for it explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        (a_p, a_m), (b_p, b_m), (q_p, q_m) = _direct_sector(
-            rows, np.stack([omega, omega_dag]), coupling)
-    # daggered rows: conjugate of the direct rows at omega_dag.  Under
-    # "mirrored", conj(-i*(-omega)/C) = -i*omega/C, so the kinetic
-    # phase is common to the whole doubled vector; under "same" the
-    # daggered sector carries the opposite kinetic phase +i*omega/C,
-    # which is the literal elementwise-conjugation treatment.
-    m = np.empty((len(omega), 2 * n, 2 * n), dtype=complex)
-    m[:, :n, :n], m[:, :n, n:] = a_p, b_p
-    m[:, n:, n:], m[:, n:, :n] = np.conj(a_m), np.conj(b_m)
+        a, qd = _direct_sector(rows, np.array([omega, omega_dag]), coupling)
+    # daggered rows: conjugate of the direct rows at omega_dag, halves
+    # swapped.  Under "mirrored", conj(-i*(-omega)/C) = -i*omega/C, so
+    # the kinetic phase is common to the whole doubled vector; under
+    # "same" the daggered sector carries the opposite kinetic phase
+    # +i*omega/C, which is the literal elementwise-conjugation treatment.
+    m = np.concatenate([a[0], np.conj(a[1])[..., rows.index.swap]], axis=1)
     # the daggered row of channel ch is driven by its conjugate channel;
     # conjugation swaps channels in pairs, so the gather is its own inverse
-    q_dag = np.conj(q_m)[..., rows.conjugate_columns]
-    return m, np.concatenate([q_p, q_dag], axis=1)
+    q_dag = np.conj(qd[1])[..., rows.index.conjugate]
+    return m, np.concatenate([qd[0], q_dag], axis=1)
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of every matrix of a stack."""
-    return np.swapaxes(x.conj(), -1, -2)
+    return x.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
@@ -300,8 +315,12 @@ def _start_transfer(mh: np.ndarray) -> np.ndarray:
     else:
         mh34 = mh2 @ np.concatenate([mh, mh2], axis=-1)
         mh3, mh4 = mh34[..., :d], mh34[..., d:]
-    return np.eye(d, dtype=complex) + mh + mh2 / 2.0 + mh3 / 6.0 \
-        + mh4 / 24.0
+    return _identity(d) + mh + mh2 / 2.0 + mh3 / 6.0 + mh4 / 24.0
+
+
+#: the complex d x d identity, a read-only view built once per size
+_identity = functools.lru_cache(maxsize=None)(
+    lambda d: np.broadcast_to(np.eye(d, dtype=complex), (d, d)))
 
 
 def _start_steps(length: float, runs: list) -> tuple:
@@ -359,13 +378,10 @@ def _doubling(m: np.ndarray, g: np.ndarray, length: float, ks: np.ndarray):
     matrix i ends in buffer k_i % 2; the matrices that end in the other
     buffer than those of the largest count are copied over once, at the
     end."""
-    # the prefix doubled at every stage s = 0 .. k_0, the matrices with
-    # k_i >= s, and the run [first, end) of each count, largest first
-    active = np.searchsorted(-ks, -np.arange(ks[0] + 1), side="right")
-    active = active.tolist() + [0]
-    runs = [(k, active[k + 1], active[k])
-            for k in range(len(active) - 2, -1, -1)
-            if active[k + 1] < active[k]]
+    # the run [first, end) of each count, largest first
+    counts = ks.tolist()
+    runs = [(k, counts.index(k), counts.index(k) + counts.count(k))
+            for k in sorted(set(counts), reverse=True)]
     h, h3 = _start_steps(length, runs)
     t = _start_transfer(m * h)
     c = _start_moment(m, g, h, h3)
@@ -378,36 +394,36 @@ def _doubling(m: np.ndarray, g: np.ndarray, length: float, ks: np.ndarray):
     fused = d % 4 == 0
     if fused:
         # buffers [C | T]; a stage reads one and writes the other
-        start = np.concatenate([c, t], axis=-1)
+        start, tbar = np.concatenate([c, t], axis=-1), np.empty_like(t)
         del c, t
     else:
         # T ping-pongs, C is doubled in place
         start, tc = t, np.empty_like(t)
     buffers = (start, np.empty_like(start))
-    # a stage conjugates T in place once T^2 is formed from it, and
-    # reads T^+ as a transposed view: the buffer it conjugates is
-    # written over by the next stage, and a matrix past its last stage
-    # is out of the prefix.  The outputs are passed positionally:
-    # keyword parsing is a measurable share of a one-matrix stage
+    # a stage reads T^+ as a transposed view of conj(T), formed once T^2
+    # is: fused, into a contiguous buffer, which ufuncs run faster than
+    # the T half of [C | T]; else in place, as the next stage writes
+    # over that buffer.  The outputs are passed positionally: keyword
+    # parsing is a measurable share of a one-matrix stage
     done = 0
     for k, _, n in reversed(runs):
         now, then = buffers[done % 2][:n], buffers[1 - done % 2][:n]
         tct_n = tct[:n]
         if fused:
-            now, then = ((b, b[..., :d], b[..., d:],
-                          np.swapaxes(b[..., d:], -1, -2))
-                         for b in (now, then))
+            now, then = ((b, b[..., :d], b[..., d:]) for b in (now, then))
+            t_conj = tbar[:n]
+            t_dag = t_conj.swapaxes(-1, -2)
             for _ in range(k - done):
-                (ct, c_n, t_n, t_dag), (ct_next, tc_n, _, _) = now, then
+                (ct, c_n, t_n), (ct_next, tc_n, _) = now, then
                 # [T C | T^2], then T C T^+ + C in place of T C
                 np.matmul(t_n, ct, ct_next)
-                np.conjugate(t_n, t_n)
+                np.conjugate(t_n, t_conj)
                 np.matmul(tc_n, t_dag, tct_n)
                 np.add(tct_n, c_n, tc_n)
                 now, then = then, now
         else:
             c_n, tc_n = c[:n], tc[:n]
-            now, then = ((b, np.swapaxes(b, -1, -2)) for b in (now, then))
+            now, then = ((b, b.swapaxes(-1, -2)) for b in (now, then))
             for _ in range(k - done):
                 (t_n, t_dag), (t_next, _) = now, then
                 np.matmul(t_n, c_n, tc_n)
@@ -436,14 +452,17 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     the moment integral with the short-interval transfer at every stage.
     The threshold DOUBLING_THETA balances truncation (pushes h down)
     against roundoff amplification over the squaring chain (pushes the
-    stage count down); 2^-10 keeps both near 1e-12 for the matrices met
-    here.  The matrices are sorted by stage count, descending (stack
-    order within a count), and cut into sub-stacks of at most
-    BLOCK_ENTRIES entries, so the kernel's working memory is bounded
-    whatever the length of the stack; a sub-stack that is a contiguous
-    run of the stack is read in place.  A sub-stack may mix stage
-    counts: stage s doubles its active prefix, the matrices with at
-    least s stages, and the prefix shrinks as counts run out.  Each
+    stage count down).  At 2^-10 the chain loses the low bits of T - I:
+    on fig2's grid T is 1.095e-8 off the eigenbasis closed form at -1000
+    MHz, bounded at 2e-8 by
+    test_doubling_kernel_against_the_eigenbasis_reference_on_fig2;
+    ROADMAP item 4 mends it.  The matrices are sorted by stage count,
+    descending (stack order within a count), and cut into sub-stacks of
+    at most BLOCK_ENTRIES entries, so the kernel's working memory is
+    bounded whatever the length of the stack; a sub-stack that is a
+    contiguous run of the stack is read in place.  A sub-stack may mix
+    stage counts: stage s doubles its active prefix, the matrices with
+    at least s stages, and the prefix shrinks as counts run out.  Each
     matrix gets its own start step and exactly its own stages, so its
     result is bit for bit that of doubling it alone.  Stable for
     strongly decaying m (entries of T underflow to zero honestly).
@@ -455,51 +474,51 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     it moves C by ~1e-26), so both forms give the same bits, and the
     form follows from the size of m alone.
 
-    Finiteness is checked once, after the last stage: an inf or nan in
-    T survives every further squaring, so the end check sees every
-    overflow without a reduction per stage.  Overflow is detected and
-    reported explicitly, so floating-point warnings are silenced inside
-    the kernel.  NumericalOverflowError is raised for the first matrix
-    of the stack, in stack order, whose drift is not finite, whose
-    stage count is past float range, whose T overflowed or whose gain
-    exceeds GAIN_CEILING; its ``index`` attribute is that matrix's
-    position.
+    Failure is checked once, after the last stage: an inf or nan in T
+    survives every further squaring, and a matrix that is not doubled
+    keeps a T of nan, so one test of the gain, max |T| <= GAIN_CEILING,
+    sees every failing matrix.  Overflow is detected and reported
+    explicitly, so floating-point warnings are silenced inside the
+    kernel.  NumericalOverflowError is raised for the first matrix of
+    the stack, in stack order, whose drift is not finite, whose stage
+    count is past float range, whose T overflowed or whose gain exceeds
+    GAIN_CEILING; its ``index`` attribute is that matrix's position.
     """
     m = np.asarray(m)
     size = max(1, BLOCK_ENTRIES // m.shape[-1] ** 2)
-    t = np.empty(m.shape, dtype=complex)
-    c = np.empty(m.shape, dtype=complex)
+    t, c = np.empty(m.shape, dtype=complex), np.empty(m.shape, dtype=complex)
+    t.fill(np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(m, 1, axis=(-2, -1)) * length
+        # the 1-norm, as np.linalg.norm(m, 1, axis=(-2, -1)) sums it
+        norms = np.maximum.reduce(np.add.reduce(np.abs(m), axis=-2),
+                                  axis=-1) * length
         # a drift that is finite but whose norm times the length passes
         # 2^1014 has no stage count in float range
         ratio = np.maximum(norms, 1e-300) / DOUBLING_THETA
         countable = np.isfinite(ratio)
-        stages = np.full(len(m), -1)
-        stages[countable] = np.maximum(0, np.ceil(np.log2(ratio[countable])))
-        t[~countable] = np.nan
+        stages = np.where(countable, np.maximum(0, np.ceil(np.log2(ratio))),
+                          -1).astype(int)
         # the countable matrices by stage count, descending, in stack
         # order within a count; a sub-stack that is a contiguous run is
         # read in place
-        order = np.argsort(-stages, kind="stable")
-        order = order[:np.count_nonzero(countable)]
+        order = (-stages).argsort(kind="stable")
+        order = order[:np.count_nonzero(countable)].tolist()
         for lo in range(0, len(order), size):
             run = order[lo:lo + size]
-            first = int(run[0])
-            if (run == np.arange(first, first + len(run))).all():
-                run = slice(first, first + len(run))
+            if run == list(range(run[0], run[0] + len(run))):
+                run = slice(run[0], run[0] + len(run))
             t[run], c[run] = _doubling(m[run], g[run], length, stages[run])
-        gain = np.max(np.abs(t), axis=(-2, -1))
-    finite_t = np.all(np.isfinite(t), axis=(-2, -1))
-    bad = ~countable | ~finite_t | ~(gain <= GAIN_CEILING)
-    if np.any(bad):
+        gain = np.maximum.reduce(np.abs(t), axis=(-2, -1))
+    # a T that is not finite, or not doubled (nan), has no gain <= ceiling
+    bad = ~(gain <= GAIN_CEILING)
+    if bad.any():
         i = int(np.argmax(bad))
-        if not np.all(np.isfinite(m[i])):
+        if not np.isfinite(m[i]).all():
             message = "drift matrix is not finite"
         elif not countable[i]:
             message = (f"drift norm times length {norms[i]:.3e} is past "
                        "the range of the interval doubling")
-        elif not finite_t[i]:
+        elif not np.isfinite(t[i]).all():
             message = "transfer matrix overflowed"
         else:
             message = (f"transfer gain {gain[i]:.3e} exceeds ceiling "

@@ -1,5 +1,7 @@
 """Drift assembly and the stacked moment integrals."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -627,6 +629,48 @@ def test_gain_ceiling_raises(ref, ss_ref, two_d_ref):
     with pytest.raises(pr.NumericalOverflowError, match="ceiling"):
         _field_moments(ref, ss_ref, two_d_ref, [-2000.0],
                        sideband="same", coupling="parametric")
+
+
+def _failure_kinds(dim):
+    """(drift, message) of one drift of size ``dim`` of each kind the
+    kernel tells apart over a length of 1: a good one (message None),
+    then one past the gain ceiling, one whose T overflows, one that is
+    not finite and one whose norm has no stage count in float range."""
+    eye = np.eye(dim, dtype=complex)
+    not_finite = -eye
+    not_finite[0, 0] = np.nan
+    return [
+        (-eye, None),
+        (20.0 * eye, "transfer gain 4.852e+08 exceeds ceiling 1e+06"),
+        (1000.0 * eye, "transfer matrix overflowed"),
+        (not_finite, "drift matrix is not finite"),
+        (3e305 * eye, "drift norm times length 3.000e+305 is past the "
+                      "range of the interval doubling"),
+    ]
+
+
+@pytest.mark.parametrize("stack", [None, 2], ids=["one_sub_stack",
+                                                  "sub_stacks_of_2"])
+@pytest.mark.parametrize("dim", [4, 10])
+def test_a_mixed_stack_reports_its_first_failing_matrix(monkeypatch, dim,
+                                                        stack):
+    # every order of the five kinds: the end check names the first
+    # failing matrix in stack order, with the message of its kind,
+    # whichever sub-stack doubles it and whatever fails after it
+    if stack:
+        monkeypatch.setattr(pr, "BLOCK_ENTRIES", stack * dim * dim)
+    kinds = _failure_kinds(dim)
+    good, _ = kinds[0]
+    t, _ = pr.second_moment_transfer_stack(good[None], good[None], 1.0)
+    assert np.all(np.abs(t) <= 1.0)
+    for order in itertools.permutations(range(len(kinds))):
+        m = np.stack([kinds[k][0] for k in order])
+        g = np.broadcast_to(np.eye(dim, dtype=complex), m.shape)
+        first = next(i for i, k in enumerate(order) if kinds[k][1])
+        with pytest.raises(pr.NumericalOverflowError) as exc:
+            pr.second_moment_transfer_stack(m, g, 1.0)
+        assert exc.value.index == first, order
+        assert str(exc.value) == kinds[order[first]][1], order
 
 
 def test_same_sideband_stable_on_resonance(ref, ss_ref, two_d_ref):

@@ -2,7 +2,11 @@
 
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +238,59 @@ def test_block_param_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
             (value,), (signs,) = alone[pair]
             assert spec.values[pair][i] == value, (g0, pair)
             assert spec.signs[pair][i].tolist() == signs.tolist(), (g0, pair)
+
+
+#: evaluates interleaved witness blocks, in the order of the indices in
+#: argv, and prints the sha256 of each block's quadratures, witness
+#: values and signs: both mode sets, endpoint and z-averaged, at two
+#: pairs of detunings
+_MODE_SET_BLOCKS = """
+import hashlib, sys
+import numpy as np
+from eitfwm import entanglement as en, sweeps
+from eitfwm.params import reference_params
+
+omegas = np.array([-0.0, 0.0, -1000.0, 250.0, 1000.0])
+blocks = [(reference_params().with_(delta1=d1, delta2=d2),
+           sweeps.SweepConfig(two_pair=two, spinwave_definition=sw))
+          for d1, d2 in ((-1000.0, 1000.0), (-700.0, 400.0))
+          for two in (False, True) for sw in ("endpoint", "z-averaged")]
+for i in map(int, sys.argv[1:]):
+    p, cfg = blocks[i]
+    set_up, _ = sweeps._set_up([p], cfg)
+    quad = en.extended_quadratures(set_up, omegas, p.length, cfg.coupling,
+                                   cfg.sideband, cfg.spinwave_definition)
+    digest = hashlib.sha256(quad.tobytes())
+    for pair in cfg.pairs():
+        for part in en.pair_witness(quad, en.extended_labels(cfg.modes(p)),
+                                    pair):
+            digest.update(part.tobytes())
+    print(i, digest.hexdigest())
+"""
+
+
+def _run_blocks(*args) -> list:
+    """The lines _MODE_SET_BLOCKS prints for ``args``, in a fresh
+    process, so that nothing built in one run reaches another."""
+    src = str(Path(sweeps.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-c", _MODE_SET_BLOCKS, *map(str, args)], env=env,
+        capture_output=True, text=True, timeout=300,
+        check=True).stdout.splitlines()
+
+
+def test_mode_sets_stay_apart_in_any_order():
+    # what a block builds once per mode set (index arrays, channel
+    # pairings, readout frames, the Taylor start's identity) depends on
+    # the mode set alone: each interleaved block gets the bytes it gets
+    # when the blocks run in the reverse order
+    order = range(8)
+    forward = _run_blocks(*order)
+    assert len(forward) == 8
+    assert forward == _run_blocks(*order[::-1])[::-1]
 
 
 @pytest.mark.parametrize("sweep,where", [
