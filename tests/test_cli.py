@@ -833,6 +833,27 @@ def test_default_verify_report_is_pinned_and_exits_0(tmp_path, capsys):
     assert out.read_text().splitlines() == VERIFY_DEFAULT
 
 
+@pytest.mark.parametrize("text,point,oracle_overflows", [
+    # without the coupling drive, the pump-off control of check_limits
+    # has both drives off: its ground manifold holds a family of states;
+    # the RK4 oracle of the check before it overflows at this point too
+    ("omega_c = 0\n", "pump-off control (omega_p = 0)", True),
+    # both drives off: the configured point itself, in the first check
+    ("omega_c = 0\nomega_p = 0\n", "reference point", False),
+], ids=["pump_off_control", "reference_point"])
+def test_verify_names_the_point_without_a_steady_state(
+        tmp_path, capsys, text, point, oracle_overflows):
+    cfg = tmp_path / "undriven.cfg"
+    cfg.write_text(text)
+    with (pytest.warns(RuntimeWarning) if oracle_overflows
+          else contextlib.nullcontext()):
+        code = cli.main(["--experiment", "verify", "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "eitfwm: numerical failure: stationary subspace has dimension 2 "
+        f"at the {point}\n")
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="max() in check_oracle_equivalence drops the nan "
                           "of an overflowing oracle: a false PASS")

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from eitfwm import propagation as pr, verification as vf
-from eitfwm.steady_state import solve
+from eitfwm import langevin, propagation as pr, verification as vf
+from eitfwm.steady_state import dark_state_sigma, solve
 
 
 def _report(residual, tolerance, expected_pass=True, name="demo"):
@@ -77,8 +77,9 @@ def test_each_condition_alone_breaks_commutators(ref, coupling, gamma0):
     # only with the direct coupling and no dephasing together
     p = ref.with_(gamma0=gamma0)
     ss, two_d = solve([p])
-    assert vf._worst_commutator_dev(p, ss, two_d, vf.COMMUTATOR_GRID,
-                                    coupling) > 1.0
+    (worst,) = vf._worst_commutator_devs(
+        [(p, ss, two_d, vf.COMMUTATOR_GRID, coupling)], p.length)
+    assert worst > 1.0
 
 
 def test_checks_propagate_each_frequency_set_as_one_stack(ref, monkeypatch):
@@ -91,13 +92,14 @@ def test_checks_propagate_each_frequency_set_as_one_stack(ref, monkeypatch):
 
     monkeypatch.setattr(pr, "second_moment_transfer_stack", counted)
     vf.check_commutators(ref)
-    # one stack per control, the commutator moment only
-    assert sizes == [5, 5, 3, 64]
+    # one stack of the four controls' 5 + 5 + 3 + 64 frequencies, the
+    # commutator moment only
+    assert sizes == [77]
     sizes.clear()
     vf.check_limits(ref)
-    # the three pump-off frequencies, the three stacked amplitudes, then
-    # the symplectic grid
-    assert sizes == [3, 3, len(vf.COMMUTATOR_GRID)]
+    # the three pump-off frequencies and the three stacked amplitudes,
+    # then the symplectic grid
+    assert sizes == [6, len(vf.COMMUTATOR_GRID)]
 
 
 @pytest.mark.parametrize("check", [vf.check_oracle_equivalence,
@@ -152,3 +154,108 @@ def test_convention_comparison_table(ref):
         for v in table[key].values():
             if isinstance(v, float):
                 assert v >= 4.0 - 1e-9
+
+
+# --- the merged stacks against the per-control evaluation -----------------
+
+def _per_control_commutators(p):
+    """check_commutators' residuals with one transfer per control, each
+    control solved on its own point."""
+    free, nodeph = p.with_(coupling_scale=0.0), p.with_(gamma0=0.0)
+    states, tables = solve([free, nodeph, p])
+
+    def worst(q, ss, two_d, omegas, coupling):
+        m, g = vf._drift_stack(vf._rows(q, ss), omegas, two_d,
+                               langevin.comm_noise_matrix, coupling)
+        t, c = vf._transfer(m, g, q.length, omegas)
+        n = m.shape[-1] // 2
+        j0 = np.diag([1.0] * n + [-1.0] * n)
+        out = pr.output_covariance(t, c, j0.astype(complex))
+        return float(np.max(np.abs(out - j0)))
+
+    return [
+        worst(free, states[[0]], tables[[0]],
+              (-2000.0, -1000.0, -500.0, 0.0, 500.0), "as_printed"),
+        worst(nodeph, states[[1]], tables[[1]],
+              (-2000.0, -1031.7, -1000.0, 0.0, 500.0), "as_printed"),
+        worst(nodeph, states[[1]], 2.0 * tables[[1]],
+              (-2000.0, -1000.0, 0.0), "as_printed"),
+        worst(p, states[[2]], tables[[2]], vf.COMMUTATOR_GRID, "parametric"),
+    ]
+
+
+def _per_control_limits(p):
+    """check_limits' residuals with one witness call per control."""
+    pz, nodeph = p.with_(omega_p=0.0), p.with_(gamma0=0.0)
+    states, tables = solve([pz, nodeph, p])
+    vacuum = vf._pair_witness([pz], states[[0]], tables[[0]],
+                              [-2500.0, -300.0, 400.0])
+    vals = vf._pair_witness([p.with_(alpha1=a, alpha2=a)
+                             for a in (0.0, 1.0, 1000.0)],
+                            states[[2] * 3], tables[[2] * 3], [-800.0] * 3)
+    quad = vf._field_quadratures(*vf._drift_stack(
+        vf._rows(p, states[[2]]), vf.COMMUTATOR_GRID, tables[[2]],
+        langevin.sym_noise_matrix), p.length, vf.COMMUTATOR_GRID)
+    m = quad.shape[-1] // 2
+    form = np.zeros((2 * m, 2 * m))
+    form[:m, m:] = 2.0 * np.eye(m)
+    form[m:, :m] = -2.0 * np.eye(m)
+    worst = float(np.linalg.eigvals(quad + 1j * form).real.min())
+    return [float(np.max(np.abs(vacuum - 4.0))),
+            float(np.max(np.abs(states[1] - dark_state_sigma()))),
+            float((np.max(vals) - np.min(vals)) / abs(vals[0])),
+            max(0.0, -worst)]
+
+
+MERGED_CHECKS = pytest.mark.parametrize("check,reference", [
+    (vf.check_commutators, _per_control_commutators),
+    (vf.check_limits, _per_control_limits),
+], ids=["commutators", "limits"])
+
+
+@MERGED_CHECKS
+@pytest.mark.parametrize("changes", [
+    {},
+    {"coupling_scale": 1.6462819213179591,
+     "spinwave_scale": 0.007228895687294551},
+    {"gamma0": 0.0},
+    {"coupling_scale": 1e5},
+    {"delta1": 1e300},
+], ids=["reference", "calibrated", "no_dephasing", "strong", "far_detuned"])
+def test_merged_stacks_keep_every_residuals_bits(ref, check, reference,
+                                                  changes):
+    p = ref.with_(**changes)
+    assert [float(r.residual).hex() for r in check(p)] \
+        == [x.hex() for x in reference(p)]
+
+
+@MERGED_CHECKS
+@pytest.mark.parametrize("changes", [{"length": 1e300},
+                                     {"coupling_scale": 1e308}],
+                         ids=["length", "coupling"])
+def test_merged_stacks_keep_every_failure_message(ref, check, reference,
+                                                  changes):
+    p = ref.with_(**changes)
+    with pytest.raises(pr.NumericalOverflowError) as merged:
+        check(p)
+    with pytest.raises(pr.NumericalOverflowError) as alone:
+        reference(p)
+    assert str(merged.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("check,index,omega", [
+    (vf.check_commutators, 5, "-2000"),    # undriven balance, first
+    (vf.check_commutators, 13, "-3000"),   # the reference grid, first
+    (vf.check_limits, 3, "-800"),          # the first coherent amplitude
+])
+def test_a_merged_stack_names_each_controls_own_frequency(
+        ref, monkeypatch, check, index, omega):
+    # a kernel that fails at the first matrix of a control's block: the
+    # message names that control's frequency, not the first control's
+    def failing(m, g, length):
+        raise pr.NumericalOverflowError("injected", index=index)
+
+    monkeypatch.setattr(pr, "second_moment_transfer_stack", failing)
+    with pytest.raises(pr.NumericalOverflowError,
+                       match=rf"^injected at omega = {omega} MHz$"):
+        check(ref)
