@@ -339,13 +339,16 @@ def _bounded_minimum(func, a: float, b: float, xatol: float) -> float:
     return xf
 
 
-def _fit_coupling(p, witness, labels, target) -> float:
-    """Bounded scalar fit of the coupling scale at zero Fourier frequency."""
+def _fit_coupling(p, fields, labels, target) -> float:
+    """Bounded scalar fit of the coupling scale at zero Fourier frequency:
+    V(a1, b1) of ``fields(q)``, the quadrature covariance of the field
+    pair at the coupling of ``q`` as a stack of one, whose modes are
+    named by ``labels``, against ``target``."""
 
     def objective(x):
-        q = p.with_(coupling_scale=math.exp(x))
         values, _ = entanglement.pair_witness(
-            witness(q, [q.spinwave_scale]), labels, ("a1", "b1"))
+            fields(p.with_(coupling_scale=math.exp(x))), labels,
+            ("a1", "b1"))
         return abs(float(values[0]) - target)
 
     return math.exp(_bounded_minimum(objective, math.log(0.2),
@@ -390,6 +393,11 @@ def calibrate(rc: RunConfig) -> dict:
     anchor under any scale, the closest achievable point is recorded and
     the corresponding target_met flag stays false.  The artifact is the
     committed record that makes every figure-level run reproducible.
+
+    The coupling fit reads only V(a1, b1), so its steps run the field
+    chain (entanglement.field_quadratures); the spin-wave samples and
+    the final witness read S, so they run the extended chain under the
+    configured spin-wave definition.
     """
     p = rc.params
     cfg = dataclasses.replace(rc.model, two_pair=False)
@@ -399,10 +407,17 @@ def calibrate(rc: RunConfig) -> dict:
     modes = cfg.modes(p)
     labels = entanglement.extended_labels(modes)
 
+    def fields(q):
+        """The zero-frequency quadrature covariance of the field pair at
+        the coupling of ``q``, a stack of one."""
+        return entanglement.field_quadratures(
+            propagation.drift_rows(states, modes, [derive(q)]), tables,
+            [0.0], q.length, cfg.coupling, cfg.sideband)
+
     def witness(q, scales):
-        """The stack of zero-frequency quadrature covariances at the
-        coupling of ``q``, one per spin-wave scale of ``scales``, run as
-        one block."""
+        """The stack of zero-frequency extended quadrature covariances at
+        the coupling of ``q``, one per spin-wave scale of ``scales``, run
+        as one block."""
         # the scale does not enter the derived quantities; computing them
         # from q also keeps the sample s = 0, which validate() rightly
         # rejects as a run setting, away from validation
@@ -414,7 +429,8 @@ def calibrate(rc: RunConfig) -> dict:
             set_up, np.zeros(k), q.length, cfg.coupling, cfg.sideband,
             cfg.spinwave_definition)
 
-    eta = _fit_coupling(p, witness, labels, CALIBRATION_TARGETS["V_a1_b1"])
+    eta = _fit_coupling(p, fields, entanglement.field_labels(modes),
+                        CALIBRATION_TARGETS["V_a1_b1"])
     pc = p.with_(coupling_scale=eta)
 
     samples = witness(pc, (0.0, 1.0, 2.0))

@@ -15,9 +15,10 @@ depend on the unobservable global phase of the ground-state coherence.
 
 Every function here works on stacks: blocks of points are evaluated as
 stacked arrays, from the assembly of the drift, noise and readout rows
-(``assemble``) to the quadrature covariances (``extended_quadratures``)
-and the witness of a named mode pair (``pair_witness``) or of two mode
-indices (``duan_min_stack``).  One point is a block of one.
+(``assemble``) to the quadrature covariances (``extended_quadratures``,
+or ``field_quadratures`` of the fields alone) and the witness of a
+named mode pair (``pair_witness``) or of two mode indices
+(``duan_min_stack``).  One point is a block of one.
 
 The coherence mode S is not bosonic: [S, S^+] is proportional to the
 ground-state population difference, which vanishes at the symmetric
@@ -134,9 +135,14 @@ def state_dim(n_modes: int, spinwave: str) -> int:
     return 2 * n_modes if spinwave == "endpoint" else 4 * n_modes + 2
 
 
+def field_labels(modes: list) -> list:
+    """Mode labels of a field covariance."""
+    return [m.name for m in modes]
+
+
 def extended_labels(modes: list) -> list:
     """Mode labels of an extended covariance: the fields, then S."""
-    return [m.name for m in modes] + ["S"]
+    return field_labels(modes) + ["S"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,6 +217,46 @@ def assemble(set_up: WitnessSetUp, omegas, length: float,
     r[:, n, 4 * n] = lump_s
     r[:, 2 * n + 1, 4 * n + 1] = lump_sdag
     return m_aug, q_aug, channels, r, None
+
+
+def field_quadratures(rows: propagation.DriftRows, two_d: np.ndarray, omegas,
+                      length: float, coupling: str = "parametric",
+                      sideband: str = "mirrored") -> np.ndarray:
+    """Quadrature covariances of the output fields for vacuum inputs at
+    ``omegas``, shape (N, 2n, 2n), from the drift set-up ``rows`` and
+    the diffusion tables ``two_d`` (k, 6, 6), shared by the points or
+    stacked over them: the drift block, its symmetrised noise drive, one
+    kernel call, the vacuum output and its Hermitian part.
+
+    Under the endpoint definition this is the field block of
+    extended_quadratures bit for bit: the same drift and kernel call,
+    readout rows that are the identity on the fields, no lump noise
+    there and an idempotent Hermitian part.  The z-averaged state
+    doubles its own larger drift, whose field block agrees to roundoff.
+
+    NumericalOverflowError names the first failing point by its
+    frequency: a failed transfer, or a covariance that is not finite (a
+    noise moment past float range), with extended_quadratures' message.
+    """
+    m, q = propagation.drift_block(rows, omegas, coupling, sideband)
+    # a covariance that is not finite is reported below, not left to
+    # floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = propagation.noise_drive(
+            q, langevin.sym_noise_matrix(two_d, rows.channels))
+        try:
+            t, c = propagation.second_moment_transfer_stack(m, g, length)
+            quad = quadrature_covariance(propagation.hermitian_part(
+                propagation.vacuum_output(t, c, len(rows.modes))))
+            finite = np.isfinite(quad).all(axis=(-2, -1))
+            if not finite.all():
+                # the field block fails as the whole extended covariance
+                raise propagation.NumericalOverflowError(
+                    "extended covariance is not finite",
+                    index=int(np.argmin(finite)))
+        except propagation.NumericalOverflowError as exc:
+            raise exc.at_frequency(omegas) from exc
+    return quad
 
 
 def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,

@@ -25,8 +25,9 @@ The checks isolate the mechanism with controls:
 
 Like the sweeps, the checks run on stacks: every control keeps its own
 set-up, and the points of all the controls of a check take one kernel
-call, which gives every matrix the bits it gets alone; the symplectic
-grid of ``check_limits`` takes a call of its own.
+call, which gives every matrix the bits it gets alone.  The limits and
+the symplectic grid of ``check_limits`` read only the field pair, so
+they run through entanglement.field_quadratures, one stack of 70.
 """
 
 from __future__ import annotations
@@ -96,34 +97,11 @@ def _transfer(m, g, length, omegas):
         raise exc.at_frequency(omegas) from exc
 
 
-def _field_quadratures(m, g, length, omegas) -> np.ndarray:
-    """Quadrature covariances of the output fields for vacuum inputs, one
-    per matrix of the drift stack ``m`` at ``omegas``."""
-    t, c = _transfer(m, g, length, omegas)
-    out = propagation.vacuum_output(t, c, t.shape[-1] // 2)
-    return entanglement.quadrature_covariance(
-        propagation.hermitian_part(out))
-
-
 def _rows(p, states):
     """Drift set-up of the single field pair at the steady state
     ``states``, a stack of one."""
     return propagation.drift_rows(states, propagation.single_pair_modes(p),
                                   [derive(p)])
-
-
-def _pair_witness(points, states, tables, omegas) -> np.ndarray:
-    """Witness values of the pair (a1, b1) at ``omegas``, from the set-up
-    of the parameter sets ``points`` (one, or one per frequency) with
-    their stacks of steady states and diffusion tables."""
-    modes = propagation.single_pair_modes(points[0])
-    set_up = entanglement.witness_set_up(points, states, tables, modes,
-                                         [derive(q) for q in points])
-    quad = entanglement.extended_quadratures(set_up, omegas,
-                                             points[0].length)
-    values, _ = entanglement.pair_witness(
-        quad, entanglement.extended_labels(modes), ("a1", "b1"))
-    return values
 
 
 def _worst_commutator_devs(controls, length) -> list[float]:
@@ -223,12 +201,22 @@ def check_limits(p: PhysicalParams) -> list[CheckReport]:
 
     # pump off: the ground coherence vanishes, the pair decouples, and
     # the witness must sit at the vacuum benchmark; then one set-up per
-    # coherent amplitude: the six points are one stack
+    # coherent amplitude, then the symplectic grid: the 6 + 64 points
+    # are one stack of the field pair
     amplitudes = (0.0, 1.0, 1000.0)
-    vacuum, vals = _pair_witness(
-        [pz] * 3 + [p.with_(alpha1=a, alpha2=a) for a in amplitudes],
-        states[[1, 1, 1, 0, 0, 0]], tables[[1, 1, 1, 0, 0, 0]],
-        [-2500.0, -300.0, 400.0] + [-800.0] * 3).reshape(2, 3)
+    limits = [pz] * 3 + [p.with_(alpha1=a, alpha2=a) for a in amplitudes]
+    pick = [1, 1, 1, 0, 0, 0] + [0] * len(COMMUTATOR_GRID)
+    modes = propagation.single_pair_modes(p)
+    rows = propagation.drift_rows(
+        states[pick], modes,
+        [derive(q) for q in limits] + [derive(p)] * len(COMMUTATOR_GRID))
+    quad = entanglement.field_quadratures(
+        rows, tables[pick],
+        [-2500.0, -300.0, 400.0] + [-800.0] * 3 + list(COMMUTATOR_GRID),
+        p.length)
+    (vacuum, vals), _ = entanglement.pair_witness(
+        quad[:6].reshape((2, 3) + quad.shape[1:]),
+        entanglement.field_labels(modes), ("a1", "b1"))
     reports.append(CheckReport(
         name="limit_uncoupled_pair_vacuum",
         scope="pump drive off, 3 benign frequencies",
@@ -246,14 +234,12 @@ def check_limits(p: PhysicalParams) -> list[CheckReport]:
         residual=float((np.max(vals) - np.min(vals)) / abs(vals[0])),
         tolerance=1e-9))
 
-    quad = _field_quadratures(*_drift_stack(
-        _rows(p, states[[0]]), COMMUTATOR_GRID, tables[[0]],
-        langevin.sym_noise_matrix), p.length, COMMUTATOR_GRID)
-    m = quad.shape[-1] // 2
+    grid = quad[6:]
+    m = grid.shape[-1] // 2
     form = np.zeros((2 * m, 2 * m))
     form[:m, m:] = 2.0 * np.eye(m)
     form[m:, :m] = -2.0 * np.eye(m)
-    worst = float(np.linalg.eigvals(quad + 1j * form).real.min())
+    worst = float(np.linalg.eigvals(grid + 1j * form).real.min())
     reports.append(CheckReport(
         name="symplectic_positivity",
         scope="field quadrature covariance, 64-point grid",
@@ -293,9 +279,8 @@ def convention_comparison(p: PhysicalParams) -> dict:
             for om in (-2000.0, -1000.0, 0.0):
                 # a stack of one, so that each cell overflows on its own
                 try:
-                    quad = _field_quadratures(*_drift_stack(
-                        rows, [om], two_d, langevin.sym_noise_matrix,
-                        coupling, sideband), p.length, [om])
+                    quad = entanglement.field_quadratures(
+                        rows, two_d, [om], p.length, coupling, sideband)
                     row[om] = float(
                         entanglement.duan_min_stack(quad, 0, 1)[0][0])
                 except propagation.NumericalOverflowError:

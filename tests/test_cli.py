@@ -17,8 +17,10 @@ import pytest
 import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
-from eitfwm import cli, entanglement, langevin, sweeps, verification
-from eitfwm.params import reference_params
+from eitfwm import (cli, entanglement, langevin, propagation, sweeps,
+                    verification)
+from eitfwm.params import derive, reference_params
+from eitfwm.steady_state import solve
 
 
 # --- config parsing -------------------------------------------------------
@@ -386,11 +388,14 @@ def test_vanishing_coherence_response_exits_2(tmp_path, capsys, experiment,
     ("spectrum", "omega_min = -1\nomega_max = 1\nn_points = 3\n",
      "at omega = 0 MHz"),
     ("fig5", "delta1 = 0\n", "at omega = 0 MHz, alpha = 0"),
-], ids=["spectrum", "alpha_sweep"])
+    ("calibrate", "", "at omega = 0 MHz"),
+], ids=["spectrum", "alpha_sweep", "calibrate"])
 def test_non_finite_extended_covariance_exits_2(tmp_path, capsys,
                                                 experiment, lines, where):
     # a coherence response of 1e-300 at omega = 0 puts the S rows beyond
-    # float range: the run fails there instead of writing nan witnesses
+    # float range: the run fails there instead of writing nan witnesses;
+    # calibrate's coupling fit reads the fields alone, so its spin-wave
+    # samples fail
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("gamma0 = 1e-300\n" + lines)
     out = tmp_path / "out"
@@ -637,6 +642,34 @@ def test_calibrate_fit_is_scipys_step_for_step(monkeypatch):
     assert art["coupling_scale"].hex() == (1.6462819213179591).hex()
 
 
+@pytest.mark.parametrize("switches,rel", [
+    ({}, 0.0),
+    ({"coupling": "as_printed"}, 0.0),
+    ({"sideband": "same"}, 0.0),
+    # the z-averaged state doubles its own larger drift, whose field
+    # block agrees with the field chain's to roundoff
+    ({"spinwave_definition": "z-averaged"}, 1e-9),
+], ids=["default", "as_printed", "same", "z_averaged"])
+def test_calibrate_fits_the_coupling_the_extended_chain_fits(switches, rel):
+    # the coupling fit reads V(a1, b1) off the field chain: the scale is
+    # the one a fit on the extended covariance finds at the same switches
+    p, model = reference_params(), sweeps.SweepConfig(**switches)
+    states, tables = solve([p])
+    modes = model.modes(p)
+
+    def extended(q):
+        set_up = entanglement.witness_set_up([q], states, tables, modes,
+                                             [derive(q)])
+        return entanglement.extended_quadratures(
+            set_up, [0.0], q.length, model.coupling, model.sideband,
+            model.spinwave_definition)
+
+    eta = cli._fit_coupling(p, extended, entanglement.extended_labels(modes),
+                            cli.CALIBRATION_TARGETS["V_a1_b1"])
+    art = cli.calibrate(cli.RunConfig(params=p, model=model))
+    assert art["coupling_scale"] == pytest.approx(eta, rel=rel, abs=0.0)
+
+
 def test_calibrate_solves_the_set_up_once(monkeypatch):
     calls = {"solve": 0, "diffusion_matrix": 0}
 
@@ -657,34 +690,45 @@ def test_calibrate_solves_the_set_up_once(monkeypatch):
 
 
 def test_calibrate_runs_each_witness_block_as_one_kernel_call(monkeypatch):
-    blocks, kernels = [], []
-    set_up, quadratures = (entanglement.witness_set_up,
-                           entanglement.extended_quadratures)
+    # every call in order: the coupling of each derived set, each block
+    # of the field chain and of the extended chain, and each kernel call
+    events = []
 
-    def recorded_set_up(points, *args, **kwargs):
-        blocks.append([(q.coupling_scale, q.spinwave_scale) for q in points])
-        return set_up(points, *args, **kwargs)
+    def record(module, name, tag, what):
+        real = getattr(module, name)
 
-    def recorded_quadratures(set_up, omegas, *args, **kwargs):
-        kernels.append(len(omegas))
-        return quadratures(set_up, omegas, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            events.append((tag, what(*args)))
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(entanglement, "witness_set_up", recorded_set_up)
-    monkeypatch.setattr(entanglement, "extended_quadratures",
-                        recorded_quadratures)
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(cli, "derive", "derive", lambda q: q.coupling_scale)
+    record(entanglement, "witness_set_up", "set_up", lambda points, *rest: [
+        (q.coupling_scale, q.spinwave_scale) for q in points])
+    record(entanglement, "field_quadratures", "fields",
+           lambda rows, two_d, omegas, *rest: len(omegas))
+    record(entanglement, "extended_quadratures", "extended",
+           lambda set_up, omegas, *rest: len(omegas))
+    record(propagation, "second_moment_transfer_stack", "kernel",
+           lambda m, *rest: len(m))
     art = cli.calibrate(cli.RunConfig(params=reference_params()))
-    # one set-up and one kernel call per block, over all of its points
-    assert kernels == [len(block) for block in blocks]
-    *fit, samples, final = blocks
     eta, kappa = art["coupling_scale"], art["spinwave_scale"]
-    # the coupling fit: one point a step, each at a new coupling
-    assert all(block == [(block[0][0], 1.0)] for block in fit)
-    couplings = [block[0][0] for block in fit]
+    fit = [events[i:i + 3] for i in range(0, len(events) - 8, 3)]
+    samples, final = events[-8:-4], events[-4:]
+    # the coupling fit: the field chain alone, one one-matrix kernel call
+    # a step, each step at a new coupling
+    couplings = [step[0][1] for step in fit]
+    assert fit == [[("derive", c), ("fields", 1), ("kernel", 1)]
+                   for c in couplings]
     assert len(set(couplings)) == len(couplings) and eta in couplings
-    # the spin-wave samples repeat the fitted point at scale 1, inside
-    # their one kernel call
-    assert samples == [(eta, 0.0), (eta, 1.0), (eta, 2.0)]
-    assert final == [(eta, kappa)]
+    # the spin-wave samples and the final witness run the extended chain,
+    # each block one set-up and one kernel call over all of its points
+    assert samples == [("derive", eta),
+                       ("set_up", [(eta, 0.0), (eta, 1.0), (eta, 2.0)]),
+                       ("extended", 3), ("kernel", 3)]
+    assert final == [("derive", eta), ("set_up", [(eta, kappa)]),
+                     ("extended", 1), ("kernel", 1)]
 
 
 def test_spinwave_vertex_at_zero_exits_2(tmp_path, capsys):
@@ -861,13 +905,15 @@ def test_verify_names_the_point_without_a_steady_state(
     "coupling_scale = 1e5\n",
     "coupling_scale = 1.6462819213179591\n"
     "spinwave_scale = 0.007228895687294551\n",
-], ids=["strong", "calibrated"])
+    "omega_p = 0\n",
+], ids=["strong", "calibrated", "pump_off"])
 def test_verify_fails_the_oracle_check_when_the_oracle_overflows(
         tmp_path, capsys, text):
     cfg = tmp_path / "oracle.cfg"
     cfg.write_text(text)
-    # the RK4 oracle overflows at both couplings: at the calibrated
-    # scales its C is not finite at 1000 MHz, while its T is
+    # the RK4 oracle overflows at each of these points: at the calibrated
+    # scales and with the pump off its C is not finite at 1000 MHz, while
+    # its T is; with the pump off other checks surprise too
     with pytest.warns(RuntimeWarning):
         assert cli.main(["--experiment", "verify", "--config", str(cfg)]) == 3
     (line,) = [line for line in capsys.readouterr().out.splitlines()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -281,6 +281,79 @@ def test_field_block_matches_plain_field_covariance(ref, ss_ref, two_d_ref,
         pr.output_covariance(t[0], c[0], vacuum_covariance(2))))
     sel = np.ix_([0, 1, 3, 4], [0, 1, 3, 4])
     assert np.max(np.abs(quad_ref[0][sel] - quad_fields)) < 1e-13
+
+
+def _pair_outcome(quadratures, labels):
+    """(values, signs) of the witness of (a1, b1) of the stack that
+    ``quadratures()`` returns, or the message of its failure."""
+    try:
+        return en.pair_witness(quadratures(), labels, ("a1", "b1"))
+    except pr.NumericalOverflowError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(coupling_scale=st.floats(1e-3, 30.0), gamma0=st.floats(1e-2, 100.0),
+       omega_p=st.floats(0.0, 800.0), omega_c=st.floats(1.0, 800.0),
+       delta1=st.floats(-3000.0, 3000.0), omega=st.floats(-3000.0, 1000.0))
+# so weak a coupling that the z-averaged integral rows lift the drift norm
+# across a power of two at 500 MHz: 11 doubling stages, not the fields' 10
+@example(coupling_scale=1e-3, gamma0=0.1, omega_p=400.0, omega_c=400.0,
+         delta1=-1000.0, omega=500.0)
+# on resonance the 10x10 products round the field block apart (1e-14)
+@example(coupling_scale=1.0, gamma0=1.0, omega_p=18.0, omega_c=5.0,
+         delta1=1.0, omega=0.0)
+# the parametric coupling under the same-sideband bookkeeping passes the
+# gain ceiling at -2000 MHz: both chains raise there
+@example(coupling_scale=1.0, gamma0=0.1, omega_p=400.0, omega_c=400.0,
+         delta1=-1000.0, omega=-2000.0)
+def test_field_chain_is_the_field_block_of_the_extended_chain(
+        ref, coupling_scale, gamma0, omega_p, omega_c, delta1, omega):
+    p = ref.with_(coupling_scale=coupling_scale, gamma0=gamma0,
+                  omega_p=omega_p, omega_c=omega_c, delta1=delta1)
+    states, tables = solve([p])
+    modes = pr.single_pair_modes(p)
+    derived = [derive(p)]
+    rows = pr.drift_rows(states, modes, derived)
+    set_up = en.witness_set_up([p], states, tables, modes, derived)
+    omegas = [0.0, omega]
+    for coupling in pr.COUPLINGS:
+        for sideband in pr.SIDEBANDS:
+            fields = _pair_outcome(lambda: en.field_quadratures(
+                rows, tables, omegas, p.length, coupling, sideband),
+                en.field_labels(modes))
+            for spinwave in en.SPINWAVE_DEFINITIONS:
+                extended = _pair_outcome(lambda: en.extended_quadratures(
+                    set_up, omegas, p.length, coupling, sideband, spinwave),
+                    LABELS)
+                if isinstance(fields, str) or isinstance(extended, str):
+                    assert fields == extended
+                elif spinwave == "endpoint":
+                    # the same drift, kernel call and output: the bits
+                    assert [v.hex() for v in fields[0].tolist()] \
+                        == [v.hex() for v in extended[0].tolist()]
+                    assert fields[1].tolist() == extended[1].tolist()
+                else:
+                    # the z-averaged state doubles its own 10x10 drift
+                    assert fields[0] == pytest.approx(extended[0], rel=1e-9)
+
+
+def test_a_field_chain_past_float_range_fails_as_the_extended_chain(ref):
+    # so dense a vapour puts the noise moment of the fields, not their
+    # transfer, past float range
+    p = ref.with_(n0=1e100)
+    states, tables = solve([p])
+    modes = pr.single_pair_modes(p)
+    derived = [derive(p)]
+    with pytest.raises(pr.NumericalOverflowError) as fields:
+        en.field_quadratures(pr.drift_rows(states, modes, derived), tables,
+                             [-500.0, 0.0], p.length)
+    with pytest.raises(pr.NumericalOverflowError) as extended:
+        en.extended_quadratures(en.witness_set_up([p], states, tables, modes,
+                                                  derived),
+                                [-500.0, 0.0], p.length)
+    assert str(fields.value) == str(extended.value) \
+        == "extended covariance is not finite at omega = -500 MHz"
 
 
 def test_reference_witnesses_frozen(quad_ref):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from eitfwm import langevin as lv
 from eitfwm.steady_state import solve
@@ -61,6 +63,37 @@ def test_diffusion_reference_elements(ref, two_d_ref):
 def test_diffusion_gram_positive(two_d_ref):
     low = check_positive(two_d_ref)
     assert low > -1e-8
+
+
+def _least_relative_eigenvalue(two_d: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of the pairing
+    <F_mu F_nu^dagger> = 2 D_{mu, conj(nu)}, over its largest entry."""
+    g = gram_matrix(two_d)
+    low = np.linalg.eigvalsh(0.5 * (g + g.conj().T)).min()
+    return float(low / np.abs(g).max())
+
+
+def test_noise_table_is_positive_semidefinite_without_dephasing(ref):
+    (two_d,) = solve([ref.with_(gamma0=0.0)])[1]
+    assert _least_relative_eigenvalue(two_d) >= -1e-13
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 15: the dephasing block of the "
+                          "generator is not completely positive, so the "
+                          "noise table is not positive semidefinite for "
+                          "gamma0 > 0 (-8.1e-11 relative at 0.1 MHz, "
+                          "-3.5e-6 at 1000 MHz)")
+# the known failure needs no shrinking
+@settings(deadline=None, max_examples=20,
+          phases=(Phase.explicit, Phase.generate))
+@given(gamma0=st.floats(0.1, 1000.0), omega_p=st.floats(1.0, 800.0),
+       omega_c=st.floats(1.0, 800.0))
+def test_noise_table_is_positive_semidefinite_with_dephasing(
+        ref, gamma0, omega_p, omega_c):
+    (two_d,) = solve([ref.with_(gamma0=gamma0, omega_p=omega_p,
+                                omega_c=omega_c)])[1]
+    assert _least_relative_eigenvalue(two_d) >= -1e-13
 
 
 def test_check_positive_rejects_negative(two_d_ref):

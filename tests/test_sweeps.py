@@ -364,13 +364,13 @@ def test_vanishing_response_after_several_sub_stacks_names_its_index(
 def test_a_verify_pass_doubles_each_transfer_in_one_sub_stack(
         ref, monkeypatch):
     # the checks of a verify pass, with the 2000 oracle steps of the
-    # benchmark (RK4 overflows at 1000 MHz): 4 transfers of at most 77
+    # benchmark (RK4 overflows at 1000 MHz): 3 transfers of at most 77
     # matrices, each one kernel call, some of them mixing stage counts
     transfers = _recorded_sub_stacks(monkeypatch)
     (verification.check_commutators(ref)
      + verification.check_oracle_equivalence(ref, n_steps=2000)
      + verification.check_limits(ref))
-    assert [len(subs) for subs in transfers] == [1] * 4
+    assert [len(subs) for subs in transfers] == [1] * 3
     assert any(len(set(ks)) > 1 for (ks,) in transfers)
 
 
@@ -673,7 +673,7 @@ def test_amplitudes_never_reach_a_set_up(ref, cfg, amplitudes):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_propagates_each_coherent_amplitude(ref, monkeypatch):
     # the amplitude check still sends its three amplitudes to the kernel,
-    # stacked after the pump-off limit's 3 frequencies, before the
+    # stacked after the pump-off limit's 3 frequencies and before the
     # symplectic check's 64
     sizes = []
     real = pr.second_moment_transfer_stack
@@ -684,7 +684,7 @@ def test_verify_propagates_each_coherent_amplitude(ref, monkeypatch):
 
     monkeypatch.setattr(pr, "second_moment_transfer_stack", counted)
     reports = verification.check_limits(ref)
-    assert sizes == [6, 64]
+    assert sizes == [70]
     (amplitude,) = [r for r in reports
                     if r.name == "limit_input_amplitude_independence"]
     assert amplitude.residual == 0.0

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from eitfwm import entanglement as en
 from eitfwm import langevin, propagation as pr, verification as vf
+from eitfwm.params import derive
 from eitfwm.steady_state import dark_state_sigma, solve
 
 
@@ -97,9 +99,9 @@ def test_checks_propagate_each_frequency_set_as_one_stack(ref, monkeypatch):
     assert sizes == [77]
     sizes.clear()
     vf.check_limits(ref)
-    # the three pump-off frequencies and the three stacked amplitudes,
-    # then the symplectic grid
-    assert sizes == [6, len(vf.COMMUTATOR_GRID)]
+    # the three pump-off frequencies, the three stacked amplitudes and
+    # the symplectic grid
+    assert sizes == [6 + len(vf.COMMUTATOR_GRID)]
 
 
 @pytest.mark.parametrize("check", [vf.check_oracle_equivalence,
@@ -184,18 +186,32 @@ def _per_control_commutators(p):
     ]
 
 
+def _extended_pair_witness(points, states, tables, omegas):
+    """Witness values of the pair (a1, b1) at ``omegas`` through the
+    extended chain: the set-up of the parameter sets ``points`` (one, or
+    one per frequency), the spin-wave readout and the 6x6 extension."""
+    modes = pr.single_pair_modes(points[0])
+    set_up = en.witness_set_up(points, states, tables, modes,
+                               [derive(q) for q in points])
+    quad = en.extended_quadratures(set_up, omegas, points[0].length)
+    values, _ = en.pair_witness(quad, en.extended_labels(modes),
+                                ("a1", "b1"))
+    return values
+
+
 def _per_control_limits(p):
-    """check_limits' residuals with one witness call per control."""
+    """check_limits' residuals with one witness call per control, the
+    two witness limits through the extended chain."""
     pz, nodeph = p.with_(omega_p=0.0), p.with_(gamma0=0.0)
     states, tables = solve([pz, nodeph, p])
-    vacuum = vf._pair_witness([pz], states[[0]], tables[[0]],
-                              [-2500.0, -300.0, 400.0])
-    vals = vf._pair_witness([p.with_(alpha1=a, alpha2=a)
-                             for a in (0.0, 1.0, 1000.0)],
-                            states[[2] * 3], tables[[2] * 3], [-800.0] * 3)
-    quad = vf._field_quadratures(*vf._drift_stack(
-        vf._rows(p, states[[2]]), vf.COMMUTATOR_GRID, tables[[2]],
-        langevin.sym_noise_matrix), p.length, vf.COMMUTATOR_GRID)
+    vacuum = _extended_pair_witness([pz], states[[0]], tables[[0]],
+                                    [-2500.0, -300.0, 400.0])
+    vals = _extended_pair_witness([p.with_(alpha1=a, alpha2=a)
+                                   for a in (0.0, 1.0, 1000.0)],
+                                  states[[2] * 3], tables[[2] * 3],
+                                  [-800.0] * 3)
+    quad = en.field_quadratures(
+        vf._rows(p, states[[2]]), tables[[2]], vf.COMMUTATOR_GRID, p.length)
     m = quad.shape[-1] // 2
     form = np.zeros((2 * m, 2 * m))
     form[:m, m:] = 2.0 * np.eye(m)
