@@ -247,7 +247,8 @@ def field_quadratures(rows: propagation.DriftRows, two_d: np.ndarray, omegas,
         try:
             t, c = propagation.second_moment_transfer_stack(m, g, length)
             quad = quadrature_covariance(propagation.hermitian_part(
-                propagation.vacuum_output(t, c, len(rows.modes))))
+                propagation.output_covariance(
+                    t, c, [0.5] * (2 * len(rows.modes)))))
             finite = np.isfinite(quad).all(axis=(-2, -1))
             if not finite.all():
                 # the field block fails as the whole extended covariance
@@ -302,8 +303,9 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
             # the block's drift and noise drive are done with: freeing
             # them keeps the readout's working memory off the peak
             del m, q, g
-            # the fields start in vacuum, any augmented rows at zero
-            out = propagation.vacuum_output(t, c, r.shape[-2] // 2 - 1)
+            # the 2n field rows start in vacuum, any augmented rows at zero
+            out = propagation.output_covariance(
+                t, c, [0.5] * (r.shape[-2] - 2))
             if lump is not None:
                 out = propagation.hermitian_part(out)
             ext = r[:stop] @ out @ propagation.dagger(r[:stop])

@@ -54,12 +54,12 @@ provided as an independent cross-check: per frequency it precomputes
 the RK4 step map and the map of a block of MARCH_BLOCK = 16 steps, a
 power formed by successive products with the step map, never by
 squaring, and marches the leftover single steps, then the blocks (see
-``transfer_step_oracle``).  The output covariance of vacuum inputs,
-T c_in T^+ + C with c_in = 0.5 * I on the doubled field rows and zero
-on any augmented rows (``vacuum_output``), takes the field columns T_f
-of T and forms (0.5 T_f) T_f^+ + C: one product instead of two, with
-the bits of the product with c_in; ``output_covariance`` keeps the
-general input for the commutator audit's J.
+``transfer_step_oracle``).  The output covariance T c_in T^+ + C of a
+diagonal input c_in = diag(w) on the first len(w) rows and zero on any
+further rows (``output_covariance``) takes those columns T_w of T and
+forms (T_w w) T_w^+ + C: one product instead of two, with the bits of
+the product with c_in.  Vacuum fields weigh their 2n doubled rows by
+0.5; the commutator audit's J weighs them by (1, ..., 1, -1, ..., -1).
 """
 
 from __future__ import annotations
@@ -583,22 +583,12 @@ def transfer_step_oracle(m: np.ndarray, g: np.ndarray, length: float,
 
 
 def output_covariance(t: np.ndarray, c_noise: np.ndarray,
-                      c_in: np.ndarray) -> np.ndarray:
-    """T c_in T^+ + C: input moment ``c_in`` carried through the transfer
-    ``t`` plus the accumulated noise moment, matrix by matrix."""
-    out = t @ c_in @ dagger(t)
-    out += c_noise
-    return out
-
-
-def vacuum_output(t: np.ndarray, c_noise: np.ndarray,
-                  n_modes: int) -> np.ndarray:
-    """T c_in T^+ + C for ``n_modes`` field modes in vacuum: c_in is
-    0.5 * I on the 2n doubled field rows and zero on any augmented
-    rows, so the input term is (0.5 T_f) T_f^+, T_f the 2n field
-    columns of ``t``; matrix by matrix, bit for bit the product with
-    c_in."""
-    fields = t[..., :2 * n_modes]
-    out = (0.5 * fields) @ dagger(fields)
+                      weights) -> np.ndarray:
+    """T c_in T^+ + C for the diagonal input c_in = diag(``weights``) on
+    the first len(weights) rows and zero on any further rows: the input
+    term is (T_w weights) T_w^+, T_w those columns of ``t``; matrix by
+    matrix, bit for bit the product with c_in."""
+    columns = t[..., :len(weights)]
+    out = (columns * weights) @ dagger(columns)
     out += c_noise
     return out

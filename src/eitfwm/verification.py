@@ -25,7 +25,9 @@ The checks isolate the mechanism with controls:
 
 Like the sweeps, the checks run on stacks: every control keeps its own
 set-up, and the points of all the controls of a check take one kernel
-call, which gives every matrix the bits it gets alone.  The limits and
+call, which gives every matrix the bits it gets alone.  The commutator
+audit and the integrator cross-check run the chain's own steps, and the
+audit carries J through the output step of the spectra.  The limits and
 the symplectic grid of ``check_limits`` read only the field pair, so
 they run through entanglement.field_quadratures, one stack of 70.
 """
@@ -77,49 +79,38 @@ ORACLE_POINTS = tuple(np.concatenate([np.linspace(-3000.0, -1700.0, 8),
 COMMUTATOR_GRID = tuple(np.linspace(-3000.0, 1000.0, 64))
 
 
-def _drift_stack(rows, omegas, two_d, pairing, coupling="parametric",
-                 sideband="mirrored"):
-    """(m, g): the drift and noise-drive stacks of the drift set-up
-    ``rows`` at every frequency of ``omegas``, the channel covariance
-    taken from ``two_d`` by ``pairing`` (langevin.sym_noise_matrix or
-    langevin.comm_noise_matrix)."""
-    m, q = propagation.drift_block(rows, omegas, coupling, sideband)
-    return m, propagation.noise_drive(q, pairing(two_d, rows.channels))
-
-
-def _transfer(m, g, length, omegas):
-    """propagation.second_moment_transfer_stack of the drift stack ``m``
-    at the frequencies ``omegas``; a failing matrix is named by its
-    frequency."""
+def _field_moments(controls, pairing, length):
+    """(m, g, t, c) of the field pair at the frequencies of every control
+    (p, states, tables, omegas, coupling): the drift and noise-drive
+    stacks, each table taken by ``pairing`` (langevin.sym_noise_matrix
+    or comm_noise_matrix), then the transfer and noise moment of the
+    whole stack from one kernel call; a failing matrix is named by its
+    frequency in that stack."""
+    stacks = []
+    for q, states, tables, omegas, coupling in controls:
+        rows = propagation.drift_rows(
+            states, propagation.single_pair_modes(q), [derive(q)])
+        m, noise = propagation.drift_block(rows, omegas, coupling)
+        stacks.append((m, propagation.noise_drive(
+            noise, pairing(tables, rows.channels))))
+    m, g = (np.concatenate(part) for part in zip(*stacks))
     try:
-        return propagation.second_moment_transfer_stack(m, g, length)
+        return (m, g) + propagation.second_moment_transfer_stack(m, g, length)
     except propagation.NumericalOverflowError as exc:
-        raise exc.at_frequency(omegas) from exc
-
-
-def _rows(p, states):
-    """Drift set-up of the single field pair at the steady state
-    ``states``, a stack of one."""
-    return propagation.drift_rows(states, propagation.single_pair_modes(p),
-                                  [derive(p)])
+        raise exc.at_frequency([om for control in controls
+                                for om in control[3]]) from exc
 
 
 def _worst_commutator_devs(controls, length) -> list[float]:
     """Worst |[a_out, a_out^+] - J| of each control (p, ss, two_d, omegas,
     coupling): the input commutators J carried through the transfer plus
-    the commutator moment of the noise.  The controls' frequencies are
-    propagated as one stack, and a failing matrix is named by its
-    frequency in that stack."""
-    stacks = [_drift_stack(_rows(q, ss), omegas, two_d,
-                           langevin.comm_noise_matrix, coupling)
-              for q, ss, two_d, omegas, coupling in controls]
-    m, g = (np.concatenate(part) for part in zip(*stacks))
-    omegas = [om for control in controls for om in control[3]]
-    t, c = _transfer(m, g, length, omegas)
-    n = m.shape[-1] // 2
-    j0 = np.diag([1.0] * n + [-1.0] * n)
-    dev = np.abs(propagation.output_covariance(t, c, j0.astype(complex)) - j0)
-    ends = np.cumsum([len(mk) for mk, _ in stacks])[:-1]
+    the commutator moment of the noise, the controls propagated as one
+    stack (_field_moments)."""
+    _, _, t, c = _field_moments(controls, langevin.comm_noise_matrix, length)
+    n = t.shape[-1] // 2
+    j = np.array([1.0] * n + [-1.0] * n)
+    dev = np.abs(propagation.output_covariance(t, c, j) - np.diag(j))
+    ends = np.cumsum([len(control[3]) for control in controls])[:-1]
     return [float(np.max(part)) for part in np.split(dev, ends)]
 
 
@@ -167,18 +158,21 @@ def _relative_deviation(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     of 0 counts as agreement, also from a reference of 0 (a frequency the
     noise does not reach)."""
     deviation = np.max(np.abs(x - ref), axis=(-2, -1))
-    return np.divide(deviation, np.max(np.abs(ref), axis=(-2, -1)),
-                     out=np.zeros_like(deviation), where=deviation != 0)
+    # a deviation from a reference of 0 is inf, without a warning: an
+    # oracle moment that underflows where the kernel's does not
+    with np.errstate(divide="ignore"):
+        return np.divide(deviation, np.max(np.abs(ref), axis=(-2, -1)),
+                         out=np.zeros_like(deviation), where=deviation != 0)
 
 
 def check_oracle_equivalence(p: PhysicalParams,
                              n_steps: int = 100000) -> list[CheckReport]:
     """Doubling integrator against the naive fixed-step one."""
     ss, two_d = solve([p])
-    m, g = _drift_stack(_rows(p, ss), ORACLE_POINTS, two_d,
-                        langevin.sym_noise_matrix)
     # both integrators run once over the stack of all frequencies
-    t1, c1 = _transfer(m, g, p.length, ORACLE_POINTS)
+    m, g, t1, c1 = _field_moments(
+        [(p, ss, two_d, ORACLE_POINTS, "parametric")],
+        langevin.sym_noise_matrix, p.length)
     t2, c2 = propagation.transfer_step_oracle(m, g, p.length, n_steps)
     # the worst deviation; fmax skips a nan, the false PASS of ROADMAP 1b
     worst = np.fmax.reduce(np.concatenate([_relative_deviation(t1, t2),
@@ -270,7 +264,8 @@ def convention_comparison(p: PhysicalParams) -> dict:
     gain beyond the trust ceiling.
     """
     ss, two_d = solve([p])
-    rows = _rows(p, ss)
+    rows = propagation.drift_rows(ss, propagation.single_pair_modes(p),
+                                  [derive(p)])
     table = {}
     for coupling in propagation.COUPLINGS:
         for sideband in propagation.SIDEBANDS:

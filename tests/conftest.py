@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eitfwm import propagation as pr
 from eitfwm.params import reference_params
 from eitfwm.steady_state import solve
 
@@ -27,12 +28,13 @@ def _vacuum_covariance(n_modes: int) -> np.ndarray:
     return 0.5 * np.eye(2 * n_modes, dtype=complex)
 
 
-def _reference_vacuum_output(t, c, n_modes):
-    """T c_in T^+ + C with the vacuum input c_in of ``n_modes`` field
-    modes padded with zero rows to the size of ``t``: the product form
-    that propagation.vacuum_output replaces."""
+def _reference_output(t, c, weights):
+    """T c_in T^+ + C with the diagonal input c_in = diag(weights) padded
+    with zero rows to the size of ``t``: the product form that
+    propagation.output_covariance replaces."""
     c_in = np.zeros(t.shape[-2:], dtype=complex)
-    c_in[:2 * n_modes, :2 * n_modes] = _vacuum_covariance(n_modes)
+    k = len(weights)
+    c_in[:k, :k] = np.diag(weights)
     out = t @ c_in @ np.swapaxes(t.conj(), -1, -2)
     out += c
     return out
@@ -46,10 +48,25 @@ def vacuum_covariance():
 
 
 @pytest.fixture(scope="session")
-def reference_vacuum_output():
-    """The product form of the output covariance for vacuum inputs, as a
-    function of (t, c, n_modes)."""
-    return _reference_vacuum_output
+def reference_output():
+    """The product form of the output covariance for a diagonal input,
+    as a function of (t, c, weights)."""
+    return _reference_output
+
+
+@pytest.fixture
+def kernel_stacks(monkeypatch):
+    """The length of every stack propagation.second_moment_transfer_stack
+    is called with, in call order, while the test runs."""
+    sizes = []
+    real = pr.second_moment_transfer_stack
+
+    def recorded(m, *args, **kwargs):
+        sizes.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(pr, "second_moment_transfer_stack", recorded)
+    return sizes
 
 
 def _two_mode_squeezed_quadrature(s: float) -> np.ndarray:

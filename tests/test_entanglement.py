@@ -10,7 +10,6 @@ from eitfwm import entanglement as en
 from eitfwm import langevin as lv
 from eitfwm import propagation as pr
 from eitfwm import sweeps
-from eitfwm import verification
 from eitfwm.params import derive
 from eitfwm.steady_state import solve
 
@@ -223,21 +222,21 @@ def test_quadrature_frame_is_the_product_with_lambda(x):
 
 
 def test_quadrature_frame_and_vacuum_output_keep_every_bit_on_sweeps(
-        ref, reference_vacuum_output, monkeypatch):
+        ref, reference_output, monkeypatch):
     # on the fig2 and two-pair z-averaged stacks, zeros included
     frames, outputs = [], []
-    frame, output = en.quadrature_covariance, pr.vacuum_output
+    frame, output = en.quadrature_covariance, pr.output_covariance
 
     def recorded_frame(doubled):
         frames.append((doubled, frame(doubled)))
         return frames[-1][1]
 
-    def recorded_output(t, c, n_modes):
-        outputs.append((t, c, n_modes, output(t, c, n_modes)))
+    def recorded_output(t, c, weights):
+        outputs.append((t, c, weights, output(t, c, weights)))
         return outputs[-1][-1]
 
     monkeypatch.setattr(en, "quadrature_covariance", recorded_frame)
-    monkeypatch.setattr(pr, "vacuum_output", recorded_output)
+    monkeypatch.setattr(pr, "output_covariance", recorded_output)
     p = ref.with_(coupling_scale=1.6462819213179591,
                   spinwave_scale=0.007228895687294551)
     for cfg, grid in [
@@ -252,9 +251,8 @@ def test_quadrature_frame_and_vacuum_output_keep_every_bit_on_sweeps(
     for doubled, quad in frames:
         assert quad.tobytes() == \
             reference_quadrature_covariance(doubled).tobytes()
-    for t, c, n, out in outputs:
-        assert out.tobytes() == \
-            reference_vacuum_output(t, c, n).tobytes()
+    for t, c, weights, out in outputs:
+        assert out.tobytes() == reference_output(t, c, weights).tobytes()
 
 
 def test_quadrature_covariance_rejects_odd_dimension():
@@ -272,13 +270,14 @@ def test_extended_covariance_labels_and_lookup(ref, quad_ref):
 
 def test_field_block_matches_plain_field_covariance(ref, ss_ref, two_d_ref,
                                                     quad_ref,
-                                                    vacuum_covariance):
-    m, g = verification._drift_stack(verification._rows(ref, ss_ref[None]),
-                                     [-300.0], two_d_ref,
-                                     lv.sym_noise_matrix)
+                                                    reference_output):
+    rows = pr.drift_rows(ss_ref[None], pr.single_pair_modes(ref),
+                         [derive(ref)])
+    m, q = pr.drift_block(rows, [-300.0])
+    g = pr.noise_drive(q, lv.sym_noise_matrix(two_d_ref, rows.channels))
     t, c = pr.second_moment_transfer_stack(m, g, ref.length)
     quad_fields = en.quadrature_covariance(pr.hermitian_part(
-        pr.output_covariance(t[0], c[0], vacuum_covariance(2))))
+        reference_output(t[0], c[0], [0.5] * 4)))
     sel = np.ix_([0, 1, 3, 4], [0, 1, 3, 4])
     assert np.max(np.abs(quad_ref[0][sel] - quad_fields)) < 1e-13
 

@@ -126,7 +126,8 @@ def test_vacuum_covariance(vacuum_covariance):
     assert np.array_equal(vacuum_covariance(3),
                           0.5 * np.eye(6, dtype=complex))
     eye = np.eye(8, dtype=complex)
-    out = pr.vacuum_output(eye[None], np.zeros((1, 8, 8), complex), 3)
+    out = pr.output_covariance(eye[None], np.zeros((1, 8, 8), complex),
+                               [0.5] * 6)
     assert out.shape == (1, 8, 8)
     assert np.array_equal(out[0, :6, :6], vacuum_covariance(3))
     assert not np.any(out[0, 6:]) and not np.any(out[0, :, 6:])
@@ -384,6 +385,13 @@ def reference_transfer_step_oracle(m, g, length, n_steps):
     return t, pr.hermitian_part(c)
 
 
+def _oracle_stack(p, ss, two_d):
+    """(m, g): the drift and symmetrised noise-drive stacks of verify's
+    oracle check, at its frequencies."""
+    m, q, channels = _drift(p, ss, verification.ORACLE_POINTS)
+    return m, pr.noise_drive(q, lv.sym_noise_matrix(two_d, channels))
+
+
 def _relative_error(x, x_ref):
     """max |x - x_ref| / max |x_ref|, matrix by matrix."""
     return (np.max(np.abs(x - x_ref), axis=(-2, -1))
@@ -396,9 +404,7 @@ def test_rk4_oracle_march_matches_the_separate_loops(ref, ss_ref, two_d_ref):
     # nan, and one matrix without a stack axis; 2000 steps are whole
     # blocks of MARCH_BLOCK steps, 2003 blocks plus single steps, 100
     # both, and 7 single steps alone
-    m, g = verification._drift_stack(
-        verification._rows(ref, ss_ref[None]), verification.ORACLE_POINTS,
-        two_d_ref, lv.sym_noise_matrix)
+    m, g = _oracle_stack(ref, ss_ref, two_d_ref)
     for n_stack, n_one in ((2000, 100), (2003, 7)):
         t, c = pr.transfer_step_oracle(m, g, ref.length, n_stack)
         t_ref, c_ref = reference_transfer_step_oracle(m, g, ref.length,
@@ -450,9 +456,7 @@ def _rk4_march_clongdouble(m, g, length, n_steps):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rk4_oracle_matches_an_extended_precision_march(
         ref, ss_ref, two_d_ref):
-    m, g = verification._drift_stack(
-        verification._rows(ref, ss_ref[None]), verification.ORACLE_POINTS,
-        two_d_ref, lv.sym_noise_matrix)
+    m, g = _oracle_stack(ref, ss_ref, two_d_ref)
     t, c = pr.transfer_step_oracle(m, g, ref.length, 2000)
     t_ref, c_ref = _rk4_march_clongdouble(m, g, ref.length, 2000)
     finite = np.all(np.isfinite(t) & np.isfinite(c), axis=(-2, -1))
@@ -489,9 +493,7 @@ def test_eigenbasis_reference_matches_richardson_extrapolated_rk4(
     # RK4's error falls as h^4, so (16 X(2n) - X(n)) / 15 cancels its
     # leading term; what is left, about 1e-10, is the roundoff of the
     # 2e5-step march.  cond(V) <= 47 at the oracle frequencies
-    m, g = verification._drift_stack(
-        verification._rows(ref, ss_ref[None]), verification.ORACLE_POINTS,
-        two_d_ref, lv.sym_noise_matrix)
+    m, g = _oracle_stack(ref, ss_ref, two_d_ref)
     t, c, cond = eigenbasis_moments(m, g, ref.length)
     assert np.all(cond <= EIGENBASIS_GATE)
     (t1, c1), (t2, c2) = (pr.transfer_step_oracle(m, g, ref.length, n)
@@ -585,7 +587,8 @@ def _field_moments(p, ss, two_d, omegas, pairing=lv.sym_noise_matrix,
 
 
 def _field_covariance(t, c):
-    return pr.hermitian_part(pr.vacuum_output(t, c, t.shape[-1] // 2))
+    return pr.hermitian_part(pr.output_covariance(t, c,
+                                                  [0.5] * t.shape[-1]))
 
 
 #: field modes of each state size: the endpoint pairs and their
@@ -598,22 +601,26 @@ _FIELD_MODES = {4: 2, 8: 4, 10: 2, 18: 4}
        st.sampled_from(sorted(_FIELD_MODES)),
        st.floats(min_value=0.05, max_value=5.0))
 def test_vacuum_output_keeps_the_bits_of_the_product_with_the_input(
-        reference_vacuum_output, seed, dim, length):
+        reference_output, seed, dim, length):
+    # the vacuum of the spectra and the commutator audit's J, on the
+    # 2n doubled field rows
     m, g = _mixed_stack(seed, dim, length)
     t, c = pr.second_moment_transfer_stack(m, g, length)
     n = _FIELD_MODES[dim]
-    assert pr.vacuum_output(t, c, n).tobytes() == \
-        reference_vacuum_output(t, c, n).tobytes()
+    for weights in ([0.5] * (2 * n), [1.0] * n + [-1.0] * n):
+        assert pr.output_covariance(t, c, weights).tobytes() == \
+            reference_output(t, c, weights).tobytes()
 
 
 def test_free_propagation_preserves_commutators(ref):
     p0 = ref.with_(coupling_scale=0.0)
     (ss0,), (two_d0,) = solve([p0])
     omegas = (-2000.0, -1000.0, 0.0, 400.0, 900.0)
-    j = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    j = [1.0, 1.0, -1.0, -1.0]
     t, c_comm = _field_moments(p0, ss0, two_d0, omegas,
                                pairing=lv.comm_noise_matrix)
-    assert np.max(np.abs(pr.output_covariance(t, c_comm, j) - j)) < 1e-13
+    assert np.max(np.abs(pr.output_covariance(t, c_comm, j)
+                         - np.diag(j))) < 1e-13
     # and the output state stays exactly vacuum
     cov = _field_covariance(*_field_moments(p0, ss0, two_d0, omegas))
     assert np.max(np.abs(cov - 0.5 * np.eye(4))) < 1e-13

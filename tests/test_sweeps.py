@@ -80,19 +80,11 @@ def test_sweep_deterministic(ref, spec_small):
         assert np.array_equal(spec_small.signs[pair], again.signs[pair])
 
 
-def test_sweep_runs_one_transfer_per_point(ref, monkeypatch):
+def test_sweep_runs_one_transfer_per_point(ref, kernel_stacks):
     # every matrix the doubling kernel sees, one-point calls included:
-    # one per point, none for the commutator moment
-    matrices = []
-    real = pr.second_moment_transfer_stack
-
-    def counted(m, *args, **kwargs):
-        matrices.extend(m)
-        return real(m, *args, **kwargs)
-
-    monkeypatch.setattr(pr, "second_moment_transfer_stack", counted)
+    # one per point, none for the commutator moment, in one stack
     sweeps.sweep_omega(ref, np.array([-1500.0, -1000.0, 0.0]))
-    assert len(matrices) == 3
+    assert kernel_stacks == [3]
 
 
 def test_sweeps_set_up_the_drift_once_per_block(ref, monkeypatch):
@@ -671,20 +663,12 @@ def test_amplitudes_never_reach_a_set_up(ref, cfg, amplitudes):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_verify_propagates_each_coherent_amplitude(ref, monkeypatch):
+def test_verify_propagates_each_coherent_amplitude(ref, kernel_stacks):
     # the amplitude check still sends its three amplitudes to the kernel,
     # stacked after the pump-off limit's 3 frequencies and before the
     # symplectic check's 64
-    sizes = []
-    real = pr.second_moment_transfer_stack
-
-    def counted(m, *args, **kwargs):
-        sizes.append(len(m))
-        return real(m, *args, **kwargs)
-
-    monkeypatch.setattr(pr, "second_moment_transfer_stack", counted)
     reports = verification.check_limits(ref)
-    assert sizes == [70]
+    assert kernel_stacks == [70]
     (amplitude,) = [r for r in reports
                     if r.name == "limit_input_amplitude_independence"]
     assert amplitude.residual == 0.0

@@ -84,24 +84,24 @@ def test_each_condition_alone_breaks_commutators(ref, coupling, gamma0):
     assert worst > 1.0
 
 
-def test_checks_propagate_each_frequency_set_as_one_stack(ref, monkeypatch):
-    sizes = []
-    real = pr.second_moment_transfer_stack
-
-    def counted(m, *args, **kwargs):
-        sizes.append(len(m))
-        return real(m, *args, **kwargs)
-
-    monkeypatch.setattr(pr, "second_moment_transfer_stack", counted)
+def test_checks_propagate_each_frequency_set_as_one_stack(ref,
+                                                         kernel_stacks):
     vf.check_commutators(ref)
     # one stack of the four controls' 5 + 5 + 3 + 64 frequencies, the
     # commutator moment only
-    assert sizes == [77]
-    sizes.clear()
+    assert kernel_stacks == [77]
+    kernel_stacks.clear()
+    with warnings.catch_warnings():
+        # RK4 overflows at 1000 MHz with this step
+        warnings.simplefilter("ignore", RuntimeWarning)
+        vf.check_oracle_equivalence(ref, n_steps=2000)
+    # the oracle's 16 frequencies, the kernel's side of the cross-check
+    assert kernel_stacks == [len(vf.ORACLE_POINTS)]
+    kernel_stacks.clear()
     vf.check_limits(ref)
     # the three pump-off frequencies, the three stacked amplitudes and
     # the symplectic grid
-    assert sizes == [6 + len(vf.COMMUTATOR_GRID)]
+    assert kernel_stacks == [6 + len(vf.COMMUTATOR_GRID)]
 
 
 @pytest.mark.parametrize("check", [vf.check_oracle_equivalence,
@@ -125,6 +125,20 @@ def test_oracle_check_counts_zero_over_zero_as_agreement(ref):
         (report,) = vf.check_oracle_equivalence(ref.with_(delta1=1e300))
     assert report.line().startswith(
         "CHECK oracle_equivalence residual=4.893995e-12 tol=1.0e-08 PASS")
+
+
+def test_oracle_check_reports_an_underflowing_oracle_without_a_warning(ref):
+    # over a cell of 5e-324 the oracle's C underflows to 0 at most
+    # frequencies where the kernel's is about 1e-315: the deviation
+    # from a reference of 0 is inf, and the check fails unexpectedly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (report,) = vf.check_oracle_equivalence(ref.with_(length=5e-324),
+                                                n_steps=2000)
+    assert report.residual == np.inf
+    assert report.line().startswith("CHECK oracle_equivalence residual=inf ")
+    assert report.line().endswith(" FAIL (expected PASS) UNEXPECTED "
+                                  "[16 frequencies, 2000 oracle steps]")
 
 
 def test_limit_checks(ref):
@@ -167,12 +181,12 @@ def _per_control_commutators(p):
     states, tables = solve([free, nodeph, p])
 
     def worst(q, ss, two_d, omegas, coupling):
-        m, g = vf._drift_stack(vf._rows(q, ss), omegas, two_d,
-                               langevin.comm_noise_matrix, coupling)
-        t, c = vf._transfer(m, g, q.length, omegas)
-        n = m.shape[-1] // 2
+        _, _, t, c = vf._field_moments([(q, ss, two_d, omegas, coupling)],
+                                       langevin.comm_noise_matrix, q.length)
+        n = t.shape[-1] // 2
         j0 = np.diag([1.0] * n + [-1.0] * n)
-        out = pr.output_covariance(t, c, j0.astype(complex))
+        # the product form, not propagation.output_covariance
+        out = t @ j0.astype(complex) @ pr.dagger(t) + c
         return float(np.max(np.abs(out - j0)))
 
     return [
@@ -211,7 +225,8 @@ def _per_control_limits(p):
                                   states[[2] * 3], tables[[2] * 3],
                                   [-800.0] * 3)
     quad = en.field_quadratures(
-        vf._rows(p, states[[2]]), tables[[2]], vf.COMMUTATOR_GRID, p.length)
+        pr.drift_rows(states[[2]], pr.single_pair_modes(p), [derive(p)]),
+        tables[[2]], vf.COMMUTATOR_GRID, p.length)
     m = quad.shape[-1] // 2
     form = np.zeros((2 * m, 2 * m))
     form[:m, m:] = 2.0 * np.eye(m)
