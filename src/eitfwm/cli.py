@@ -411,8 +411,8 @@ def calibrate(rc: RunConfig) -> dict:
         """The zero-frequency quadrature covariance of the field pair at
         the coupling of ``q``, a stack of one."""
         return entanglement.field_quadratures(
-            propagation.drift_rows(states, modes, [derive(q)]), tables,
-            [0.0], q.length, cfg.coupling, cfg.sideband)
+            [(q, states, tables, [0.0], cfg.coupling)], q.length,
+            cfg.sideband)
 
     def witness(q, scales):
         """The stack of zero-frequency extended quadrature covariances at

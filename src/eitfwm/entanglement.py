@@ -16,8 +16,9 @@ depend on the unobservable global phase of the ground-state coherence.
 Every function here works on stacks: blocks of points are evaluated as
 stacked arrays, from the assembly of the drift, noise and readout rows
 (``assemble``) to the quadrature covariances (``extended_quadratures``,
-or ``field_quadratures`` of the fields alone) and the witness of a
-named mode pair (``pair_witness``) or of two mode indices
+or ``field_quadratures`` of the fields alone, on ``field_moments``, the
+one field-pair step that calibrate's fit and verify share) and the
+witness of a named mode pair (``pair_witness``) or of two mode indices
 (``duan_min_stack``).  One point is a block of one.
 
 The coherence mode S is not bosonic: [S, S^+] is proportional to the
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import C
+from .params import C, derive
 from . import langevin
 from . import propagation
 
@@ -219,14 +220,53 @@ def assemble(set_up: WitnessSetUp, omegas, length: float,
     return m_aug, q_aug, channels, r, None
 
 
-def field_quadratures(rows: propagation.DriftRows, two_d: np.ndarray, omegas,
-                      length: float, coupling: str = "parametric",
+def field_moments(controls, length: float,
+                  pairing=langevin.sym_noise_matrix,
+                  sideband: str = "mirrored"):
+    """(m, g, t, c) of the field pair at the frequencies of every control
+    (q, states, tables, omegas, coupling): the drift rows of q's single
+    pair, the drift and noise-drive stacks, each table taken by
+    ``pairing`` (langevin.sym_noise_matrix or comm_noise_matrix), then
+    the transfer and noise moment of the whole stack from one kernel
+    call; a failing matrix is named by its frequency in that stack."""
+    stacks = []
+    for q, states, tables, omegas, coupling in controls:
+        rows = propagation.drift_rows(
+            states, propagation.single_pair_modes(q), [derive(q)])
+        m, noise = propagation.drift_block(rows, omegas, coupling, sideband)
+        stacks.append((m, propagation.noise_drive(
+            noise, pairing(tables, rows.channels))))
+    m, g = (np.concatenate(part) for part in zip(*stacks))
+    try:
+        return (m, g) + propagation.second_moment_transfer_stack(m, g, length)
+    except propagation.NumericalOverflowError as exc:
+        raise exc.at_frequency(_frequencies(controls)) from exc
+
+
+def _frequencies(controls) -> list:
+    """The frequencies of the stack of ``controls``."""
+    return [om for control in controls for om in control[3]]
+
+
+def _quadratures(x: np.ndarray, omegas) -> np.ndarray:
+    """Quadrature covariances of the Hermitian parts of the covariances
+    ``x`` at ``omegas``, under the caller's errstate; NumericalOverflowError
+    names the first that is not finite by its frequency."""
+    quad = quadrature_covariance(propagation.hermitian_part(x))
+    finite = np.isfinite(quad).all(axis=(-2, -1))
+    if not finite.all():
+        raise propagation.NumericalOverflowError(
+            "extended covariance is not finite",
+            index=int(np.argmin(finite))).at_frequency(omegas)
+    return quad
+
+
+def field_quadratures(controls, length: float,
                       sideband: str = "mirrored") -> np.ndarray:
     """Quadrature covariances of the output fields for vacuum inputs at
-    ``omegas``, shape (N, 2n, 2n), from the drift set-up ``rows`` and
-    the diffusion tables ``two_d`` (k, 6, 6), shared by the points or
-    stacked over them: the drift block, its symmetrised noise drive, one
-    kernel call, the vacuum output and its Hermitian part.
+    the frequencies of every control (field_moments), shape
+    (N, 2n, 2n): the field pair's moments, the vacuum output and its
+    quadratures.
 
     Under the endpoint definition this is the field block of
     extended_quadratures bit for bit: the same drift and kernel call,
@@ -238,26 +278,13 @@ def field_quadratures(rows: propagation.DriftRows, two_d: np.ndarray, omegas,
     frequency: a failed transfer, or a covariance that is not finite (a
     noise moment past float range), with extended_quadratures' message.
     """
-    m, q = propagation.drift_block(rows, omegas, coupling, sideband)
     # a covariance that is not finite is reported below, not left to
     # floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        g = propagation.noise_drive(
-            q, langevin.sym_noise_matrix(two_d, rows.channels))
-        try:
-            t, c = propagation.second_moment_transfer_stack(m, g, length)
-            quad = quadrature_covariance(propagation.hermitian_part(
-                propagation.output_covariance(
-                    t, c, [0.5] * (2 * len(rows.modes)))))
-            finite = np.isfinite(quad).all(axis=(-2, -1))
-            if not finite.all():
-                # the field block fails as the whole extended covariance
-                raise propagation.NumericalOverflowError(
-                    "extended covariance is not finite",
-                    index=int(np.argmin(finite)))
-        except propagation.NumericalOverflowError as exc:
-            raise exc.at_frequency(omegas) from exc
-    return quad
+        _, _, t, c = field_moments(controls, length, sideband=sideband)
+        return _quadratures(
+            propagation.output_covariance(t, c, [0.5] * t.shape[-1]),
+            _frequencies(controls))
 
 
 def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
@@ -300,29 +327,23 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
             # first, so that the first failing point is the one reported
             t, c = propagation.second_moment_transfer_stack(
                 m[:stop], g[:stop], length)
-            # the block's drift and noise drive are done with: freeing
-            # them keeps the readout's working memory off the peak
-            del m, q, g
-            # the 2n field rows start in vacuum, any augmented rows at zero
-            out = propagation.output_covariance(
-                t, c, [0.5] * (r.shape[-2] - 2))
-            if lump is not None:
-                out = propagation.hermitian_part(out)
-            ext = r[:stop] @ out @ propagation.dagger(r[:stop])
-            if lump is not None:
-                ext += lump_noise[:stop]
-            quad = quadrature_covariance(propagation.hermitian_part(ext))
-            finite = np.isfinite(quad).all(axis=(-2, -1))
-            if not finite.all():
-                raise propagation.NumericalOverflowError(
-                    "extended covariance is not finite",
-                    index=int(np.argmin(finite)))
-            if stop < len(omegas):
-                raise propagation.NumericalOverflowError(
-                    "coherence response gamma0 + i*omega vanishes",
-                    index=stop)
         except propagation.NumericalOverflowError as exc:
             raise exc.at_frequency(omegas) from exc
+        # the block's drift and noise drive are done with: freeing them
+        # keeps the readout's working memory off the peak
+        del m, q, g
+        # the 2n field rows start in vacuum, any augmented rows at zero
+        out = propagation.output_covariance(t, c, [0.5] * (r.shape[-2] - 2))
+        if lump is not None:
+            out = propagation.hermitian_part(out)
+        ext = r[:stop] @ out @ propagation.dagger(r[:stop])
+        if lump is not None:
+            ext += lump_noise[:stop]
+        quad = _quadratures(ext, omegas)
+    if stop < len(omegas):
+        raise propagation.NumericalOverflowError(
+            "coherence response gamma0 + i*omega vanishes",
+            index=stop).at_frequency(omegas)
     return quad
 
 

@@ -155,7 +155,9 @@ def omega_grid(start: float, stop: float, n: int, refine_centers,
         lo = max(start, c - REFINE_HALFWIDTH)
         hi = min(stop, c + REFINE_HALFWIDTH)
         if hi > lo:
-            count = np.ceil((hi - lo) / refine_step) + 1
+            # a step that underflows to 0 needs unboundedly many points
+            count = (np.ceil((hi - lo) / refine_step) + 1 if refine_step
+                     else np.inf)
             total += count
             if total > MAX_GRID_POINTS:
                 raise ValidationError(

@@ -25,11 +25,11 @@ The checks isolate the mechanism with controls:
 
 Like the sweeps, the checks run on stacks: every control keeps its own
 set-up, and the points of all the controls of a check take one kernel
-call, which gives every matrix the bits it gets alone.  The commutator
-audit and the integrator cross-check run the chain's own steps, and the
-audit carries J through the output step of the spectra.  The limits and
-the symplectic grid of ``check_limits`` read only the field pair, so
-they run through entanglement.field_quadratures, one stack of 70.
+call, which gives every matrix the bits it gets alone.  Every check
+reads only the field pair, so each runs the chain's one field step,
+entanglement.field_moments; the commutator audit carries J through the
+output step of the spectra, and ``check_limits`` stacks its five
+controls, 70 points, through entanglement.field_quadratures.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, derive
+from .params import PhysicalParams
 from .steady_state import DegenerateSteadyStateError, dark_state_sigma, solve
 from . import langevin
 from . import propagation
@@ -79,34 +79,13 @@ ORACLE_POINTS = tuple(np.concatenate([np.linspace(-3000.0, -1700.0, 8),
 COMMUTATOR_GRID = tuple(np.linspace(-3000.0, 1000.0, 64))
 
 
-def _field_moments(controls, pairing, length):
-    """(m, g, t, c) of the field pair at the frequencies of every control
-    (p, states, tables, omegas, coupling): the drift and noise-drive
-    stacks, each table taken by ``pairing`` (langevin.sym_noise_matrix
-    or comm_noise_matrix), then the transfer and noise moment of the
-    whole stack from one kernel call; a failing matrix is named by its
-    frequency in that stack."""
-    stacks = []
-    for q, states, tables, omegas, coupling in controls:
-        rows = propagation.drift_rows(
-            states, propagation.single_pair_modes(q), [derive(q)])
-        m, noise = propagation.drift_block(rows, omegas, coupling)
-        stacks.append((m, propagation.noise_drive(
-            noise, pairing(tables, rows.channels))))
-    m, g = (np.concatenate(part) for part in zip(*stacks))
-    try:
-        return (m, g) + propagation.second_moment_transfer_stack(m, g, length)
-    except propagation.NumericalOverflowError as exc:
-        raise exc.at_frequency([om for control in controls
-                                for om in control[3]]) from exc
-
-
 def _worst_commutator_devs(controls, length) -> list[float]:
     """Worst |[a_out, a_out^+] - J| of each control (p, ss, two_d, omegas,
     coupling): the input commutators J carried through the transfer plus
     the commutator moment of the noise, the controls propagated as one
-    stack (_field_moments)."""
-    _, _, t, c = _field_moments(controls, langevin.comm_noise_matrix, length)
+    stack (entanglement.field_moments)."""
+    _, _, t, c = entanglement.field_moments(controls, length,
+                                            langevin.comm_noise_matrix)
     n = t.shape[-1] // 2
     j = np.array([1.0] * n + [-1.0] * n)
     dev = np.abs(propagation.output_covariance(t, c, j) - np.diag(j))
@@ -170,9 +149,8 @@ def check_oracle_equivalence(p: PhysicalParams,
     """Doubling integrator against the naive fixed-step one."""
     ss, two_d = solve([p])
     # both integrators run once over the stack of all frequencies
-    m, g, t1, c1 = _field_moments(
-        [(p, ss, two_d, ORACLE_POINTS, "parametric")],
-        langevin.sym_noise_matrix, p.length)
+    m, g, t1, c1 = entanglement.field_moments(
+        [(p, ss, two_d, ORACLE_POINTS, "parametric")], p.length)
     t2, c2 = propagation.transfer_step_oracle(m, g, p.length, n_steps)
     # the worst deviation; fmax skips a nan, the false PASS of ROADMAP 1b
     worst = np.fmax.reduce(np.concatenate([_relative_deviation(t1, t2),
@@ -194,23 +172,20 @@ def check_limits(p: PhysicalParams) -> list[CheckReport]:
         "no-dephasing control (gamma0 = 0)"))
 
     # pump off: the ground coherence vanishes, the pair decouples, and
-    # the witness must sit at the vacuum benchmark; then one set-up per
+    # the witness must sit at the vacuum benchmark; then one control per
     # coherent amplitude, then the symplectic grid: the 6 + 64 points
     # are one stack of the field pair
-    amplitudes = (0.0, 1.0, 1000.0)
-    limits = [pz] * 3 + [p.with_(alpha1=a, alpha2=a) for a in amplitudes]
-    pick = [1, 1, 1, 0, 0, 0] + [0] * len(COMMUTATOR_GRID)
-    modes = propagation.single_pair_modes(p)
-    rows = propagation.drift_rows(
-        states[pick], modes,
-        [derive(q) for q in limits] + [derive(p)] * len(COMMUTATOR_GRID))
     quad = entanglement.field_quadratures(
-        rows, tables[pick],
-        [-2500.0, -300.0, 400.0] + [-800.0] * 3 + list(COMMUTATOR_GRID),
+        [(pz, states[[1]], tables[[1]], (-2500.0, -300.0, 400.0),
+          "parametric")]
+        + [(p.with_(alpha1=a, alpha2=a), states[[0]], tables[[0]], (-800.0,),
+            "parametric") for a in (0.0, 1.0, 1000.0)]
+        + [(p, states[[0]], tables[[0]], COMMUTATOR_GRID, "parametric")],
         p.length)
     (vacuum, vals), _ = entanglement.pair_witness(
         quad[:6].reshape((2, 3) + quad.shape[1:]),
-        entanglement.field_labels(modes), ("a1", "b1"))
+        entanglement.field_labels(propagation.single_pair_modes(p)),
+        ("a1", "b1"))
     reports.append(CheckReport(
         name="limit_uncoupled_pair_vacuum",
         scope="pump drive off, 3 benign frequencies",
@@ -264,8 +239,6 @@ def convention_comparison(p: PhysicalParams) -> dict:
     gain beyond the trust ceiling.
     """
     ss, two_d = solve([p])
-    rows = propagation.drift_rows(ss, propagation.single_pair_modes(p),
-                                  [derive(p)])
     table = {}
     for coupling in propagation.COUPLINGS:
         for sideband in propagation.SIDEBANDS:
@@ -275,7 +248,7 @@ def convention_comparison(p: PhysicalParams) -> dict:
                 # a stack of one, so that each cell overflows on its own
                 try:
                     quad = entanglement.field_quadratures(
-                        rows, two_d, [om], p.length, coupling, sideband)
+                        [(p, ss, two_d, [om], coupling)], p.length, sideband)
                     row[om] = float(
                         entanglement.duan_min_stack(quad, 0, 1)[0][0])
                 except propagation.NumericalOverflowError:

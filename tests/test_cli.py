@@ -228,7 +228,11 @@ def test_overflow_exits_2_and_names_frequency(tmp_path, capsys, lines,
     # 72001 points a patch: the second one crosses the cap
     ("fig3", "gamma1 = 0.0025\ngamma2 = 0.0025",
      "refinement patch around 1000 MHz needs 7.2e+04 points"),
-], ids=["n_points", "patch", "second_patch"])
+    # a third of so narrow a linewidth underflows to a step of 0
+    ("fig2", "gamma1 = 5e-324\ngamma2 = 5e-324",
+     "refinement patch around -1000 MHz needs inf points at a step of 0 "
+     "MHz"),
+], ids=["n_points", "patch", "second_patch", "step_underflows"])
 def test_oversized_grid_exits_1_before_allocating(tmp_path, capsys,
                                                   monkeypatch, experiment,
                                                   lines, fragment):
@@ -580,6 +584,29 @@ def test_calibrate_artifact(tmp_path):
     assert set(art["spinwave_fit"]) == {"primary", "alternate"}
 
 
+@pytest.mark.parametrize("line,coupling_scale,spinwave_scale,digest", [
+    ("coupling = as_printed", "0x1.99999a6819d59p-3",
+     0.00025228778768242717, "d96048788a93"),
+    ("sideband = same", "0x1.a572bb640e829p+0", 0.007228895687294551,
+     "b103c9323b9b"),
+    ("spinwave_definition = z-averaged", "0x1.a572bb640e829p+0",
+     0.009394541594993614, "2132a025ed68"),
+], ids=["as_printed", "same", "z_averaged"])
+def test_calibrate_artifact_under_each_switch(tmp_path, line, coupling_scale,
+                                              spinwave_scale, digest):
+    # the coupling fit runs the field chain at the configured coupling and
+    # sideband, the spin-wave fit the configured definition
+    cfg = tmp_path / "switch.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "cal.json"
+    assert cli.main(["--experiment", "calibrate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    art = json.loads(out.read_text())
+    assert art["coupling_scale"].hex() == coupling_scale
+    assert art["spinwave_scale"].hex() == spinwave_scale.hex()
+    assert art["params_hash"] == digest
+
+
 def _evaluations(minimize, func, a, b, xatol):
     """The x that ``minimize`` returns for ``func`` on [a, b] and every x
     it evaluates, in order, as ``float.hex`` strings.  ``func`` sees each
@@ -690,8 +717,9 @@ def test_calibrate_solves_the_set_up_once(monkeypatch):
 
 
 def test_calibrate_runs_each_witness_block_as_one_kernel_call(monkeypatch):
-    # every call in order: the coupling of each derived set, each block
-    # of the field chain and of the extended chain, and each kernel call
+    # every call in order: the coupling of each derived set of the
+    # extended chain, the coupling and frequencies of each control of the
+    # field chain, each block of the extended chain, and each kernel call
     events = []
 
     def record(module, name, tag, what):
@@ -707,20 +735,20 @@ def test_calibrate_runs_each_witness_block_as_one_kernel_call(monkeypatch):
     record(entanglement, "witness_set_up", "set_up", lambda points, *rest: [
         (q.coupling_scale, q.spinwave_scale) for q in points])
     record(entanglement, "field_quadratures", "fields",
-           lambda rows, two_d, omegas, *rest: len(omegas))
+           lambda controls, *rest: [(q.coupling_scale, len(omegas))
+                                    for q, _, _, omegas, _ in controls])
     record(entanglement, "extended_quadratures", "extended",
            lambda set_up, omegas, *rest: len(omegas))
     record(propagation, "second_moment_transfer_stack", "kernel",
            lambda m, *rest: len(m))
     art = cli.calibrate(cli.RunConfig(params=reference_params()))
     eta, kappa = art["coupling_scale"], art["spinwave_scale"]
-    fit = [events[i:i + 3] for i in range(0, len(events) - 8, 3)]
+    fit = [events[i:i + 2] for i in range(0, len(events) - 8, 2)]
     samples, final = events[-8:-4], events[-4:]
     # the coupling fit: the field chain alone, one one-matrix kernel call
     # a step, each step at a new coupling
-    couplings = [step[0][1] for step in fit]
-    assert fit == [[("derive", c), ("fields", 1), ("kernel", 1)]
-                   for c in couplings]
+    couplings = [step[0][1][0][0] for step in fit]
+    assert fit == [[("fields", [(c, 1)]), ("kernel", 1)] for c in couplings]
     assert len(set(couplings)) == len(couplings) and eta in couplings
     # the spin-wave samples and the final witness run the extended chain,
     # each block one set-up and one kernel call over all of its points

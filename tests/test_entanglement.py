@@ -312,14 +312,12 @@ def test_field_chain_is_the_field_block_of_the_extended_chain(
                   omega_p=omega_p, omega_c=omega_c, delta1=delta1)
     states, tables = solve([p])
     modes = pr.single_pair_modes(p)
-    derived = [derive(p)]
-    rows = pr.drift_rows(states, modes, derived)
-    set_up = en.witness_set_up([p], states, tables, modes, derived)
+    set_up = en.witness_set_up([p], states, tables, modes, [derive(p)])
     omegas = [0.0, omega]
     for coupling in pr.COUPLINGS:
         for sideband in pr.SIDEBANDS:
             fields = _pair_outcome(lambda: en.field_quadratures(
-                rows, tables, omegas, p.length, coupling, sideband),
+                [(p, states, tables, omegas, coupling)], p.length, sideband),
                 en.field_labels(modes))
             for spinwave in en.SPINWAVE_DEFINITIONS:
                 extended = _pair_outcome(lambda: en.extended_quadratures(
@@ -345,8 +343,8 @@ def test_a_field_chain_past_float_range_fails_as_the_extended_chain(ref):
     modes = pr.single_pair_modes(p)
     derived = [derive(p)]
     with pytest.raises(pr.NumericalOverflowError) as fields:
-        en.field_quadratures(pr.drift_rows(states, modes, derived), tables,
-                             [-500.0, 0.0], p.length)
+        en.field_quadratures([(p, states, tables, [-500.0, 0.0],
+                               "parametric")], p.length)
     with pytest.raises(pr.NumericalOverflowError) as extended:
         en.extended_quadratures(en.witness_set_up([p], states, tables, modes,
                                                   derived),

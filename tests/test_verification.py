@@ -170,6 +170,27 @@ def test_convention_comparison_table(ref):
         for v in table[key].values():
             if isinstance(v, float):
                 assert v >= 4.0 - 1e-9
+    # every cell, bit for bit
+    assert {key: {om: v.hex() if isinstance(v, float) else v
+                  for om, v in row.items()} for key, row in table.items()} \
+        == CONVENTION_TABLE
+
+
+#: convention_comparison at the reference point, float.hex of each cell
+CONVENTION_TABLE = {
+    "as_printed/mirrored": {-2000.0: "0x1.0a9d694689c92p+2",
+                            -1000.0: "0x1.96b94788d64d2p+13",
+                            0.0: "0x1.12a4b0602605bp+2"},
+    "as_printed/same": {-2000.0: "0x1.12a4b05ff09ecp+2",
+                        -1000.0: "0x1.96a8f01fd25f2p+14",
+                        0.0: "0x1.12a4b0602605bp+2"},
+    "parametric/mirrored": {-2000.0: "0x1.28f9628dc1afcp+1",
+                            -1000.0: "0x1.0ccccc037fdb2p+1",
+                            0.0: "0x1.06525aba20000p+1"},
+    "parametric/same": {-2000.0: "overflow",
+                        -1000.0: "0x1.0cccda3310000p+1",
+                        0.0: "0x1.06525aba20000p+1"},
+}
 
 
 # --- the merged stacks against the per-control evaluation -----------------
@@ -181,8 +202,8 @@ def _per_control_commutators(p):
     states, tables = solve([free, nodeph, p])
 
     def worst(q, ss, two_d, omegas, coupling):
-        _, _, t, c = vf._field_moments([(q, ss, two_d, omegas, coupling)],
-                                       langevin.comm_noise_matrix, q.length)
+        _, _, t, c = en.field_moments([(q, ss, two_d, omegas, coupling)],
+                                      q.length, langevin.comm_noise_matrix)
         n = t.shape[-1] // 2
         j0 = np.diag([1.0] * n + [-1.0] * n)
         # the product form, not propagation.output_covariance
@@ -225,8 +246,8 @@ def _per_control_limits(p):
                                   states[[2] * 3], tables[[2] * 3],
                                   [-800.0] * 3)
     quad = en.field_quadratures(
-        pr.drift_rows(states[[2]], pr.single_pair_modes(p), [derive(p)]),
-        tables[[2]], vf.COMMUTATOR_GRID, p.length)
+        [(p, states[[2]], tables[[2]], vf.COMMUTATOR_GRID, "parametric")],
+        p.length)
     m = quad.shape[-1] // 2
     form = np.zeros((2 * m, 2 * m))
     form[:m, m:] = 2.0 * np.eye(m)
