@@ -45,8 +45,14 @@ matrix size d is a multiple of 4 (the endpoint states, 4x4 and 8x8),
 C and T sit side by side and one product T [C | T] gives T C and T^2:
 two products per stage instead of three, and the Taylor start gets
 its third and fourth powers from one product too.  Measured on
-OpenBLAS's zgemm, the fused product keeps every bit only at such d, so
-the z-averaged states (10x10, 18x18) keep the separate products.  The
+OpenBLAS's zgemm, a product's columns keep their bits where its right
+operand is cut after a multiple of 4 columns, and C's only where C ends
+the right operand, so the fused product keeps every bit only at such
+d.  The z-averaged states (10x10, 18x18) keep the separate products
+but square only the live columns of T: their drift [[M, 0, 0], [I, 0,
+0], [0, 0, 0]] (fields, their z-integrals, two force integrals) is zero
+past the 2n field columns, and a zero column of the drift is a unit
+column of T (Van Loan, IEEE TAC 23 (1978) 395).  The
 drift is assembled for a block of frequencies at once
 (``drift_block``), bit for bit as one frequency at a time.  A
 fixed-step RK4 integrator of the same quantities, also stack-aware, is
@@ -303,19 +309,45 @@ def noise_drive(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     return q @ s @ dagger(q)
 
 
-def _start_transfer(mh: np.ndarray) -> np.ndarray:
+def _start_transfer(mh: np.ndarray, live: int) -> np.ndarray:
     """The degree-4 Taylor polynomial of exp(mh), matrix by matrix.
     Where the matrix size is a multiple of 4, one product mh2 [mh | mh2]
     gives mh^3 and mh^4 with the bits of the two separate products, by
-    the measured property that lets _doubling fuse its stage."""
+    the measured property that lets _doubling fuse its stage; elsewhere
+    each power is formed over the ``live`` columns of _live_columns
+    only, the others being zero."""
     d = mh.shape[-1]
-    mh2 = mh @ mh
     if d % 4:
-        mh3, mh4 = mh2 @ mh, mh2 @ mh2
+        mh2 = _live_product(mh, mh, live)
+        mh3, mh4 = _live_product(mh2, mh, live), _live_product(mh2, mh2, live)
     else:
+        mh2 = mh @ mh
         mh34 = mh2 @ np.concatenate([mh, mh2], axis=-1)
         mh3, mh4 = mh34[..., :d], mh34[..., d:]
     return _identity(d) + mh + mh2 / 2.0 + mh3 / 6.0 + mh4 / 24.0
+
+
+def _live_columns(m: np.ndarray) -> int:
+    """The leading columns of the stack ``m`` that the doubling forms:
+    those up to the last one that is nonzero (nan counts) in some
+    matrix, rounded up to a multiple of 4, at most the size d.  A column
+    that is zero in every drift is a unit column of exp(m h) and zero in
+    each power of m h.  Measured on OpenBLAS's zgemm, a product with the
+    first ``live`` columns of its right operand has the bits of those
+    columns of the whole product where ``live`` is a multiple of 4 or d,
+    and not always otherwise (d = 4, live = 1, 2, 3)."""
+    nonzero = np.logical_or.reduce(m, axis=(0, 1))
+    # one past the last nonzero column; d where no column is nonzero
+    end = len(nonzero) - int(np.argmax(nonzero[::-1]))
+    return min(len(nonzero), -(-end // 4) * 4)
+
+
+def _live_product(a: np.ndarray, b: np.ndarray, live: int) -> np.ndarray:
+    """a b, matrix by matrix, for b whose columns past ``live`` are zero:
+    the product of a with the first ``live`` columns, zero elsewhere."""
+    out = np.zeros(b.shape, dtype=complex)
+    np.matmul(a, b[..., :live], out[..., :live])
+    return out
 
 
 #: the complex d x d identity, a read-only view built once per size
@@ -383,36 +415,41 @@ def _doubling(m: np.ndarray, g: np.ndarray, length: float, ks: np.ndarray):
     runs = [(k, counts.index(k), counts.index(k) + counts.count(k))
             for k in sorted(set(counts), reverse=True)]
     h, h3 = _start_steps(length, runs)
-    t = _start_transfer(m * h)
-    c = _start_moment(m, g, h, h3)
     d = m.shape[-1]
-    tct = np.empty_like(t)
-    # why 4: on OpenBLAS 0.3.31's Haswell zgemm the fused product
-    # T [C | T] has the bits of the separate products T C and T T at
-    # d = 4, 8, ..., 24, and not at d = 2, 6, 10, 14, 18 (C moves by
-    # ~1e-26); only a multiple of 4 takes the fused stage
+    # why 4: on OpenBLAS 0.3.31's zgemm (core types SkylakeX and
+    # Haswell) T [C | T] has the bits of T C and T T at d = 4, 8, ...,
+    # 24, and moves C by ~1e-26 at d = 2, 6, 10, 14, 18, where C would
+    # have to end the right operand; only a multiple of 4 takes the fused
+    # stage.  The others square only the live columns of T
+    # (_live_columns); the rest are the unit columns of the start step,
+    # which both buffers hold
     fused = d % 4 == 0
+    live = d if fused else _live_columns(m)
+    t = _start_transfer(m * h, live)
+    c = _start_moment(m, g, h, h3)
+    tct, tbar = np.empty_like(t), np.empty_like(t)
     if fused:
         # buffers [C | T]; a stage reads one and writes the other
-        start, tbar = np.concatenate([c, t], axis=-1), np.empty_like(t)
-        del c, t
+        start = np.concatenate([c, t], axis=-1)
+        buffers = (start, np.empty_like(start))
+        del c, t, start
     else:
         # T ping-pongs, C is doubled in place
-        start, tc = t, np.empty_like(t)
-    buffers = (start, np.empty_like(start))
+        buffers, tc = (t, t.copy()), np.empty_like(t)
     # a stage reads T^+ as a transposed view of conj(T), formed once T^2
-    # is: fused, into a contiguous buffer, which ufuncs run faster than
-    # the T half of [C | T]; else in place, as the next stage writes
-    # over that buffer.  The outputs are passed positionally: keyword
-    # parsing is a measurable share of a one-matrix stage
+    # is, into a contiguous buffer: ufuncs run it faster than the T half
+    # of [C | T], and conjugating T in place would leave 1 - 0j in the
+    # unit columns of the buffer that the next stage reads as T.  The
+    # outputs are passed positionally: keyword parsing is a measurable
+    # share of a one-matrix stage
     done = 0
     for k, _, n in reversed(runs):
         now, then = buffers[done % 2][:n], buffers[1 - done % 2][:n]
         tct_n = tct[:n]
+        t_conj = tbar[:n]
+        t_dag = t_conj.swapaxes(-1, -2)
         if fused:
             now, then = ((b, b[..., :d], b[..., d:]) for b in (now, then))
-            t_conj = tbar[:n]
-            t_dag = t_conj.swapaxes(-1, -2)
             for _ in range(k - done):
                 (ct, c_n, t_n), (ct_next, tc_n, _) = now, then
                 # [T C | T^2], then T C T^+ + C in place of T C
@@ -423,12 +460,12 @@ def _doubling(m: np.ndarray, g: np.ndarray, length: float, ks: np.ndarray):
                 now, then = then, now
         else:
             c_n, tc_n = c[:n], tc[:n]
-            now, then = ((b, b.swapaxes(-1, -2)) for b in (now, then))
+            now, then = ((b, b[..., :live]) for b in (now, then))
             for _ in range(k - done):
-                (t_n, t_dag), (t_next, _) = now, then
+                (t_n, t_live), (_, t_next) = now, then
                 np.matmul(t_n, c_n, tc_n)
-                np.matmul(t_n, t_n, t_next)
-                np.conjugate(t_n, t_n)
+                np.matmul(t_n, t_live, t_next)
+                np.conjugate(t_n, t_conj)
                 np.matmul(tc_n, t_dag, tct_n)
                 np.add(tct_n, c_n, c_n)
                 now, then = then, now
@@ -470,9 +507,17 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     A stage takes two stacked products where d is a multiple of 4,
     T [C | T] = [T C | T^2] and (T C) T^+, and three elsewhere, T C,
     (T C) T^+ and T T.  The fused product has the bits of the separate
-    ones only at such d (measured on OpenBLAS's zgemm; at d = 10 and 18
-    it moves C by ~1e-26), so both forms give the same bits, and the
-    form follows from the size of m alone.
+    ones only at such d (measured on OpenBLAS's zgemm, C must end the
+    right operand: at d = 10 and 18 [C | T] moves C by ~1e-26), so both
+    forms give the same bits, and the form follows from the size of m
+    alone.  The three-product stage forms only the live columns of T^2
+    and the Taylor start only those of its powers: the columns up to the
+    last one that is nonzero in some drift of the sub-stack, rounded up
+    to a multiple of 4 (the first 2n of a z-averaged drift's 4n + 2,
+    all of them elsewhere).  The others are unit columns of T, and a
+    product with the first 4k columns of its right operand has the bits
+    of those columns of the whole product, so every matrix still gets
+    the bits of doubling it alone.
 
     Failure is checked once, after the last stage: an inf or nan in T
     survives every further squaring, and a matrix that is not doubled

@@ -335,6 +335,27 @@ def test_field_chain_is_the_field_block_of_the_extended_chain(
                     assert fields[0] == pytest.approx(extended[0], rel=1e-9)
 
 
+@pytest.mark.parametrize("two_pair", [False, True])
+@pytest.mark.parametrize("spinwave", en.SPINWAVE_DEFINITIONS)
+def test_assembled_drifts_are_live_up_to_the_fields(ref, two_pair, spinwave):
+    # the doubling squares the columns up to the last nonzero one
+    # (propagation._live_columns): in a z-averaged drift the columns of
+    # the 2n + 2 integral rows are zero, so each stage squares 2n columns;
+    # an assembly that fed an integral row back would lose that silently
+    cfg = sweeps.SweepConfig(two_pair=two_pair, spinwave_definition=spinwave)
+    set_up, _ = sweeps._set_up([ref], cfg)
+    n = len(set_up.modes)
+    omegas = [-2000.0, ref.delta1, -500.0, 0.0, 500.0]
+    for coupling in pr.COUPLINGS:
+        for sideband in pr.SIDEBANDS:
+            m, _, _, _, _ = en.assemble(set_up, omegas, ref.length, coupling,
+                                        sideband, spinwave)
+            nonzero = np.logical_or.reduce(m, axis=-2)
+            assert nonzero[:, :2 * n].all()
+            assert not nonzero[:, 2 * n:].any()
+            assert pr._live_columns(m) == 2 * n
+
+
 def test_a_field_chain_past_float_range_fails_as_the_extended_chain(ref):
     # so dense a vapour puts the noise moment of the fields, not their
     # transfer, past float range

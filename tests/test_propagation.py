@@ -231,15 +231,33 @@ def _three_product_transfer(m, g, length):
     return t, c
 
 
-@pytest.mark.parametrize("dim", [4, 8, 10, 18])
-def test_start_transfer_keeps_the_bits_of_separate_products(dim):
+def _augmented(m):
+    """The stack of field drifts ``m`` (k, 2n, 2n) in the z-averaged form
+    of entanglement.assemble, (k, 4n+2, 4n+2): [[m, 0, 0], [I, 0, 0],
+    [0, 0, 0]], the z-integrals of the fields and of two forces."""
+    k, n2, _ = m.shape
+    out = np.zeros((k, 2 * n2 + 2, 2 * n2 + 2), dtype=complex)
+    out[:, :n2, :n2] = m
+    out[:, n2:2 * n2, :n2] = np.eye(n2)
+    return out
+
+
+@pytest.mark.parametrize("dim, fields", [
+    (4, 4), (8, 8), (10, 10), (18, 18), (10, 4), (18, 8)],
+    ids=["4", "8", "10", "18", "10-z-averaged", "18-z-averaged"])
+def test_start_transfer_keeps_the_bits_of_separate_products(dim, fields):
     # at a step norm far above the kernel's 2^-10, where a product of
     # other bits reaches T: the fused product mh2 [mh | mh2] keeps them
-    # at dim 4 and 8, and would not at 10 and 18
+    # at dim 4 and 8, and would not at 10 and 18; there the powers of a
+    # z-averaged step (fields < dim) are formed over its live columns
     rng = np.random.default_rng(dim)
-    shape = (16, dim, dim)
+    shape = (16, fields, fields)
     mh = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (0.5 / dim)
-    assert _bits(pr._start_transfer(mh)) == _bits(_taylor_start(mh))
+    if fields < dim:
+        mh = _augmented(mh)
+    live = pr._live_columns(mh)
+    assert live == fields
+    assert _bits(pr._start_transfer(mh, live)) == _bits(_taylor_start(mh))
 
 
 def test_overflow_names_the_frequency_of_its_point():
@@ -275,21 +293,63 @@ def test_transfer_keeps_the_bits_of_the_three_product_stage(
     _assert_three_product_bits(m, g, ref.length)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the z-averaged stage count takes the 1-norm of "
+                          "the integral rows' identity block, which never "
+                          "feeds back into the fields: 11 stages against "
+                          "the field block's 10; mending it re-bases the "
+                          "z-averaged bytes")
+def test_z_averaged_stage_count_is_that_of_its_field_block(ref):
+    p = ref.with_(coupling_scale=1e-3)
+    cfg = sweeps.SweepConfig(spinwave_definition="z-averaged")
+    set_up, _ = sweeps._set_up([p], cfg)
+    m, _, _, _, _ = en.assemble(set_up, [500.0], p.length, cfg.coupling,
+                                cfg.sideband, "z-averaged")
+    assert m.shape == (1, 10, 10)
+    assert _stage_counts(m, p.length).tolist() \
+        == _stage_counts(m[:, :4, :4], p.length).tolist()
+
+
+def _stable(rng, shape, scales):
+    """A stack of random stable drifts of ``shape``, matrix i of norm
+    about ``scales[i]``."""
+    a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * np.asarray(scales)[:, None, None]
+    return a - (np.linalg.norm(a, 2, axis=(-2, -1))[:, None, None] + 0.5) \
+        * np.eye(shape[-1])
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.sampled_from([4, 8]),
+       st.sampled_from([4, 8, 10, 18]),
        st.floats(min_value=0.05, max_value=5.0))
 def test_transfer_keeps_the_three_product_bits_on_stable_systems(
         seed, dim, length):
-    # three matrices of different norms, so several stage counts
+    # three matrices of different norms, so several stage counts; at 10
+    # and 18 field drifts in the z-averaged form, whose stages square
+    # only their 2n live columns
     rng = np.random.default_rng(seed)
-    shape = (3, dim, dim)
-    a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
-        * np.array([0.1, 1.0, 10.0])[:, None, None]
-    m = a - (np.linalg.norm(a, 2, axis=(-2, -1))[:, None, None] + 0.5) \
-        * np.eye(dim)
-    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    fields = dim if dim % 4 == 0 else dim // 2 - 1
+    m = _stable(rng, (3, fields, fields), [0.1, 1.0, 10.0])
+    if fields < dim:
+        m = _augmented(m)
+    assert pr._live_columns(m) == fields
+    b = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
     _assert_three_product_bits(m, b @ pr.dagger(b), length)
+
+
+@pytest.mark.parametrize("dim, zero", [
+    (dim, zero) for dim in (6, 10) for zero in range(1, dim)])
+def test_transfer_keeps_the_bits_of_drifts_with_zero_columns(dim, zero):
+    # a drift whose last ``zero`` columns are zero: the stage squares the
+    # columns up to the last nonzero one, rounded up to a multiple of 4,
+    # as a product with 1, 2 or 3 columns has other bits
+    rng = np.random.default_rng(100 * dim + zero)
+    m = _stable(rng, (3, dim, dim), [0.1, 1.0, 10.0])
+    m[..., dim - zero:] = 0.0
+    assert pr._live_columns(m) == min(dim, -(-(dim - zero) // 4) * 4)
+    b = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    _assert_three_product_bits(m, b @ pr.dagger(b), 1.0)
 
 
 def _mixed_stack(seed, dim, length):
@@ -297,11 +357,7 @@ def _mixed_stack(seed, dim, length):
     order of norm, the second one twice and the last one of stage count
     0, with random Hermitian noise drives."""
     rng = np.random.default_rng(seed)
-    shape = (3, dim, dim)
-    a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
-        * np.array([100.0, 10.0, 1.0])[:, None, None]
-    m = a - (np.linalg.norm(a, 2, axis=(-2, -1))[:, None, None] + 0.5) \
-        * np.eye(dim)
+    m = _stable(rng, (3, dim, dim), [100.0, 10.0, 1.0])
     # ||m||_1 * length = 2^-12, below DOUBLING_THETA
     tiny = m[2] * (2.0 ** -12 / (np.linalg.norm(m[2], 1) * length))
     m = np.stack([m[0], m[1], m[1], m[2], tiny])
@@ -345,7 +401,18 @@ def _assert_mixed_stack_bits(m, g, length):
        st.floats(min_value=0.05, max_value=5.0))
 def test_mixed_sub_stacks_keep_the_bits_of_each_matrix_alone(
         seed, dim, length):
-    _assert_mixed_stack_bits(*_mixed_stack(seed, dim, length), length)
+    m, g = _mixed_stack(seed, dim, length)
+    _assert_mixed_stack_bits(m, g, length)
+    if dim % 4:
+        # a z-averaged drift beside a dense one: their sub-stack squares
+        # every column, the z-averaged drift alone only its 2n live ones
+        fields, _ = _mixed_stack(seed, dim // 2 - 1, length)
+        pair = np.stack([_augmented(fields[:1])[0], m[1]])
+        assert pr._live_columns(pair[:1]) == dim // 2 - 1
+        assert pr._live_columns(pair) == dim
+        _assert_three_product_bits(pair[:1], g[:1], length)
+        _assert_three_product_bits(pair, g[:2], length)
+        _assert_three_product_bits(pair[::-1], g[1::-1], length)
 
 
 @pytest.mark.parametrize("dim", [4, 8, 10, 18])
