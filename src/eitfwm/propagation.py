@@ -43,8 +43,7 @@ through every further squaring, so the end check catches every
 overflow.  A stage maps (T, C) to (T^2, T C T^+ + C).  Where the
 matrix size d is a multiple of 4 (the endpoint states, 4x4 and 8x8),
 C and T sit side by side and one product T [C | T] gives T C and T^2:
-two products per stage instead of three, and the Taylor start gets
-its third and fourth powers from one product too.  Measured on
+two products per stage instead of three.  Measured on
 OpenBLAS's zgemm, a product's columns keep their bits where its right
 operand is cut after a multiple of 4 columns, and C's only where C ends
 the right operand, so the fused product keeps every bit only at such
@@ -310,21 +309,12 @@ def noise_drive(q: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _start_transfer(mh: np.ndarray, live: int) -> np.ndarray:
-    """The degree-4 Taylor polynomial of exp(mh), matrix by matrix.
-    Where the matrix size is a multiple of 4, one product mh2 [mh | mh2]
-    gives mh^3 and mh^4 with the bits of the two separate products, by
-    the measured property that lets _doubling fuse its stage; elsewhere
-    each power is formed over the ``live`` columns of _live_columns
-    only, the others being zero."""
-    d = mh.shape[-1]
-    if d % 4:
-        mh2 = _live_product(mh, mh, live)
-        mh3, mh4 = _live_product(mh2, mh, live), _live_product(mh2, mh2, live)
-    else:
-        mh2 = mh @ mh
-        mh34 = mh2 @ np.concatenate([mh, mh2], axis=-1)
-        mh3, mh4 = mh34[..., :d], mh34[..., d:]
-    return _identity(d) + mh + mh2 / 2.0 + mh3 / 6.0 + mh4 / 24.0
+    """The degree-4 Taylor polynomial of exp(mh), matrix by matrix, each
+    power formed over the ``live`` columns of _live_columns only, the
+    others being zero."""
+    mh2 = _live_product(mh, mh, live)
+    mh3, mh4 = _live_product(mh2, mh, live), _live_product(mh2, mh2, live)
+    return _identity(mh.shape[-1]) + mh + mh2 / 2.0 + mh3 / 6.0 + mh4 / 24.0
 
 
 def _live_columns(m: np.ndarray) -> int:
@@ -510,8 +500,8 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
     ones only at such d (measured on OpenBLAS's zgemm, C must end the
     right operand: at d = 10 and 18 [C | T] moves C by ~1e-26), so both
     forms give the same bits, and the form follows from the size of m
-    alone.  The three-product stage forms only the live columns of T^2
-    and the Taylor start only those of its powers: the columns up to the
+    alone.  The three-product stage forms only the live columns of T^2,
+    and every Taylor start only those of its powers: the columns up to the
     last one that is nonzero in some drift of the sub-stack, rounded up
     to a multiple of 4 (the first 2n of a z-averaged drift's 4n + 2,
     all of them elsewhere).  The others are unit columns of T, and a

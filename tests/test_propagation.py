@@ -184,8 +184,8 @@ def test_second_moment_transfer_random_stable_systems(seed, length):
 
 
 def _taylor_start(mh):
-    """The degree-4 Taylor polynomial of exp(mh), with mh^3 and mh^4 as
-    two separate products: the reference of the kernel's fused start."""
+    """The degree-4 Taylor polynomial of exp(mh), each power one product
+    of whole matrices: the reference of the kernel's live-column start."""
     mh2 = mh @ mh
     return np.eye(mh.shape[-1], dtype=complex) + mh + mh2 / 2.0 \
         + mh2 @ mh / 6.0 + mh2 @ mh2 / 24.0
@@ -215,10 +215,11 @@ def _stage_counts(m, length):
 
 
 def _three_product_transfer(m, g, length):
-    """(T, C) of every matrix of the stacks doubled alone, from an
-    unfused Taylor start step over its own step h = length / 2^k, by
-    the stage c <- t c t^+ + c, t <- t t: the reference of the kernel's
-    fused start and stage and of its sub-stacks of mixed stage counts."""
+    """(T, C) of every matrix of the stacks doubled alone, from a
+    whole-matrix Taylor start step over its own step h = length / 2^k,
+    by the stage c <- t c t^+ + c, t <- t t: the reference of the
+    kernel's live-column start, of its fused and three-product stages
+    and of its sub-stacks of mixed stage counts."""
     t, c = np.empty_like(m), np.empty_like(m)
     for i, k in enumerate(_stage_counts(m, length)):
         h = np.ldexp(np.float64(length), -k)
@@ -242,16 +243,20 @@ def _augmented(m):
     return out
 
 
-@pytest.mark.parametrize("dim, fields", [
-    (4, 4), (8, 8), (10, 10), (18, 18), (10, 4), (18, 8)],
-    ids=["4", "8", "10", "18", "10-z-averaged", "18-z-averaged"])
-def test_start_transfer_keeps_the_bits_of_separate_products(dim, fields):
+@pytest.mark.parametrize("dim, fields, stack", [
+    (4, 4, 16), (8, 8, 16), (10, 10, 16), (18, 18, 16), (10, 4, 16),
+    (18, 8, 16), (4, 4, 1)],
+    ids=["4", "8", "10", "18", "10-z-averaged", "18-z-averaged",
+         "4-one-matrix"])
+def test_start_transfer_keeps_the_bits_of_separate_products(
+        dim, fields, stack):
     # at a step norm far above the kernel's 2^-10, where a product of
-    # other bits reaches T: the fused product mh2 [mh | mh2] keeps them
-    # at dim 4 and 8, and would not at 10 and 18; there the powers of a
-    # z-averaged step (fields < dim) are formed over its live columns
+    # other bits reaches T: every power is one product over the live
+    # columns, all of them on a dense step and the first 4k on a
+    # z-averaged one (fields < dim); a stack of one 4x4 matrix is the
+    # start of each step of the calibrate fit
     rng = np.random.default_rng(dim)
-    shape = (16, fields, fields)
+    shape = (stack, fields, fields)
     mh = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (0.5 / dim)
     if fields < dim:
         mh = _augmented(mh)
