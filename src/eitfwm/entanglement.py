@@ -253,11 +253,12 @@ def _quadratures(x: np.ndarray, omegas) -> np.ndarray:
     ``x`` at ``omegas``, under the caller's errstate; NumericalOverflowError
     names the first that is not finite by its frequency."""
     quad = quadrature_covariance(propagation.hermitian_part(x))
-    finite = np.isfinite(quad).all(axis=(-2, -1))
+    finite = np.isfinite(quad)
     if not finite.all():
         raise propagation.NumericalOverflowError(
             "extended covariance is not finite",
-            index=int(np.argmin(finite))).at_frequency(omegas)
+            index=int(np.argmin(finite.all(axis=(-2, -1))))
+        ).at_frequency(omegas)
     return quad
 
 
@@ -347,29 +348,38 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
     return quad
 
 
-def duan_values(quad: np.ndarray, i: int, j: int, sign_u: int,
-                sign_v: int) -> np.ndarray:
-    """V = Var(x_i + su*x_j) + Var(p_i + sv*p_j) from a quadrature cov,
-    for one matrix or every matrix of a stack."""
+def _pair_terms(quad: np.ndarray, i: int, j: int) -> tuple:
+    """(Var x_i + Var x_j, 2 Cov(x_i, x_j), the same of p) from a
+    quadrature cov, for one matrix or every matrix of a stack."""
     m = quad.shape[-1] // 2
     if not (0 <= i < m and 0 <= j < m):
         raise UnknownModeError(f"mode index out of range: {(i, j)}")
-    u = quad[..., i, i] + quad[..., j, j] + 2.0 * sign_u * quad[..., i, j]
-    v = quad[..., m + i, m + i] + quad[..., m + j, m + j] \
-        + 2.0 * sign_v * quad[..., m + i, m + j]
-    return u + v
+    return (quad[..., i, i] + quad[..., j, j], 2.0 * quad[..., i, j],
+            quad[..., m + i, m + i] + quad[..., m + j, m + j],
+            2.0 * quad[..., m + i, m + j])
+
+
+def duan_values(quad: np.ndarray, i: int, j: int, sign_u: int,
+                sign_v: int) -> np.ndarray:
+    """V = Var(x_i + su*x_j) + Var(p_i + sv*p_j) from a quadrature cov,
+    for one matrix or every matrix of a stack; the signs are +-1."""
+    x, x_cross, p, p_cross = _pair_terms(quad, i, j)
+    return (x + sign_u * x_cross) + (p + sign_v * p_cross)
 
 
 def duan_min_stack(quad: np.ndarray, i: int, j: int,
                    prefer: tuple | None = None):
     """(values, signs): the smaller of the two sign pairings at every
     matrix of a stack, and its (sign_u, sign_v) as an (N, 2) integer
-    array; ties and nan keep the preferred pairing."""
+    array; ties and nan keep the preferred pairing.  The pairings share
+    their terms, each value bit for bit duan_values'."""
     first, second = (1, -1), (-1, 1)
+    x, x_cross, p, p_cross = _pair_terms(quad, i, j)
+    v_first = (x + x_cross) + (p - p_cross)
+    v_second = (x - x_cross) + (p + p_cross)
     if prefer is not None and tuple(prefer) == second:
         first, second = second, first
-    v_first = duan_values(quad, i, j, *first)
-    v_second = duan_values(quad, i, j, *second)
+        v_first, v_second = v_second, v_first
     take = v_second < v_first
     return (np.where(take, v_second, v_first),
             np.where(take[..., None], second, first))

@@ -124,13 +124,16 @@ def derive(p: PhysicalParams) -> DerivedParams:
     prefac = (p.coupling_scale * 3.0 * C * _square(p.wavelength) * p.n0
               / (8.0 * math.pi))
     g13 = 0.5 * (p.gamma1 + p.gamma2)
-    return DerivedParams(
+    # set as with_ sets them: a frozen __init__ pays a setattr per field
+    dp = object.__new__(DerivedParams)
+    dp.__dict__.update(
         atom_number=n_atoms,
         g1sq_n=prefac * p.gamma1,
         g2sq_n=prefac * p.gamma2,
         gamma13=g13,
         gamma23=g13,
     )
+    return dp
 
 
 def reference_params() -> PhysicalParams:

@@ -43,7 +43,8 @@ through every further squaring, so the end check catches every
 overflow.  A stage maps (T, C) to (T^2, T C T^+ + C).  Where the
 matrix size d is a multiple of 4 (the endpoint states, 4x4 and 8x8),
 C and T sit side by side and one product T [C | T] gives T C and T^2:
-two products per stage instead of three.  Measured on
+two products per stage instead of three, and T^+ is read from the
+conjugate of the whole contiguous buffer.  Measured on
 OpenBLAS's zgemm, a product's columns keep their bits where its right
 operand is cut after a multiple of 4 columns, and C's only where C ends
 the right operand, so the fused product keeps every bit only at such
@@ -53,8 +54,8 @@ but square only the live columns of T: their drift [[M, 0, 0], [I, 0,
 past the 2n field columns, and a zero column of the drift is a unit
 column of T (Van Loan, IEEE TAC 23 (1978) 395).  The
 drift is assembled for a block of frequencies at once
-(``drift_block``), bit for bit as one frequency at a time.  A
-fixed-step RK4 integrator of the same quantities, also stack-aware, is
+(``drift_block``), bit for bit as one frequency at a time, its nonzero
+entries scattered into zeros built once per mode set.  A fixed-step RK4 integrator of the same quantities, also stack-aware, is
 provided as an independent cross-check: per frequency it precomputes
 the RK4 step map and the map of a block of MARCH_BLOCK = 16 steps, a
 power formed by successive products with the step map, never by
@@ -169,27 +170,41 @@ def complex_quotient(a, b) -> np.ndarray:
 
 
 ModeIndex = collections.namedtuple(
-    "ModeIndex", "rows partner columns swap conjugate transition spinwave")
+    "ModeIndex", "swap transition spinwave per_row drift noise zeros")
 
 
 @functools.lru_cache(maxsize=None)
 def _mode_set(structure: tuple) -> ModeIndex:
     """Read-only index arrays of the modes whose (transition, pair) are
-    ``structure``, built once per mode set: rows, pair partners, noise
-    columns, the doubled basis's halves swapped, the noise column of each
-    daggered channel, each mode's transition (0 for 1-3, 1 for 2-3) and
-    spin-wave column (1-3 modes direct, 2-3 modes daggered)."""
+    ``structure``, built once per mode set: the doubled basis's halves
+    swapped, each mode's transition (0 for 1-3, 1 for 2-3) and spin-wave
+    column (1-3 modes direct, 2-3 modes daggered), the gather of each
+    row's coefficients from the transitions', the (row, column) scatters
+    of the nonzero drift entries under each of COUPLINGS and of the noise
+    entries, and the zeros of [M | Q], 0 - 0j in the daggered rows."""
     channels, n = langevin.field_noise_channels(), len(structure)
     rows = np.arange(n)
     transition = np.array([t == "23" for t, _ in structure], dtype=int)
-    index = ModeIndex(
-        rows, np.array([j for i, (_, pi) in enumerate(structure)
+    partner = np.array([j for i, (_, pi) in enumerate(structure)
                         for j, (_, pj) in enumerate(structure)
-                        if i != j and pi == pj]),
-        np.array([channels.index((1 + t, 3)) for t in transition.tolist()]),
-        np.roll(np.arange(2 * n), n),
-        np.array([channels.index(langevin.conjugate_channel(ch))
-                  for ch in channels]), transition, rows + n * transition)
+                        if i != j and pi == pj])
+    columns = [channels.index((1 + t, 3)) for t in transition.tolist()]
+    conjugate = [channels.index(langevin.conjugate_channel(channels[k]))
+                 for k in columns]
+    # (rows, columns) of each (diagonal or partner column, half, mode):
+    # the direct rows, then the daggered ones, the direct rows with the
+    # halves of the basis swapped and each channel by its conjugate one
+    diagonal = [rows, rows + n]
+    drift = [[[diagonal, diagonal],
+              [diagonal, [partner + n * c, partner + n * (1 - c)]]]
+             for c in range(len(COUPLINGS))]
+    noise = [[rows, rows + n], [columns, conjugate]]
+    zeros = np.zeros((2 * n, 2 * n + len(channels)), dtype=complex)
+    zeros[n:] = np.conj(zeros[n:])
+    index = ModeIndex(
+        np.roll(np.arange(2 * n), n), transition, rows + n * transition,
+        np.concatenate([transition, transition + 2, transition + 4]),
+        np.array(drift), np.array(noise), zeros)
     for array in index:
         array.flags.writeable = False
     return index
@@ -206,9 +221,9 @@ class DriftRows:
     channels: list
     gamma: np.ndarray           # (k, n) optical linewidth of each row
     detuning: np.ndarray        # (k, n)
-    own: np.ndarray             # (k, n) own term
-    coh: np.ndarray             # (k, n) coherence term, complex
-    root_g: np.ndarray          # (k, n) noise amplitude
+    # (k, 3n) complex: each row's own term, its noise amplitude times i,
+    # and minus its coherence term
+    terms: np.ndarray
     index: ModeIndex            # index arrays of the mode set, _mode_set
 
 
@@ -219,51 +234,47 @@ def drift_rows(states: np.ndarray, modes: list[FieldMode],
     derived parameters ``derived``.  Every product has a real factor, so
     each point's rows are bit for bit those of a scalar evaluation."""
     index = _mode_set(tuple([(mode.transition, mode.pair) for mode in modes]))
-    transition = index.transition
     # per point and transition (1-3, 2-3), then gathered per mode
-    g_sq, gamma = np.array([((dp.g1sq_n, dp.g2sq_n), (dp.gamma13, dp.gamma23))
-                            for dp in derived]).swapaxes(0, 1)
+    g_sq, gamma = np.array([
+        (dp.g1sq_n, dp.g2sq_n, dp.gamma13, dp.gamma23) for dp in derived
+    ]).reshape(-1, 2, 2).swapaxes(0, 1)
     pops = states.reshape(-1, 9)[:, ::4].real
     s12 = states[:, 0, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         g1g2_n = np.sqrt(g_sq[:, :1] * g_sq[:, 1:])
-        own = g_sq * (pops[:, :2] - pops[:, 2:])
-        coh = g1g2_n * np.array([s12, np.conj(s12)]).T
-        root_g = np.sqrt(g_sq / C)
+        terms = np.concatenate([
+            g_sq * (pops[:, :2] - pops[:, 2:]), 1j * np.sqrt(g_sq / C),
+            -(g1g2_n * np.array([s12, np.conj(s12)]).T)], axis=1)
     return DriftRows(
         modes=list(modes), channels=langevin.field_noise_channels(),
         detuning=np.array([[mode.detuning for mode in modes]] * len(states)),
-        gamma=gamma[:, transition], own=own[:, transition],
-        coh=coh[:, transition], root_g=root_g[:, transition], index=index)
+        gamma=gamma[:, index.transition], terms=terms[:, index.per_row],
+        index=index)
 
 
-def _direct_sector(rows: DriftRows, omega: np.ndarray, coupling: str):
-    """Direct-sector rows ([to-direct | to-daggered], Q) at the
-    frequencies ``omega``, of shape (..., N, 1).  ``den`` was a Python
-    complex in the one-frequency assembly: the quotients of Python
-    numbers run as CPython's, that of the coherence term, a numpy
-    complex, as numpy's.  Every product has a real or imaginary factor,
-    so numpy's complex multiply, fused or not, rounds it as CPython
-    does."""
+def _direct_sector(rows: DriftRows, omega: np.ndarray) -> np.ndarray:
+    """The nonzero entries of the direct rows at the frequencies
+    ``omega``, of shape (..., N, 1): (diagonal, partner column, noise),
+    each of shape (..., N, n).  ``den`` was a Python complex in the
+    one-frequency assembly: the quotients of Python numbers run as
+    CPython's, that of the coherence term, a numpy complex, as numpy's.
+    Every product has a real or imaginary factor, so numpy's complex
+    multiply, fused or not, rounds it as CPython does."""
     den = rows.gamma + 1j * (omega - rows.detuning)
     c_den = C * den
     n = len(rows.modes)
-    k, partner, columns = rows.index[:3]
     # CPython divides z = -i*omega by the real C as z * (1 - 0j), whose
     # products are exact, then its parts as reals
     kinetic = ((-1j * omega) * complex(1.0, -0.0)).view(float) / C
     # own / (C * den), and i * g * N / (c * den) with the sqrt(c/N)
     # correlator scale folded in to use the raw diffusion table as-is
-    quotients = complex_quotient(
-        np.concatenate([rows.own, 1j * rows.root_g], axis=-1),
-        np.concatenate([c_den, den], axis=-1))
-    a = np.zeros(den.shape + (2 * n,), dtype=complex)
-    qd = np.zeros(den.shape + (len(rows.channels),), dtype=complex)
-    a[..., k, k] = kinetic.view(complex) - quotients[..., :n]
-    a[..., k, partner if coupling == "as_printed" else partner + n] = \
-        -rows.coh / c_den
-    qd[..., k, columns] = quotients[..., n:]
-    return a, qd
+    quotients = complex_quotient(rows.terms[:, :2 * n],
+                                 np.concatenate([c_den, den], axis=-1))
+    out = np.empty((3,) + den.shape, dtype=complex)
+    np.subtract(kinetic.view(complex), quotients[..., :n], out[0])
+    np.divide(rows.terms[:, 2 * n:], c_den, out[1])
+    out[2] = quotients[..., n:]
+    return out
 
 
 def drift_block(rows: DriftRows, omegas, coupling: str = "parametric",
@@ -280,17 +291,23 @@ def drift_block(rows: DriftRows, omegas, coupling: str = "parametric",
     # a drift that is not finite (couplings beyond float range) is
     # reported by the transfer, which checks for it explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        a, qd = _direct_sector(rows, np.array([omega, omega_dag]), coupling)
+        entries = _direct_sector(rows, np.array([omega, omega_dag]))
     # daggered rows: conjugate of the direct rows at omega_dag, halves
     # swapped.  Under "mirrored", conj(-i*(-omega)/C) = -i*omega/C, so
     # the kinetic phase is common to the whole doubled vector; under
     # "same" the daggered sector carries the opposite kinetic phase
     # +i*omega/C, which is the literal elementwise-conjugation treatment.
-    m = np.concatenate([a[0], np.conj(a[1])[..., rows.index.swap]], axis=1)
-    # the daggered row of channel ch is driven by its conjugate channel;
-    # conjugation swaps channels in pairs, so the gather is its own inverse
-    q_dag = np.conj(qd[1])[..., rows.index.conjugate]
-    return m, np.concatenate([qd[0], q_dag], axis=1)
+    # The daggered row of channel ch is driven by its conjugate channel
+    # (ModeIndex.noise)
+    np.conjugate(entries[:, 1], entries[:, 1])
+    index, n = rows.index, len(rows.modes)
+    m = np.empty((len(omega), 2 * n, 2 * n), dtype=complex)
+    q = np.empty((len(omega), 2 * n, len(rows.channels)), dtype=complex)
+    m[...], q[...] = index.zeros[:, :2 * n], index.zeros[:, 2 * n:]
+    at = index.drift[COUPLINGS.index(coupling)]
+    m[:, at[0], at[1]] = entries[:2].transpose(2, 0, 1, 3)
+    q[:, index.noise[0], index.noise[1]] = entries[2].swapaxes(0, 1)
+    return m, q
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
@@ -311,9 +328,12 @@ def noise_drive(q: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _start_transfer(mh: np.ndarray, live: int) -> np.ndarray:
     """The degree-4 Taylor polynomial of exp(mh), matrix by matrix, each
     power formed over the ``live`` columns of _live_columns only, the
-    others being zero."""
-    mh2 = _live_product(mh, mh, live)
-    mh3, mh4 = _live_product(mh2, mh, live), _live_product(mh2, mh2, live)
+    others being zero: a product with the first ``live`` columns of its
+    right operand, into one zeroed buffer of the three powers."""
+    mh2, mh3, mh4 = np.zeros((3,) + mh.shape, dtype=complex)
+    np.matmul(mh, mh[..., :live], mh2[..., :live])
+    np.matmul(mh2, mh[..., :live], mh3[..., :live])
+    np.matmul(mh2, mh2[..., :live], mh4[..., :live])
     return _identity(mh.shape[-1]) + mh + mh2 / 2.0 + mh3 / 6.0 + mh4 / 24.0
 
 
@@ -330,14 +350,6 @@ def _live_columns(m: np.ndarray) -> int:
     # one past the last nonzero column; d where no column is nonzero
     end = len(nonzero) - int(np.argmax(nonzero[::-1]))
     return min(len(nonzero), -(-end // 4) * 4)
-
-
-def _live_product(a: np.ndarray, b: np.ndarray, live: int) -> np.ndarray:
-    """a b, matrix by matrix, for b whose columns past ``live`` are zero:
-    the product of a with the first ``live`` columns, zero elsewhere."""
-    out = np.zeros(b.shape, dtype=complex)
-    np.matmul(a, b[..., :live], out[..., :live])
-    return out
 
 
 #: the complex d x d identity, a read-only view built once per size
@@ -417,7 +429,7 @@ def _doubling(m: np.ndarray, g: np.ndarray, length: float, ks: np.ndarray):
     live = d if fused else _live_columns(m)
     t = _start_transfer(m * h, live)
     c = _start_moment(m, g, h, h3)
-    tct, tbar = np.empty_like(t), np.empty_like(t)
+    tct = np.empty_like(t)
     if fused:
         # buffers [C | T]; a stage reads one and writes the other
         start = np.concatenate([c, t], axis=-1)
@@ -426,38 +438,41 @@ def _doubling(m: np.ndarray, g: np.ndarray, length: float, ks: np.ndarray):
     else:
         # T ping-pongs, C is doubled in place
         buffers, tc = (t, t.copy()), np.empty_like(t)
-    # a stage reads T^+ as a transposed view of conj(T), formed once T^2
-    # is, into a contiguous buffer: ufuncs run it faster than the T half
-    # of [C | T], and conjugating T in place would leave 1 - 0j in the
-    # unit columns of the buffer that the next stage reads as T.  The
-    # outputs are passed positionally: keyword parsing is a measurable
-    # share of a one-matrix stage
+    # a stage reads T^+ as a transposed view of the conjugate of the
+    # whole buffer it reads, formed once T^2 is, into a contiguous
+    # buffer: ufuncs run a contiguous operand faster than the T half of
+    # [C | T], and conjugating T in place would leave 1 - 0j in the unit
+    # columns of the buffer that the next stage reads as T.  The outputs
+    # are passed positionally and the ufuncs bound to local names: keyword
+    # parsing and attribute lookups are a measurable share of a
+    # one-matrix stage
+    matmul, conjugate, add = np.matmul, np.conjugate, np.add
+    bar = np.empty_like(buffers[0])
     done = 0
     for k, _, n in reversed(runs):
         now, then = buffers[done % 2][:n], buffers[1 - done % 2][:n]
-        tct_n = tct[:n]
-        t_conj = tbar[:n]
-        t_dag = t_conj.swapaxes(-1, -2)
+        tct_n, bar_n = tct[:n], bar[:n]
+        t_dag = bar_n[..., -d:].swapaxes(-1, -2)
         if fused:
             now, then = ((b, b[..., :d], b[..., d:]) for b in (now, then))
             for _ in range(k - done):
                 (ct, c_n, t_n), (ct_next, tc_n, _) = now, then
                 # [T C | T^2], then T C T^+ + C in place of T C
-                np.matmul(t_n, ct, ct_next)
-                np.conjugate(t_n, t_conj)
-                np.matmul(tc_n, t_dag, tct_n)
-                np.add(tct_n, c_n, tc_n)
+                matmul(t_n, ct, ct_next)
+                conjugate(ct, bar_n)
+                matmul(tc_n, t_dag, tct_n)
+                add(tct_n, c_n, tc_n)
                 now, then = then, now
         else:
             c_n, tc_n = c[:n], tc[:n]
             now, then = ((b, b[..., :live]) for b in (now, then))
             for _ in range(k - done):
                 (t_n, t_live), (_, t_next) = now, then
-                np.matmul(t_n, c_n, tc_n)
-                np.matmul(t_n, t_live, t_next)
-                np.conjugate(t_n, t_conj)
-                np.matmul(tc_n, t_dag, tct_n)
-                np.add(tct_n, c_n, c_n)
+                matmul(t_n, c_n, tc_n)
+                matmul(t_n, t_live, t_next)
+                conjugate(t_n, bar_n)
+                matmul(tc_n, t_dag, tct_n)
+                add(tct_n, c_n, c_n)
                 now, then = then, now
         done = k
     # done is the largest count now
@@ -543,11 +558,11 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
             if run == list(range(run[0], run[0] + len(run))):
                 run = slice(run[0], run[0] + len(run))
             t[run], c[run] = _doubling(m[run], g[run], length, stages[run])
-        gain = np.maximum.reduce(np.abs(t), axis=(-2, -1))
-    # a T that is not finite, or not doubled (nan), has no gain <= ceiling
-    bad = ~(gain <= GAIN_CEILING)
-    if bad.any():
-        i = int(np.argmax(bad))
+        # a T that is not finite, or not doubled (nan), has no entry
+        # whose modulus is at most the ceiling
+        fine = np.abs(t) <= GAIN_CEILING
+    if not fine.all():
+        i = int(np.argmin(fine.all(axis=(-2, -1))))
         if not np.isfinite(m[i]).all():
             message = "drift matrix is not finite"
         elif not countable[i]:
@@ -556,8 +571,8 @@ def second_moment_transfer_stack(m: np.ndarray, g: np.ndarray, length: float):
         elif not np.isfinite(t[i]).all():
             message = "transfer matrix overflowed"
         else:
-            message = (f"transfer gain {gain[i]:.3e} exceeds ceiling "
-                       f"{GAIN_CEILING:.0e}")
+            message = (f"transfer gain {np.abs(t[i]).max():.3e} exceeds "
+                       f"ceiling {GAIN_CEILING:.0e}")
         raise NumericalOverflowError(message, index=i)
     return t, c
 

@@ -669,6 +669,37 @@ def test_calibrate_fit_is_scipys_step_for_step(monkeypatch):
     assert art["coupling_scale"].hex() == (1.6462819213179591).hex()
 
 
+def test_each_fit_step_has_the_bits_of_its_row_in_a_stack(monkeypatch):
+    # every step of the coupling fit runs the field chain on a stack of
+    # one; at every scale the default fit evaluates, under both couplings
+    # and both sidebands, that stack gets exactly the bits of its row in
+    # one stack of all the steps, whose stage counts differ
+    port, scales = cli._bounded_minimum, []
+
+    def recorded(func, a, b, xatol):
+        def step(x):
+            scales.append(math.exp(x))
+            return func(x)
+        return port(step, a, b, xatol)
+
+    monkeypatch.setattr(cli, "_bounded_minimum", recorded)
+    p = reference_params()
+    cli.calibrate(cli.RunConfig(params=p))
+    # 27 distinct scales on OpenBLAS's SkylakeX zgemm, 29 on Haswell's
+    assert len(set(scales)) == len(scales) >= 20
+    states, tables = solve([p])
+    for coupling in propagation.COUPLINGS:
+        for sideband in propagation.SIDEBANDS:
+            controls = [(p.with_(coupling_scale=s), states, tables, [0.0],
+                         coupling) for s in scales]
+            stack = entanglement.field_quadratures(controls, p.length,
+                                                   sideband)
+            for control, row in zip(controls, stack):
+                (alone,) = entanglement.field_quadratures(
+                    [control], p.length, sideband)
+                assert alone.tobytes() == row.tobytes()
+
+
 @pytest.mark.parametrize("switches,rel", [
     ({}, 0.0),
     ({"coupling": "as_printed"}, 0.0),

@@ -84,6 +84,49 @@ def test_each_condition_alone_breaks_commutators(ref, coupling, gamma0):
     assert worst > 1.0
 
 
+def _generator_balance(p, coupling):
+    """The field pair's generator balance R = M J + J M^+ + G_comm on
+    COMMUTATOR_GRID, J = diag(1, 1, -1, -1), G_comm the noise drive of
+    the commutator pairing: |R| entry by entry, each frequency's divided
+    by its max |M|, then the worst over the grid, rows and columns in the
+    order (a, b, a^+, b^+).  For a constant drift the output keeps its
+    commutators at every length if and only if R = 0 (the
+    fluctuation-dissipation condition); R needs no propagation."""
+    states, tables = solve([p])
+    m, g, _, _ = en.field_moments(
+        [(p, states, tables, vf.COMMUTATOR_GRID, coupling)], p.length,
+        langevin.comm_noise_matrix)
+    j = np.diag([1.0, 1.0, -1.0, -1.0])
+    r = m @ j + j @ pr.dagger(m) + g
+    scale = np.max(np.abs(m), axis=(-2, -1))
+    return np.max(np.abs(r) / scale[:, None, None], axis=0)
+
+
+def test_generator_balances_with_direct_coupling_and_no_dephasing(ref):
+    # roundoff alone, worst on the (a^+, a^+) and (b^+, b^+) diagonal at
+    # 5.2e-14
+    balance = _generator_balance(ref.with_(gamma0=0.0), "as_printed")
+    assert balance.max() < 1e-12
+
+
+@pytest.mark.parametrize("coupling,gamma0,entries", [
+    # the drift couples a with b^+, the printed noise correlates a with
+    # b: the balance fails without dephasing, off the diagonal
+    ("parametric", 0.0, {(0, 1): 0.188, (0, 3): 1.5, (2, 3): 2.0}),
+    # dephasing breaks each mode's own balance of absorption and noise
+    ("as_printed", 0.1, {(0, 0): 0.0094, (2, 2): 0.1}),
+    ("parametric", 0.1, {(0, 0): 0.0094, (2, 2): 0.1}),
+])
+def test_generator_balance_shortfalls(ref, coupling, gamma0, entries):
+    # measured shortfalls of the printed model, each named by its entry
+    balance = _generator_balance(ref.with_(gamma0=gamma0), coupling)
+    for (i, k), value in entries.items():
+        assert balance[i, k] == pytest.approx(value, rel=1e-2)
+        assert balance[k, i] == pytest.approx(value, rel=1e-2)
+    if gamma0 == 0.0:
+        assert np.diagonal(balance).max() < 1e-12
+
+
 def test_checks_propagate_each_frequency_set_as_one_stack(ref,
                                                          kernel_stacks):
     vf.check_commutators(ref)
