@@ -259,19 +259,19 @@ def _direct_sector(rows: DriftRows, omega: np.ndarray) -> np.ndarray:
     one-frequency assembly: the quotients of Python numbers run as
     CPython's, that of the coherence term, a numpy complex, as numpy's.
     Every product has a real or imaginary factor, so numpy's complex
-    multiply, fused or not, rounds it as CPython does."""
+    multiply, fused or not, rounds it as CPython does.  The kinetic
+    term -i omega / C has the entries (+0, -omega / C) of CPython's
+    quotient at every finite omega, +-0 included."""
     den = rows.gamma + 1j * (omega - rows.detuning)
     c_den = C * den
     n = len(rows.modes)
-    # CPython divides z = -i*omega by the real C as z * (1 - 0j), whose
-    # products are exact, then its parts as reals
-    kinetic = ((-1j * omega) * complex(1.0, -0.0)).view(float) / C
+    kinetic = -1j * (omega / C)
     # own / (C * den), and i * g * N / (c * den) with the sqrt(c/N)
     # correlator scale folded in to use the raw diffusion table as-is
     quotients = complex_quotient(rows.terms[:, :2 * n],
                                  np.concatenate([c_den, den], axis=-1))
     out = np.empty((3,) + den.shape, dtype=complex)
-    np.subtract(kinetic.view(complex), quotients[..., :n], out[0])
+    np.subtract(kinetic, quotients[..., :n], out[0])
     np.divide(rows.terms[:, 2 * n:], c_den, out[1])
     out[2] = quotients[..., n:]
     return out

@@ -217,16 +217,16 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     Every point is ``p`` with at most ``field`` replaced, so its key is
     the bits of its frequency and, if a witness reads ``field`` (it is
     one of WITNESS_FIELDS), of its swept value.  Each distinct key is
-    evaluated once, in the order of its first point, and every point
-    gathers its values and signs by the index of its key.  The
-    evaluated points go in blocks of consecutive points, each holding
-    about propagation.BLOCK_ENTRIES entries of propagated matrices but
-    at least MIN_BLOCK_POINTS points, evaluated as stacked arrays, from
-    the assembly to both sign branches of every witness; the doubling
-    kernel splits a larger block into sub-stacks of BLOCK_ENTRIES
-    entries.  In a parameter sweep, each block first builds its points'
-    set-up as one stack, from one solve of all its points.
-    Every point shares the cell length of ``p``.
+    evaluated once, in the order of its first point, into one table of
+    every pair's values and signs, and every point gathers its entries
+    by the index of its key.  The evaluated points go in blocks of
+    consecutive points, each holding about propagation.BLOCK_ENTRIES
+    entries of propagated matrices but at least MIN_BLOCK_POINTS points,
+    evaluated as stacked arrays, from the assembly to both sign branches
+    of every witness; the doubling kernel splits a larger block into
+    sub-stacks of BLOCK_ENTRIES entries.  In a parameter sweep, each
+    block first builds its points' set-up as one stack, from one solve
+    of all its points.  Every point shares the cell length of ``p``.
 
     A failing sweep reports its first failing point in grid order: a
     numerical failure names its frequency, and in a parameter sweep
@@ -258,9 +258,9 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
             raise error
     else:
         points = [p.with_(**{field: x}) for x in values.tolist()]
-    # the (values, signs) of every pair, block by block; the first block
-    # is empty, so that an empty grid gives empty arrays
-    blocks = [[(np.empty(0), np.empty((0, 2), dtype=int))] * len(pairs)]
+    # the values and signs of every pair at every key
+    table = np.empty((len(pairs), len(values)))
+    sign_table = np.empty((len(pairs), len(values), 2), dtype=int)
     for lo in range(0, len(values), size):
         hi = min(lo + size, len(values))
         if field is not None:
@@ -275,17 +275,16 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
                 if field is None:
                     raise
                 raise _naming(exc, axis, values[lo + exc.index]) from exc
-            blocks.append([entanglement.pair_witness(quad, labels, pair)
-                           for pair in pairs])
+            for row, pair in enumerate(pairs):
+                table[row, lo:hi], sign_table[row, lo:hi] = \
+                    entanglement.pair_witness(quad, labels, pair)
         if error is not None:
             raise _naming(error, axis, values[hi]) from error
     # every point takes the values and signs of its key
-    gathered = [[np.concatenate(parts)[index] for parts in zip(*results)]
-                for results in zip(*blocks)]
     return CorrelationSpectrum(
         omegas=grid, pairs=pairs,
-        values={pair: v for pair, (v, _) in zip(pairs, gathered)},
-        signs={pair: s for pair, (_, s) in zip(pairs, gathered)},
+        values=dict(zip(pairs, table[:, index])),
+        signs=dict(zip(pairs, sign_table[:, index])),
         params=p, config=config, axis=axis)
 
 
@@ -329,6 +328,22 @@ def plateau_median(spec: CorrelationSpectrum, pair, exclude=()) -> float:
     return float(np.median(spec.values[pair][mask]))
 
 
+def _half_width(om: np.ndarray, v: np.ndarray, k: int, target: float):
+    """Full width of the dip of ``v`` at its minimum ``k`` where it
+    crosses ``target``, NaN unless it does on both sides.  Each edge is
+    the linear interpolation between the nearest point at or above
+    ``target`` on its side of ``k`` and that point's neighbour towards
+    ``k``."""
+    hits = np.flatnonzero(v >= target)
+    outer = np.concatenate([hits[hits < k][-1:], hits[hits > k][:1]])
+    side = (outer > k).astype(int)     # 0 left of the minimum, 1 right
+    inner = outer + 1 - 2 * side
+    f = (target - v[inner]) / (v[outer] - v[inner])
+    edges = np.full(2, np.nan)
+    edges[side] = om[inner] + f * (om[outer] - om[inner])
+    return edges[1] - edges[0]
+
+
 def find_dip(spec: CorrelationSpectrum, pair, window) -> DipReport:
     """Windowed minimum of one pair's witness with shape diagnostics.
 
@@ -341,46 +356,26 @@ def find_dip(spec: CorrelationSpectrum, pair, window) -> DipReport:
     sel = np.flatnonzero((om >= window[0]) & (om <= window[1]))
     if sel.size == 0:
         raise ValueError(f"window {window} contains no grid points")
-    vw = v[sel]
+    omw, vw = om[sel], v[sel]
     k = int(np.argmin(vw))
-    omega_star = float(om[sel[k]])
+    omega_star = float(omw[k])
     v_min = float(vw[k])
+    med = plateau_median(spec, pair)
 
     span = float(np.max(vw) - np.min(vw))
     scale = max(abs(float(np.max(vw))), 1.0)
-    if span <= 1e-12 * scale:
-        med = plateau_median(spec, pair)
-        return DipReport(pair=pair, omega_star=omega_star, v_min=med,
-                         plateau_median=med, width=float("nan"),
-                         window=tuple(window), degenerate="flat")
-    if k == 0 or k == vw.size - 1:
-        med = plateau_median(spec, pair)
-        return DipReport(pair=pair, omega_star=omega_star, v_min=v_min,
-                         plateau_median=med, width=float("nan"),
-                         window=tuple(window), degenerate="edge")
+    flat = span <= 1e-12 * scale
+    if flat or k == 0 or k == vw.size - 1:
+        return DipReport(pair=pair, omega_star=omega_star,
+                         v_min=med if flat else v_min, plateau_median=med,
+                         width=float("nan"), window=tuple(window),
+                         degenerate="flat" if flat else "edge")
 
-    def half_width(med):
-        target = v_min + 0.5 * (med - v_min)
-        left = right = float("nan")
-        for i in range(k, 0, -1):
-            if vw[i - 1] >= target:
-                # linear interpolation between the bracketing points
-                f = (target - vw[i]) / (vw[i - 1] - vw[i])
-                left = om[sel[i]] + f * (om[sel[i - 1]] - om[sel[i]])
-                break
-        for i in range(k, vw.size - 1):
-            if vw[i + 1] >= target:
-                f = (target - vw[i]) / (vw[i + 1] - vw[i])
-                right = om[sel[i]] + f * (om[sel[i + 1]] - om[sel[i]])
-                break
-        return right - left
-
-    med = plateau_median(spec, pair)
-    w = half_width(med)
+    w = _half_width(omw, vw, k, v_min + 0.5 * (med - v_min))
     if np.isfinite(w):
         med = plateau_median(spec, pair,
                              exclude=[(omega_star - 3 * w, omega_star + 3 * w)])
-        w = half_width(med)
+        w = _half_width(omw, vw, k, v_min + 0.5 * (med - v_min))
     return DipReport(pair=pair, omega_star=omega_star, v_min=v_min,
                      plateau_median=med, width=float(w),
                      window=tuple(window), degenerate=None)
@@ -496,8 +491,8 @@ def summary_payload(spec: CorrelationSpectrum, dips=()) -> dict:
                   for pair in spec.pairs},
         "calibration": {},
         "curves": {
-            spec.axis: [float(x) for x in spec.omegas],
-            **{pair_tag(pair): [float(v) for v in spec.values[pair]]
+            spec.axis: spec.omegas.tolist(),
+            **{pair_tag(pair): spec.values[pair].tolist()
                for pair in spec.pairs},
         },
     }

@@ -746,6 +746,65 @@ def test_find_dip_empty_window(ref):
         sweeps.find_dip(spec, ("a1", "b1"), (100.0, 200.0))
 
 
+def _two_walk_half_width(om, vw, k, target):
+    """Reference of sweeps._half_width: a walk out from the minimum on
+    each side, point by point, to the first point at or above
+    ``target``, interpolated from the point before it."""
+    left = right = float("nan")
+    for i in range(k, 0, -1):
+        if vw[i - 1] >= target:
+            f = (target - vw[i]) / (vw[i - 1] - vw[i])
+            left = om[i] + f * (om[i - 1] - om[i])
+            break
+    for i in range(k, vw.size - 1):
+        if vw[i + 1] >= target:
+            f = (target - vw[i]) / (vw[i + 1] - vw[i])
+            right = om[i] + f * (om[i + 1] - om[i])
+            break
+    return right - left
+
+
+#: few levels, so that windows repeat values and a target drawn from
+#: them sits exactly on some points; nan of either sign
+_LEVELS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 3.0, np.nan,
+                           -np.nan])
+
+
+@st.composite
+def _dip_windows(draw):
+    n = draw(st.integers(2, 30))
+    vw = np.array(draw(st.lists(
+        st.one_of(_LEVELS, st.floats(-10.0, 10.0)), min_size=n,
+        max_size=n)))
+    shape = draw(st.sampled_from(["drawn", "dip", "rising", "falling",
+                                  "flat"]))
+    if shape == "dip":
+        vw[draw(st.integers(1, max(1, n - 2)))] = -20.0
+    elif shape in ("rising", "falling"):
+        vw = np.sort(vw)[::1 if shape == "rising" else -1]
+    elif shape == "flat":
+        vw[:] = vw[0]
+    steps = draw(st.lists(st.floats(1e-3, 100.0), min_size=n, max_size=n))
+    om = draw(st.floats(-3000.0, 3000.0)) + np.cumsum(steps)
+    k = int(np.argmin(vw))
+    target = draw(st.one_of(
+        st.sampled_from(vw.tolist()), st.floats(-20.0, 20.0),
+        st.floats(-10.0, 10.0).map(
+            lambda med: vw[k] + 0.5 * (med - vw[k]))))
+    return om, vw, k, target
+
+
+@settings(deadline=None, max_examples=400)
+@given(_dip_windows())
+def test_half_width_search_has_the_bits_of_the_two_walks(window):
+    om, vw, k, target = window
+    with np.errstate(all="ignore"):
+        expected = _two_walk_half_width(om, vw, k, target)
+        width = sweeps._half_width(om, vw, k, target)
+    assert np.float64(width).tobytes() == np.float64(expected).tobytes(), \
+        (width, expected)
+
+
 def test_plateau_median_respects_exclusions(ref):
     om = np.linspace(-2000.0, 0.0, 201)
     vals = np.full(om.size, 3.0)
