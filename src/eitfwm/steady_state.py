@@ -211,9 +211,14 @@ def solve(points: list) -> tuple[np.ndarray, np.ndarray]:
     return states, langevin.diffusion_matrix(drifts, states)
 
 
-def dark_state_sigma() -> np.ndarray:
-    """<sigma_ab> matrix of the ideal dark state (|1> + |2>)/sqrt(2)."""
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = m[1, 1] = 0.5
-    m[0, 1] = m[1, 0] = 0.5
-    return m
+def dark_state_sigma(p) -> np.ndarray:
+    """<sigma_ab> matrix of the dark state of the drives of ``p``.
+
+    In the gauge of :func:`hamiltonian` the ground superposition
+    omega_p|1> + omega_c|2> has no coupling to |3>, so the matrix is
+    d d^T / (omega_p^2 + omega_c^2) with d = (omega_p, omega_c, 0): the
+    state a driven atom without ground dephasing is trapped in.  At
+    omega_p = omega_c it is (|1> + |2>)/sqrt(2); with the pump off, |2>.
+    """
+    d = np.array([p.omega_p, p.omega_c, 0.0])
+    return np.outer(d, d).astype(complex) / (p.omega_p ** 2 + p.omega_c ** 2)

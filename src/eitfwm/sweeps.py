@@ -111,9 +111,11 @@ class DipReport:
     ``degenerate`` is None for a genuine interior minimum, "edge" when
     the windowed minimum sits on the window boundary (monotone or bump
     shaped data), "flat" when the window shows no structure above float
-    noise.  The full width is measured at half depth below the plateau
-    median and is NaN when the half-depth contour is not crossed inside
-    the window.
+    noise, "above_plateau" when the interior minimum does not lie below
+    the plateau median, so that there is no depth to halve.  The full
+    width is measured at half depth below the plateau median and is NaN
+    for every degenerate window and when the half-depth contour is not
+    crossed inside the window.
     """
 
     pair: tuple
@@ -365,20 +367,22 @@ def find_dip(spec: CorrelationSpectrum, pair, window) -> DipReport:
     span = float(np.max(vw) - np.min(vw))
     scale = max(abs(float(np.max(vw))), 1.0)
     flat = span <= 1e-12 * scale
-    if flat or k == 0 or k == vw.size - 1:
-        return DipReport(pair=pair, omega_star=omega_star,
-                         v_min=med if flat else v_min, plateau_median=med,
-                         width=float("nan"), window=tuple(window),
-                         degenerate="flat" if flat else "edge")
-
-    w = _half_width(omw, vw, k, v_min + 0.5 * (med - v_min))
-    if np.isfinite(w):
-        med = plateau_median(spec, pair,
-                             exclude=[(omega_star - 3 * w, omega_star + 3 * w)])
+    edge = k == 0 or k == vw.size - 1
+    w = float("nan")
+    if not (flat or edge or v_min >= med):
         w = _half_width(omw, vw, k, v_min + 0.5 * (med - v_min))
-    return DipReport(pair=pair, omega_star=omega_star, v_min=v_min,
-                     plateau_median=med, width=float(w),
-                     window=tuple(window), degenerate=None)
+        if np.isfinite(w):
+            med = plateau_median(
+                spec, pair, exclude=[(omega_star - 3 * w, omega_star + 3 * w)])
+            w = _half_width(omw, vw, k, v_min + 0.5 * (med - v_min))
+    # a NaN median (no plateau point) leaves the minimum undegenerate,
+    # with the NaN width of an uncrossed contour
+    degenerate = ("flat" if flat else "edge" if edge
+                  else "above_plateau" if v_min >= med else None)
+    return DipReport(pair=pair, omega_star=omega_star,
+                     v_min=med if flat else v_min, plateau_median=med,
+                     width=float("nan") if degenerate else float(w),
+                     window=tuple(window), degenerate=degenerate)
 
 
 # --- default experiment grids -------------------------------------------

@@ -193,8 +193,10 @@ def check_limits(p: PhysicalParams) -> list[CheckReport]:
 
     reports.append(CheckReport(
         name="limit_dark_state",
-        scope="no dephasing, symmetric drives",
-        residual=float(np.max(np.abs(states[2] - dark_state_sigma()))),
+        scope="no dephasing, " + ("symmetric drives"
+                                  if p.omega_p == p.omega_c
+                                  else "dark state of the drives"),
+        residual=float(np.max(np.abs(states[2] - dark_state_sigma(nodeph)))),
         tolerance=1e-6))
 
     reports.append(CheckReport(

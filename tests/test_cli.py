@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -564,6 +565,44 @@ def test_threads_do_not_change_bytes(tmp_path):
     assert serial.read_bytes() == threaded.read_bytes()
 
 
+def _env_with_this_source() -> dict:
+    """The environment of a subprocess that imports this eitfwm."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+_HEAP_PROBE = """
+import resource, sys
+from eitfwm import cli
+assert cli.main(sys.argv[1:]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting is glibc's mallopt")
+def test_repeated_run_reuses_the_heap_it_grew(tmp_path):
+    # by default glibc trims the heap after each sweep block frees its
+    # arrays, and the next block faults the same pages back in (about
+    # 2,800 minor faults on this 201-point grid); the command line keeps
+    # them, so a second run finds its working memory resident.  A fresh
+    # process, because glibc's defaults move with what the process
+    # allocated and freed before
+    cfg = tmp_path / "zavg.cfg"
+    cfg.write_text("two_pair = true\nspinwave_definition = z-averaged\n"
+                   "n_points = 201\n")
+    run = subprocess.run(
+        [sys.executable, "-c", _HEAP_PROBE, "--experiment", "spectrum",
+         "--config", str(cfg), "--out", str(tmp_path / "zavg.csv")],
+        env=_env_with_this_source(), capture_output=True, text=True,
+        timeout=300, check=True)
+    assert int(run.stdout) < 100
+
+
 # --- calibration ----------------------------------------------------------
 
 def test_calibrate_artifact(tmp_path):
@@ -826,13 +865,10 @@ def test_experiments_run_without_scipy(tmp_path):
     cfg = tmp_path / "zavg.cfg"
     cfg.write_text("two_pair = true\nspinwave_definition = z-averaged\n")
     without, with_scipy = tmp_path / "without.json", tmp_path / "with.json"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
     subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_PROBE, str(cfg), str(without)],
-        env=env, capture_output=True, text=True, timeout=300, check=True)
+        env=_env_with_this_source(), capture_output=True, text=True,
+        timeout=300, check=True)
     assert cli.main(["--experiment", "calibrate",
                      "--out", str(with_scipy)]) == 0
     assert without.read_bytes() == with_scipy.read_bytes()

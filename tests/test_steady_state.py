@@ -83,18 +83,30 @@ def test_oracle_agreement_from_biased_start(ref, ss_ref):
     assert np.max(np.abs(oracle - ss_ref)) < 1e-12
 
 
+#: drives of the dark-state tests: symmetric, pump off, unequal
+DARK_DRIVES = ({}, {"omega_p": 0.0}, {"omega_p": 200.0})
+
+
 def test_dark_state_limit():
-    # no ground dephasing and symmetric drives trap the symmetric
-    # ground superposition exactly
-    p = reference_params().with_(gamma0=0.0)
-    (ss,), _ = solve([p])
-    assert np.max(np.abs(ss - dark_state_sigma())) < 1e-12
+    # without ground dephasing the drives trap the ground superposition
+    # omega_p|1> + omega_c|2> exactly, whatever their ratio
+    points = [reference_params().with_(gamma0=0.0, **d) for d in DARK_DRIVES]
+    states, _ = solve(points)
+    for p, ss in zip(points, states):
+        assert np.max(np.abs(ss - dark_state_sigma(p))) < 1e-12
 
 
 def test_dark_state_sigma_is_pure():
-    m = dark_state_sigma()
-    assert np.trace(m) == pytest.approx(1.0)
-    assert np.max(np.abs(m @ m - m)) < 1e-14
+    for d in DARK_DRIVES:
+        m = dark_state_sigma(reference_params().with_(**d))
+        assert np.trace(m) == pytest.approx(1.0)
+        assert np.max(np.abs(m @ m - m)) < 1e-14
+    # symmetric drives give (|1> + |2>)/sqrt(2) bit for bit, and the pump
+    # alone off gives |2>
+    assert dark_state_sigma(reference_params()).tolist() == [
+        [0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]]
+    assert dark_state_sigma(reference_params().with_(omega_p=0.0)).tolist() \
+        == [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
 
 
 def test_states_of_k_points_are_one_complex_stack(ref):

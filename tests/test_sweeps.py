@@ -740,6 +740,29 @@ def test_find_dip_flat_window(ref):
     assert np.isnan(rep.width)
 
 
+def test_find_dip_minimum_above_the_plateau_is_degenerate(ref):
+    # an interior minimum above the plateau median has no depth to
+    # halve: its half-depth target lies below every point of the window,
+    # and the interpolated edges cross over into a negative width
+    om = np.linspace(-3000.0, 1000.0, 2001)
+    x = (om + 1000.0) / 100.0
+    inside = (om >= -1200.0) & (om <= -800.0)
+    bump = _synthetic(om, np.where(inside, 3.0 + 1e-3 * x ** 2, 1.0), ref)
+    rep = sweeps.find_dip(bump, ("a1", "b1"), (-1200.0, -800.0))
+    assert rep.degenerate == "above_plateau"
+    assert (rep.omega_star, rep.v_min, rep.plateau_median) == (-1000.0, 3.0,
+                                                               1.0)
+    assert np.isnan(rep.width)
+    # a dip below the same plateau, in the same window, is genuine
+    dip = _synthetic(om, 1.0 - 0.5 * np.exp(-((2.0 * x) ** 2)), ref)
+    rep = sweeps.find_dip(dip, ("a1", "b1"), (-1200.0, -800.0))
+    assert rep.degenerate is None
+    assert (rep.omega_star, rep.v_min, rep.plateau_median) == (-1000.0, 0.5,
+                                                               1.0)
+    assert rep.width == pytest.approx(100.0 * np.sqrt(np.log(2.0)),
+                                      rel=1e-2)
+
+
 def test_find_dip_empty_window(ref):
     spec = _synthetic([0.0, 1.0], [2.0, 2.0], ref)
     with pytest.raises(ValueError, match="no grid points"):

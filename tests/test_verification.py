@@ -199,6 +199,16 @@ def test_limit_checks(ref):
     assert not any(r.surprising for r in reports.values())
 
 
+def test_dark_state_check_follows_the_drives(ref):
+    # with the pump off the no-dephasing control is trapped in |2>, not
+    # in the symmetric state of equal drives (a residual of 0.5)
+    (dark,) = [r for r in vf.check_limits(ref.with_(omega_p=0.0))
+               if r.name == "limit_dark_state"]
+    assert dark.residual < 1e-14
+    assert dark.line().endswith(" PASS (expected PASS) "
+                                "[no dephasing, dark state of the drives]")
+
+
 def test_convention_comparison_table(ref):
     table = vf.convention_comparison(ref)
     assert set(table) == {"parametric/mirrored", "parametric/same",
@@ -297,7 +307,7 @@ def _per_control_limits(p):
     form[m:, :m] = -2.0 * np.eye(m)
     worst = float(np.linalg.eigvals(quad + 1j * form).real.min())
     return [float(np.max(np.abs(vacuum - 4.0))),
-            float(np.max(np.abs(states[1] - dark_state_sigma()))),
+            float(np.max(np.abs(states[1] - dark_state_sigma(nodeph)))),
             float((np.max(vals) - np.min(vals)) / abs(vals[0])),
             max(0.0, -worst)]
 
