@@ -409,10 +409,10 @@ def calibrate(rc: RunConfig) -> dict:
     """
     p = rc.params
     cfg = dataclasses.replace(rc.model, two_pair=False)
-    # neither the steady state, the diffusion table nor the field modes
-    # depend on the two fitted scales, so every witness point shares them
+    # neither the steady state nor the diffusion table depend on the two
+    # fitted scales, so every witness point shares them
     states, tables = solve([p])
-    modes = cfg.modes(p)
+    modes = cfg.modes()
     labels = entanglement.extended_labels(modes)
 
     def fields(q):

@@ -19,7 +19,8 @@ stacked arrays, from the assembly of the drift, noise and readout rows
 or ``field_quadratures`` of the fields alone, on ``field_moments``, the
 one field-pair step that calibrate's fit and verify share) and the
 witness of a named mode pair (``pair_witness``) or of two mode indices
-(``duan_min_stack``).  One point is a block of one.
+(``duan_min_stack``).  One point is a block of one; the points of a
+block share a mode set, and each has its own parameters.
 
 The coherence mode S is not bosonic: [S, S^+] is proportional to the
 ground-state population difference, which vanishes at the symmetric
@@ -85,8 +86,9 @@ def quadrature_covariance(doubled: np.ndarray) -> np.ndarray:
 @dataclass
 class WitnessSetUp(propagation.DriftRows):
     """Everything a witness point needs that no frequency changes: the
-    drift set-up plus the spin-wave and noise parts, arrays with the
-    same leading axis over points.
+    drift set-up of one mode set, each point at its own linewidths and
+    detunings, plus the spin-wave and noise parts, arrays with the same
+    leading axis over points.
 
     S and S^+ are rows over the doubled field basis: fields on the 1-3
     transition enter S directly, the 2-3 ones daggered, with steady-state
@@ -111,7 +113,7 @@ def witness_set_up(points: list, states: np.ndarray, tables: np.ndarray,
     tables (k, 6, 6) and derived parameters; the points share the field
     ``modes``.  Every product has a factor with a zero real or imaginary
     part, so each point is bit for bit a scalar evaluation."""
-    rows = propagation.drift_rows(states, modes, derived)
+    rows = propagation.drift_rows(points, states, modes, derived)
     scale, gamma0 = np.array([(p.spinwave_scale, p.gamma0)
                               for p in points]).reshape(-1, 2).T
     atom_number, g1sq_n, g2sq_n = np.array(
@@ -192,7 +194,7 @@ def assemble(set_up: WitnessSetUp, omegas, length: float,
             root_n = np.sqrt(set_up.atom_number)
             lump_s = lump_s * root_n / length
             lump_sdag = lump_sdag * root_n / length
-    n = len(set_up.modes)
+    n = len(set_up.index.transition)
     size = len(omegas)
     dim = state_dim(n, spinwave)
     r = _readout_frame(n, dim)[None].repeat(size, axis=0)
@@ -203,13 +205,14 @@ def assemble(set_up: WitnessSetUp, omegas, length: float,
         lump = np.zeros((size, 2 * n + 2, 2), dtype=complex)
         lump[:, n, 0] = lump_s
         lump[:, 2 * n + 1, 1] = lump_sdag
-        return m, q, set_up.channels, r, lump
-    channels = list(langevin.CHANNELS)
+        return m, q, langevin.FIELD_CHANNELS, r, lump
+    channels = langevin.CHANNELS
     m_aug = np.zeros((size, dim, dim), dtype=complex)
     m_aug[:, :2 * n, :2 * n] = m
     m_aug[:, 2 * n:4 * n, :2 * n] = np.eye(2 * n)
     q_aug = np.zeros((size, dim, len(channels)), dtype=complex)
-    q_aug[:, :2 * n, [channels.index(ch) for ch in set_up.channels]] = q
+    q_aug[:, :2 * n, [channels.index(ch)
+                      for ch in langevin.FIELD_CHANNELS]] = q
     # z-integrals of the coherence forces, on the same raw-diffusion-table
     # footing as the optical rows
     root_cn = np.sqrt(C / set_up.atom_number)
@@ -232,10 +235,10 @@ def field_moments(controls, length: float,
     stacks = []
     for q, states, tables, omegas, coupling in controls:
         rows = propagation.drift_rows(
-            states, propagation.single_pair_modes(q), [derive(q)])
+            [q], states, propagation.SINGLE_PAIR_MODES, [derive(q)])
         m, noise = propagation.drift_block(rows, omegas, coupling, sideband)
         stacks.append((m, propagation.noise_drive(
-            noise, pairing(tables, rows.channels))))
+            noise, pairing(tables, langevin.FIELD_CHANNELS))))
     m, g = (np.concatenate(part) for part in zip(*stacks))
     try:
         return (m, g) + propagation.second_moment_transfer_stack(m, g, length)
@@ -322,7 +325,7 @@ def extended_quadratures(set_up: WitnessSetUp, omegas, length: float,
         if lump is not None:
             lump_noise = propagation.noise_drive(
                 lump, langevin.sym_noise_matrix(
-                    set_up.two_d, langevin.spinwave_noise_channels()))
+                    set_up.two_d, langevin.SPINWAVE_CHANNELS))
         try:
             # the points before a vanishing response are evaluated
             # first, so that the first failing point is the one reported

@@ -30,7 +30,7 @@ import functools
 import numpy as np
 
 # channel ordering shared with the propagation module
-CHANNELS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+CHANNELS = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
 CHANNEL_INDEX = {ch: k for k, ch in enumerate(CHANNELS)}
 
 
@@ -128,15 +128,10 @@ def comm_noise_matrix(two_d: np.ndarray, channels) -> np.ndarray:
     return two_d[..., mu, nubar] - two_d[..., nubar, mu]
 
 
-def field_noise_channels() -> list[tuple[int, int]]:
-    """Channels entering the field propagation equations.
+#: channels driving the field rows, F_13 and F_23 the direct ones and
+#: F_31 and F_32 the conjugate ones, shared by both pairs because the
+#: same atoms scatter both
+FIELD_CHANNELS = ((1, 3), (2, 3), (3, 1), (3, 2))
 
-    The direct rows of both field pairs are driven by F_13 and F_23 and
-    the conjugate rows by F_31 and F_32; the channels are shared between
-    the pairs because the same atoms scatter both.
-    """
-    return [(1, 3), (2, 3), (3, 1), (3, 2)]
-
-
-def spinwave_noise_channels() -> list[tuple[int, int]]:
-    return [(1, 2), (2, 1)]
+#: channels of the ground-coherence noise, which drives S and S^+
+SPINWAVE_CHANNELS = ((1, 2), (2, 1))

@@ -39,7 +39,10 @@ class PhysicalParams:
     the common detuning of the first (second) scattering/generated field
     pair.  alpha1, alpha2 are the coherent input amplitudes of the two
     scattering fields; they displace the fields but do not enter the
-    fluctuation dynamics.
+    fluctuation dynamics.  omega12, the ground hyperfine splitting, is
+    validated and echoed into every output and params_hash, but no step
+    reads it: not derive, the generator, the drift or the readout; the
+    pair detunings are inputs of their own.
     """
 
     n0: float = 5e19            # atom density, m^-3

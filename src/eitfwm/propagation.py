@@ -52,11 +52,15 @@ d.  The z-averaged states (10x10, 18x18) keep the separate products
 but square only the live columns of T: their drift [[M, 0, 0], [I, 0,
 0], [0, 0, 0]] (fields, their z-integrals, two force integrals) is zero
 past the 2n field columns, and a zero column of the drift is a unit
-column of T (Van Loan, IEEE TAC 23 (1978) 395).  The
-drift is assembled for a block of frequencies at once
-(``drift_block``), bit for bit as one frequency at a time, its nonzero
-entries scattered into zeros built once per mode set.  A fixed-step RK4 integrator of the same quantities, also stack-aware, is
-provided as an independent cross-check: per frequency it precomputes
+column of T (Van Loan, IEEE TAC 23 (1978) 395).  A mode set is
+structure (SINGLE_PAIR_MODES, TWO_PAIR_MODES), the detunings are
+parameters: ``drift_rows`` takes each row's detuning from its point by
+pair, as it takes its linewidth by transition.  The drift is assembled
+for a block of frequencies at once (``drift_block``), bit for bit as
+one frequency at a time, its nonzero entries scattered into zeros
+built once per mode set.  A fixed-step RK4 integrator of the same
+quantities, also stack-aware, is provided as an independent
+cross-check: per frequency it precomputes
 the RK4 step map and the map of a block of MARCH_BLOCK = 16 steps, a
 power formed by successive products with the step map, never by
 squaring, and marches the leftover single steps, then the blocks (see
@@ -76,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, C
+from .params import C
 from . import langevin
 
 
@@ -123,26 +127,18 @@ SIDEBANDS = ("mirrored", "same")
 
 @dataclass(frozen=True)
 class FieldMode:
-    """One propagating mode of a scattering/generated pair."""
+    """One propagating mode of a scattering/generated pair; its detuning,
+    delta1 or delta2 by pair, is a parameter of each point."""
 
     name: str
     transition: str      # "13" or "23"
-    detuning: float      # MHz, shared within a pair
     pair: int            # 1 or 2
 
 
-def single_pair_modes(p: PhysicalParams) -> list[FieldMode]:
-    return [
-        FieldMode("a1", "13", p.delta1, 1),
-        FieldMode("b1", "23", p.delta1, 1),
-    ]
-
-
-def two_pair_modes(p: PhysicalParams) -> list[FieldMode]:
-    return single_pair_modes(p) + [
-        FieldMode("b2", "13", p.delta2, 2),
-        FieldMode("a2", "23", p.delta2, 2),
-    ]
+#: the modes of the first field pair, and of both pairs
+SINGLE_PAIR_MODES = (FieldMode("a1", "13", 1), FieldMode("b1", "23", 1))
+TWO_PAIR_MODES = SINGLE_PAIR_MODES + (FieldMode("b2", "13", 2),
+                                      FieldMode("a2", "23", 2))
 
 
 def complex_quotient(a, b) -> np.ndarray:
@@ -170,21 +166,23 @@ def complex_quotient(a, b) -> np.ndarray:
 
 
 ModeIndex = collections.namedtuple(
-    "ModeIndex", "swap transition spinwave per_row drift noise zeros")
+    "ModeIndex", "swap transition pair spinwave per_row drift noise zeros")
 
 
 @functools.lru_cache(maxsize=None)
 def _mode_set(structure: tuple) -> ModeIndex:
     """Read-only index arrays of the modes whose (transition, pair) are
     ``structure``, built once per mode set: the doubled basis's halves
-    swapped, each mode's transition (0 for 1-3, 1 for 2-3) and spin-wave
-    column (1-3 modes direct, 2-3 modes daggered), the gather of each
-    row's coefficients from the transitions', the (row, column) scatters
-    of the nonzero drift entries under each of COUPLINGS and of the noise
-    entries, and the zeros of [M | Q], 0 - 0j in the daggered rows."""
-    channels, n = langevin.field_noise_channels(), len(structure)
+    swapped, each mode's transition (0 for 1-3, 1 for 2-3), pair (0, 1)
+    and spin-wave column (1-3 modes direct, 2-3 modes daggered), the
+    gather of each row's coefficients from the transitions', the (row,
+    column) scatters of the nonzero drift entries under each of COUPLINGS
+    and of the noise entries, and the zeros of [M | Q], 0 - 0j in the
+    daggered rows."""
+    channels, n = langevin.FIELD_CHANNELS, len(structure)
     rows = np.arange(n)
     transition = np.array([t == "23" for t, _ in structure], dtype=int)
+    pair = np.array([p for _, p in structure]) - 1
     partner = np.array([j for i, (_, pi) in enumerate(structure)
                         for j, (_, pj) in enumerate(structure)
                         if i != j and pi == pj])
@@ -202,7 +200,7 @@ def _mode_set(structure: tuple) -> ModeIndex:
     zeros = np.zeros((2 * n, 2 * n + len(channels)), dtype=complex)
     zeros[n:] = np.conj(zeros[n:])
     index = ModeIndex(
-        np.roll(np.arange(2 * n), n), transition, rows + n * transition,
+        np.roll(np.arange(2 * n), n), transition, pair, rows + n * transition,
         np.concatenate([transition, transition + 2, transition + 4]),
         np.array(drift), np.array(noise), zeros)
     for array in index:
@@ -212,28 +210,31 @@ def _mode_set(structure: tuple) -> ModeIndex:
 
 @dataclass
 class DriftRows:
-    """The frequency-independent coefficients of the direct drift rows;
-    arrays have a leading axis over points: one entry per steady state
-    and derived parameter set, all sharing one mode set.  Not frozen:
-    a frozen __init__ pays an object.__setattr__ per field and call."""
+    """The frequency-independent coefficients of the direct drift rows
+    of one mode set (``index``); arrays have a leading axis over points,
+    each at its own parameters, steady state and derived parameters.
+    Not frozen: a frozen __init__ pays an object.__setattr__ per field
+    and call."""
 
-    modes: list
-    channels: list
     gamma: np.ndarray           # (k, n) optical linewidth of each row
-    detuning: np.ndarray        # (k, n)
+    detuning: np.ndarray        # (k, n) detuning of each row's pair
     # (k, 3n) complex: each row's own term, its noise amplitude times i,
     # and minus its coherence term
     terms: np.ndarray
     index: ModeIndex            # index arrays of the mode set, _mode_set
 
 
-def drift_rows(states: np.ndarray, modes: list[FieldMode],
+def drift_rows(points: list, states: np.ndarray, modes,
                derived: list) -> DriftRows:
     """Set up the drift assembly of ``modes`` once for every frequency,
-    for each point of the steady states ``states`` (shape (k, 3, 3)) and
-    derived parameters ``derived``.  Every product has a real factor, so
-    each point's rows are bit for bit those of a scalar evaluation."""
+    for each of the parameter sets ``points`` with its steady state in
+    ``states`` (shape (k, 3, 3)) and its derived parameters in
+    ``derived``.  Every product has a real factor, so each point's rows
+    are bit for bit those of a scalar evaluation."""
     index = _mode_set(tuple([(mode.transition, mode.pair) for mode in modes]))
+    # per point and pair (delta1, delta2), then gathered per mode
+    detuning = np.array([(q.delta1, q.delta2)
+                         for q in points]).reshape(-1, 2)[:, index.pair]
     # per point and transition (1-3, 2-3), then gathered per mode
     g_sq, gamma = np.array([
         (dp.g1sq_n, dp.g2sq_n, dp.gamma13, dp.gamma23) for dp in derived
@@ -245,11 +246,8 @@ def drift_rows(states: np.ndarray, modes: list[FieldMode],
         terms = np.concatenate([
             g_sq * (pops[:, :2] - pops[:, 2:]), 1j * np.sqrt(g_sq / C),
             -(g1g2_n * np.array([s12, np.conj(s12)]).T)], axis=1)
-    return DriftRows(
-        modes=list(modes), channels=langevin.field_noise_channels(),
-        detuning=np.array([[mode.detuning for mode in modes]] * len(states)),
-        gamma=gamma[:, index.transition], terms=terms[:, index.per_row],
-        index=index)
+    return DriftRows(gamma=gamma[:, index.transition], detuning=detuning,
+                     terms=terms[:, index.per_row], index=index)
 
 
 def _direct_sector(rows: DriftRows, omega: np.ndarray) -> np.ndarray:
@@ -264,7 +262,7 @@ def _direct_sector(rows: DriftRows, omega: np.ndarray) -> np.ndarray:
     quotient at every finite omega, +-0 included."""
     den = rows.gamma + 1j * (omega - rows.detuning)
     c_den = C * den
-    n = len(rows.modes)
+    n = len(rows.index.transition)
     kinetic = -1j * (omega / C)
     # own / (C * den), and i * g * N / (c * den) with the sqrt(c/N)
     # correlator scale folded in to use the raw diffusion table as-is
@@ -300,10 +298,9 @@ def drift_block(rows: DriftRows, omegas, coupling: str = "parametric",
     # The daggered row of channel ch is driven by its conjugate channel
     # (ModeIndex.noise)
     np.conjugate(entries[:, 1], entries[:, 1])
-    index, n = rows.index, len(rows.modes)
-    m = np.empty((len(omega), 2 * n, 2 * n), dtype=complex)
-    q = np.empty((len(omega), 2 * n, len(rows.channels)), dtype=complex)
-    m[...], q[...] = index.zeros[:, :2 * n], index.zeros[:, 2 * n:]
+    index, n = rows.index, len(rows.index.transition)
+    m = index.zeros[:, :2 * n][None].repeat(len(omega), axis=0)
+    q = index.zeros[:, 2 * n:][None].repeat(len(omega), axis=0)
     at = index.drift[COUPLINGS.index(coupling)]
     m[:, at[0], at[1]] = entries[:2].transpose(2, 0, 1, 3)
     q[:, index.noise[0], index.noise[1]] = entries[2].swapaxes(0, 1)

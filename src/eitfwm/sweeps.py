@@ -11,11 +11,11 @@ quadrature transform to both witness sign branches.  Every sweep
 evaluates each distinct witness point once, keyed by the bits of its
 frequency and of the swept field if a witness reads it, and every point
 takes the result of its key as one array gather; each block of a
-parameter sweep first builds one set-up stacked over its points, with
-one solve of their steady states and diffusion tables.  A block gives
-every point bit for bit the result of a one-point evaluation, so
-rerunning a sweep with the same configuration reproduces the output
-byte for byte.
+parameter sweep first builds one set-up stacked over its points, each
+at its own parameters, with one solve of their steady states and
+diffusion tables.  A block gives every point bit for bit the result of
+a one-point evaluation, so rerunning a sweep with the same
+configuration reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -71,17 +71,17 @@ WITNESS_FIELDS = tuple(name for name in FIELDS
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Model-level switches shared by every sweep experiment."""
+    """Model-level switches shared by every sweep experiment; the field
+    mode set and the reported pairs follow from ``two_pair`` alone."""
 
     coupling: str = "parametric"
     sideband: str = "mirrored"
     spinwave_definition: str = "endpoint"
     two_pair: bool = False
 
-    def modes(self, p: PhysicalParams):
-        if self.two_pair:
-            return propagation.two_pair_modes(p)
-        return propagation.single_pair_modes(p)
+    def modes(self):
+        return (propagation.TWO_PAIR_MODES if self.two_pair
+                else propagation.SINGLE_PAIR_MODES)
 
     def pairs(self):
         return list(TWO_PAIR_PAIRS if self.two_pair else SINGLE_PAIRS)
@@ -198,7 +198,7 @@ def _set_up(points: list, config: SweepConfig):
     if not points:
         return None, error
     return entanglement.witness_set_up(
-        points, states, tables, config.modes(points[0]),
+        points, states, tables, config.modes(),
         derived[:len(points)]), error
 
 
@@ -239,7 +239,7 @@ def _sweep(p: PhysicalParams, axis: str, values, omegas,
     """
     config = config or SweepConfig()
     pairs = config.pairs()
-    modes = config.modes(p)
+    modes = config.modes()
     labels = entanglement.extended_labels(modes)
     dim = entanglement.state_dim(len(modes), config.spinwave_definition)
     size = max(MIN_BLOCK_POINTS, propagation.BLOCK_ENTRIES // dim ** 2)

@@ -147,7 +147,7 @@ def _relative_deviation(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
 def check_oracle_equivalence(p: PhysicalParams,
                              n_steps: int = 100000) -> list[CheckReport]:
     """Doubling integrator against the naive fixed-step one."""
-    ss, two_d = solve([p])
+    ss, two_d = _solve([p], ("reference point",))
     # both integrators run once over the stack of all frequencies
     m, g, t1, c1 = entanglement.field_moments(
         [(p, ss, two_d, ORACLE_POINTS, "parametric")], p.length)
@@ -184,7 +184,7 @@ def check_limits(p: PhysicalParams) -> list[CheckReport]:
         p.length)
     (vacuum, vals), _ = entanglement.pair_witness(
         quad[:6].reshape((2, 3) + quad.shape[1:]),
-        entanglement.field_labels(propagation.single_pair_modes(p)),
+        entanglement.field_labels(propagation.SINGLE_PAIR_MODES),
         ("a1", "b1"))
     reports.append(CheckReport(
         name="limit_uncoupled_pair_vacuum",
@@ -240,7 +240,7 @@ def convention_comparison(p: PhysicalParams) -> dict:
     marks combinations where the drift develops broadband exponential
     gain beyond the trust ceiling.
     """
-    ss, two_d = solve([p])
+    ss, two_d = _solve([p], ("reference point",))
     table = {}
     for coupling in propagation.COUPLINGS:
         for sideband in propagation.SIDEBANDS:

@@ -1,13 +1,15 @@
 """The block assembly against the per-point assembly it replaced.
 
 The functions in the first half of this file are the one-frequency
-drift, spin-wave and readout assembly, kept verbatim as the oracle.  The
-block assembly (``entanglement.assemble`` on ``propagation.drift_block``)
+drift, spin-wave and readout assembly, kept as the oracle; each mode
+reads the detuning of its pair from its point's parameters.  The block
+assembly (``entanglement.assemble`` on ``propagation.drift_block``)
 must reproduce every drift, noise, readout and lump row of it byte for
 byte: on random grids that include +-0.0 and the exact pair detunings,
 for every coupling, sideband, pair count and spin-wave definition, with
 one shared set-up and with one set-up stacked over the points (the
-parameter-sweep and calibration shapes).
+parameter-sweep and calibration shapes), each point at its own pair
+detunings.
 """
 
 from __future__ import annotations
@@ -43,18 +45,18 @@ class DriftMatrix:
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
-# --- the per-point assembly, verbatim ------------------------------------
+# --- the per-point assembly ----------------------------------------------
 
 def _sigma(ss: np.ndarray, a: int, b: int) -> complex:
     """<sigma_ab> of the 3x3 steady state ``ss``, as a Python complex."""
     return complex(ss[a - 1, b - 1])
 
 
-def _row_terms(ss: np.ndarray, modes: list[FieldMode],
+def _row_terms(ss: np.ndarray, modes: list[FieldMode], p: PhysicalParams,
                dp: DerivedParams, channels: list) -> list:
     """Frequency-independent coefficients of every direct row: (optical
-    linewidth, detuning, own term, coherence term, noise amplitude,
-    noise column)."""
+    linewidth, detuning of the mode's pair at ``p``, own term, coherence
+    term, noise amplitude, noise column)."""
     col = {ch: k for k, ch in enumerate(channels)}
     s11, s22, s33 = (_sigma(ss, 1, 1).real, _sigma(ss, 2, 2).real,
                      _sigma(ss, 3, 3).real)
@@ -62,11 +64,12 @@ def _row_terms(ss: np.ndarray, modes: list[FieldMode],
     g1g2_n = np.sqrt(dp.g1sq_n * dp.g2sq_n)
     terms = []
     for mode in modes:
+        detuning = p.delta1 if mode.pair == 1 else p.delta2
         if mode.transition == "13":
-            terms.append((dp.gamma13, mode.detuning, dp.g1sq_n * (s11 - s33),
+            terms.append((dp.gamma13, detuning, dp.g1sq_n * (s11 - s33),
                           g1g2_n * s12, np.sqrt(dp.g1sq_n / C), col[(1, 3)]))
         else:
-            terms.append((dp.gamma23, mode.detuning, dp.g2sq_n * (s22 - s33),
+            terms.append((dp.gamma23, detuning, dp.g2sq_n * (s22 - s33),
                           g1g2_n * np.conj(s12), np.sqrt(dp.g2sq_n / C),
                           col[(2, 3)]))
     return terms
@@ -148,17 +151,17 @@ class DriftRows:
                            channels=self.channels)
 
 
-def drift_rows(ss: np.ndarray, modes: list[FieldMode],
+def drift_rows(ss: np.ndarray, modes: list[FieldMode], p: PhysicalParams,
                dp: DerivedParams) -> DriftRows:
     """Set up the drift assembly of ``modes`` once for every frequency."""
-    channels = langevin.field_noise_channels()
+    channels = list(langevin.FIELD_CHANNELS)
     partner = {}
     for i, mi in enumerate(modes):
         for j, mj in enumerate(modes):
             if i != j and mi.pair == mj.pair:
                 partner[i] = j
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _row_terms(ss, modes, dp, channels)
+        terms = _row_terms(ss, modes, p, dp, channels)
     return DriftRows(
         modes=list(modes), channels=channels, terms=terms, partner=partner,
         conjugate_columns=[channels.index(langevin.conjugate_channel(ch))
@@ -200,7 +203,7 @@ def spinwave_rows(omega: float, p: PhysicalParams, ss: np.ndarray,
     num_dag = np.concatenate([np.conj(num[n:]), np.conj(num[:n])])
     row_sdag = num_dag / den_dag
 
-    channels = langevin.spinwave_noise_channels()
+    channels = list(langevin.SPINWAVE_CHANNELS)
     lump_s = np.zeros(len(channels), dtype=complex)
     lump_sdag = np.zeros(len(channels), dtype=complex)
     lump_s[channels.index((1, 2))] = scale / den
@@ -303,9 +306,13 @@ _OMEGA = st.one_of(st.floats(-5000.0, 5000.0),
 #: rates and scales from 1e-3 to 1e3, log-uniform
 _RATE = st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)
 
+#: pair detunings: those of the reference point, or any in the band
+_DETUNING = st.one_of(st.sampled_from([-1000.0, 1000.0]),
+                      st.floats(-3000.0, 3000.0))
 
-def _modes(p, two_pair):
-    return pr.two_pair_modes(p) if two_pair else pr.single_pair_modes(p)
+
+def _modes(two_pair):
+    return pr.TWO_PAIR_MODES if two_pair else pr.SINGLE_PAIR_MODES
 
 
 def _points(p, omegas, two_pair):
@@ -313,9 +320,9 @@ def _points(p, omegas, two_pair):
     parameter set ``p``."""
     (ss,), (two_d,) = solve([p])
     dp = derive(p)
-    modes = _modes(p, two_pair)
+    modes = _modes(two_pair)
     set_up = en.witness_set_up([p], ss[None], two_d[None], modes, [dp])
-    rows = drift_rows(ss, modes, dp)
+    rows = drift_rows(ss, modes, p, dp)
     return set_up, [(om, p, ss, two_d, rows, dp) for om in omegas]
 
 
@@ -328,7 +335,7 @@ def _assert_block_matches(set_up, omegas, reference, config):
     length = reference[0][1].length
     m, q, channels, r, lump = en.assemble(set_up, omegas, length, coupling,
                                           sideband, spinwave)
-    assert channels == points[0].channels
+    assert list(channels) == points[0].channels
     for name, block in (("m", m), ("q", q), ("r", r)):
         want = np.stack([getattr(pt, name) for pt in points])
         assert block.tobytes() == want.tobytes(), name
@@ -363,21 +370,24 @@ def test_shared_set_up_block_is_byte_identical(omegas, config, gamma0,
 
 @settings(deadline=None, max_examples=80)
 @given(points=st.lists(st.tuples(_OMEGA, st.one_of(st.just(0.0), _RATE),
-                                 _RATE), min_size=2, max_size=6),
+                                 _RATE, _DETUNING, _DETUNING),
+                       min_size=2, max_size=6),
        config=st.sampled_from(CONFIGS), share_steady_state=st.booleans())
 def test_stacked_set_up_block_is_byte_identical(points, config,
                                                 share_steady_state):
     # one set-up stacked over the points: the steady state changes with
     # gamma0 in a parameter sweep; with a shared steady state only the
-    # spin-wave scale changes, as in calibration
+    # spin-wave scale changes, as in calibration.  Every point has its
+    # own pair detunings, which no steady state reads
     reference = []
-    for om, gamma0, scale in points:
+    for om, gamma0, scale, delta1, delta2 in points:
         if share_steady_state:
             gamma0 = points[0][1]
-        p = reference_params().with_(gamma0=gamma0, spinwave_scale=scale)
+        p = reference_params().with_(gamma0=gamma0, spinwave_scale=scale,
+                                     delta1=delta1, delta2=delta2)
         (om,) = _nonzero_if(gamma0, [om])
         reference += _points(p, np.array([om]), config[2])[1]
     omegas, params, states, tables, _, derived = zip(*reference)
     set_up = en.witness_set_up(params, np.stack(states), np.stack(tables),
-                               _modes(params[0], config[2]), derived)
+                               _modes(config[2]), derived)
     _assert_block_matches(set_up, np.array(omegas), reference, config)

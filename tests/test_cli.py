@@ -603,6 +603,38 @@ def test_repeated_run_reuses_the_heap_it_grew(tmp_path):
     assert int(run.stdout) < 100
 
 
+def _no_libc(name):
+    raise OSError("cannot load the C library")
+
+
+def _no_mallopt(name):
+    # a C library without mallopt: its attribute lookup raises
+    return object()
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _no_mallopt],
+                         ids=["no_library", "no_mallopt"])
+def test_a_run_without_mallopt_writes_the_same_bytes(tmp_path, monkeypatch,
+                                                     cdll):
+    # keep_freed_heap leaves the allocator alone when the C library or
+    # its mallopt is missing; the run is the same
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("n_points = 11\n")
+    args = ["--experiment", "spectrum", "--config", str(cfg), "--out"]
+    assert cli.main(args + [str(tmp_path / "set.csv")]) == 0
+    loaded = []
+
+    def load(name):
+        loaded.append(name)
+        return cdll(name)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", load)
+    assert cli.main(args + [str(tmp_path / "unset.csv")]) == 0
+    assert loaded == [None]
+    assert (tmp_path / "unset.csv").read_bytes() \
+        == (tmp_path / "set.csv").read_bytes()
+
+
 # --- calibration ----------------------------------------------------------
 
 def test_calibrate_artifact(tmp_path):
@@ -708,6 +740,7 @@ def test_calibrate_fit_is_scipys_step_for_step(monkeypatch):
     assert art["coupling_scale"].hex() == (1.6462819213179591).hex()
 
 
+@pytest.mark.kernel_bits
 def test_each_fit_step_has_the_bits_of_its_row_in_a_stack(monkeypatch):
     # every step of the coupling fit runs the field chain on a stack of
     # one; at every scale the default fit evaluates, under both couplings
@@ -752,7 +785,7 @@ def test_calibrate_fits_the_coupling_the_extended_chain_fits(switches, rel):
     # the one a fit on the extended covariance finds at the same switches
     p, model = reference_params(), sweeps.SweepConfig(**switches)
     states, tables = solve([p])
-    modes = model.modes(p)
+    modes = model.modes()
 
     def extended(q):
         set_up = entanglement.witness_set_up([q], states, tables, modes,

@@ -20,7 +20,7 @@ LABELS = ["a1", "b1", "S"]
 def _quad(p, ss, two_d, omegas, **switches):
     """Quadrature covariances of the single pair plus S at ``omegas``,
     one witness set-up shared by every frequency."""
-    modes = pr.single_pair_modes(p)
+    modes = pr.SINGLE_PAIR_MODES
     set_up = en.witness_set_up([p], ss[None], two_d[None], modes,
                                [derive(p)])
     return en.extended_quadratures(set_up, omegas, p.length, **switches)
@@ -261,7 +261,7 @@ def test_quadrature_covariance_rejects_odd_dimension():
 
 
 def test_extended_covariance_labels_and_lookup(ref, quad_ref):
-    assert en.extended_labels(pr.single_pair_modes(ref)) == LABELS
+    assert en.extended_labels(pr.SINGLE_PAIR_MODES) == LABELS
     with pytest.raises(en.UnknownModeError):
         en.pair_witness(quad_ref, LABELS, ("a9", "b1"))
     with pytest.raises(en.UnknownModeError):
@@ -271,10 +271,10 @@ def test_extended_covariance_labels_and_lookup(ref, quad_ref):
 def test_field_block_matches_plain_field_covariance(ref, ss_ref, two_d_ref,
                                                     quad_ref,
                                                     reference_output):
-    rows = pr.drift_rows(ss_ref[None], pr.single_pair_modes(ref),
+    rows = pr.drift_rows([ref], ss_ref[None], pr.SINGLE_PAIR_MODES,
                          [derive(ref)])
     m, q = pr.drift_block(rows, [-300.0])
-    g = pr.noise_drive(q, lv.sym_noise_matrix(two_d_ref, rows.channels))
+    g = pr.noise_drive(q, lv.sym_noise_matrix(two_d_ref, lv.FIELD_CHANNELS))
     t, c = pr.second_moment_transfer_stack(m, g, ref.length)
     quad_fields = en.quadrature_covariance(pr.hermitian_part(
         reference_output(t[0], c[0], [0.5] * 4)))
@@ -311,7 +311,7 @@ def test_field_chain_is_the_field_block_of_the_extended_chain(
     p = ref.with_(coupling_scale=coupling_scale, gamma0=gamma0,
                   omega_p=omega_p, omega_c=omega_c, delta1=delta1)
     states, tables = solve([p])
-    modes = pr.single_pair_modes(p)
+    modes = pr.SINGLE_PAIR_MODES
     set_up = en.witness_set_up([p], states, tables, modes, [derive(p)])
     omegas = [0.0, omega]
     for coupling in pr.COUPLINGS:
@@ -344,7 +344,7 @@ def test_assembled_drifts_are_live_up_to_the_fields(ref, two_pair, spinwave):
     # an assembly that fed an integral row back would lose that silently
     cfg = sweeps.SweepConfig(two_pair=two_pair, spinwave_definition=spinwave)
     set_up, _ = sweeps._set_up([ref], cfg)
-    n = len(set_up.modes)
+    n = len(set_up.index.transition)
     omegas = [-2000.0, ref.delta1, -500.0, 0.0, 500.0]
     for coupling in pr.COUPLINGS:
         for sideband in pr.SIDEBANDS:
@@ -361,7 +361,7 @@ def test_a_field_chain_past_float_range_fails_as_the_extended_chain(ref):
     # transfer, past float range
     p = ref.with_(n0=1e100)
     states, tables = solve([p])
-    modes = pr.single_pair_modes(p)
+    modes = pr.SINGLE_PAIR_MODES
     derived = [derive(p)]
     with pytest.raises(pr.NumericalOverflowError) as fields:
         en.field_quadratures([(p, states, tables, [-500.0, 0.0],
@@ -400,7 +400,7 @@ def test_witness_even_in_frequency(ref):
         omegas = grid[(grid > 0) & np.isin(-grid, grid)]
         assert len(omegas) >= 500
         set_up, _ = sweeps._set_up([p], cfg)
-        labels = en.extended_labels(cfg.modes(p))
+        labels = en.extended_labels(cfg.modes())
         plus, minus = (en.extended_quadratures(
             set_up, w, p.length, spinwave=cfg.spinwave_definition)
             for w in (omegas, -omegas))

@@ -205,7 +205,7 @@ def test_stacked_set_ups_are_byte_identical_to_the_per_operator_loops(
     # of the reference state and table
     for i, (p, ss, two_d) in enumerate(zip(points, ref_states, ref_tables)):
         reference = entanglement.witness_set_up(
-            [p], ss[None], two_d[None], config.modes(p), [derive(p)])
+            [p], ss[None], two_d[None], config.modes(), [derive(p)])
         for field in dataclasses.fields(reference):
             ref_value = getattr(reference, field.name)
             value = getattr(block, field.name)

@@ -119,21 +119,21 @@ def test_ground_channel_vanishes_without_dephasing(ref):
 
 
 def test_sym_noise_matrix_structure(two_d_ref):
-    fch = lv.field_noise_channels()
+    fch = lv.FIELD_CHANNELS
     s = lv.sym_noise_matrix(two_d_ref, fch)
     assert s.shape == (4, 4)
     assert np.max(np.abs(s - s.conj().T)) < 1e-12
     # each optical channel carries half the (antinormal + normal) weight
     assert np.allclose(np.diag(s).real, 1.5, atol=1e-12)
 
-    sw = lv.sym_noise_matrix(two_d_ref, lv.spinwave_noise_channels())
+    sw = lv.sym_noise_matrix(two_d_ref, lv.SPINWAVE_CHANNELS)
     assert sw.shape == (2, 2)
     assert sw[0, 0] == pytest.approx(0.1460317049320246, abs=1e-12)
     assert abs(sw[0, 1]) < 1e-12
 
 
 def test_comm_noise_matrix_signs(two_d_ref):
-    cm = lv.comm_noise_matrix(two_d_ref, lv.field_noise_channels())
+    cm = lv.comm_noise_matrix(two_d_ref, lv.FIELD_CHANNELS)
     # direct channels commute to +gamma_i3, daggered ones to the negative
     assert np.allclose(np.diag(cm).real, [3.0, 3.0, -3.0, -3.0], atol=1e-12)
     assert np.max(np.abs(cm - cm.conj().T)) < 1e-12

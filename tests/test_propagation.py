@@ -1,5 +1,6 @@
 """Drift assembly and the stacked moment integrals."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,30 +18,40 @@ from eitfwm.params import derive
 from eitfwm.steady_state import solve
 
 
-def test_single_pair_modes(ref):
-    modes = pr.single_pair_modes(ref)
+def test_single_pair_modes():
+    # a mode is its name, transition and pair; the detunings are
+    # parameters of each point
+    assert [f.name for f in dataclasses.fields(pr.FieldMode)] == [
+        "name", "transition", "pair"]
+    modes = pr.SINGLE_PAIR_MODES
     assert [m.name for m in modes] == ["a1", "b1"]
     assert [m.transition for m in modes] == ["13", "23"]
-    assert all(m.detuning == ref.delta1 for m in modes)
     assert all(m.pair == 1 for m in modes)
 
 
-def test_two_pair_modes(ref):
-    modes = pr.two_pair_modes(ref)
+def test_two_pair_modes():
+    modes = pr.TWO_PAIR_MODES
+    assert modes[:2] == pr.SINGLE_PAIR_MODES
     assert [m.name for m in modes] == ["a1", "b1", "b2", "a2"]
     assert [m.transition for m in modes] == ["13", "23", "13", "23"]
-    assert [m.detuning for m in modes] == [ref.delta1, ref.delta1,
-                                           ref.delta2, ref.delta2]
     assert [m.pair for m in modes] == [1, 1, 2, 2]
 
 
-def _drift(p, ss, omegas, modes=None, **switches):
-    """(m, q, channels): the drift and noise-row stacks of ``modes`` (the
-    single pair by default) at ``omegas``, from one drift set-up."""
-    rows = pr.drift_rows(ss[None], modes or pr.single_pair_modes(p),
-                         [derive(p)])
-    m, q = pr.drift_block(rows, omegas, **switches)
-    return m, q, rows.channels
+def test_drift_rows_take_each_points_detunings(ref, ss_ref):
+    # every row takes the detuning of its pair at its own point
+    points = [ref, ref.with_(delta1=-700.0, delta2=400.0)]
+    rows = pr.drift_rows(points, np.stack([ss_ref] * 2), pr.TWO_PAIR_MODES,
+                         [derive(q) for q in points])
+    assert rows.detuning.tolist() == [[-1000.0, -1000.0, 1000.0, 1000.0],
+                                      [-700.0, -700.0, 400.0, 400.0]]
+    assert len(rows.index.transition) == 4
+
+
+def _drift(p, ss, omegas, modes=pr.SINGLE_PAIR_MODES, **switches):
+    """(m, q): the drift and noise-row stacks of ``modes`` (the single
+    pair by default) at ``omegas``, from one drift set-up."""
+    rows = pr.drift_rows([p], ss[None], modes, [derive(p)])
+    return pr.drift_block(rows, omegas, **switches)
 
 
 def test_drift_matrix_rejects_unknown_switches(ref, ss_ref):
@@ -51,11 +62,10 @@ def test_drift_matrix_rejects_unknown_switches(ref, ss_ref):
 
 
 def test_drift_matrix_shapes(ref, ss_ref):
-    m, q, channels = _drift(ref, ss_ref, [-300.0])
+    m, q = _drift(ref, ss_ref, [-300.0])
     assert m.shape == (1, 4, 4)
     assert q.shape == (1, 4, 4)
-    assert channels == lv.field_noise_channels()
-    m2, q2, _ = _drift(ref, ss_ref, [-300.0], modes=pr.two_pair_modes(ref))
+    m2, q2 = _drift(ref, ss_ref, [-300.0], modes=pr.TWO_PAIR_MODES)
     assert m2.shape == (1, 8, 8)
     assert q2.shape == (1, 8, 4)
 
@@ -95,7 +105,7 @@ def test_mirrored_dagger_block_is_conjugate_at_reflected_frequency(
                 en.assemble(set_up, w, p.length, cfg.coupling, "mirrored",
                             spinwave)
                 for w in (omegas, -omegas))
-            n = len(set_up.modes)
+            n = len(set_up.index.transition)
             swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
             if spinwave != "endpoint":
                 swap = np.concatenate([swap, 2 * n + swap,
@@ -114,7 +124,7 @@ def test_mirrored_dagger_block_is_conjugate_at_reflected_frequency(
 
 def test_same_sideband_conjugates_in_place(ref, ss_ref):
     om = -450.0
-    (m,), _, _ = _drift(ref, ss_ref, [om], sideband="same")
+    (m,), _ = _drift(ref, ss_ref, [om], sideband="same")
     n = 2
     assert np.allclose(m[n:, n:], np.conj(m[:n, :n]), atol=1e-14)
     assert np.allclose(m[n:, :n], np.conj(m[:n, n:]), atol=1e-14)
@@ -134,7 +144,7 @@ def test_vacuum_covariance(vacuum_covariance):
 
 
 def test_transfer_matches_expm(ref, ss_ref):
-    m, _, _ = _drift(ref, ss_ref, [-300.0])
+    m, _ = _drift(ref, ss_ref, [-300.0])
     (t,), _ = pr.second_moment_transfer_stack(m, np.zeros_like(m),
                                               ref.length)
     te = sla.expm(m[0] * ref.length)
@@ -154,8 +164,8 @@ def test_second_moment_transfer_diagonal_closed_form():
 
 @pytest.mark.parametrize("omega", [-300.0, 0.0, 400.0])
 def test_second_moment_transfer_matches_rk4(ref, ss_ref, two_d_ref, omega):
-    (m,), (q,), channels = _drift(ref, ss_ref, [omega])
-    g = q @ lv.sym_noise_matrix(two_d_ref, channels) @ q.conj().T
+    (m,), (q,) = _drift(ref, ss_ref, [omega])
+    g = q @ lv.sym_noise_matrix(two_d_ref, lv.FIELD_CHANNELS) @ q.conj().T
     (t_fast,), (c_fast,) = pr.second_moment_transfer_stack(
         m[None], g[None], ref.length)
     t_ref, c_ref = pr.transfer_step_oracle(m, g, ref.length, 20000)
@@ -243,6 +253,7 @@ def _augmented(m):
     return out
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("dim, fields, stack", [
     (4, 4, 16), (8, 8, 16), (10, 10, 16), (18, 18, 16), (10, 4, 16),
     (18, 8, 16), (4, 4, 1)],
@@ -280,6 +291,7 @@ def _assert_three_product_bits(m, g, length):
     assert _bits(c) == _bits(c_ref)
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("two_pair, spinwave, dim", [
     (False, "endpoint", 4), (True, "endpoint", 8),
     (False, "z-averaged", 10), (True, "z-averaged", 18)])
@@ -324,6 +336,7 @@ def _stable(rng, shape, scales):
         * np.eye(shape[-1])
 
 
+@pytest.mark.kernel_bits
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.sampled_from([4, 8, 10, 18]),
@@ -343,6 +356,7 @@ def test_transfer_keeps_the_three_product_bits_on_stable_systems(
     _assert_three_product_bits(m, b @ pr.dagger(b), length)
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("dim, zero", [
     (dim, zero) for dim in (6, 10) for zero in range(1, dim)])
 def test_transfer_keeps_the_bits_of_drifts_with_zero_columns(dim, zero):
@@ -400,6 +414,7 @@ def _assert_mixed_stack_bits(m, g, length):
             _assert_three_product_bits(m[::-1], g[::-1], length)
 
 
+@pytest.mark.kernel_bits
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.sampled_from([4, 8, 10, 18]),
@@ -420,6 +435,7 @@ def test_mixed_sub_stacks_keep_the_bits_of_each_matrix_alone(
         _assert_three_product_bits(pair[::-1], g[1::-1], length)
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("dim", [4, 8, 10, 18])
 def test_mixed_sub_stacks_take_the_scalar_cube_of_each_step(dim):
     # at this length numpy's array power rounds h^3 apart from the
@@ -460,8 +476,8 @@ def reference_transfer_step_oracle(m, g, length, n_steps):
 def _oracle_stack(p, ss, two_d):
     """(m, g): the drift and symmetrised noise-drive stacks of verify's
     oracle check, at its frequencies."""
-    m, q, channels = _drift(p, ss, verification.ORACLE_POINTS)
-    return m, pr.noise_drive(q, lv.sym_noise_matrix(two_d, channels))
+    m, q = _drift(p, ss, verification.ORACLE_POINTS)
+    return m, pr.noise_drive(q, lv.sym_noise_matrix(two_d, lv.FIELD_CHANNELS))
 
 
 def _relative_error(x, x_ref):
@@ -653,8 +669,8 @@ def _field_moments(p, ss, two_d, omegas, pairing=lv.sym_noise_matrix,
                    **switches):
     """(t, c) of the stacked transfer over ``omegas``, noise taken from
     ``two_d`` by ``pairing``."""
-    m, q, channels = _drift(p, ss, omegas, **switches)
-    g = pr.noise_drive(q, pairing(two_d, channels))
+    m, q = _drift(p, ss, omegas, **switches)
+    g = pr.noise_drive(q, pairing(two_d, lv.FIELD_CHANNELS))
     return pr.second_moment_transfer_stack(m, g, p.length)
 
 

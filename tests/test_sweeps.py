@@ -93,9 +93,9 @@ def test_sweeps_set_up_the_drift_once_per_block(ref, monkeypatch):
     calls = []
     real = pr.drift_rows
 
-    def counted(states, *args, **kwargs):
-        calls.append(len(states))
-        return real(states, *args, **kwargs)
+    def counted(points, *args, **kwargs):
+        calls.append(len(points))
+        return real(points, *args, **kwargs)
 
     monkeypatch.setattr(pr, "drift_rows", counted)
     sweeps.sweep_omega(ref, np.array([-1500.0, -1000.0, 0.0]))
@@ -129,7 +129,7 @@ def _alone(p, ss, two_d, cfg, omega):
     """(values, signs) of every pair of ``cfg`` at one point evaluated
     alone: a block of one point with its own set-up, from its steady
     state ``ss`` and diffusion table ``two_d``, stacks of one."""
-    modes = cfg.modes(p)
+    modes = cfg.modes()
     set_up = en.witness_set_up([p], ss, two_d, modes, [derive(p)])
     quad = en.extended_quadratures(set_up, [omega], p.length, cfg.coupling,
                                    cfg.sideband, cfg.spinwave_definition)
@@ -184,6 +184,7 @@ def _recorded_sub_stacks(monkeypatch):
     return transfers
 
 
+@pytest.mark.kernel_bits
 @BLOCK_CONFIGS
 def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     ss, two_d = solve([ref])
@@ -217,19 +218,32 @@ def test_block_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
                     (om, pair, points)
 
 
+#: (field, values, frequency) of the parameter sweeps run in small
+#: blocks: each pair's detuning is a parameter of its point, like gamma0,
+#: not of the first point of its block
+PARAM_SWEEPS = [
+    ("gamma0", np.logspace(-2.0, 3.0, 9), 0.0),
+    ("delta1", np.linspace(-1000.0, -600.0, 9), -800.0),
+    ("delta2", np.linspace(600.0, 1000.0, 9), 800.0),
+]
+
+
+@pytest.mark.kernel_bits
 @BLOCK_CONFIGS
 def test_block_param_sweep_equals_one_point_calls(ref, monkeypatch, cfg):
     # blocks of 4, 4 and 1 points, each with one stacked set-up
     _small_blocks(monkeypatch, cfg, ref)
-    gamma0s = np.logspace(-2.0, 3.0, 9)
-    spec = sweeps.sweep_gamma0(ref, gamma0s, omega=0.0, config=cfg)
-    for i, g0 in enumerate(gamma0s):
-        q = ref.with_(gamma0=float(g0))
-        alone = _alone(q, *solve([q]), cfg, 0.0)
-        for pair in spec.pairs:
-            (value,), (signs,) = alone[pair]
-            assert spec.values[pair][i] == value, (g0, pair)
-            assert spec.signs[pair][i].tolist() == signs.tolist(), (g0, pair)
+    for field, values, omega in PARAM_SWEEPS:
+        spec = sweeps._sweep(ref, field, values,
+                             np.full(len(values), omega), cfg, field=field)
+        for i, x in enumerate(values):
+            q = ref.with_(**{field: float(x)})
+            alone = _alone(q, *solve([q]), cfg, omega)
+            for pair in spec.pairs:
+                (value,), (signs,) = alone[pair]
+                assert spec.values[pair][i] == value, (field, x, pair)
+                assert spec.signs[pair][i].tolist() == signs.tolist(), \
+                    (field, x, pair)
 
 
 #: evaluates interleaved witness blocks, in the order of the indices in
@@ -254,7 +268,7 @@ for i in map(int, sys.argv[1:]):
                                    cfg.sideband, cfg.spinwave_definition)
     digest = hashlib.sha256(quad.tobytes())
     for pair in cfg.pairs():
-        for part in en.pair_witness(quad, en.extended_labels(cfg.modes(p)),
+        for part in en.pair_witness(quad, en.extended_labels(cfg.modes()),
                                     pair):
             digest.update(part.tobytes())
     print(i, digest.hexdigest())
@@ -660,6 +674,25 @@ def test_amplitudes_never_reach_a_set_up(ref, cfg, amplitudes):
     points = [ref.with_(alpha1=a1, alpha2=a2) for a1, a2 in amplitudes]
     _assert_set_ups_equal_one_point_set_ups(points, cfg,
                                             [ref] * len(points))
+
+
+@pytest.mark.parametrize("cfg", [
+    sweeps.SweepConfig(),
+    sweeps.SweepConfig(two_pair=True),
+    sweeps.SweepConfig(spinwave_definition="z-averaged"),
+    Z_TWO_PAIR,
+], ids=["endpoint", "two_pair", "z_averaged", "z_averaged_two_pair"])
+def test_omega12_never_reaches_a_witness(ref, cfg):
+    # the hyperfine splitting is validated and echoed, but no step reads
+    # it: the quadratures of the witness points keep their bits
+    omegas = np.array([-2000.0, ref.delta1, -0.0, 0.0, 500.0, ref.delta2])
+    quads = []
+    for omega12 in (ref.omega12, 0.0, 1e5):
+        set_up, _ = sweeps._set_up([ref.with_(omega12=omega12)], cfg)
+        quads.append(en.extended_quadratures(
+            set_up, omegas, ref.length, cfg.coupling, cfg.sideband,
+            cfg.spinwave_definition).tobytes())
+    assert quads[1] == quads[0] and quads[2] == quads[0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -8,7 +8,8 @@ import pytest
 from eitfwm import entanglement as en
 from eitfwm import langevin, propagation as pr, verification as vf
 from eitfwm.params import derive
-from eitfwm.steady_state import dark_state_sigma, solve
+from eitfwm.steady_state import (DegenerateSteadyStateError,
+                                  dark_state_sigma, solve)
 
 
 def _report(residual, tolerance, expected_pass=True, name="demo"):
@@ -278,7 +279,7 @@ def _extended_pair_witness(points, states, tables, omegas):
     """Witness values of the pair (a1, b1) at ``omegas`` through the
     extended chain: the set-up of the parameter sets ``points`` (one, or
     one per frequency), the spin-wave readout and the 6x6 extension."""
-    modes = pr.single_pair_modes(points[0])
+    modes = pr.SINGLE_PAIR_MODES
     set_up = en.witness_set_up(points, states, tables, modes,
                                [derive(q) for q in points])
     quad = en.extended_quadratures(set_up, omegas, points[0].length)
@@ -364,3 +365,16 @@ def test_a_merged_stack_names_each_controls_own_frequency(
     with pytest.raises(pr.NumericalOverflowError,
                        match=rf"^injected at omega = {omega} MHz$"):
         check(ref)
+
+
+@pytest.mark.parametrize("check", [
+    lambda p: vf.check_oracle_equivalence(p, n_steps=10),
+    vf.convention_comparison,
+    vf.check_commutators,
+], ids=["oracle_equivalence", "convention_comparison", "commutators"])
+def test_every_path_names_the_point_without_a_steady_state(ref, check):
+    # both drives off: the ground manifold holds a family of states
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=r"^stationary subspace has dimension 2 "
+                             r"at the reference point$"):
+        check(ref.with_(omega_p=0.0, omega_c=0.0))
